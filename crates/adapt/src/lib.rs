@@ -19,9 +19,9 @@
 //!   from: sessions pin the generation they started with for their
 //!   whole episode, so mid-fleet publishes never change a trajectory
 //!   mid-flight;
-//! * [`safety`] — the per-frame [`SafetyProjector`] routing IL-mode
-//!   actions through a small constraint QP, so a stale or mid-update
-//!   policy can never emit an infeasible action.
+//! * [`safety`] — the per-frame [`SafetyProjector`] clamping IL-mode
+//!   commands to the interval the nearby obstacles allow, so a stale or
+//!   mid-update policy can never emit an infeasible action.
 //!
 //! The [`container`] module provides the shared `ICDS`/`ICWT` binary
 //! envelope (24-byte header, FNV-1a checksum) both artifact kinds use.

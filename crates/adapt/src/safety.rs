@@ -3,20 +3,17 @@
 //! Hot-swapping weights mid-fleet means an engine can serve a policy
 //! generation that has never seen the scene in front of it. The
 //! projector guarantees that no IL action — stale, mid-update, or just
-//! wrong — is ever applied infeasibly: each IL-mode action is routed
-//! through a tiny per-frame constraint QP over the longitudinal
-//! command, with one half-space row per nearby obstacle derived from
-//! the ego's clearance along its heading. Feasible actions pass through
-//! **bitwise unchanged** (the projector is idempotent); infeasible ones
-//! are clipped toward zero along the same gear — the projection never
-//! flips a gear the policy chose — and a geometrically hopeless frame
-//! degenerates to a full brake, which is always safe.
-//!
-//! The QP reuses the workspace solver's sparse backend, the same code
-//! path the CO planner trusts, so the shield adds no new numerics.
+//! wrong — is ever applied infeasibly: each IL-mode action's
+//! longitudinal command is projected onto the set allowed by one
+//! half-space row per nearby obstacle, derived from the ego's clearance
+//! along its heading. The rows are one-dimensional, so that set is an
+//! exact interval and the projection is a clamp. Feasible actions pass
+//! through **bitwise unchanged** (the projector is idempotent);
+//! infeasible ones are clipped toward zero along the same gear — the
+//! projection never flips a gear the policy chose — and a geometrically
+//! hopeless frame degenerates to a full brake, which is always safe.
 
 use icoil_geom::{Obb, Vec2};
-use icoil_solver::{solve_qp, Backend, Mat, QpProblem, QpSettings};
 use icoil_vehicle::{Action, VehicleParams, VehicleState};
 use serde::{Deserialize, Serialize};
 
@@ -33,7 +30,7 @@ pub struct SafetyConfig {
     /// Longitudinal acceleration per unit command (m/s²) — how
     /// aggressively a unit throttle moves the ego within the horizon.
     pub accel_gain: f64,
-    /// At most this many nearest obstacle rows enter the QP.
+    /// At most this many nearest obstacle rows constrain the command.
     pub max_rows: usize,
 }
 
@@ -58,15 +55,12 @@ pub struct Projection {
     pub clipped: bool,
     /// `|projected − requested|` longitudinal command change.
     pub clip_magnitude: f64,
-    /// ADMM iterations spent by the QP (0 on the fast paths).
-    pub iterations: usize,
 }
 
 /// Projects IL-mode actions onto the feasible command set.
 #[derive(Debug, Clone)]
 pub struct SafetyProjector {
     config: SafetyConfig,
-    settings: QpSettings,
 }
 
 /// One active obstacle half-space `a · lon ≤ b`.
@@ -77,12 +71,9 @@ struct Row {
 }
 
 impl SafetyProjector {
-    /// A projector with the given parameters and default QP settings.
+    /// A projector with the given parameters.
     pub fn new(config: SafetyConfig) -> Self {
-        SafetyProjector {
-            config,
-            settings: QpSettings::default(),
-        }
+        SafetyProjector { config }
     }
 
     /// The projector's parameters.
@@ -116,7 +107,6 @@ impl SafetyProjector {
                 action,
                 clipped: false,
                 clip_magnitude: 0.0,
-                iterations: 0,
             };
         }
 
@@ -181,18 +171,15 @@ impl SafetyProjector {
                 action,
                 clipped: false,
                 clip_magnitude: 0.0,
-                iterations: 0,
             };
         }
 
-        let (lon, iterations) = if contact || lo > hi {
-            (0.0, 0)
+        // The exact interval clamp, so projecting a projected action
+        // returns it bitwise.
+        let lon = if contact || lo > hi {
+            0.0
         } else {
-            let iterations = self.solve(lon0, action.steer, lo, hi, &rows);
-            // The QP confirms the projection numerically; the final
-            // command is the exact interval clamp so idempotence holds
-            // bitwise, not just to solver tolerance.
-            (lon0.clamp(lo, hi), iterations)
+            lon0.clamp(lo, hi)
         };
 
         let projected = if lon == 0.0 {
@@ -213,35 +200,9 @@ impl SafetyProjector {
         let clipped = projected != action;
         Projection {
             clip_magnitude: (lon - lon0).abs(),
-            iterations,
             action: projected,
             clipped,
         }
-    }
-
-    /// The 2-variable projection QP: minimize ‖u − u₀‖² over
-    /// `[lon, steer]` subject to the command box and obstacle rows, on
-    /// the sparse backend.
-    fn solve(&self, lon0: f64, steer0: f64, lo: f64, hi: f64, rows: &[Row]) -> usize {
-        let mut a_rows: Vec<Vec<f64>> = vec![vec![1.0, 0.0], vec![0.0, 1.0]];
-        let mut l = vec![lo, -1.0];
-        let mut u = vec![hi, 1.0];
-        for row in rows {
-            a_rows.push(vec![row.a, 0.0]);
-            l.push(f64::NEG_INFINITY);
-            u.push(row.b);
-        }
-        let refs: Vec<&[f64]> = a_rows.iter().map(|r| r.as_slice()).collect();
-        let problem = QpProblem::new(
-            Mat::identity(2),
-            vec![-lon0, -steer0],
-            Mat::from_rows(&refs),
-            l,
-            u,
-        )
-        .expect("projection QP dimensions are consistent")
-        .with_backend(Backend::Sparse);
-        solve_qp(&problem, &self.settings).iterations
     }
 }
 
@@ -282,7 +243,6 @@ mod tests {
         assert!(!out.clipped);
         assert_eq!(out.action, act);
         assert_eq!(out.clip_magnitude, 0.0);
-        assert_eq!(out.iterations, 0);
     }
 
     #[test]

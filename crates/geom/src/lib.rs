@@ -40,7 +40,7 @@ pub use aabb::Aabb;
 pub use angle::{angle_diff, normalize_angle};
 pub use circle::Circle;
 pub use grid::{Cell, OccupancyGrid};
-pub use obb::Obb;
+pub use obb::{Obb, ObbPointTest};
 pub use path::Polyline;
 pub use polygon::ConvexPolygon;
 pub use pose::Pose2;

@@ -125,8 +125,18 @@ impl Obb {
 
     /// Returns `true` when `p` lies inside or on the boundary.
     pub fn contains(&self, p: Vec2) -> bool {
-        let local = (p - self.center).rotated(-self.theta);
-        local.x.abs() <= self.half_length + EPS && local.y.abs() <= self.half_width + EPS
+        self.point_test().contains(p)
+    }
+
+    /// [`Obb::contains`] with the box's rotation computed once, for
+    /// testing many points against one box (a rasterizer's inner loop).
+    pub fn point_test(&self) -> ObbPointTest {
+        ObbPointTest {
+            center: self.center,
+            inverse: (-self.theta).sin_cos(),
+            half_length: self.half_length + EPS,
+            half_width: self.half_width + EPS,
+        }
     }
 
     /// SAT overlap test against another OBB (touching counts as overlap).
@@ -195,6 +205,25 @@ impl Obb {
     /// Radius of the circumscribed circle (half diagonal).
     pub fn circumradius(&self) -> f64 {
         self.half_length.hypot(self.half_width)
+    }
+}
+
+/// An [`Obb`] prepared for point containment: the `sin_cos` of the
+/// inverse rotation and the EPS-padded half extents, computed once.
+/// [`ObbPointTest::contains`] is [`Obb::contains`], bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ObbPointTest {
+    center: Vec2,
+    inverse: (f64, f64),
+    half_length: f64,
+    half_width: f64,
+}
+
+impl ObbPointTest {
+    /// Returns `true` when `p` lies inside or on the box boundary.
+    pub fn contains(&self, p: Vec2) -> bool {
+        let local = (p - self.center).rotated_by(self.inverse);
+        local.x.abs() <= self.half_length && local.y.abs() <= self.half_width
     }
 }
 

@@ -98,7 +98,14 @@ impl Vec2 {
 
     /// Rotates the vector by `angle` radians (counter-clockwise).
     pub fn rotated(self, angle: f64) -> Vec2 {
-        let (s, c) = angle.sin_cos();
+        self.rotated_by(angle.sin_cos())
+    }
+
+    /// Rotates the vector by the angle whose `(sin, cos)` is given: the
+    /// arithmetic of [`Vec2::rotated`] without the trig, so a loop that
+    /// rotates many points by one angle can compute `sin_cos` once and
+    /// get the same bits.
+    pub fn rotated_by(self, (s, c): (f64, f64)) -> Vec2 {
         Vec2::new(c * self.x - s * self.y, s * self.x + c * self.y)
     }
 

@@ -6,37 +6,22 @@
 //! training after one forward pass.
 
 use crate::init;
+use crate::simd::{self, ConvEpilogue, ConvShape};
 use crate::Tensor;
 use serde::{Deserialize, Serialize};
 
-/// Reusable per-layer buffers for the allocation-free inference path
-/// ([`LayerKind::infer_into`]).
+/// Reusable conv-block buffers of the allocation-free inference path
+/// (held by [`crate::InferBuffers`]).
 ///
-/// The buffers grow to the largest size any layer needs and are then
-/// reused verbatim, so repeated inference through the same network
+/// The buffers grow to the largest size any conv block needs and are
+/// then reused verbatim, so repeated inference through the same network
 /// performs no heap allocation after the first call.
-#[derive(Debug, Clone)]
-pub struct InferScratch {
-    /// im2col patch matrix for [`Conv2d`].
-    cols: Tensor,
-    /// Per-sample convolution output (`[out_ch, oh·ow]`).
-    conv_y: Tensor,
-}
-
-impl InferScratch {
-    /// Creates empty scratch; buffers are sized lazily on first use.
-    pub fn new() -> Self {
-        InferScratch {
-            cols: Tensor::zeros(vec![0]),
-            conv_y: Tensor::zeros(vec![0]),
-        }
-    }
-}
-
-impl Default for InferScratch {
-    fn default() -> Self {
-        InferScratch::new()
-    }
+#[derive(Debug, Clone, Default)]
+pub(crate) struct InferScratch {
+    /// One zero-padded input sample of the current conv block.
+    padded: Vec<f32>,
+    /// Row accumulators of the scalar conv kernel.
+    rows: Vec<f32>,
 }
 
 /// A sequential network layer.
@@ -47,7 +32,7 @@ impl Default for InferScratch {
 pub enum LayerKind {
     /// Fully-connected layer.
     Dense(Dense),
-    /// 2-D convolution (im2col).
+    /// 2-D convolution.
     Conv2d(Conv2d),
     /// 2-D max pooling.
     MaxPool2d(MaxPool2d),
@@ -101,34 +86,6 @@ impl LayerKind {
             LayerKind::ReLU(l) => l.forward(x, train),
             LayerKind::Flatten(l) => l.forward(x, train),
             LayerKind::Dropout(l) => l.forward(x, train),
-        }
-    }
-
-    /// Inference-only forward pass writing into `out`, reusing `scratch`
-    /// buffers instead of allocating. Produces results bit-identical to
-    /// `forward(x, false)` while caching nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same shape mismatches as [`LayerKind::forward`].
-    pub fn infer_into(&self, x: &Tensor, out: &mut Tensor, scratch: &mut InferScratch) {
-        match self {
-            LayerKind::Dense(l) => l.infer_into(x, out),
-            LayerKind::Conv2d(l) => l.infer_into(x, out, scratch),
-            LayerKind::MaxPool2d(l) => l.infer_into(x, out),
-            LayerKind::ReLU(_) => {
-                out.copy_from(x);
-                for v in out.data_mut() {
-                    *v = v.max(0.0);
-                }
-            }
-            LayerKind::Flatten(_) => {
-                let n = x.shape()[0];
-                let rest: usize = x.shape()[1..].iter().product();
-                out.resize(&[n, rest]);
-                out.data_mut().copy_from_slice(x.data());
-            }
-            LayerKind::Dropout(_) => out.copy_from(x),
         }
     }
 
@@ -237,7 +194,7 @@ impl Dense {
         y
     }
 
-    fn infer_into(&self, x: &Tensor, out: &mut Tensor) {
+    pub(crate) fn infer_into(&self, x: &Tensor, out: &mut Tensor) {
         x.matmul_nt_into(&self.weight, out);
         let out_dim = self.bias.len();
         for row in out.data_mut().chunks_mut(out_dim) {
@@ -267,7 +224,8 @@ impl Dense {
     }
 }
 
-/// 2-D convolution implemented with im2col.
+/// 2-D convolution: im2col + GEMM for training, a direct convolution
+/// fused with its ReLU and 2×2 pool for inference.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Conv2d {
     in_ch: usize,
@@ -439,51 +397,65 @@ impl Conv2d {
         dx
     }
 
-    fn infer_into(&self, x: &Tensor, out: &mut Tensor, scratch: &mut InferScratch) {
+    /// Inference through one conv block: this convolution, plus the
+    /// ReLU and the 2×2 max pool that follow it in the network when
+    /// `epilogue` says so, in one pass per sample. Each sample is padded
+    /// once into `scratch`, and [`simd::conv2d_fused`] reads its patches
+    /// straight from there. Bit-identical to running the layers'
+    /// `forward(x, false)` one by one; caches nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the same shape mismatches as `forward`.
+    pub(crate) fn infer_block(
+        &self,
+        x: &Tensor,
+        epilogue: ConvEpilogue,
+        out: &mut Tensor,
+        scratch: &mut InferScratch,
+    ) {
         let shape = x.shape();
         assert_eq!(shape.len(), 4, "Conv2d expects [n, c, h, w]");
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
         assert_eq!(c, self.in_ch, "Conv2d channel mismatch");
-        let (oh, ow) = (self.out_dim(h), self.out_dim(w));
-        out.resize(&[n, self.out_ch, oh, ow]);
+        let p = self.padding;
+        let geom = ConvShape {
+            in_ch: c,
+            out_ch: self.out_ch,
+            kernel: self.kernel,
+            stride: self.stride,
+            hp: h + 2 * p,
+            wp: w + 2 * p,
+            oh: self.out_dim(h),
+            ow: self.out_dim(w),
+        };
+        if epilogue.pool {
+            out.resize(&[n, self.out_ch, geom.oh / 2, geom.ow / 2]);
+        } else {
+            out.resize(&[n, self.out_ch, geom.oh, geom.ow]);
+        }
         let sample_len = c * h * w;
-        let out_sample_len = self.out_ch * oh * ow;
+        let out_sample_len = out.len() / n.max(1);
         for i in 0..n {
             let sample = &x.data()[i * sample_len..(i + 1) * sample_len];
-            self.im2col_into(sample, h, w, oh, ow, &mut scratch.cols);
-            self.weight.matmul_into(&scratch.cols, &mut scratch.conv_y);
-            for (ch, b) in self.bias.data().iter().enumerate() {
-                let row = &mut scratch.conv_y.data_mut()[ch * oh * ow..(ch + 1) * oh * ow];
-                for v in row {
-                    *v += b;
-                }
-            }
-            out.data_mut()[i * out_sample_len..(i + 1) * out_sample_len]
-                .copy_from_slice(scratch.conv_y.data());
+            pad_sample(sample, c, h, w, p, &mut scratch.padded);
+            simd::conv2d_fused(
+                &scratch.padded,
+                &geom,
+                self.weight.data(),
+                self.bias.data(),
+                epilogue,
+                &mut scratch.rows,
+                &mut out.data_mut()[i * out_sample_len..(i + 1) * out_sample_len],
+            );
         }
     }
 
     fn im2col(&self, sample: &[f32], h: usize, w: usize, oh: usize, ow: usize) -> Tensor {
-        let mut cols = Tensor::zeros(vec![0]);
-        self.im2col_into(sample, h, w, oh, ow, &mut cols);
-        cols
-    }
-
-    fn im2col_into(
-        &self,
-        sample: &[f32],
-        h: usize,
-        w: usize,
-        oh: usize,
-        ow: usize,
-        out: &mut Tensor,
-    ) {
         let k = self.kernel;
         let rows = self.in_ch * k * k;
-        out.resize(&[rows, oh * ow]);
-        // Padded positions are skipped below, so the buffer must start
-        // zeroed on every use (it is reused across calls).
-        out.data_mut().fill(0.0);
+        // padded positions are skipped below and stay zero
+        let mut out = Tensor::zeros(vec![rows, oh * ow]);
         let cols = out.data_mut();
         for c in 0..self.in_ch {
             let plane = &sample[c * h * w..(c + 1) * h * w];
@@ -524,6 +496,7 @@ impl Conv2d {
                 }
             }
         }
+        out
     }
 
     fn col2im(&self, dcols: &Tensor, dst: &mut [f32], h: usize, w: usize, oh: usize, ow: usize) {
@@ -548,6 +521,27 @@ impl Conv2d {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Writes `sample` (`[c, h, w]`) into `padded` as `[c, h + 2p, w + 2p]`
+/// with a zero border, every element written once.
+fn pad_sample(sample: &[f32], c: usize, h: usize, w: usize, p: usize, padded: &mut Vec<f32>) {
+    let (hp, wp) = (h + 2 * p, w + 2 * p);
+    padded.resize(c * hp * wp, 0.0);
+    for (plane, dst) in sample
+        .chunks_exact(h * w)
+        .zip(padded.chunks_exact_mut(hp * wp))
+    {
+        let (top, rest) = dst.split_at_mut(p * wp);
+        top.fill(0.0);
+        let (body, bottom) = rest.split_at_mut(h * wp);
+        bottom.fill(0.0);
+        for (src_row, dst_row) in plane.chunks_exact(w).zip(body.chunks_exact_mut(wp)) {
+            dst_row[..p].fill(0.0);
+            dst_row[p..p + w].copy_from_slice(src_row);
+            dst_row[p + w..].fill(0.0);
         }
     }
 }
@@ -623,7 +617,9 @@ impl MaxPool2d {
         out
     }
 
-    fn infer_into(&self, x: &Tensor, out: &mut Tensor) {
+    /// Inference for a pool that no conv block absorbed (one not right
+    /// after a conv, or not 2×2).
+    pub(crate) fn infer_into(&self, x: &Tensor, out: &mut Tensor) {
         let shape = x.shape();
         assert_eq!(shape.len(), 4, "MaxPool2d expects [n, c, h, w]");
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);

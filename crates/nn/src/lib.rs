@@ -8,8 +8,9 @@
 //! else — with reverse-mode autodiff hand-derived per layer:
 //!
 //! * [`Tensor`] — dense row-major `f32` tensors;
-//! * [`layer`] — `Dense`, `Conv2d` (im2col), `MaxPool2d`, `ReLU`,
-//!   `Flatten`;
+//! * [`layer`] — `Dense`, `Conv2d` (im2col for training, a direct
+//!   convolution fused with its ReLU and 2×2 pool for inference),
+//!   `MaxPool2d`, `ReLU`, `Flatten`;
 //! * [`Network`] — a sequential container with forward/backward;
 //! * [`loss`] — softmax cross-entropy (eq. 3) and accuracy;
 //! * [`optim`] — SGD with momentum and Adam;
@@ -59,7 +60,6 @@ pub mod simd;
 pub mod tensor;
 
 pub use data::Dataset;
-pub use layer::InferScratch;
 pub use network::{InferBuffers, Network};
 pub use quant::{ActQuant, QuantScratch, QuantizedNetwork};
 pub use simd::KernelBackend;

@@ -2,6 +2,7 @@
 
 use crate::layer::{InferScratch, LayerKind};
 use crate::loss::{softmax, softmax_in_place};
+use crate::simd::ConvEpilogue;
 use crate::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -46,6 +47,18 @@ impl InferBuffers {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Network {
     layers: Vec<LayerKind>,
+}
+
+/// Removes the first layer of `rest` when it matches, reporting whether
+/// it did.
+fn take_next(rest: &mut &[LayerKind], matches: impl Fn(&LayerKind) -> bool) -> bool {
+    match rest.split_first() {
+        Some((layer, tail)) if matches(layer) => {
+            *rest = tail;
+            true
+        }
+        _ => false,
+    }
 }
 
 impl Network {
@@ -128,22 +141,78 @@ impl Network {
     /// landed in `buf.ping`, `false` for `buf.pong`.
     fn run_infer(&self, x: &Tensor, buf: &mut InferBuffers) -> bool {
         buf.ping.copy_from(x);
-        self.run_layers(buf)
+        self.run_layers(buf, |_| {})
     }
 
     /// Ping-pongs the already-staged `buf.ping` input through the layer
-    /// stack; returns `true` when the result landed in `buf.ping`.
-    fn run_layers(&self, buf: &mut InferBuffers) -> bool {
+    /// stack, calling `at_gemm` with the input of every conv and dense
+    /// layer (the quantizer's calibration taps); returns `true` when the
+    /// result landed in `buf.ping`.
+    ///
+    /// A conv layer runs as one block with the ReLU and the 2×2 max pool
+    /// that follow it, when they do ([`crate::layer::Conv2d`]'s fused
+    /// inference). A ReLU that no block absorbed runs in place, flatten
+    /// only reshapes, and dropout is the identity, so only conv blocks,
+    /// dense layers and unabsorbed pools move data between the buffers.
+    /// Every element sees the same operations in the same order as in
+    /// [`Network::forward`] with `train = false`.
+    fn run_layers(&self, buf: &mut InferBuffers, mut at_gemm: impl FnMut(&Tensor)) -> bool {
+        let InferBuffers {
+            ping,
+            pong,
+            scratch,
+        } = buf;
+        let (mut cur, mut next) = (ping, pong);
         let mut in_ping = true;
-        for layer in &self.layers {
-            if in_ping {
-                layer.infer_into(&buf.ping, &mut buf.pong, &mut buf.scratch);
-            } else {
-                layer.infer_into(&buf.pong, &mut buf.ping, &mut buf.scratch);
+        let mut rest = self.layers.as_slice();
+        while let Some((layer, tail)) = rest.split_first() {
+            rest = tail;
+            match layer {
+                LayerKind::Conv2d(conv) => {
+                    at_gemm(cur);
+                    let relu = take_next(&mut rest, |l| matches!(l, LayerKind::ReLU(_)));
+                    let pool = take_next(
+                        &mut rest,
+                        |l| matches!(l, LayerKind::MaxPool2d(p) if p.size() == 2),
+                    );
+                    conv.infer_block(cur, ConvEpilogue { relu, pool }, next, scratch);
+                }
+                LayerKind::Dense(dense) => {
+                    at_gemm(cur);
+                    dense.infer_into(cur, next);
+                }
+                LayerKind::MaxPool2d(pool) => pool.infer_into(cur, next),
+                LayerKind::ReLU(_) => {
+                    for v in cur.data_mut() {
+                        *v = v.max(0.0);
+                    }
+                    continue;
+                }
+                LayerKind::Flatten(_) => {
+                    let n = cur.shape()[0];
+                    let rest_len = cur.shape()[1..].iter().product::<usize>();
+                    cur.reshape_in_place(&[n, rest_len]);
+                    continue;
+                }
+                LayerKind::Dropout(_) => continue,
             }
+            std::mem::swap(&mut cur, &mut next);
             in_ping = !in_ping;
         }
         in_ping
+    }
+
+    /// Runs inference on `x` (`[1, …]` or a batch) and hands the input of
+    /// every conv and dense layer to `at_gemm`, in layer order — the
+    /// activations the int8 calibration folds its ranges over.
+    pub(crate) fn visit_gemm_inputs(
+        &self,
+        x: &Tensor,
+        buf: &mut InferBuffers,
+        at_gemm: impl FnMut(&Tensor),
+    ) {
+        buf.ping.copy_from(x);
+        self.run_layers(buf, at_gemm);
     }
 
     /// Inference over a stacked micro-batch: `samples` are `n` flattened
@@ -154,9 +223,9 @@ impl Network {
     /// written into `out`.
     ///
     /// Every layer in the inference path treats batch rows independently
-    /// with a fixed per-row accumulation order — convolutions and pooling
-    /// loop per sample, dense outputs are independent dot products,
-    /// dropout is the identity at inference — so row `i` of `out` is
+    /// with a fixed per-row accumulation order — conv blocks loop per
+    /// sample, dense outputs are independent dot products, dropout is the
+    /// identity at inference — so row `i` of `out` is
     /// bit-identical to `infer_logits` on sample `i` alone. The
     /// conformance harness (`batched_single_il`) holds the two paths to
     /// exactly that standard.
@@ -191,7 +260,7 @@ impl Network {
             );
             buf.ping.data_mut()[i * sample_len..(i + 1) * sample_len].copy_from_slice(sample);
         }
-        if self.run_layers(buf) {
+        if self.run_layers(buf, |_| {}) {
             out.copy_from(&buf.ping);
         } else {
             out.copy_from(&buf.pong);

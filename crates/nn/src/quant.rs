@@ -38,7 +38,7 @@
 //! Calibration is a pure fold over the calibration set (per-tensor
 //! min/max), so it is deterministic and independent of frame order.
 
-use crate::layer::{InferScratch, LayerKind};
+use crate::layer::LayerKind;
 use crate::network::{InferBuffers, Network};
 use crate::simd;
 use crate::Tensor;
@@ -667,25 +667,19 @@ impl QuantizedNetwork {
 fn record_gemm_input_ranges(net: &Network, frame: &Tensor, ranges: &mut Vec<(f32, f32)>) {
     let mut shape = vec![1];
     shape.extend_from_slice(frame.shape());
-    let mut a = Tensor::from_vec(shape, frame.data().to_vec()).expect("frame reshapes");
-    let mut b = Tensor::default();
-    let mut scratch = InferScratch::new();
+    let x = Tensor::from_vec(shape, frame.data().to_vec()).expect("frame reshapes");
     let mut gi = 0usize;
-    for layer in net.layers() {
-        if matches!(layer, LayerKind::Conv2d(_) | LayerKind::Dense(_)) {
-            if ranges.len() <= gi {
-                ranges.push((f32::INFINITY, f32::NEG_INFINITY));
-            }
-            let r = &mut ranges[gi];
-            for &v in a.data() {
-                r.0 = r.0.min(v);
-                r.1 = r.1.max(v);
-            }
-            gi += 1;
+    net.visit_gemm_inputs(&x, &mut InferBuffers::new(), |a| {
+        if ranges.len() <= gi {
+            ranges.push((f32::INFINITY, f32::NEG_INFINITY));
         }
-        layer.infer_into(&a, &mut b, &mut scratch);
-        std::mem::swap(&mut a, &mut b);
-    }
+        let r = &mut ranges[gi];
+        for &v in a.data() {
+            r.0 = r.0.min(v);
+            r.1 = r.1.max(v);
+        }
+        gi += 1;
+    });
 }
 
 /// The f32 logits for one frame (the calibration error reference).

@@ -112,7 +112,7 @@ pub fn kernel_modes() -> &'static [(&'static str, &'static str)] {
     &[
         ("matmul_f32", "ulp"),
         ("matmul_nt_f32", "ulp"),
-        ("im2col_f32", "bitwise"),
+        ("conv2d_f32", "ulp"),
         ("gemm_nt_i8", "bitwise"),
         ("requant_u8", "bitwise"),
         ("quantize_u8", "bitwise"),
@@ -315,25 +315,77 @@ unsafe fn matmul_avx2(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn matmul_nt_avx2(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    // Each output element is one lane-split dot product. A tile of two
+    // rows × four columns runs eight of them side by side — independent
+    // FMA chains instead of one chain waiting on its own latency, with
+    // each `b` load shared by both rows — without touching any element's
+    // sequence, so the result is independent of m, n and the tiling.
+    let mut i = 0;
+    while i < m {
+        let mi = if m - i >= 2 { 2 } else { 1 };
+        let mut j = 0;
+        while j < n {
+            let nj = if n - j >= 4 { 4 } else { 1 };
+            // SAFETY: avx2+fma are enabled here; i + mi <= m, j + nj <= n.
+            unsafe {
+                match (mi, nj) {
+                    (2, 4) => dot_tile_avx2::<2, 4>(a, k, b, n, (i, j), out),
+                    (2, _) => dot_tile_avx2::<2, 1>(a, k, b, n, (i, j), out),
+                    (_, 4) => dot_tile_avx2::<1, 4>(a, k, b, n, (i, j), out),
+                    _ => dot_tile_avx2::<1, 1>(a, k, b, n, (i, j), out),
+                }
+            }
+            j += nj;
+        }
+        i += mi;
+    }
+}
+
+/// Output elements `(i..i + MI) × (j..j + NJ)` of [`matmul_nt_avx2`]:
+/// per element, eight lane accumulators over `k` in steps of 8 (one FMA
+/// each), the fixed-order horizontal sum, then the scalar tail with
+/// `mul_add` — the same reduction tree for every element.
+///
+/// # Safety
+///
+/// avx2+fma must be available. (Rows are sliced with bounds checks, so
+/// short inputs panic.)
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn dot_tile_avx2<const MI: usize, const NJ: usize>(
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    n: usize,
+    (i, j): (usize, usize),
+    out: &mut [f32],
+) {
     use std::arch::x86_64::*;
     let lanes = k - k % 8;
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        for j in 0..n {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = _mm256_setzero_ps();
-            let mut kk = 0;
-            while kk < lanes {
-                // SAFETY: kk + 8 <= lanes <= k == both slice lengths.
-                let va = unsafe { _mm256_loadu_ps(a_row.as_ptr().add(kk)) };
-                let vb = unsafe { _mm256_loadu_ps(b_row.as_ptr().add(kk)) };
-                acc = _mm256_fmadd_ps(va, vb, acc);
-                kk += 8;
+    let a_rows: [&[f32]; MI] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
+    let b_rows: [&[f32]; NJ] = std::array::from_fn(|c| &b[(j + c) * k..(j + c + 1) * k]);
+    let mut acc = [[_mm256_setzero_ps(); NJ]; MI];
+    let mut kk = 0;
+    while kk < lanes {
+        // SAFETY: kk + 8 <= lanes <= k, the length of every row slice.
+        unsafe {
+            let mut vb = [_mm256_setzero_ps(); NJ];
+            for (v, b_row) in vb.iter_mut().zip(&b_rows) {
+                *v = _mm256_loadu_ps(b_row.as_ptr().add(kk));
             }
-            // Fixed-order horizontal sum, then the scalar tail — the
-            // same reduction tree for every (i, j), independent of m, n.
-            let lo = _mm256_castps256_ps128(acc);
-            let hi = _mm256_extractf128_ps(acc, 1);
+            for (acc_r, a_row) in acc.iter_mut().zip(&a_rows) {
+                let va = _mm256_loadu_ps(a_row.as_ptr().add(kk));
+                for (x, &v) in acc_r.iter_mut().zip(&vb) {
+                    *x = _mm256_fmadd_ps(va, v, *x);
+                }
+            }
+        }
+        kk += 8;
+    }
+    for (r, (acc_r, a_row)) in acc.iter().zip(&a_rows).enumerate() {
+        for (c, (&v, b_row)) in acc_r.iter().zip(&b_rows).enumerate() {
+            let lo = _mm256_castps256_ps128(v);
+            let hi = _mm256_extractf128_ps(v, 1);
             let s = _mm_add_ps(lo, hi);
             let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
             let s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
@@ -341,9 +393,477 @@ unsafe fn matmul_nt_avx2(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out
             for kk in lanes..k {
                 sum = a_row[kk].mul_add(b_row[kk], sum);
             }
-            out[i * n + j] = sum;
+            out[(i + r) * n + j + c] = sum;
         }
     }
+}
+
+/// Geometry of one direct 2-D convolution over a zero-padded sample:
+/// the input is `[in_ch, hp, wp]` with the padding already written out,
+/// the convolution output `[out_ch, oh, ow]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ConvShape {
+    /// Input channels.
+    pub in_ch: usize,
+    /// Output channels.
+    pub out_ch: usize,
+    /// Side of the square kernel.
+    pub kernel: usize,
+    /// Stride along both axes.
+    pub stride: usize,
+    /// Padded input height.
+    pub hp: usize,
+    /// Padded input width.
+    pub wp: usize,
+    /// Convolution output height.
+    pub oh: usize,
+    /// Convolution output width.
+    pub ow: usize,
+}
+
+impl ConvShape {
+    /// Reduction length per output element (`in_ch·k·k`).
+    fn k_len(&self) -> usize {
+        self.in_ch * self.kernel * self.kernel
+    }
+}
+
+/// What follows the accumulation of every conv output element, fused
+/// into the same pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ConvEpilogue {
+    /// Apply `max(v, 0)` after the bias.
+    pub relu: bool,
+    /// Apply a 2×2 stride-2 max pool; the output is then
+    /// `[out_ch, oh/2, ow/2]`.
+    pub pool: bool,
+}
+
+/// Direct convolution of one zero-padded sample, fused with the bias and
+/// the [`ConvEpilogue`]: no im2col matrix, no separate bias, ReLU or pool
+/// pass. `out` receives `[out_ch, oh, ow]` (or the pooled
+/// `[out_ch, oh/2, ow/2]`); `weight` is `[out_ch, in_ch·k·k]` in
+/// `(c, ky, kx)` order; `rows` is scratch for the scalar backend's row
+/// accumulators, grown on first use.
+///
+/// Every output element keeps the op sequence of the im2col route
+/// (`matmul` over the patch matrix, then the bias, ReLU and pool
+/// layers): the accumulator starts at `+0.0` and takes one
+/// multiply-accumulate per nonzero weight, `(c, ky, kx)` ascending — one
+/// FMA on AVX2, a multiply then an add on the scalar backend, exactly as
+/// [`matmul`] — then `+ bias`, then `max(v, 0)`, then the pool's `>` scan
+/// over its window in row-major order starting from `−∞`. Tiling never
+/// changes an element's sequence, so on a given backend the result is
+/// bit-identical to running the layers one by one.
+///
+/// # Panics
+///
+/// Panics when the slices are shorter than the shape requires.
+pub(crate) fn conv2d_fused(
+    xpad: &[f32],
+    shape: &ConvShape,
+    weight: &[f32],
+    bias: &[f32],
+    epilogue: ConvEpilogue,
+    rows: &mut Vec<f32>,
+    out: &mut [f32],
+) {
+    let s = shape;
+    assert!(
+        xpad.len() >= s.in_ch * s.hp * s.wp,
+        "padded input too short"
+    );
+    assert!(weight.len() >= s.out_ch * s.k_len() && bias.len() >= s.out_ch);
+    assert!(
+        s.oh == 0
+            || s.ow == 0
+            || ((s.oh - 1) * s.stride + s.kernel <= s.hp
+                && (s.ow - 1) * s.stride + s.kernel <= s.wp),
+        "conv output exceeds the padded input"
+    );
+    let out_len = if epilogue.pool {
+        s.out_ch * (s.oh / 2) * (s.ow / 2)
+    } else {
+        s.out_ch * s.oh * s.ow
+    };
+    assert!(out.len() >= out_len, "conv output buffer too short");
+    match active() {
+        KernelBackend::Scalar => conv2d_fused_scalar(xpad, s, weight, bias, epilogue, rows, out),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `matmul` — avx2+fma verified before dispatch; the
+        // asserts above bound every index the kernel touches.
+        KernelBackend::Avx2 => unsafe { conv2d_fused_avx2(xpad, s, weight, bias, epilogue, out) },
+        #[cfg(not(target_arch = "x86_64"))]
+        KernelBackend::Avx2 => conv2d_fused_scalar(xpad, s, weight, bias, epilogue, rows, out),
+    }
+}
+
+/// `acc + bias`, then (optionally) the ReLU as the `ReLU` layer applies
+/// it, `f32::max(v, 0.0)`: the epilogue of every scalar path.
+#[inline]
+fn bias_relu_f32(acc: f32, bias: f32, relu: bool) -> f32 {
+    let v = acc + bias;
+    if relu {
+        v.max(0.0)
+    } else {
+        v
+    }
+}
+
+/// One 2×2 pool window: the `>` scan from `−∞` over `[v00, v01, v10,
+/// v11]`, in that order (the `MaxPool2d` loop).
+#[inline]
+fn pool_scan(window: [f32; 4]) -> f32 {
+    let mut best = f32::NEG_INFINITY;
+    for v in window {
+        if v > best {
+            best = v;
+        }
+    }
+    best
+}
+
+/// The scalar backend: per output channel and row, a row of accumulators
+/// takes `acc += w·x` per nonzero weight (LLVM vectorizes across the row
+/// without contracting, so each element sees the `matmul_scalar`
+/// sequence), then the epilogue runs over the finished row(s).
+fn conv2d_fused_scalar(
+    xpad: &[f32],
+    s: &ConvShape,
+    weight: &[f32],
+    bias: &[f32],
+    epilogue: ConvEpilogue,
+    rows: &mut Vec<f32>,
+    out: &mut [f32],
+) {
+    let kl = s.k_len();
+    let ow = s.ow;
+    let finish = |v: f32, b: f32| bias_relu_f32(v, b, epilogue.relu);
+    if rows.len() < 2 * ow {
+        rows.resize(2 * ow, 0.0);
+    }
+    let (r0, r1) = rows[..2 * ow].split_at_mut(ow);
+    for (o, &b) in bias[..s.out_ch].iter().enumerate() {
+        let w_row = &weight[o * kl..(o + 1) * kl];
+        if epilogue.pool {
+            let (ph, pw) = (s.oh / 2, ow / 2);
+            for py in 0..ph {
+                accumulate_row(xpad, s, w_row, 2 * py, r0);
+                accumulate_row(xpad, s, w_row, 2 * py + 1, r1);
+                let dst = &mut out[(o * ph + py) * pw..(o * ph + py + 1) * pw];
+                for (px, d) in dst.iter_mut().enumerate() {
+                    *d = pool_scan([
+                        finish(r0[2 * px], b),
+                        finish(r0[2 * px + 1], b),
+                        finish(r1[2 * px], b),
+                        finish(r1[2 * px + 1], b),
+                    ]);
+                }
+            }
+        } else {
+            for oy in 0..s.oh {
+                let dst = &mut out[(o * s.oh + oy) * ow..(o * s.oh + oy + 1) * ow];
+                accumulate_row(xpad, s, w_row, oy, dst);
+                for v in dst.iter_mut() {
+                    *v = finish(*v, b);
+                }
+            }
+        }
+    }
+}
+
+/// `acc[ox] = Σ w[k]·x_k(oy, ox)` over the nonzero weights of one output
+/// channel, `k` ascending, one multiply then one add per term.
+fn accumulate_row(xpad: &[f32], s: &ConvShape, w_row: &[f32], oy: usize, acc: &mut [f32]) {
+    acc.fill(0.0);
+    let k = s.kernel;
+    for c in 0..s.in_ch {
+        for ky in 0..k {
+            let start = (c * s.hp + oy * s.stride + ky) * s.wp;
+            let row = &xpad[start..start + s.wp];
+            for kx in 0..k {
+                let w = w_row[(c * k + ky) * k + kx];
+                if w == 0.0 {
+                    continue;
+                }
+                if s.stride == 1 {
+                    for (a, &x) in acc.iter_mut().zip(&row[kx..kx + s.ow]) {
+                        *a += w * x;
+                    }
+                } else {
+                    for (ox, a) in acc.iter_mut().enumerate() {
+                        *a += w * row[ox * s.stride + kx];
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The AVX2 backend: stride-1 convolutions run a register tile of up to
+/// four output channels × 8 columns × 2 rows straight off the padded
+/// input (the 8 input values under one kernel tap are contiguous), with
+/// bias, ReLU and the 2×2 pool applied in registers. Column tails and
+/// strided convolutions take per-element FMAs with the same sequence.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn conv2d_fused_avx2(
+    xpad: &[f32],
+    s: &ConvShape,
+    weight: &[f32],
+    bias: &[f32],
+    epilogue: ConvEpilogue,
+    out: &mut [f32],
+) {
+    let kl = s.k_len();
+    let mut o0 = 0;
+    while o0 < s.out_ch {
+        let mr = if s.out_ch - o0 >= 4 { 4 } else { 1 };
+        let w = &weight[o0 * kl..(o0 + mr) * kl];
+        let b = &bias[o0..o0 + mr];
+        // Trained weights are practically never exactly zero, so the
+        // zero-skip test is hoisted out of the tile: a tile with no zero
+        // weight runs branch-free (same sequence — nothing to skip).
+        let has_zero = w.iter().fold(false, |z, &v| z | (v == 0.0));
+        // SAFETY: avx2+fma are enabled on this function; the dispatcher
+        // asserted the slice bounds the blocks index within.
+        unsafe {
+            match (mr, has_zero) {
+                (4, false) => conv_channels_avx2::<4, false>(xpad, s, w, b, epilogue, o0, out),
+                (4, true) => conv_channels_avx2::<4, true>(xpad, s, w, b, epilogue, o0, out),
+                (_, false) => conv_channels_avx2::<1, false>(xpad, s, w, b, epilogue, o0, out),
+                (_, true) => conv_channels_avx2::<1, true>(xpad, s, w, b, epilogue, o0, out),
+            }
+        }
+        o0 += mr;
+    }
+}
+
+/// Output channels `o0..o0 + MR` of [`conv2d_fused_avx2`]; `w` and `b`
+/// are those channels' weight rows and biases.
+///
+/// # Safety
+///
+/// avx2+fma must be available, and the slices must satisfy the bounds
+/// [`conv2d_fused`] asserts.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn conv_channels_avx2<const MR: usize, const CHECK: bool>(
+    xpad: &[f32],
+    s: &ConvShape,
+    w: &[f32],
+    b: &[f32],
+    epilogue: ConvEpilogue,
+    o0: usize,
+    out: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let kl = s.k_len();
+    // full 8-column tiles; strided convolutions read scattered patches and
+    // go per element
+    let tiles = if s.stride == 1 { s.ow / 8 } else { 0 };
+    // SAFETY (whole function): tiles only exist at stride 1, where
+    // oy + ry + ky < hp and x0 + kx + 8 <= wp for every tile load (the
+    // dispatcher asserted the output fits the padded input), and every
+    // store lands inside out's [out_ch, oh', ow'] plane for o0 + r <
+    // out_ch.
+    unsafe {
+        if epilogue.pool {
+            let (ph, pw) = (s.oh / 2, s.ow / 2);
+            for py in 0..ph {
+                for t in 0..tiles {
+                    let acc = conv_tile_avx2::<MR, 2, CHECK>(xpad, s, w, 2 * py, 8 * t);
+                    for (r, acc_r) in acc.iter().enumerate() {
+                        let top = bias_relu_avx2(acc_r[0], b[r], epilogue.relu);
+                        let bottom = bias_relu_avx2(acc_r[1], b[r], epilogue.relu);
+                        let dst = out.as_mut_ptr().add(((o0 + r) * ph + py) * pw + 4 * t);
+                        _mm_storeu_ps(dst, pool2x2_avx2(top, bottom));
+                    }
+                }
+                for px in 4 * tiles..pw {
+                    for r in 0..MR {
+                        let w_row = &w[r * kl..(r + 1) * kl];
+                        let at = |dy: usize, dx: usize| {
+                            let acc = conv_point_fma(xpad, s, w_row, 2 * py + dy, 2 * px + dx);
+                            bias_relu_f32(acc, b[r], epilogue.relu)
+                        };
+                        out[((o0 + r) * ph + py) * pw + px] =
+                            pool_scan([at(0, 0), at(0, 1), at(1, 0), at(1, 1)]);
+                    }
+                }
+            }
+        } else {
+            let mut oy = 0;
+            while oy < s.oh {
+                let ry = if oy + 1 < s.oh { 2 } else { 1 };
+                for t in 0..tiles {
+                    if ry == 2 {
+                        let acc = conv_tile_avx2::<MR, 2, CHECK>(xpad, s, w, oy, 8 * t);
+                        for (r, acc_r) in acc.iter().enumerate() {
+                            for (dy, &a) in acc_r.iter().enumerate() {
+                                let dst = out
+                                    .as_mut_ptr()
+                                    .add(((o0 + r) * s.oh + oy + dy) * s.ow + 8 * t);
+                                _mm256_storeu_ps(dst, bias_relu_avx2(a, b[r], epilogue.relu));
+                            }
+                        }
+                    } else {
+                        let acc = conv_tile_avx2::<MR, 1, CHECK>(xpad, s, w, oy, 8 * t);
+                        for (r, acc_r) in acc.iter().enumerate() {
+                            let dst = out.as_mut_ptr().add(((o0 + r) * s.oh + oy) * s.ow + 8 * t);
+                            _mm256_storeu_ps(dst, bias_relu_avx2(acc_r[0], b[r], epilogue.relu));
+                        }
+                    }
+                }
+                for y in oy..oy + ry {
+                    for ox in 8 * tiles..s.ow {
+                        for r in 0..MR {
+                            let acc = conv_point_fma(xpad, s, &w[r * kl..(r + 1) * kl], y, ox);
+                            out[((o0 + r) * s.oh + y) * s.ow + ox] =
+                                bias_relu_f32(acc, b[r], epilogue.relu);
+                        }
+                    }
+                }
+                oy += ry;
+            }
+        }
+    }
+}
+
+/// Accumulators of one register tile: output channels `0..MR` of `w`
+/// (rows of `in_ch·k·k`), output rows `oy..oy + RY`, columns
+/// `x0..x0 + 8`, at stride 1. Per element: one FMA per nonzero weight,
+/// `(c, ky, kx)` ascending, from `+0.0` (`CHECK` = false promises `w`
+/// has no zero, so the skip test is compiled out).
+///
+/// # Safety
+///
+/// avx2+fma must be available; the tile must lie inside the output
+/// (`oy + RY <= oh`, `x0 + 8 <= ow`) of a stride-1 shape whose output
+/// fits the padded input.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn conv_tile_avx2<const MR: usize, const RY: usize, const CHECK: bool>(
+    xpad: &[f32],
+    s: &ConvShape,
+    w: &[f32],
+    oy: usize,
+    x0: usize,
+) -> [[std::arch::x86_64::__m256; RY]; MR] {
+    use std::arch::x86_64::*;
+    let k = s.kernel;
+    let kl = s.k_len();
+    let mut acc = [[_mm256_setzero_ps(); RY]; MR];
+    // SAFETY: per the contract, every load reads
+    // xpad[(c·hp + oy + ry + ky)·wp + x0 + kx ..][..8] inside the padded
+    // sample, and every weight read w[r·kl + kk] has r < MR, kk < kl.
+    unsafe {
+        let mut wk = w.as_ptr();
+        for c in 0..s.in_ch {
+            for ky in 0..k {
+                let row = xpad.as_ptr().add((c * s.hp + oy + ky) * s.wp + x0);
+                for kx in 0..k {
+                    let mut xv = [_mm256_setzero_ps(); RY];
+                    for (ry, v) in xv.iter_mut().enumerate() {
+                        *v = _mm256_loadu_ps(row.add(ry * s.wp + kx));
+                    }
+                    for (r, acc_r) in acc.iter_mut().enumerate() {
+                        let wv = *wk.add(r * kl);
+                        if CHECK && wv == 0.0 {
+                            continue;
+                        }
+                        let va = _mm256_set1_ps(wv);
+                        for (a, &x) in acc_r.iter_mut().zip(&xv) {
+                            *a = _mm256_fmadd_ps(va, x, *a);
+                        }
+                    }
+                    wk = wk.add(1);
+                }
+            }
+        }
+    }
+    acc
+}
+
+/// `acc + bias`, then (optionally) `max(v, 0)`: `maxps(v, 0)` returns
+/// `v > 0 ? v : 0`, which is `f32::max(v, 0.0)` for every `v` but `−0.0`
+/// (where `f32::max` may return either zero). `acc + bias` is `−0.0`
+/// only when the bias is `−0.0` itself, which training never produces
+/// from the `+0.0` initialization.
+///
+/// # Safety
+///
+/// avx2 must be available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn bias_relu_avx2(
+    acc: std::arch::x86_64::__m256,
+    bias: f32,
+    relu: bool,
+) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    let v = _mm256_add_ps(acc, _mm256_set1_ps(bias));
+    if relu {
+        _mm256_max_ps(v, _mm256_setzero_ps())
+    } else {
+        v
+    }
+}
+
+/// 2×2 max pool of two 8-column rows into 4 outputs, as the `>` scan:
+/// `maxps(v, best)` is `v > best ? v : best` (NaN and ties keep `best`),
+/// applied to the window's top-left, top-right, bottom-left and
+/// bottom-right lanes in that order, starting from `−∞`.
+///
+/// # Safety
+///
+/// avx2 must be available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn pool2x2_avx2(
+    top: std::arch::x86_64::__m256,
+    bottom: std::arch::x86_64::__m256,
+) -> std::arch::x86_64::__m128 {
+    use std::arch::x86_64::*;
+    // per 128-bit half: even = [t0 t2 b0 b2], odd = [t1 t3 b1 b3]; the
+    // 64-bit permute then gathers [t-pairs of both halves | b-pairs]
+    let even = _mm256_shuffle_ps::<0x88>(top, bottom);
+    let odd = _mm256_shuffle_ps::<0xDD>(top, bottom);
+    let even = _mm256_castpd_ps(_mm256_permute4x64_pd::<0xD8>(_mm256_castps_pd(even)));
+    let odd = _mm256_castpd_ps(_mm256_permute4x64_pd::<0xD8>(_mm256_castps_pd(odd)));
+    let mut best = _mm_set1_ps(f32::NEG_INFINITY);
+    best = _mm_max_ps(_mm256_castps256_ps128(even), best);
+    best = _mm_max_ps(_mm256_castps256_ps128(odd), best);
+    best = _mm_max_ps(_mm256_extractf128_ps::<1>(even), best);
+    _mm_max_ps(_mm256_extractf128_ps::<1>(odd), best)
+}
+
+/// One conv output element's accumulator with FMAs — the AVX2 sequence
+/// for elements outside the register tiles.
+///
+/// # Safety
+///
+/// fma must be available (it is what makes `mul_add` a single
+/// instruction here), and `(oy, ox)` must be an output position of `s`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn conv_point_fma(xpad: &[f32], s: &ConvShape, w_row: &[f32], oy: usize, ox: usize) -> f32 {
+    let k = s.kernel;
+    let mut acc = 0.0f32;
+    for c in 0..s.in_ch {
+        for ky in 0..k {
+            let start = (c * s.hp + oy * s.stride + ky) * s.wp + ox * s.stride;
+            for (kx, &x) in xpad[start..start + k].iter().enumerate() {
+                let w = w_row[(c * k + ky) * k + kx];
+                if w != 0.0 {
+                    acc = w.mul_add(x, acc);
+                }
+            }
+        }
+    }
+    acc
 }
 
 /// `out[m×n] = a[m×k] · b[n×k]ᵀ` over quantized integers: `a` holds

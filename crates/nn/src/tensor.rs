@@ -166,6 +166,22 @@ impl Tensor {
         self.data.resize(n, 0.0);
     }
 
+    /// Changes the shape in place, keeping every element (a flatten
+    /// without the copy).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `shape` holds exactly as many elements.
+    pub(crate) fn reshape_in_place(&mut self, shape: &[usize]) {
+        assert_eq!(
+            shape.iter().product::<usize>(),
+            self.data.len(),
+            "reshape must preserve the element count"
+        );
+        self.shape.clear();
+        self.shape.extend_from_slice(shape);
+    }
+
     /// Makes this tensor an element-wise copy of `other`, reusing the
     /// existing allocation when the capacity suffices.
     pub fn copy_from(&mut self, other: &Tensor) {

@@ -1,6 +1,6 @@
 //! Ego-centric bird's-eye-view rendering (the BEV transformer `g`).
 
-use icoil_geom::{Obb, Vec2};
+use icoil_geom::{Obb, ObbPointTest, Vec2};
 use icoil_vehicle::VehicleState;
 use icoil_world::{NoiseConfig, ParkingMap};
 use rand::rngs::SmallRng;
@@ -117,8 +117,14 @@ impl BevRenderer {
         let s = self.config.size;
         let mut data = vec![0.0f32; BevImage::CHANNELS * s * s];
         let res = self.config.resolution();
-        let bay = map.bay();
         let bounds = map.bounds();
+        // Every rotation's sin_cos once per frame: the pixel loop then
+        // evaluates exactly the expressions of `Pose2::to_world` and
+        // `Obb::contains`, minus the trig.
+        let origin = ego.pose.position();
+        let ego_rot = ego.pose.theta.sin_cos();
+        let bay = map.bay().point_test();
+        let boxes: Vec<ObbPointTest> = obstacles.iter().map(Obb::point_test).collect();
         // channel 2: constant normalized-speed plane
         let v_norm = (ego.velocity / 2.5).clamp(-1.0, 1.0) as f32;
         data[2 * s * s..].iter_mut().for_each(|v| *v = v_norm);
@@ -128,9 +134,8 @@ impl BevRenderer {
                 // row 0 is the left-most (+y) edge.
                 let ex = -self.config.range + (col as f64 + 0.5) * res;
                 let ey = self.config.range - (row as f64 + 0.5) * res;
-                let world = ego.pose.to_world(Vec2::new(ex, ey));
-                let occupied = !bounds.contains(world)
-                    || obstacles.iter().any(|o| o.contains(world));
+                let world = origin + Vec2::new(ex, ey).rotated_by(ego_rot);
+                let occupied = !bounds.contains(world) || boxes.iter().any(|o| o.contains(world));
                 if occupied {
                     data[row * s + col] = 1.0;
                 }
@@ -175,7 +180,146 @@ mod tests {
     use super::*;
     use icoil_geom::Pose2;
     use icoil_world::{Difficulty, ScenarioConfig};
+    use proptest::prelude::*;
     use rand::SeedableRng;
+    use std::f64::consts::PI;
+
+    /// The renderer written per pixel, every pixel through
+    /// `Pose2::to_world`, each obstacle's `Obb::contains` and the bay's:
+    /// the reference the trig-hoisted [`BevRenderer::render`] must equal
+    /// bit for bit.
+    fn render_per_pixel(
+        r: &BevRenderer,
+        ego: &VehicleState,
+        obstacles: &[Obb],
+        map: &ParkingMap,
+        noise: &NoiseConfig,
+        rng: &mut SmallRng,
+    ) -> BevImage {
+        let s = r.config.size;
+        let mut data = vec![0.0f32; BevImage::CHANNELS * s * s];
+        let res = r.config.resolution();
+        let v_norm = (ego.velocity / 2.5).clamp(-1.0, 1.0) as f32;
+        data[2 * s * s..].iter_mut().for_each(|v| *v = v_norm);
+        for row in 0..s {
+            for col in 0..s {
+                let ex = -r.config.range + (col as f64 + 0.5) * res;
+                let ey = r.config.range - (row as f64 + 0.5) * res;
+                let world = ego.pose.to_world(Vec2::new(ex, ey));
+                if !map.bounds().contains(world) || obstacles.iter().any(|o| o.contains(world)) {
+                    data[row * s + col] = 1.0;
+                }
+                if map.bay().contains(world) {
+                    data[(s + row) * s + col] = 1.0;
+                }
+            }
+        }
+        apply_noise(&mut data[..2 * s * s], noise, rng);
+        BevImage {
+            size: s,
+            range: r.config.range,
+            data,
+        }
+    }
+
+    /// A box around `pixel`'s world point whose length boundary passes
+    /// through that point to the last bit (`|local.x| == half_length +
+    /// EPS`), so a world point off by one ulp can flip the pixel: random
+    /// boxes almost never sit that close to a pixel center.
+    fn knife_edge_box(
+        r: &BevRenderer,
+        ego: &VehicleState,
+        (row, col): (usize, usize),
+        (dx, dy): (f64, f64),
+        theta: f64,
+    ) -> Obb {
+        let res = r.config.resolution();
+        let ex = -r.config.range + (col as f64 + 0.5) * res;
+        let ey = r.config.range - (row as f64 + 0.5) * res;
+        let world = ego.pose.to_world(Vec2::new(ex, ey));
+        let center = world + Vec2::new(dx, dy);
+        let local = (world - center).rotated(-theta);
+        let mut half_length = local.x.abs() - icoil_geom::EPS;
+        for _ in 0..8 {
+            let reach = half_length + icoil_geom::EPS;
+            if reach == local.x.abs() {
+                break;
+            }
+            half_length = if reach < local.x.abs() {
+                half_length.next_up()
+            } else {
+                half_length.next_down()
+            };
+        }
+        Obb {
+            center,
+            half_length: half_length.max(0.0),
+            half_width: local.y.abs() + 0.5,
+            theta,
+        }
+    }
+
+    /// An angle drawn uniformly, or within 1e-6 of ±π, or exactly ±π.
+    fn angle((kind, u): (usize, f64)) -> f64 {
+        match kind {
+            0 => -PI + 2.0 * PI * u,
+            1 => PI - u * 1e-6,
+            2 => -PI + u * 1e-6,
+            _ if u < 0.5 => PI,
+            _ => -PI,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn render_matches_per_pixel_reference(
+            seed in 0u64..500,
+            geometry in 0usize..3,
+            ego_xy in (-4.0f64..34.0, -4.0f64..24.0),
+            ego_angle in (0usize..4, 0.0f64..1.0),
+            velocity in -3.0f64..3.0,
+            // centers up to 10 m from the ego against a window half-extent
+            // of 4-12 m: boxes land inside, outside and across the edge
+            boxes in prop::collection::vec(
+                ((-10.0f64..10.0, -10.0f64..10.0), (0usize..4, 0.0f64..1.0), (0.1f64..3.0, 0.1f64..3.0)),
+                0..6,
+            ),
+            edges in prop::collection::vec(
+                ((0usize..32, 0usize..32), (-1.5f64..1.5, -1.5f64..1.5), (0usize..4, 0.0f64..1.0)),
+                0..4,
+            ),
+            noisy in any::<bool>(),
+        ) {
+            let (size, range) = [(8, 4.0), (16, 8.0), (32, 12.0)][geometry];
+            let r = BevRenderer::new(BevConfig { size, range });
+            let map = ScenarioConfig::new(Difficulty::Easy, seed).build().map;
+            let ego = VehicleState {
+                // a raw heading (not normalized), so exactly −π occurs too
+                pose: Pose2 { x: ego_xy.0, y: ego_xy.1, theta: angle(ego_angle) },
+                velocity,
+            };
+            let mut obstacles: Vec<Obb> = boxes
+                .iter()
+                .map(|&((dx, dy), a, (hl, hw))| Obb {
+                    center: Vec2::new(ego_xy.0 + dx, ego_xy.1 + dy),
+                    half_length: hl,
+                    half_width: hw,
+                    theta: angle(a),
+                })
+                .collect();
+            for &((row, col), offset, a) in &edges {
+                obstacles.push(knife_edge_box(&r, &ego, (row % size, col % size), offset, angle(a)));
+            }
+            let noise = if noisy { NoiseConfig::hard() } else { NoiseConfig::none() };
+            let fast = r.render(&ego, &obstacles, &map, &noise, &mut SmallRng::seed_from_u64(seed));
+            let reference =
+                render_per_pixel(&r, &ego, &obstacles, &map, &noise, &mut SmallRng::seed_from_u64(seed));
+            let bits = |img: &BevImage| img.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&fast), bits(&reference));
+        }
+    }
 
     fn setup() -> (BevRenderer, icoil_world::Scenario) {
         (

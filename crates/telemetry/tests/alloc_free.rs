@@ -8,15 +8,32 @@
 
 use icoil_telemetry::{FrameEvent, MemorySink, Recorder, SolveEvent};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
+/// Counts the allocations of the calling thread only: the tests in this
+/// file run on parallel threads (and libtest's controller allocates on
+/// its own), so a process-wide count would charge one test with
+/// another's allocations.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // const-initialized and without a destructor, so touching it never
+    // allocates (which would recurse into the allocator)
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // try_with: allocations during thread teardown go uncounted
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         System.alloc(layout)
     }
 
@@ -25,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -63,25 +80,13 @@ fn event(frame: usize) -> FrameEvent<'static> {
     }
 }
 
-/// Measures the fewest allocations any `windows`×`per_window` run of
-/// `body` performs. The counter is process-wide and the libtest
-/// controller thread can allocate concurrently, so requiring one clean
-/// window separates genuine per-frame allocations (which taint every
-/// window) from harness noise.
-fn cleanest_window(windows: usize, per_window: usize, mut body: impl FnMut(usize)) -> usize {
-    let mut cleanest = usize::MAX;
-    for w in 0..windows {
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
-        for i in 0..per_window {
-            body(w * per_window + i);
-        }
-        let after = ALLOCATIONS.load(Ordering::SeqCst);
-        cleanest = cleanest.min(after - before);
-        if cleanest == 0 {
-            break;
-        }
+/// The allocations this thread performs over `frames` calls of `body`.
+fn allocations_during(frames: usize, mut body: impl FnMut(usize)) -> usize {
+    let before = allocations();
+    for i in 0..frames {
+        body(i);
     }
-    cleanest
+    allocations() - before
 }
 
 #[test]
@@ -91,10 +96,10 @@ fn disabled_recorder_frames_are_allocation_free() {
     recorder.frame(&event(0));
     recorder.frame(&event(1));
 
-    let cleanest = cleanest_window(5, 50, |i| recorder.frame(&event(i)));
+    let count = allocations_during(250, |i| recorder.frame(&event(i)));
     assert_eq!(
-        cleanest, 0,
-        "a disabled recorder allocated at least {cleanest} times in every 50-frame window"
+        count, 0,
+        "a disabled recorder allocated {count} times in 250 frames"
     );
 }
 
@@ -111,12 +116,12 @@ fn tracing_recorder_reuses_its_line_buffer() {
     // a small constant per frame, not zero: the JSON assembly itself
     // must reuse the recorder's line buffer. Allow the sink's own
     // per-line cost with margin and nothing more.
-    let per_window = 50;
-    let cleanest = cleanest_window(5, per_window, |i| recorder.frame(&event(i)));
+    let frames = 50;
+    let count = allocations_during(frames, |i| recorder.frame(&event(i)));
     assert!(
-        cleanest <= 4 * per_window,
-        "tracing allocated {cleanest} times per {per_window} frames — the line buffer is not \
+        count <= 4 * frames,
+        "tracing allocated {count} times per {frames} frames — the line buffer is not \
          being reused"
     );
-    assert!(lines.lock().unwrap().len() >= per_window);
+    assert!(lines.lock().unwrap().len() >= frames);
 }

@@ -19,12 +19,17 @@
 # different shard count) with zero sheds — and runs again with
 # ICOIL_FORCE_SCALAR=1 so the scalar kernel fallback is held to the same
 # contract, and a third time with ICOIL_IL_PRECISION=int8 so the
-# quantized IL lane meets the same determinism bar. The solver/nn test
-# suites also run once under ICOIL_FORCE_SCALAR=1: the SIMD kernels'
-# conformance tests then compare scalar against scalar (trivially green)
-# while everything else proves the escape hatch leaves the numerics
-# bit-identical (the nn run includes the quantization proptests, so the
-# int8 quantizer/accumulator contracts are proved on both backends). The
+# quantized IL lane meets the same determinism bar. The nn, perception,
+# telemetry and adapt suites run on the default kernel dispatch, so the
+# AVX2 kernels are tested on the backend they ship on (the root
+# `cargo test` covers only the umbrella package). The solver/nn/co and
+# perception suites also run once under ICOIL_FORCE_SCALAR=1: the SIMD
+# kernels' conformance tests then compare scalar against scalar
+# (trivially green) while everything else proves the escape hatch leaves
+# the numerics bit-identical (the nn run includes the quantization
+# proptests and the fused-inference equivalence proptests, so the int8
+# quantizer/accumulator and f32 conv-block contracts are proved on both
+# backends). The
 # conformance smoke (which includes the simd_scalar_kernels,
 # batched_single_qp, quantized_il and family_determinism differential
 # checks) fuzzes procedurally generated scenarios through the full
@@ -44,7 +49,8 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
-ICOIL_FORCE_SCALAR=1 cargo test -q -p icoil-solver -p icoil-nn -p icoil-co
+cargo test -q -p icoil-nn -p icoil-perception -p icoil-telemetry -p icoil-adapt
+ICOIL_FORCE_SCALAR=1 cargo test -q -p icoil-solver -p icoil-nn -p icoil-co -p icoil-perception
 cargo test --release -q --test backend_e2e
 cargo clippy --all-targets -- -D warnings
 ICOIL_EPISODES=2 \
