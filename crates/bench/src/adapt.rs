@@ -175,7 +175,7 @@ pub fn run_generation(
     opts: &AdaptOptions,
     aggregator: &mut LabelAggregator,
 ) -> GenerationStats {
-    let server = Serve::start_with_store(config.clone(), Arc::clone(store));
+    let server = Serve::start_with_store(*config, Arc::clone(store));
     let handle = server.handle();
     let mut mirrors: Vec<Mirror> = Vec::new();
     for &family in &opts.families {

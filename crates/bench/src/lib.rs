@@ -721,7 +721,7 @@ pub fn validate_scenarios_json(v: &serde_json::Value) -> Result<(), String> {
         }
         let outcome_sum: f64 = ["success_rate", "collision_rate", "timeout_rate"]
             .iter()
-            .map(|k| row.get(*k).and_then(serde_json::Value::as_f64).unwrap_or(0.0))
+            .map(|k| row.get(k).and_then(serde_json::Value::as_f64).unwrap_or(0.0))
             .sum();
         if (outcome_sum - 1.0).abs() > 1e-9 {
             return Err(format!(

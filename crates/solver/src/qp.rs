@@ -30,6 +30,7 @@
 
 use crate::ldl::{SparseLdl, SymbolicLdl};
 use crate::linalg::{Cholesky, Mat};
+use crate::simd::{self, LaneSlices};
 use crate::sparse::{SparseKkt, SparseMatrix};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -663,8 +664,12 @@ pub(crate) struct AdmmState {
     pub(crate) eq: Vec<bool>,
     pub(crate) primal_res: f64,
     pub(crate) dual_res: f64,
+    /// `A` sliced by columns (for `Aᵀ·v`) and by rows (for `A·v`).
+    a_cols: LaneSlices,
+    a_rows: LaneSlices,
     // hot-loop scratch, allocated once per solve — the per-iteration
-    // body is allocation-free
+    // body is allocation-free. `x_tilde` and `tmp_m` are dot-product
+    // inputs and carry one trailing zero slot beyond `n` and `m`.
     rhs: Vec<f64>,
     x_tilde: Vec<f64>,
     tmp_m: Vec<f64>,
@@ -675,7 +680,9 @@ pub(crate) struct AdmmState {
 
 impl AdmmState {
     /// State for one (already scaled) problem, starting from `start`
-    /// (cold zeros otherwise) with the resolved initial ρ.
+    /// (cold zeros otherwise) with the resolved initial ρ. Slices the
+    /// problem's `A` for the hot loop, so [`AdmmState::iterate`] and
+    /// [`AdmmState::measure_residuals`] must be given this same problem.
     pub(crate) fn new(
         problem: &QpProblem,
         rho: f64,
@@ -684,6 +691,13 @@ impl AdmmState {
     ) -> AdmmState {
         let n = problem.num_vars();
         let m = problem.num_constraints();
+        // the projection kernel's precondition (`clamp` would panic on
+        // the first iteration): bounds edited through the public fields
+        // bypass `QpProblem::from_sparse`'s check
+        assert!(
+            problem.l.iter().zip(&problem.u).all(|(lo, hi)| lo <= hi),
+            "every lower bound must be at most its upper bound"
+        );
         let (x, y, z) = start.unwrap_or_else(|| (vec![0.0; n], vec![0.0; m], vec![0.0; m]));
         let mut st = AdmmState {
             x,
@@ -694,9 +708,11 @@ impl AdmmState {
             eq,
             primal_res: f64::INFINITY,
             dual_res: f64::INFINITY,
+            a_cols: LaneSlices::columns_of(&problem.a),
+            a_rows: LaneSlices::rows_of(&problem.a),
             rhs: vec![0.0; n],
-            x_tilde: vec![0.0; n],
-            tmp_m: vec![0.0; m],
+            x_tilde: vec![0.0; n + 1],
+            tmp_m: vec![0.0; m + 1],
             z_tilde: vec![0.0; m],
             px: vec![0.0; n],
             aty: vec![0.0; n],
@@ -713,49 +729,57 @@ impl AdmmState {
 
     /// One ADMM iteration: x̃-update, over-relaxation, projection and
     /// dual update. `solve` applies the current KKT factor
-    /// (`out = M⁻¹·rhs`); everything else is element-wise and runs
-    /// through the bitwise-preserving [`crate::simd`] kernels (the
-    /// clamp-projection stays scalar: its branch structure does not
-    /// vectorize without changing NaN semantics).
+    /// (`out = M⁻¹·rhs`); the sparse products run on the lane slices of
+    /// `A` and everything else is element-wise, all through the
+    /// bitwise-preserving [`crate::simd`] kernels.
     pub(crate) fn iterate(
         &mut self,
         problem: &QpProblem,
         settings: &QpSettings,
         solve: &mut dyn FnMut(&[f64], &mut [f64]),
     ) {
-        let m = problem.num_constraints();
+        let (n, m) = (self.x.len(), self.z.len());
         // x̃-update: (P + σI + AᵀRA) x̃ = σx − q + Aᵀ(Rz − y)
-        crate::simd::mul_sub(&mut self.tmp_m, &self.rho_v, &self.z, &self.y);
-        problem.a.t_mul_vec_into(&self.tmp_m, &mut self.rhs);
-        crate::simd::add_scaled_sub(&mut self.rhs, settings.sigma, &self.x, &problem.q);
-        solve(&self.rhs, &mut self.x_tilde);
-        problem.a.mul_vec_into(&self.x_tilde, &mut self.z_tilde);
+        simd::mul_sub(&mut self.tmp_m[..m], &self.rho_v, &self.z, &self.y);
+        self.a_cols.dot_into(&self.tmp_m, &mut self.rhs);
+        simd::add_scaled_sub(&mut self.rhs, settings.sigma, &self.x, &problem.q);
+        solve(&self.rhs, &mut self.x_tilde[..n]);
+        self.a_rows.dot_into(&self.x_tilde, &mut self.z_tilde);
 
-        // over-relaxation on both x and z (OSQP alg. 1)
-        let alpha = settings.alpha;
-        crate::simd::relax(&mut self.x, alpha, &self.x_tilde);
-        for i in 0..m {
-            let relaxed = alpha * self.z_tilde[i] + (1.0 - alpha) * self.z[i];
-            let zi = (relaxed + self.y[i] / self.rho_v[i]).clamp(problem.l[i], problem.u[i]);
-            self.y[i] += self.rho_v[i] * (relaxed - zi);
-            self.z[i] = zi;
-        }
+        // over-relaxation on both x and z (OSQP alg. 1), projection onto
+        // [l, u] and the dual update
+        simd::relax(&mut self.x, settings.alpha, &self.x_tilde[..n]);
+        simd::project_dual(
+            &mut self.z,
+            &mut self.y,
+            &self.z_tilde,
+            &self.rho_v,
+            &problem.l,
+            &problem.u,
+            settings.alpha,
+        );
     }
 
     /// Residual measurement at the current iterate (the every-10-iters
     /// block of the hot loop). The max-folds stay scalar on purpose:
     /// `f64::max` *skips* NaN where the AVX2 max does not, and
     /// [`AdmmState::poisoned`] relies on exactly that behaviour.
+    ///
+    /// Borrows `x_tilde`, `z_tilde` and `tmp_m` as scratch: `iterate`
+    /// writes each of them before reading it.
     pub(crate) fn measure_residuals(&mut self, problem: &QpProblem) {
-        problem.a.mul_vec_into(&self.x, &mut self.tmp_m);
+        let (n, m) = (self.x.len(), self.z.len());
+        self.x_tilde[..n].copy_from_slice(&self.x);
+        self.a_rows.dot_into(&self.x_tilde, &mut self.z_tilde);
         self.primal_res = self
-            .tmp_m
+            .z_tilde
             .iter()
             .zip(&self.z)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max);
         problem.p.mul_vec_into(&self.x, &mut self.px);
-        problem.a.t_mul_vec_into(&self.y, &mut self.aty);
+        self.tmp_m[..m].copy_from_slice(&self.y);
+        self.a_cols.dot_into(&self.tmp_m, &mut self.aty);
         self.dual_res = (0..problem.num_vars())
             .map(|i| (self.px[i] + problem.q[i] + self.aty[i]).abs())
             .fold(0.0, f64::max);
@@ -1612,6 +1636,188 @@ mod tests {
         let recovered = solve_qp_warm(&good, &s, None, &mut ws);
         assert_eq!(recovered.status, QpStatus::Solved);
         assert_eq!(recovered.x, solve_qp(&good, &s).x);
+    }
+
+    /// The ADMM iteration on CSC matvecs and the scalar projection loop:
+    /// the arithmetic [`AdmmState::iterate`] must replay bit for bit.
+    fn iterate_csc(
+        st: &mut AdmmState,
+        problem: &QpProblem,
+        settings: &QpSettings,
+        solve: &mut dyn FnMut(&[f64], &mut [f64]),
+    ) {
+        let (n, m) = (st.x.len(), st.z.len());
+        simd::mul_sub(&mut st.tmp_m[..m], &st.rho_v, &st.z, &st.y);
+        problem.a.t_mul_vec_into(&st.tmp_m[..m], &mut st.rhs);
+        simd::add_scaled_sub(&mut st.rhs, settings.sigma, &st.x, &problem.q);
+        solve(&st.rhs, &mut st.x_tilde[..n]);
+        problem.a.mul_vec_into(&st.x_tilde[..n], &mut st.z_tilde);
+        let alpha = settings.alpha;
+        simd::relax(&mut st.x, alpha, &st.x_tilde[..n]);
+        for i in 0..m {
+            let relaxed = alpha * st.z_tilde[i] + (1.0 - alpha) * st.z[i];
+            let zi = (relaxed + st.y[i] / st.rho_v[i]).clamp(problem.l[i], problem.u[i]);
+            st.y[i] += st.rho_v[i] * (relaxed - zi);
+            st.z[i] = zi;
+        }
+    }
+
+    /// [`AdmmState::measure_residuals`] on CSC matvecs.
+    fn measure_residuals_csc(st: &mut AdmmState, problem: &QpProblem) {
+        let m = st.z.len();
+        problem.a.mul_vec_into(&st.x, &mut st.tmp_m[..m]);
+        st.primal_res = st.tmp_m[..m]
+            .iter()
+            .zip(&st.z)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0, f64::max);
+        problem.p.mul_vec_into(&st.x, &mut st.px);
+        problem.a.t_mul_vec_into(&st.y, &mut st.aty);
+        st.dual_res = (0..problem.num_vars())
+            .map(|i| (st.px[i] + problem.q[i] + st.aty[i]).abs())
+            .fold(0.0, f64::max);
+    }
+
+    fn lcg(seed: &mut u64) -> f64 {
+        *seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((*seed >> 33) as f64 / (1u64 << 31) as f64) - 0.5
+    }
+
+    /// A random sparse QP: coupled positive-definite `P`, an `A` with
+    /// explicit zeros, empty rows and columns and lanes of uneven length,
+    /// and bounds mixing equality rows, ±∞, ±1e9 and finite intervals.
+    fn random_qp(seed: u64) -> QpProblem {
+        let mut s = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let n = 5 + (seed as usize * 7) % 31;
+        let m = n + (seed as usize * 13) % (2 * n);
+        let mut p = TripletBuilder::new(n, n);
+        for i in 0..n {
+            p.push(i, i, 2.0 + lcg(&mut s));
+            if i + 1 < n {
+                let v = 0.5 * lcg(&mut s);
+                p.push(i, i + 1, v);
+                p.push(i + 1, i, v);
+            }
+        }
+        let mut a = TripletBuilder::new(m, n);
+        for r in 0..m {
+            if r % 11 == 5 {
+                continue; // an empty row
+            }
+            let len = 1 + (r * 5 + seed as usize) % 6;
+            for k in 0..len {
+                let c = (r * 3 + k * 7 + seed as usize) % n;
+                if c % 9 == 4 {
+                    continue; // column 4 (and every 9th) stays empty
+                }
+                let v = if k == 2 { 0.0 } else { lcg(&mut s) * 4.0 };
+                a.push(r, c, v);
+            }
+        }
+        let q: Vec<f64> = (0..n)
+            .map(|i| if i % 5 == 0 { 0.0 } else { lcg(&mut s) * 3.0 })
+            .collect();
+        let (mut l, mut u) = (Vec::with_capacity(m), Vec::with_capacity(m));
+        for r in 0..m {
+            let c = lcg(&mut s);
+            let (lo, hi) = match r % 5 {
+                0 => (c, c),
+                1 => (f64::NEG_INFINITY, c + 0.3),
+                2 => (c - 0.3, f64::INFINITY),
+                3 => (-1e9, 1e9),
+                _ => (c - 0.2, c + 0.2),
+            };
+            l.push(lo);
+            u.push(hi);
+        }
+        QpProblem::from_sparse(p.build(), q, a.build(), l, u).unwrap()
+    }
+
+    #[test]
+    fn sliced_iteration_replays_csc_iteration_bitwise() {
+        // From the same state and factor, the lane-sliced iteration and
+        // the dispatch-free LDLᵀ solve must leave every iterate and both
+        // residuals bit-identical to the CSC iteration with per-column
+        // sweeps, from cold zeros and from a warm start holding ±0.0.
+        let s = settings();
+        let mut cases = vec![tracking_qp(40, 0.3), tracking_qp(7, -0.2)];
+        cases.extend((0..8).map(random_qp));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for backend in [simd::KernelBackend::Scalar, simd::detected()] {
+            simd::with_backend(backend, || {
+                for (case, qp) in cases.iter().enumerate() {
+                    let (d, e) = compute_scaling(qp);
+                    let scaled = apply_scaling(qp, &d, &e);
+                    let (n, m) = (scaled.num_vars(), scaled.num_constraints());
+                    let eq: Vec<bool> = scaled
+                        .l
+                        .iter()
+                        .zip(&scaled.u)
+                        .map(|(lo, hi)| lo == hi)
+                        .collect();
+                    let mut rho_v = Vec::new();
+                    fill_rho_vec(s.rho, &eq, &mut rho_v);
+                    let gram = scaled.a.gram_weighted(&rho_v);
+                    let mut kkt = SparseKkt::new(&scaled.p, &gram);
+                    let factor = build_factor(
+                        &mut kkt,
+                        &scaled.p,
+                        &gram,
+                        s.sigma,
+                        true,
+                        &mut None,
+                        None,
+                        &mut QpDiagnostics::default(),
+                    );
+                    let Some(Factor::Sparse(mut ldl)) = factor else {
+                        panic!("case {case}: sparse factor expected");
+                    };
+                    let reference = ldl.clone();
+                    let mut seed = case as u64;
+                    let mut signed = |len: usize| -> Vec<f64> {
+                        (0..len)
+                            .map(|i| match i % 4 {
+                                0 => 0.0,
+                                1 => -0.0,
+                                _ => lcg(&mut seed),
+                            })
+                            .collect()
+                    };
+                    let warm = (signed(n), signed(m), signed(m));
+                    for start in [None, Some(warm)] {
+                        let mut new = AdmmState::new(&scaled, s.rho, eq.clone(), start.clone());
+                        let mut old = AdmmState::new(&scaled, s.rho, eq.clone(), start);
+                        for it in 0..200 {
+                            new.iterate(&scaled, &s, &mut |b, out| ldl.solve_into(b, out));
+                            iterate_csc(&mut old, &scaled, &s, &mut |b, out| {
+                                reference.solve_per_column(b, out)
+                            });
+                            if it % 10 == 9 {
+                                new.measure_residuals(&scaled);
+                                measure_residuals_csc(&mut old, &scaled);
+                                let label = format!("{backend:?} case {case} iteration {it}");
+                                assert_eq!(bits(&new.x), bits(&old.x), "{label}: x");
+                                assert_eq!(bits(&new.y), bits(&old.y), "{label}: y");
+                                assert_eq!(bits(&new.z), bits(&old.z), "{label}: z");
+                                assert_eq!(new.primal_res.to_bits(), old.primal_res.to_bits());
+                                assert_eq!(new.dual_res.to_bits(), old.dual_res.to_bits());
+                            }
+                        }
+                    }
+                }
+            });
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "every lower bound must be at most its upper bound")]
+    fn crossed_bounds_set_through_public_fields_panic_before_the_loop() {
+        // on every kernel backend, as the scalar clamp would
+        let mut qp = tracking_qp(6, 0.0);
+        qp.l[0] = 2.0;
+        solve_qp(&qp, &settings());
     }
 
     #[test]

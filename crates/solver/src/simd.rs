@@ -10,12 +10,14 @@
 //! The lanes only batch *independent* element updates:
 //!
 //! * elementwise ADMM vector updates (`ρz−y`, `σx−q` accumulation, the
-//!   over-relaxation blend) — each element is its own dependency chain;
-//! * the LDLᵀ column scatter `w[ind[j]] -= l[j]·s` — row indices within
-//!   one column are distinct, so updates are independent;
-//! * the backward-substitution reduction, where the *products*
-//!   `l[j]·w[ind[j]]` are vectorized but the subtraction chain is
-//!   replayed in the exact scalar order.
+//!   over-relaxation blend, the relax–project–dual step) — each element
+//!   is its own dependency chain;
+//! * the sparse dot products `Aᵀ·v` and `A·v` ([`LaneSlices`]) — each
+//!   lane accumulates one whole column (or row) in storage order, so
+//!   four independent sums advance side by side;
+//! * the LDLᵀ column scatter `w[ind[j]] -= l[j]·s` of the numeric
+//!   refactor — row indices within one column are distinct, so updates
+//!   are independent.
 //!
 //! Residual ∞-norm folds are deliberately **not** vectorized:
 //! `f64::max` skips NaN operands where `_mm256_max_pd` would not, and
@@ -27,8 +29,9 @@
 //! differential tests. The conformance harness drives both crates'
 //! overrides independently.
 
-// The one module in the crate allowed `unsafe`: `core::arch` intrinsics
-// behind runtime feature detection.
+// `unsafe` here is `core::arch` intrinsics behind runtime feature
+// detection (the LDLᵀ solve sweeps in `ldl.rs` are the crate's only
+// other unsafe code).
 #![allow(unsafe_code)]
 
 use std::cell::Cell;
@@ -103,9 +106,10 @@ pub fn with_backend<R>(backend: KernelBackend, f: impl FnOnce() -> R) -> R {
 pub fn kernel_modes() -> &'static [(&'static str, &'static str)] {
     &[
         ("ldl_scatter_sub_f64", "bitwise"),
-        ("ldl_backward_reduce_f64", "bitwise"),
-        ("ldl_diag_scale_f64", "bitwise"),
         ("admm_elementwise_f64", "bitwise"),
+        ("sparse_col_dot_f64", "bitwise"),
+        ("sparse_row_dot_f64", "bitwise"),
+        ("admm_project_dual_f64", "bitwise"),
     ]
 }
 
@@ -114,11 +118,11 @@ fn use_avx2() -> bool {
     active() == KernelBackend::Avx2
 }
 
-/// `w[ind[j]] -= l[j] * s` for every `j` — the LDLᵀ column scatter used
-/// by both the numeric refactor and the forward substitution. Indices
-/// within a call are distinct (structural rows of one `L` column), so
-/// the updates are independent and the products can be formed 4-wide;
-/// each element still sees exactly one `mul` and one `sub`.
+/// `w[ind[j]] -= l[j] * s` for every `j` — the LDLᵀ column scatter of
+/// the numeric refactor. Indices within a call are distinct (structural
+/// rows of one `L` column), so the updates are independent and the
+/// products can be formed 4-wide; each element still sees exactly one
+/// `mul` and one `sub`.
 ///
 /// # Panics
 ///
@@ -160,91 +164,6 @@ unsafe fn scatter_sub_avx2(w: &mut [f64], ind: &[usize], l: &[f64], s: f64) {
     }
     for jj in chunks..l.len() {
         w[ind[jj]] -= l[jj] * s;
-    }
-}
-
-/// `acc - Σ_j l[j] * w[ind[j]]` with the subtraction chain replayed in
-/// ascending-`j` order — the backward-substitution reduction. The
-/// products are gathered and multiplied 4-wide; the running subtraction
-/// happens element-by-element in the scalar order, so the result is
-/// bit-identical to the reference loop.
-#[inline]
-pub fn gather_sub_reduce(acc: f64, ind: &[usize], l: &[f64], w: &[f64]) -> f64 {
-    debug_assert_eq!(ind.len(), l.len());
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // SAFETY: avx2 verified by dispatch.
-        return unsafe { gather_sub_reduce_avx2(acc, ind, l, w) };
-    }
-    let mut out = acc;
-    for (&i, &lv) in ind.iter().zip(l) {
-        out -= lv * w[i];
-    }
-    out
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn gather_sub_reduce_avx2(acc: f64, ind: &[usize], l: &[f64], w: &[f64]) -> f64 {
-    use std::arch::x86_64::*;
-    let mut out = acc;
-    let chunks = l.len() / 4 * 4;
-    let mut j = 0;
-    while j < chunks {
-        // SAFETY: j + 4 <= chunks <= ind.len() == l.len(); every ind[j]
-        // is a valid row index into w (structural invariant of L).
-        let vi = unsafe { _mm256_loadu_si256(ind.as_ptr().add(j) as *const __m256i) };
-        let vw = unsafe { _mm256_i64gather_pd::<8>(w.as_ptr(), vi) };
-        let vl = unsafe { _mm256_loadu_pd(l.as_ptr().add(j)) };
-        let prod = _mm256_mul_pd(vl, vw);
-        let mut t = [0.0f64; 4];
-        unsafe { _mm256_storeu_pd(t.as_mut_ptr(), prod) };
-        out -= t[0];
-        out -= t[1];
-        out -= t[2];
-        out -= t[3];
-        j += 4;
-    }
-    for jj in chunks..l.len() {
-        out -= l[jj] * w[ind[jj]];
-    }
-    out
-}
-
-/// `w[i] *= d[i]` — the diagonal scaling sweep of the LDLᵀ solve.
-///
-/// # Panics
-///
-/// Panics (debug) on length mismatch.
-#[inline]
-pub fn mul_in_place(w: &mut [f64], d: &[f64]) {
-    debug_assert_eq!(w.len(), d.len());
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // SAFETY: avx2 verified by dispatch.
-        unsafe { mul_in_place_avx2(w, d) };
-        return;
-    }
-    for (wi, &di) in w.iter_mut().zip(d) {
-        *wi *= di;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn mul_in_place_avx2(w: &mut [f64], d: &[f64]) {
-    use std::arch::x86_64::*;
-    let chunks = w.len() / 4 * 4;
-    let mut i = 0;
-    while i < chunks {
-        // SAFETY: i + 4 <= chunks <= both slice lengths.
-        let vw = unsafe { _mm256_loadu_pd(w.as_ptr().add(i)) };
-        let vd = unsafe { _mm256_loadu_pd(d.as_ptr().add(i)) };
-        unsafe { _mm256_storeu_pd(w.as_mut_ptr().add(i), _mm256_mul_pd(vw, vd)) };
-        i += 4;
-    }
-    for ii in chunks..w.len() {
-        w[ii] *= d[ii];
     }
 }
 
@@ -368,6 +287,367 @@ unsafe fn relax_avx2(x: &mut [f64], alpha: f64, beta: f64, xt: &[f64]) {
     }
 }
 
+/// The ADMM relax–project–dual step over every constraint row:
+///
+/// ```text
+/// relaxed = α·z̃ᵢ + (1 − α)·zᵢ
+/// zᵢ ← clamp(relaxed + yᵢ/ρᵢ, lᵢ, uᵢ)
+/// yᵢ ← yᵢ + ρᵢ·(relaxed − zᵢ)
+/// ```
+///
+/// The AVX2 path divides with `vdivpd` and replays `f64::clamp` as two
+/// compare-and-blends: below `l` gives `l`, then above `u` gives `u`, and
+/// a NaN compares false both times and passes through, exactly as in
+/// `clamp`. Callers guarantee `l ≤ u` row by row, where the scalar
+/// `clamp` would panic otherwise.
+///
+/// # Panics
+///
+/// Panics when the slice lengths differ.
+pub fn project_dual(
+    z: &mut [f64],
+    y: &mut [f64],
+    z_tilde: &[f64],
+    rho: &[f64],
+    l: &[f64],
+    u: &[f64],
+    alpha: f64,
+) {
+    let m = z.len();
+    assert!(
+        y.len() == m && z_tilde.len() == m && rho.len() == m && l.len() == m && u.len() == m,
+        "dimension mismatch"
+    );
+    let beta = 1.0 - alpha;
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2() {
+        // SAFETY: avx2 verified by dispatch; every slice is m long.
+        unsafe { project_dual_avx2(z, y, z_tilde, rho, l, u, alpha, beta) };
+        return;
+    }
+    project_dual_scalar(z, y, z_tilde, rho, l, u, alpha, beta, 0);
+}
+
+/// The scalar form of [`project_dual`] from row `from` on.
+#[allow(clippy::too_many_arguments)]
+fn project_dual_scalar(
+    z: &mut [f64],
+    y: &mut [f64],
+    z_tilde: &[f64],
+    rho: &[f64],
+    l: &[f64],
+    u: &[f64],
+    alpha: f64,
+    beta: f64,
+    from: usize,
+) {
+    for i in from..z.len() {
+        let relaxed = alpha * z_tilde[i] + beta * z[i];
+        let zi = (relaxed + y[i] / rho[i]).clamp(l[i], u[i]);
+        y[i] += rho[i] * (relaxed - zi);
+        z[i] = zi;
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn project_dual_avx2(
+    z: &mut [f64],
+    y: &mut [f64],
+    z_tilde: &[f64],
+    rho: &[f64],
+    l: &[f64],
+    u: &[f64],
+    alpha: f64,
+    beta: f64,
+) {
+    use std::arch::x86_64::*;
+    let va = _mm256_set1_pd(alpha);
+    let vb = _mm256_set1_pd(beta);
+    let chunks = z.len() / 4 * 4;
+    let mut i = 0;
+    while i < chunks {
+        // SAFETY: i + 4 <= chunks <= z.len(), and every slice is z.len()
+        // long (asserted by project_dual).
+        let (vzt, vz, vy, vr, vl, vu) = unsafe {
+            (
+                _mm256_loadu_pd(z_tilde.as_ptr().add(i)),
+                _mm256_loadu_pd(z.as_ptr().add(i)),
+                _mm256_loadu_pd(y.as_ptr().add(i)),
+                _mm256_loadu_pd(rho.as_ptr().add(i)),
+                _mm256_loadu_pd(l.as_ptr().add(i)),
+                _mm256_loadu_pd(u.as_ptr().add(i)),
+            )
+        };
+        let relaxed = _mm256_add_pd(_mm256_mul_pd(va, vzt), _mm256_mul_pd(vb, vz));
+        let mut zi = _mm256_add_pd(relaxed, _mm256_div_pd(vy, vr));
+        zi = _mm256_blendv_pd(zi, vl, _mm256_cmp_pd::<_CMP_LT_OQ>(zi, vl));
+        zi = _mm256_blendv_pd(zi, vu, _mm256_cmp_pd::<_CMP_GT_OQ>(zi, vu));
+        let vy = _mm256_add_pd(vy, _mm256_mul_pd(vr, _mm256_sub_pd(relaxed, zi)));
+        // SAFETY: as for the loads.
+        unsafe {
+            _mm256_storeu_pd(y.as_mut_ptr().add(i), vy);
+            _mm256_storeu_pd(z.as_mut_ptr().add(i), zi);
+        }
+        i += 4;
+    }
+    project_dual_scalar(z, y, z_tilde, rho, l, u, alpha, beta, chunks);
+}
+
+/// A sparse matrix sliced for lane-parallel dot products: one *lane*
+/// per output, that is per column of `A` for `Aᵀ·v`
+/// ([`LaneSlices::columns_of`]) or per row for `A·v`
+/// ([`LaneSlices::rows_of`]).
+///
+/// Lanes are taken four at a time, longest first. Step `k` of a group
+/// holds the `k`-th stored entry of each of its four lanes, so one
+/// gather, one multiply and one add advance four independent sums. Each
+/// lane adds its products to `+0.0` in the order the scalar CSC loop
+/// does — a column's storage order for `Aᵀ·v`, ascending column for a
+/// row of `A·v` — so [`LaneSlices::dot_into`] is bitwise
+/// [`SparseMatrix::t_mul_vec_into`] or [`SparseMatrix::mul_vec_into`].
+///
+/// Two details keep that true where lanes or inputs are uneven:
+///
+/// * a lane shorter than its group is padded with the value `0.0`
+///   pointing at a trailing zero slot of the input. The padded product
+///   is `±0.0`, and a sum that starts at `+0.0` is never `−0.0` (a sum
+///   is `−0.0` only when both addends are), so adding it changes
+///   nothing;
+/// * the row form replays the scatter's skip of zero inputs
+///   (`mul_vec_into` never visits column `c` when `v[c] == 0.0`): a
+///   product whose input compares equal to zero is masked to `+0.0`,
+///   which the same argument makes a no-op, so `∞·0` and `NaN·0` never
+///   reach the sum.
+///
+/// [`SparseMatrix::t_mul_vec_into`]: crate::SparseMatrix::t_mul_vec_into
+/// [`SparseMatrix::mul_vec_into`]: crate::SparseMatrix::mul_vec_into
+#[derive(Debug, Clone)]
+pub struct LaneSlices {
+    /// Number of lanes (outputs).
+    lanes: usize,
+    /// Input length, not counting the trailing zero slot.
+    input_len: usize,
+    /// Whether products of a zero input are masked (the row form).
+    skip_zero: bool,
+    /// Lanes in slicing order: group `g` is `order[4g..4g + 4]`.
+    order: Vec<usize>,
+    /// Entry offset of each group into `idx`/`vals` (multiples of 4),
+    /// plus the end.
+    group_ptr: Vec<usize>,
+    /// Input index per entry, four per step; padding holds `input_len`.
+    idx: Vec<i32>,
+    /// Value per entry, four per step; padding holds `0.0`.
+    vals: Vec<f64>,
+}
+
+impl LaneSlices {
+    /// Slices `a` by columns: [`LaneSlices::dot_into`] computes `Aᵀ·v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `a` has `i32::MAX` rows or more, or its column
+    /// pointers or row indices are out of range.
+    pub fn columns_of(a: &crate::SparseMatrix) -> Self {
+        Self::slice(a, false)
+    }
+
+    /// Slices `a` by rows: [`LaneSlices::dot_into`] computes `A·v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `a` has `i32::MAX` columns or more, or its column
+    /// pointers or row indices are out of range.
+    pub fn rows_of(a: &crate::SparseMatrix) -> Self {
+        Self::slice(a, true)
+    }
+
+    fn slice(a: &crate::SparseMatrix, by_rows: bool) -> Self {
+        let (lanes, input_len) = if by_rows {
+            (a.rows(), a.cols())
+        } else {
+            (a.cols(), a.rows())
+        };
+        let pad = i32::try_from(input_len).expect("input length fits a 32-bit gather index");
+        let (col_ptr, row_ind, values) = (a.col_ptr(), a.row_ind(), a.values());
+        // a deserialized matrix carries its fields unchecked
+        assert!(
+            col_ptr.len() == a.cols() + 1 && col_ptr.windows(2).all(|w| w[0] <= w[1]),
+            "malformed column pointers"
+        );
+        assert!(
+            row_ind.iter().all(|&r| r < a.rows()),
+            "stored row index out of range"
+        );
+        let mut lane_len = vec![0usize; lanes];
+        if by_rows {
+            for &r in row_ind {
+                lane_len[r] += 1;
+            }
+        } else {
+            for (len, w) in lane_len.iter_mut().zip(col_ptr.windows(2)) {
+                *len = w[1] - w[0];
+            }
+        }
+        // longest first, ties in lane order: a counting sort on the
+        // distance from the longest length
+        let longest = lane_len.iter().copied().max().unwrap_or(0);
+        let mut start = vec![0usize; longest + 2];
+        for &len in &lane_len {
+            start[longest - len + 1] += 1;
+        }
+        for b in 1..start.len() {
+            start[b] += start[b - 1];
+        }
+        let mut order = vec![0usize; lanes];
+        for (lane, &len) in lane_len.iter().enumerate() {
+            let b = longest - len;
+            order[start[b]] = lane;
+            start[b] += 1;
+        }
+        // next free entry of each lane: its group's offset plus its
+        // position in the group, advancing by 4 per stored entry
+        let mut next = vec![0usize; lanes];
+        let mut group_ptr = Vec::with_capacity(lanes.div_ceil(4) + 1);
+        let mut total = 0;
+        group_ptr.push(total);
+        for group in order.chunks(4) {
+            for (k, &lane) in group.iter().enumerate() {
+                next[lane] = total + k;
+            }
+            total += 4 * lane_len[group[0]];
+            group_ptr.push(total);
+        }
+        let mut idx = vec![pad; total];
+        let mut vals = vec![0.0; total];
+        // visited column by column, so a column lane takes its entries in
+        // storage order and a row lane in ascending column order
+        for (c, w) in col_ptr.windows(2).enumerate() {
+            for (&r, &v) in row_ind[w[0]..w[1]].iter().zip(&values[w[0]..w[1]]) {
+                let (lane, input) = if by_rows { (r, c) } else { (c, r) };
+                // the AVX2 gather reads v[input] unchecked
+                assert!(input < input_len, "stored index out of range");
+                let e = next[lane];
+                // input < input_len <= i32::MAX
+                idx[e] = input as i32;
+                vals[e] = v;
+                next[lane] = e + 4;
+            }
+        }
+        LaneSlices {
+            lanes,
+            input_len,
+            skip_zero: by_rows,
+            order,
+            group_ptr,
+            idx,
+            vals,
+        }
+    }
+
+    /// `out = Aᵀ·v` (column slices) or `out = A·v` (row slices), bitwise
+    /// equal to the CSC loop. `v` carries the input — one entry per row
+    /// of `A` for column slices, per column for row slices — followed by
+    /// one zero slot that padding entries point at.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `v` is not one entry longer than the input, its last
+    /// entry is not zero, or `out` does not have one entry per lane.
+    pub fn dot_into(&self, v: &[f64], out: &mut [f64]) {
+        assert_eq!(
+            v.len(),
+            self.input_len + 1,
+            "input needs one trailing zero slot"
+        );
+        assert!(
+            v[self.input_len] == 0.0,
+            "the trailing input slot must be zero"
+        );
+        assert_eq!(out.len(), self.lanes, "output dimension mismatch");
+        #[cfg(target_arch = "x86_64")]
+        if use_avx2() {
+            // SAFETY: avx2 verified by dispatch; `slice` stores only
+            // indices <= input_len (entries asserted < input_len, padding
+            // = input_len), and `v` is input_len + 1 long (asserted above).
+            unsafe {
+                if self.skip_zero {
+                    self.dot_avx2::<true>(v, out);
+                } else {
+                    self.dot_avx2::<false>(v, out);
+                }
+            }
+            return;
+        }
+        if self.skip_zero {
+            self.dot_scalar::<true>(v, out);
+        } else {
+            self.dot_scalar::<false>(v, out);
+        }
+    }
+
+    fn dot_scalar<const SKIP_ZERO: bool>(&self, v: &[f64], out: &mut [f64]) {
+        for (span, lanes) in self.group_ptr.windows(2).zip(self.order.chunks(4)) {
+            let mut acc = [0.0f64; 4];
+            let steps = self.idx[span[0]..span[1]].chunks_exact(4);
+            for (ix, a) in steps.zip(self.vals[span[0]..span[1]].chunks_exact(4)) {
+                for k in 0..4 {
+                    let x = v[ix[k] as usize];
+                    if SKIP_ZERO && x == 0.0 {
+                        continue;
+                    }
+                    acc[k] += a[k] * x;
+                }
+            }
+            for (&lane, &sum) in lanes.iter().zip(&acc) {
+                out[lane] = sum;
+            }
+        }
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, and `v.len()` must exceed every stored
+    /// index (`v.len() > input_len`).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn dot_avx2<const SKIP_ZERO: bool>(&self, v: &[f64], out: &mut [f64]) {
+        use std::arch::x86_64::*;
+        let zero = _mm256_setzero_pd();
+        // `slice` builds group_ptr nondecreasing, in multiples of 4, ending
+        // at the length of idx and vals
+        let end = *self.group_ptr.last().expect("group_ptr starts non-empty");
+        assert!(self.idx.len() == end && self.vals.len() == end);
+        for (span, lanes) in self.group_ptr.windows(2).zip(self.order.chunks(4)) {
+            let mut acc = _mm256_setzero_pd();
+            for e in (span[0]..span[1]).step_by(4) {
+                // SAFETY: e + 4 <= span[1] <= end, within idx and vals
+                // (asserted above); every index is < v.len() (the
+                // caller's contract).
+                let (x, a) = unsafe {
+                    let ix = _mm_loadu_si128(self.idx.as_ptr().add(e).cast());
+                    (
+                        _mm256_i32gather_pd::<8>(v.as_ptr(), ix),
+                        _mm256_loadu_pd(self.vals.as_ptr().add(e)),
+                    )
+                };
+                let mut prod = _mm256_mul_pd(a, x);
+                if SKIP_ZERO {
+                    prod = _mm256_andnot_pd(_mm256_cmp_pd::<_CMP_EQ_OQ>(x, zero), prod);
+                }
+                acc = _mm256_add_pd(acc, prod);
+            }
+            let mut sums = [0.0f64; 4];
+            // SAFETY: sums holds four f64.
+            unsafe { _mm256_storeu_pd(sums.as_mut_ptr(), acc) };
+            for (&lane, &sum) in lanes.iter().zip(&sums) {
+                out[lane] = sum;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,17 +687,25 @@ mod tests {
             with_backend(detected(), || relax(&mut c2, 1.6, &xt));
             assert_eq!(c1, c2, "relax n={n}");
 
-            let mut d1 = wavy(n);
-            let mut d2 = d1.clone();
-            with_backend(KernelBackend::Scalar, || mul_in_place(&mut d1, &rho));
-            with_backend(detected(), || mul_in_place(&mut d2, &rho));
-            assert_eq!(d1, d2, "mul_in_place n={n}");
+            // bounds around the iterate so both clamp branches fire
+            let lo = wavy(n).iter().map(|v| v - 0.1).collect::<Vec<_>>();
+            let hi = wavy(n).iter().map(|v| v + 0.1).collect::<Vec<_>>();
+            let rho_pos = rho.iter().map(|v| v.abs() + 0.5).collect::<Vec<_>>();
+            let (mut z1, mut y1) = (z.clone(), y.clone());
+            let (mut z2, mut y2) = (z.clone(), y.clone());
+            with_backend(KernelBackend::Scalar, || {
+                project_dual(&mut z1, &mut y1, &xt, &rho_pos, &lo, &hi, 1.6)
+            });
+            with_backend(detected(), || {
+                project_dual(&mut z2, &mut y2, &xt, &rho_pos, &lo, &hi, 1.6)
+            });
+            assert_eq!((z1, y1), (z2, y2), "project_dual n={n}");
         }
     }
 
     #[test]
-    fn scatter_and_gather_kernels_are_bitwise() {
-        // a 32-long w with two L "columns" of ragged lengths
+    fn scatter_kernel_is_bitwise() {
+        // a 32-long w with L "columns" of ragged lengths
         let w0 = wavy(32);
         for len in [0usize, 1, 3, 4, 6, 9, 13] {
             let ind: Vec<usize> = (0..len).map(|j| (j * 5 + 2) % 32).collect();
@@ -434,24 +722,59 @@ mod tests {
             });
             with_backend(detected(), || scatter_sub(&mut w2, &ind, &l, 0.7315));
             assert_eq!(w1, w2, "scatter_sub len={}", ind.len());
-
-            let r1 = with_backend(KernelBackend::Scalar, || {
-                gather_sub_reduce(3.25, &ind, &l, &w0)
-            });
-            let r2 = with_backend(detected(), || gather_sub_reduce(3.25, &ind, &l, &w0));
-            assert_eq!(r1.to_bits(), r2.to_bits(), "gather_sub_reduce len={}", ind.len());
         }
     }
 
     #[test]
     fn nan_passes_through_identically() {
-        let mut w1 = vec![1.0, f64::NAN, 3.0, 4.0, 5.0];
-        let mut w2 = w1.clone();
-        let d = vec![2.0, 2.0, f64::NAN, 2.0, 2.0];
-        with_backend(KernelBackend::Scalar, || mul_in_place(&mut w1, &d));
-        with_backend(detected(), || mul_in_place(&mut w2, &d));
-        for (a, b) in w1.iter().zip(&w2) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        let xt = vec![2.0, 2.0, f64::NAN, 2.0, 2.0];
+        let mut x1 = vec![1.0, f64::NAN, 3.0, 4.0, 5.0];
+        let mut x2 = x1.clone();
+        with_backend(KernelBackend::Scalar, || relax(&mut x1, 1.6, &xt));
+        with_backend(detected(), || relax(&mut x2, 1.6, &xt));
+        // a NaN iterate passes the clamp unchanged on both backends
+        let (lo, hi) = (vec![-1.0; 5], vec![1.0; 5]);
+        let (mut z1, mut y1) = (x1.clone(), vec![0.5; 5]);
+        let (mut z2, mut y2) = (x2.clone(), vec![0.5; 5]);
+        with_backend(KernelBackend::Scalar, || {
+            project_dual(&mut z1, &mut y1, &xt, &[0.1; 5], &lo, &hi, 1.6)
+        });
+        with_backend(detected(), || {
+            project_dual(&mut z2, &mut y2, &xt, &[0.1; 5], &lo, &hi, 1.6)
+        });
+        assert!(z1[1].is_nan() && z1[2].is_nan());
+        // NaN sign and payload are unspecified; NaN-ness and every other
+        // bit must match
+        for (a, b) in x1
+            .iter()
+            .chain(&z1)
+            .chain(&y1)
+            .zip(x2.iter().chain(&z2).chain(&y2))
+        {
+            assert!(a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()));
+        }
+    }
+
+    #[test]
+    fn malformed_deserialized_matrices_panic_when_sliced() {
+        // deserialization leaves the fields unchecked: an over-long
+        // col_ptr (its third column would be stored as input index 2 of
+        // a one-column matrix), descending pointers, a row past the end
+        for json in [
+            r#"{"rows":1,"cols":1,"col_ptr":[0,0,0,1],"row_ind":[0],"values":[1.0]}"#,
+            r#"{"rows":1,"cols":1,"col_ptr":[0,0,0,0,0,0,1],"row_ind":[0],"values":[1.0]}"#,
+            r#"{"rows":2,"cols":2,"col_ptr":[0,2,1],"row_ind":[0,1],"values":[1.0,2.0]}"#,
+            r#"{"rows":1,"cols":1,"col_ptr":[0,1],"row_ind":[3],"values":[1.0]}"#,
+        ] {
+            let a: crate::SparseMatrix = serde_json::from_str(json).expect("parses");
+            assert!(
+                std::panic::catch_unwind(|| LaneSlices::rows_of(&a)).is_err(),
+                "rows_of {json}"
+            );
+            assert!(
+                std::panic::catch_unwind(|| LaneSlices::columns_of(&a)).is_err(),
+                "columns_of {json}"
+            );
         }
     }
 

@@ -1,13 +1,119 @@
 //! Property-based tests for the solver crate: every solved QP must
-//! satisfy feasibility and first-order (KKT) conditions, and the sparse
+//! satisfy feasibility and first-order (KKT) conditions, the sparse
 //! LDLᵀ factorization must agree with the dense Cholesky reference on
-//! whatever sparsity pattern it is handed.
+//! whatever sparsity pattern it is handed, and the ADMM kernels must
+//! match the scalar loops they replace bit for bit on both backends.
 
+use icoil_solver::simd::{self, KernelBackend, LaneSlices};
 use icoil_solver::{
     solve_qp, Mat, QpProblem, QpSettings, QpStatus, SparseLdl, SparseMatrix, SymbolicLdl,
     TripletBuilder,
 };
 use proptest::prelude::*;
+
+/// Both kernel backends the host CPU can run (scalar, then the detected
+/// one, which may be scalar again).
+fn backends() -> [KernelBackend; 2] {
+    [KernelBackend::Scalar, simd::detected()]
+}
+
+/// The bits of every entry, with all NaNs read as one: Rust leaves the
+/// sign and payload of a NaN result unspecified (LLVM may commute the
+/// operands of an add), so only NaN-ness is part of the contract.
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter()
+        .map(|x| {
+            if x.is_nan() {
+                f64::NAN.to_bits()
+            } else {
+                x.to_bits()
+            }
+        })
+        .collect()
+}
+
+/// A dot-product input entry: mostly finite, with exact `+0.0` and
+/// `−0.0` (the row kernel's zero skip), NaN and `±∞`.
+fn arb_input() -> impl Strategy<Value = f64> {
+    (0u32..12, -4.0f64..4.0).prop_map(|(kind, x)| match kind {
+        0 | 1 => 0.0,
+        2 => -0.0,
+        3 => f64::NAN,
+        4 => f64::INFINITY,
+        5 => f64::NEG_INFINITY,
+        _ => x,
+    })
+}
+
+/// A random `rows × cols` matrix (either may be zero) with explicit
+/// `+0.0`/`−0.0` entries, empty rows and columns and lanes of uneven
+/// length, plus an input for `A·x` and one for `Aᵀ·y`. A few entries are
+/// `±∞` or NaN, the only values whose product with a zero input is not
+/// a zero, so the row kernel's zero skip shows.
+fn arb_matvec() -> impl Strategy<Value = (SparseMatrix, Vec<f64>, Vec<f64>)> {
+    (0usize..14, 0usize..14).prop_flat_map(|(rows, cols)| {
+        (
+            prop::collection::vec(
+                (0..rows.max(1), 0..cols.max(1), 0u32..24, -3.0f64..3.0),
+                0..2 * rows * cols + 1,
+            ),
+            prop::collection::vec(arb_input(), cols),
+            prop::collection::vec(arb_input(), rows),
+        )
+            .prop_map(move |(entries, x, y)| {
+                let mut b = TripletBuilder::new(rows, cols);
+                if rows > 0 && cols > 0 {
+                    for (r, c, kind, v) in entries {
+                        let v = match kind {
+                            0..=2 => 0.0,
+                            3 => -0.0,
+                            4 => f64::INFINITY,
+                            5 => f64::NEG_INFINITY,
+                            6 => f64::NAN,
+                            _ => v,
+                        };
+                        b.push(r, c, v);
+                    }
+                }
+                (b.build(), x, y)
+            })
+    })
+}
+
+/// A projection row: an iterate triple (NaN and ±∞ included, or all
+/// three the same signed zero), a positive ρ and bounds that are equal,
+/// one-sided, infinite, ±1e9 or a finite box around a centre that is
+/// sometimes `±0.0` — where `clamp` keeps a `−0.0` iterate below a
+/// `+0.0` bound.
+fn arb_projection_row() -> impl Strategy<Value = [f64; 6]> {
+    (
+        (arb_input(), arb_input(), arb_input(), 0u32..8),
+        -6.0f64..6.0,
+        0u32..6,
+        (0u32..3, -2.0f64..2.0),
+    )
+        .prop_map(|((z, y, zt, zeros), log_rho, kind, (centre, c))| {
+            let (z, y, zt) = match zeros {
+                0 => (0.0, 0.0, 0.0),
+                1 => (-0.0, -0.0, -0.0),
+                _ => (z, y, zt),
+            };
+            let c = match centre {
+                0 => 0.0,
+                1 => -0.0,
+                _ => c,
+            };
+            let (l, u) = match kind {
+                0 => (c, c),
+                1 => (f64::NEG_INFINITY, c),
+                2 => (c, f64::INFINITY),
+                3 => (-1e9, 1e9),
+                4 => (f64::NEG_INFINITY, f64::INFINITY),
+                _ => (c - 0.5, c + 0.5),
+            };
+            [z, y, zt, 10f64.powf(log_rho), l, u]
+        })
+}
 
 /// Random strictly-convex diagonal QP with box constraints — the solution
 /// is known in closed form: clamp(-q_i / p_i, l_i, u_i).
@@ -207,5 +313,53 @@ proptest! {
         let rhs: Vec<f64> = (0..k.rows()).map(|i| (i as f64 * 0.71).cos()).collect();
         let mut fresh = fresh;
         prop_assert_eq!(reused.solve(&rhs), fresh.solve(&rhs));
+    }
+
+    #[test]
+    fn lane_sliced_dot_products_match_csc_loops((a, x, y) in arb_matvec()) {
+        let mut want_ax = vec![0.0; a.rows()];
+        a.mul_vec_into(&x, &mut want_ax);
+        let mut want_aty = vec![0.0; a.cols()];
+        a.t_mul_vec_into(&y, &mut want_aty);
+        // the sliced inputs carry one trailing zero slot
+        let (mut xp, mut yp) = (x.clone(), y.clone());
+        xp.push(0.0);
+        yp.push(0.0);
+        let (rows, cols) = (LaneSlices::rows_of(&a), LaneSlices::columns_of(&a));
+        for backend in backends() {
+            let (ax, aty) = simd::with_backend(backend, || {
+                let mut ax = vec![f64::NAN; a.rows()];
+                rows.dot_into(&xp, &mut ax);
+                let mut aty = vec![f64::NAN; a.cols()];
+                cols.dot_into(&yp, &mut aty);
+                (ax, aty)
+            });
+            prop_assert_eq!(bits(&ax), bits(&want_ax), "{:?}: A·x vs mul_vec_into", backend);
+            prop_assert_eq!(bits(&aty), bits(&want_aty), "{:?}: Aᵀ·y vs t_mul_vec_into", backend);
+        }
+    }
+
+    #[test]
+    fn project_dual_matches_scalar_loop(
+        rows in prop::collection::vec(arb_projection_row(), 0..19),
+        alpha in 0.1f64..1.9,
+    ) {
+        let col = |k: usize| rows.iter().map(|r| r[k]).collect::<Vec<f64>>();
+        let (z0, y0, zt, rho, l, u) = (col(0), col(1), col(2), col(3), col(4), col(5));
+        let (mut want_z, mut want_y) = (z0.clone(), y0.clone());
+        for i in 0..rows.len() {
+            let relaxed = alpha * zt[i] + (1.0 - alpha) * want_z[i];
+            let zi = (relaxed + want_y[i] / rho[i]).clamp(l[i], u[i]);
+            want_y[i] += rho[i] * (relaxed - zi);
+            want_z[i] = zi;
+        }
+        for backend in backends() {
+            let (mut z, mut y) = (z0.clone(), y0.clone());
+            simd::with_backend(backend, || {
+                simd::project_dual(&mut z, &mut y, &zt, &rho, &l, &u, alpha)
+            });
+            prop_assert_eq!(bits(&z), bits(&want_z), "{:?}: z", backend);
+            prop_assert_eq!(bits(&y), bits(&want_y), "{:?}: y", backend);
+        }
     }
 }

@@ -3,13 +3,14 @@
 #
 #   scripts/check.sh
 #
-# Fails on the first broken step. Clippy runs with warnings denied so the
-# tree stays lint-clean. The conformance smoke fuzzes a small batch of
-# procedurally generated scenarios through the differential harness
-# (crates/conformance) — including the dense-vs-sparse KKT backend check —
-# and the backend_e2e suite drives full episodes with each factorization
-# backend forced. The telemetry smoke runs one traced episode, re-parses
-# the NDJSON trace against the aggregated counters, and validates the
+# Fails on the first broken step. Clippy lints every workspace crate with
+# warnings denied so the tree stays lint-clean. The conformance smoke
+# fuzzes a small batch of procedurally generated scenarios through the
+# differential harness (crates/conformance) — including the
+# dense-vs-sparse KKT backend check — and the backend_e2e suite drives
+# full episodes with each factorization backend forced. The telemetry
+# smoke runs one traced episode, re-parses the NDJSON trace against the
+# aggregated counters, and validates the
 # BENCH_perf.json / BENCH_serve.json schemas. The serve smoke steps 8
 # concurrent sessions 50 frames through the in-process serving engine and
 # demands bit-identical trajectories across worker counts (1 vs 4), CO
@@ -19,13 +20,14 @@
 # different shard count) with zero sheds — and runs again with
 # ICOIL_FORCE_SCALAR=1 so the scalar kernel fallback is held to the same
 # contract, and a third time with ICOIL_IL_PRECISION=int8 so the
-# quantized IL lane meets the same determinism bar. The nn, perception,
-# telemetry and adapt suites run on the default kernel dispatch, so the
-# AVX2 kernels are tested on the backend they ship on (the root
-# `cargo test` covers only the umbrella package). The solver/nn/co and
-# perception suites also run once under ICOIL_FORCE_SCALAR=1: the SIMD
-# kernels' conformance tests then compare scalar against scalar
-# (trivially green) while everything else proves the escape hatch leaves
+# quantized IL lane meets the same determinism bar. The solver, co, nn,
+# perception, telemetry and adapt suites run on the default kernel
+# dispatch, so the AVX2 kernels are tested on the backend they ship on
+# (the root `cargo test` covers only the umbrella package). The
+# solver/nn/co and perception suites also run once under
+# ICOIL_FORCE_SCALAR=1: the SIMD kernels' conformance tests then compare
+# scalar against scalar (trivially green) while everything else proves
+# the escape hatch leaves
 # the numerics bit-identical (the nn run includes the quantization
 # proptests and the fused-inference equivalence proptests, so the int8
 # quantizer/accumulator and f32 conv-block contracts are proved on both
@@ -49,10 +51,10 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
-cargo test -q -p icoil-nn -p icoil-perception -p icoil-telemetry -p icoil-adapt
+cargo test -q -p icoil-solver -p icoil-co -p icoil-nn -p icoil-perception -p icoil-telemetry -p icoil-adapt
 ICOIL_FORCE_SCALAR=1 cargo test -q -p icoil-solver -p icoil-nn -p icoil-co -p icoil-perception
 cargo test --release -q --test backend_e2e
-cargo clippy --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 ICOIL_EPISODES=2 \
     cargo run --release -q -p icoil-bench --bin scenarios -- --untrained --out target/BENCH_scenarios_smoke.json
 cargo run --release -q -p icoil-bench --bin telemetry_smoke
