@@ -27,11 +27,7 @@
 //! * `matmul_gflops_{scalar,simd}` — f32 GEMM throughput of the IL
 //!   kernel layer with the scalar reference forced vs the detected SIMD
 //!   dispatch, at a network-shaped problem size (best-of-N timing,
-//!   `kernel_best_of` and `simd_dispatch` record the discipline);
-//! * `batch_refactor_us_k{1,4,16}` — per-block microseconds of the
-//!   block-diagonal batched sparse LDLᵀ refactor (`BatchLdl`) over K
-//!   copies of the same MPC KKT matrix, the amortization the serve CO
-//!   lane's batched drain rides on.
+//!   `kernel_best_of` and `simd_dispatch` record the discipline).
 //!
 //! The file lands in the working directory (the repo root under
 //! `cargo run`). Run sizes honor `ICOIL_EPISODES` and
@@ -47,7 +43,7 @@
 use icoil_bench::{PerfReport, RunSize};
 use icoil_co::{build_mpc_qp, CoConfig, CoController};
 use icoil_core::{eval, ICoilConfig, Method};
-use icoil_solver::{Backend, BatchLdl, SparseKkt, SparseLdl, SparseMatrix, SymbolicLdl};
+use icoil_solver::{Backend, SparseKkt, SparseLdl, SparseMatrix, SymbolicLdl};
 use icoil_il::{IlModel, IlPrecision};
 use icoil_perception::Perception;
 use icoil_telemetry::{Recorder, Series};
@@ -216,28 +212,6 @@ fn int8_gemm_gops() -> f64 {
     ops / best / 1e9
 }
 
-/// Per-block microseconds of the block-diagonal batched sparse LDLᵀ
-/// refactor over `k_blocks` copies of the real MPC KKT matrix — the
-/// numeric pass `QpBatch` amortizes across a serve worker's drain. Best
-/// of [`KERNEL_BEST_OF`] timed repetitions.
-fn batch_refactor_us_per_block(matrix: &SparseMatrix, k_blocks: usize) -> f64 {
-    let sym = SymbolicLdl::analyze(matrix);
-    let mut batch = BatchLdl::new(sym, k_blocks);
-    let kkts: Vec<&SparseMatrix> = (0..k_blocks).map(|_| matrix).collect();
-    batch.refactor_all(&kkts).expect("MPC KKT is quasidefinite");
-    let inner = 400;
-    let mut best = f64::INFINITY;
-    for _ in 0..KERNEL_BEST_OF {
-        let t0 = Instant::now();
-        for _ in 0..inner {
-            batch.refactor_all(&kkts).expect("refactor succeeds");
-            std::hint::black_box(&batch);
-        }
-        best = best.min(t0.elapsed().as_secs_f64() / inner as f64);
-    }
-    best * 1e6 / k_blocks as f64
-}
-
 fn main() {
     let size = RunSize::from_env();
     let config = ICoilConfig::default();
@@ -326,13 +300,10 @@ fn main() {
     let (kkt_factor_us_dense, kkt_factor_us_sparse, kkt_nnz_ratio) = kkt_microbench(&kkt_matrix);
 
     // 5) kernel-layer microbenchmarks: scalar-vs-SIMD f32 GEMM and the
-    //    batched block-diagonal refactor at several widths
+    //    int8 GEMM
     let matmul_gflops_scalar = matmul_gflops(icoil_nn::KernelBackend::Scalar);
     let matmul_gflops_simd = matmul_gflops(icoil_nn::simd::detected());
     let gemm_gops_int8 = int8_gemm_gops();
-    let batch_refactor_us_k1 = batch_refactor_us_per_block(&kkt_matrix, 1);
-    let batch_refactor_us_k4 = batch_refactor_us_per_block(&kkt_matrix, 4);
-    let batch_refactor_us_k16 = batch_refactor_us_per_block(&kkt_matrix, 16);
     let simd_dispatch = icoil_nn::simd::dispatch_target().to_string();
 
     let mut report = PerfReport {
@@ -357,9 +328,6 @@ fn main() {
         solve_p99_us,
         matmul_gflops_scalar,
         matmul_gflops_simd,
-        batch_refactor_us_k1,
-        batch_refactor_us_k4,
-        batch_refactor_us_k16,
         simd_dispatch: simd_dispatch.clone(),
         kernel_best_of: KERNEL_BEST_OF as u64,
         had_nonfinite: false,
@@ -406,9 +374,5 @@ fn main() {
     );
     println!(
         "gemm int8:     {gemm_gops_int8:8.2} GOP/s {simd_dispatch} (best of {KERNEL_BEST_OF})"
-    );
-    println!(
-        "batch refactor: {batch_refactor_us_k1:7.1} us/block K=1 / \
-         {batch_refactor_us_k4:.1} us/block K=4 / {batch_refactor_us_k16:.1} us/block K=16"
     );
 }

@@ -7,9 +7,7 @@
 //!   allowed;
 //! * the full response streams (every pose, action, HSA value, bit for
 //!   bit) must be identical between a 1-worker and a 4-worker server,
-//!   between job-at-a-time CO solving (`co_batch = 1`) and the
-//!   block-diagonal batched drain (`co_batch = 8`), and between a
-//!   1-shard and a 4-shard engine: neither batch composition, worker
+//!   and between a 1-shard and a 4-shard engine: neither worker
 //!   scheduling nor shard assignment may leak into any session's
 //!   trajectory;
 //! * a kill-snapshot-restore cycle — every session evicted mid-episode,
@@ -41,11 +39,10 @@ const FRAMES: usize = 50;
 /// state, early enough to leave a meaningful remainder to replay.
 const KILL_AT: usize = 20;
 
-fn config(shards: usize, co_workers: usize, co_batch: usize) -> ServeConfig {
+fn config(shards: usize, co_workers: usize) -> ServeConfig {
     ServeConfig {
         shards,
         co_workers,
-        co_batch,
         co_deadline: Duration::from_secs(60),
         queue_capacity: 64,
         il_precision: IlPrecision::from_env(),
@@ -100,12 +97,8 @@ fn no_sheds(handle: &icoil_serve::ServeHandle, what: &str) -> Result<(), String>
     Ok(())
 }
 
-fn run_once(
-    shards: usize,
-    co_workers: usize,
-    co_batch: usize,
-) -> Result<Vec<Vec<StepResponse>>, String> {
-    let server = Serve::start(config(shards, co_workers, co_batch), model());
+fn run_once(shards: usize, co_workers: usize) -> Result<Vec<Vec<StepResponse>>, String> {
+    let server = Serve::start(config(shards, co_workers), model());
     let handle = server.handle();
     let ids = create_all(&handle)?;
     let mut streams: Vec<Vec<StepResponse>> = vec![Vec::new(); SESSIONS];
@@ -120,7 +113,7 @@ fn run_once(
 /// into a fresh server at a different shard count and finish the
 /// episodes there.
 fn run_interrupted() -> Result<Vec<Vec<StepResponse>>, String> {
-    let server = Serve::start(config(1, 2, 4), model());
+    let server = Serve::start(config(1, 2), model());
     let handle = server.handle();
     let ids = create_all(&handle)?;
     let mut streams: Vec<Vec<StepResponse>> = vec![Vec::new(); SESSIONS];
@@ -137,7 +130,7 @@ fn run_interrupted() -> Result<Vec<Vec<StepResponse>>, String> {
     no_sheds(&handle, "pre-kill run")?;
     server.shutdown();
 
-    let server = Serve::start(config(4, 2, 4), model());
+    let server = Serve::start(config(4, 2), model());
     let handle = server.handle();
     for (i, bytes) in snapshots.iter().enumerate() {
         let restored = handle
@@ -157,11 +150,10 @@ fn run_interrupted() -> Result<Vec<Vec<StepResponse>>, String> {
 }
 
 fn run() -> Result<(), String> {
-    let serial = run_once(1, 1, 1)?;
+    let serial = run_once(1, 1)?;
     let variants = [
-        ("4 CO workers", run_once(1, 4, 1)?),
-        ("a batched CO drain", run_once(1, 1, 8)?),
-        ("4 engine shards", run_once(4, 2, 4)?),
+        ("4 CO workers", run_once(1, 4)?),
+        ("4 engine shards", run_once(4, 2)?),
         ("a kill-snapshot-restore cycle", run_interrupted()?),
     ];
     for (label, stream) in &variants {
@@ -187,7 +179,7 @@ fn run() -> Result<(), String> {
     }
     println!(
         "serve smoke ({} IL lane): {SESSIONS} sessions x {FRAMES} frames bit-identical \
-         across 1 vs 4 CO workers, co_batch 1 vs 8, 1 vs 4 shards, and a \
+         across 1 vs 4 CO workers, 1 vs 4 shards, and a \
          kill-snapshot-restore cycle at frame {KILL_AT}; zero sheds",
         IlPrecision::from_env().label()
     );

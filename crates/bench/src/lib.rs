@@ -128,15 +128,6 @@ pub struct PerfReport {
     /// f32 matmul throughput with the detected SIMD kernels (GFLOP/s).
     #[serde(default)]
     pub matmul_gflops_simd: f64,
-    /// Batched sparse LDLᵀ refactor microseconds per block at width 1.
-    #[serde(default)]
-    pub batch_refactor_us_k1: f64,
-    /// Batched sparse LDLᵀ refactor microseconds per block at width 4.
-    #[serde(default)]
-    pub batch_refactor_us_k4: f64,
-    /// Batched sparse LDLᵀ refactor microseconds per block at width 16.
-    #[serde(default)]
-    pub batch_refactor_us_k16: f64,
     /// Kernel dispatch target the microbenchmarks ran on (e.g.
     /// `"avx2+fma"` or `"scalar"`).
     #[serde(default)]
@@ -178,9 +169,6 @@ impl PerfReport {
         "solve_p99_us",
         "matmul_gflops_scalar",
         "matmul_gflops_simd",
-        "batch_refactor_us_k1",
-        "batch_refactor_us_k4",
-        "batch_refactor_us_k16",
     ];
 
     /// Clamps every non-finite float field to a finite value and records
@@ -210,9 +198,6 @@ impl PerfReport {
             &mut self.solve_p99_us,
             &mut self.matmul_gflops_scalar,
             &mut self.matmul_gflops_simd,
-            &mut self.batch_refactor_us_k1,
-            &mut self.batch_refactor_us_k4,
-            &mut self.batch_refactor_us_k16,
         ] {
             icoil_telemetry::sanitize_field(v, &mut flagged);
         }
@@ -816,9 +801,6 @@ mod tests {
             solve_p99_us: 550.0,
             matmul_gflops_scalar: 2.0,
             matmul_gflops_simd: 8.0,
-            batch_refactor_us_k1: 5.0,
-            batch_refactor_us_k4: 4.5,
-            batch_refactor_us_k16: 4.2,
             simd_dispatch: "avx2+fma".to_string(),
             kernel_best_of: 5,
             had_nonfinite: false,

@@ -1,10 +1,7 @@
 //! The per-frame CO controller: global path + MPC + action conversion.
 
 use crate::config::CoConfig;
-use crate::mpc::{
-    solve_mpc_batch, solve_mpc_warm, MpcBatchJob, MpcMemory, MpcMemorySnapshot, MpcSolution,
-    MpcStatus, RefState,
-};
+use crate::mpc::{solve_mpc_warm, MpcMemory, MpcMemorySnapshot, MpcSolution, MpcStatus, RefState};
 use crate::reference::{build_reference_at, PathWalker};
 use crate::tracker::{BoxTracker, MovingObstacle};
 use icoil_geom::Obb;
@@ -481,57 +478,6 @@ enum Prepared {
     },
 }
 
-/// Runs one control frame for several independent controllers, batching
-/// their MPC solves through [`solve_mpc_batch`].
-///
-/// Each `(controller, observation, boxes)` triple goes through the same
-/// prepare → solve → finish pipeline as [`CoController::control`]; only
-/// the inner QP solves are pooled, so outputs and controller states are
-/// bit-identical to calling `control` once per tuple. Controllers that
-/// resolve without a solve (planner failure, missing path) are passed
-/// through untouched.
-pub fn control_batch(jobs: &mut [(&mut CoController, &Observation, &[Obb])]) -> Vec<CoOutput> {
-    let prepared: Vec<Prepared> = jobs
-        .iter_mut()
-        .map(|(co, obs, boxes)| co.prepare(obs, boxes))
-        .collect();
-    // pool the solve jobs; memories borrow mutably, configs immutably
-    let mut mpc_jobs: Vec<MpcBatchJob<'_>> = Vec::new();
-    for ((co, _, _), prep) in jobs.iter_mut().zip(&prepared) {
-        if let Prepared::Solve {
-            state,
-            reference,
-            tracked,
-        } = prep
-        {
-            let co = &mut **co;
-            mpc_jobs.push(MpcBatchJob {
-                state,
-                reference,
-                obstacles: tracked,
-                params: &co.params,
-                config: &co.config,
-                memory: &mut co.memory,
-            });
-        }
-    }
-    let mut sols = solve_mpc_batch(mpc_jobs).into_iter();
-    jobs.iter_mut()
-        .zip(prepared)
-        .map(|((co, _, _), prep)| match prep {
-            Prepared::Early(out) => out,
-            Prepared::Solve {
-                state,
-                reference,
-                tracked,
-            } => {
-                let mpc = sols.next().expect("one solution per solve job");
-                co.finish_solve(state, reference, tracked, mpc)
-            }
-        })
-        .collect()
-}
-
 /// Recovery action when no path exists from the current pose: creep
 /// slowly away from the nearest obstacle (reverse when it is ahead,
 /// forward when it is behind), steering straight.
@@ -652,51 +598,6 @@ mod tests {
         world.set_ego(good_state);
         let recovered = co.control(&Observation::new(&world), &world.obstacle_footprints());
         assert!(!recovered.degraded, "healthy frame must recover");
-    }
-
-    #[test]
-    fn control_batch_is_bit_identical_to_sequential_control() {
-        // three sessions on different scenarios, stepped in lockstep for
-        // several frames: batched control must match per-session control
-        // exactly, frame by frame, including the carried controller state
-        let seeds = [2u64, 5, 9];
-        let mut seq: Vec<(World, CoController)> =
-            seeds.iter().map(|&s| setup(Difficulty::Easy, s)).collect();
-        let (mut bat_worlds, mut bat_cos): (Vec<World>, Vec<CoController>) =
-            seeds.iter().map(|&s| setup(Difficulty::Easy, s)).unzip();
-        for frame in 0..8 {
-            let seq_outs: Vec<CoOutput> = seq
-                .iter_mut()
-                .map(|(world, co)| {
-                    let boxes = world.obstacle_footprints();
-                    let out = co.control(&Observation::new(world), &boxes);
-                    world.step(&out.action);
-                    out
-                })
-                .collect();
-            let boxes: Vec<Vec<Obb>> =
-                bat_worlds.iter().map(|w| w.obstacle_footprints()).collect();
-            let obs: Vec<Observation> =
-                bat_worlds.iter().map(Observation::new).collect();
-            let mut jobs: Vec<(&mut CoController, &Observation, &[Obb])> = bat_cos
-                .iter_mut()
-                .zip(&obs)
-                .zip(&boxes)
-                .map(|((co, ob), bx)| (co, ob, bx.as_slice()))
-                .collect();
-            let bat_outs = control_batch(&mut jobs);
-            drop(jobs);
-            drop(obs);
-            for (world, out) in bat_worlds.iter_mut().zip(&bat_outs) {
-                world.step(&out.action);
-            }
-            for (i, (s, b)) in seq_outs.iter().zip(&bat_outs).enumerate() {
-                assert_eq!(s.action, b.action, "frame {frame} session {i}");
-                assert_eq!(s.mpc, b.mpc, "frame {frame} session {i}");
-                assert_eq!(s.emergency, b.emergency);
-                assert_eq!(s.degraded, b.degraded);
-            }
-        }
     }
 
     #[test]

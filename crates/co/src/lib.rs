@@ -41,9 +41,9 @@ pub mod reference;
 pub mod tracker;
 
 pub use config::CoConfig;
-pub use controller::{control_batch, CoController, CoOutput, CoSnapshot, SolveRecord};
+pub use controller::{CoController, CoOutput, CoSnapshot, SolveRecord};
 pub use mpc::{
-    build_mpc_qp, solve_mpc, solve_mpc_batch, solve_mpc_warm, MpcBatchJob, MpcMemory,
-    MpcMemorySnapshot, MpcSolution, MpcStatus, RefState, MPC_QP_MAX_ITERS, MPC_REPLAN_VIOLATION,
+    build_mpc_qp, solve_mpc, solve_mpc_warm, MpcMemory, MpcMemorySnapshot, MpcSolution,
+    MpcStatus, RefState, MPC_QP_MAX_ITERS, MPC_REPLAN_VIOLATION,
 };
 pub use tracker::{BoxTracker, MovingObstacle};

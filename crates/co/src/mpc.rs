@@ -24,8 +24,8 @@ use crate::config::CoConfig;
 use crate::tracker::MovingObstacle;
 use icoil_geom::Obb;
 use icoil_solver::{
-    solve_qp_batch, solve_qp_warm, Backend, QpBatchJob, QpDiagnostics, QpProblem, QpSettings,
-    QpSolution, QpStatus, QpWarmStart, QpWorkspace, QpWorkspaceSnapshot, TripletBuilder,
+    solve_qp_warm, Backend, QpDiagnostics, QpProblem, QpSettings, QpSolution, QpStatus,
+    QpWarmStart, QpWorkspace, QpWorkspaceSnapshot, TripletBuilder,
 };
 use icoil_vehicle::{VehicleParams, VehicleState};
 use serde::{Deserialize, Serialize};
@@ -281,150 +281,30 @@ pub fn solve_mpc_warm(
     memory: &mut MpcMemory,
 ) -> MpcSolution {
     let mut frame = ScpFrame::new(state, reference, obstacles, params, config, memory);
-    for _scp in 0..frame.pass_budget() {
-        if !frame.running() {
+    for _scp in 0..config.scp_iterations {
+        // a numerical failure leaves nothing worth another pass
+        if frame.status != MpcStatus::Ok {
             break;
         }
-        frame.solve_pass_solo();
+        // linearize around the nonlinear rollout of the current nominal
+        let nominal_s = rollout(&frame.s0, &frame.nominal_u, params, frame.dt);
+        let qp = assemble_qp(
+            &frame.nominal_u,
+            &nominal_s,
+            reference,
+            obstacles,
+            params,
+            config,
+        );
+        let mem = &mut *frame.memory;
+        let sol = solve_qp_warm(&qp, &frame.settings, mem.warm.as_ref(), &mut mem.workspace);
+        frame.absorb(sol);
     }
     frame.finish()
 }
 
-/// One MPC problem of a [`solve_mpc_batch`] call.
-pub struct MpcBatchJob<'a> {
-    /// Ego state of this frame.
-    pub state: &'a VehicleState,
-    /// Reference horizon (must be non-empty).
-    pub reference: &'a [RefState],
-    /// Tracked obstacles with velocity estimates.
-    pub obstacles: &'a [MovingObstacle],
-    /// Vehicle parameters.
-    pub params: &'a VehicleParams,
-    /// CO configuration (must be valid).
-    pub config: &'a CoConfig,
-    /// Warm-start memory carried across this session's frames.
-    pub memory: &'a mut MpcMemory,
-}
-
-/// Solves several independent MPC problems, batching the inner QP solves.
-///
-/// The SCP passes run in lockstep across the jobs: each pass, every live
-/// job linearizes around its own nominal and the resulting QPs are
-/// grouped by structure (dimensions, `P`/`A` sparsity pattern, backend).
-/// Groups of two or more solve as one block-diagonal program through the
-/// solver's [`QpBatch`](icoil_solver::QpBatch) — one symbolic phase, one
-/// numeric refactor pass, lockstep ADMM — while singletons take the
-/// sequential path. Horizons of equal length produced by the same config
-/// share their structure by construction, so a serve worker draining one
-/// deadline queue batches essentially every frame.
-///
-/// Every per-job computation is the sequential code ([`ScpFrame`] and the
-/// solver's batched-vs-sequential bit-equality contract), so the returned
-/// solutions and the final memory states are bit-identical to calling
-/// [`solve_mpc_warm`] once per job. The warm-start pathology fallback
-/// (cold re-solve) runs solo per job, exactly as sequentially.
-///
-/// # Panics
-///
-/// Panics when any job's reference is empty or its config is invalid.
-pub fn solve_mpc_batch(jobs: Vec<MpcBatchJob<'_>>) -> Vec<MpcSolution> {
-    let settings = QpSettings {
-        max_iters: MPC_QP_MAX_ITERS,
-        eps_abs: 3e-4,
-        ..QpSettings::default()
-    };
-    let mut frames: Vec<ScpFrame<'_>> = jobs
-        .into_iter()
-        .map(|j| ScpFrame::new(j.state, j.reference, j.obstacles, j.params, j.config, j.memory))
-        .collect();
-    let max_passes = frames.iter().map(|f| f.pass_budget()).max().unwrap_or(0);
-    for pass in 0..max_passes {
-        // each live frame linearizes around its own nominal
-        struct PassJob<'f> {
-            idx: usize,
-            qp: QpProblem,
-            warm: Option<&'f QpWarmStart>,
-            workspace: &'f mut QpWorkspace,
-        }
-        let mut pass_jobs: Vec<PassJob<'_>> = Vec::new();
-        for (idx, f) in frames.iter_mut().enumerate() {
-            if !f.running() || pass >= f.pass_budget() {
-                continue;
-            }
-            let qp = f.build_pass_qp();
-            let mem = &mut *f.memory;
-            pass_jobs.push(PassJob {
-                idx,
-                qp,
-                warm: mem.warm.as_ref(),
-                workspace: &mut mem.workspace,
-            });
-        }
-        // group by the structural compatibility QpBatch requires
-        let compatible = |a: &QpProblem, b: &QpProblem| {
-            a.num_vars() == b.num_vars()
-                && a.num_constraints() == b.num_constraints()
-                && a.p().same_pattern(b.p())
-                && a.a().same_pattern(b.a())
-                && a.backend() == b.backend()
-        };
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        for j in 0..pass_jobs.len() {
-            let pos = groups
-                .iter()
-                .position(|g| compatible(&pass_jobs[g[0]].qp, &pass_jobs[j].qp));
-            match pos {
-                Some(g) => groups[g].push(j),
-                None => groups.push(vec![j]),
-            }
-        }
-        let mut gid = vec![0usize; pass_jobs.len()];
-        for (g, members) in groups.iter().enumerate() {
-            for &j in members {
-                gid[j] = g;
-            }
-        }
-        let mut grouped: Vec<Vec<PassJob<'_>>> = (0..groups.len()).map(|_| Vec::new()).collect();
-        for (j, pj) in pass_jobs.into_iter().enumerate() {
-            grouped[gid[j]].push(pj);
-        }
-        // singletons take the sequential path; larger groups batch
-        let mut sols: Vec<(usize, QpSolution)> = Vec::new();
-        for mut group in grouped {
-            if group.len() == 1 {
-                let pj = group.pop().expect("non-empty group");
-                let sol = solve_qp_warm(&pj.qp, &settings, pj.warm, pj.workspace);
-                sols.push((pj.idx, sol));
-            } else {
-                let idxs: Vec<usize> = group.iter().map(|pj| pj.idx).collect();
-                let qjobs: Vec<QpBatchJob<'_>> = group
-                    .iter_mut()
-                    .map(|pj| QpBatchJob {
-                        problem: &pj.qp,
-                        warm: pj.warm,
-                        workspace: &mut *pj.workspace,
-                    })
-                    .collect();
-                let group_sols =
-                    solve_qp_batch(qjobs, &settings).expect("grouped QPs share their structure");
-                sols.extend(idxs.into_iter().zip(group_sols));
-            }
-        }
-        for (idx, sol) in sols {
-            frames[idx].absorb(sol);
-        }
-    }
-    frames.into_iter().map(|f| f.finish()).collect()
-}
-
-/// The per-frame SCP state shared by the sequential and batched solvers.
-///
-/// [`solve_mpc_warm`] drives one frame through
-/// `new → (build_pass_qp → solve → absorb)* → finish`;
-/// [`solve_mpc_batch`] drives many frames through the *same* methods in
-/// lockstep, handing each pass's QPs to the batched solver. Both paths
-/// run identical per-frame arithmetic, which is what makes the batch
-/// bit-identical to sequential solves.
+/// The per-frame SCP state of [`solve_mpc_warm`], which drives one frame
+/// through `new → (linearize → solve → absorb)* → finish`.
 struct ScpFrame<'a> {
     state: &'a VehicleState,
     reference: &'a [RefState],
@@ -502,38 +382,6 @@ impl<'a> ScpFrame<'a> {
         }
     }
 
-    /// Configured number of SCP passes.
-    fn pass_budget(&self) -> usize {
-        self.config.scp_iterations
-    }
-
-    /// Whether further passes are useful (no numerical failure yet).
-    fn running(&self) -> bool {
-        self.status == MpcStatus::Ok
-    }
-
-    /// The linearized QP of the next pass: nonlinear nominal rollout,
-    /// then one QP assembled around it.
-    fn build_pass_qp(&self) -> QpProblem {
-        let nominal_s = rollout(&self.s0, &self.nominal_u, self.params, self.dt);
-        assemble_qp(
-            &self.nominal_u,
-            &nominal_s,
-            self.reference,
-            self.obstacles,
-            self.params,
-            self.config,
-        )
-    }
-
-    /// Builds, solves and absorbs one pass through the sequential QP path.
-    fn solve_pass_solo(&mut self) {
-        let qp = self.build_pass_qp();
-        let mem = &mut *self.memory;
-        let sol = solve_qp_warm(&qp, &self.settings, mem.warm.as_ref(), &mut mem.workspace);
-        self.absorb(sol);
-    }
-
     /// Folds one pass's QP solution into the frame: nominal update, warm
     /// iterate, accounting, and the numerical-failure bail-out.
     fn absorb(&mut self, sol: QpSolution) {
@@ -565,7 +413,7 @@ impl<'a> ScpFrame<'a> {
     }
 
     /// Final rollout, cost/violation accounting, and the warm-start
-    /// pathology fallback (solo cold re-solve when warranted).
+    /// pathology fallback (a cold re-solve when warranted).
     fn finish(self) -> MpcSolution {
         let ScpFrame {
             state,
@@ -1314,120 +1162,6 @@ mod tests {
         let sol = solve_mpc(&state, &reference, &[], &params, &config);
         assert_eq!(sol.status, MpcStatus::NumericalError);
         assert!(sol.controls.iter().flatten().all(|v| *v == 0.0));
-    }
-
-    #[test]
-    fn batched_solves_are_bit_identical_to_sequential() {
-        // four sessions at distinct states tracking shifted references:
-        // same config → same QP structure → one batched group per pass
-        let params = VehicleParams::default();
-        let config = CoConfig::default();
-        let dt = config.mpc_dt;
-        let states: Vec<VehicleState> = (0..4)
-            .map(|i| {
-                VehicleState::new(
-                    Pose2::new(0.3 * i as f64, 0.1 * i as f64, 0.05 * i as f64),
-                    0.4 + 0.2 * i as f64,
-                )
-            })
-            .collect();
-        let refs: Vec<Vec<RefState>> = states
-            .iter()
-            .map(|s| {
-                (1..=config.horizon)
-                    .map(|i| RefState {
-                        x: s.pose.x + 1.5 * dt * i as f64,
-                        y: s.pose.y,
-                        theta: s.pose.theta,
-                        v: 1.5,
-                    })
-                    .collect()
-            })
-            .collect();
-
-        let mut seq_mem: Vec<MpcMemory> = (0..4).map(|_| MpcMemory::new()).collect();
-        let mut bat_mem: Vec<MpcMemory> = (0..4).map(|_| MpcMemory::new()).collect();
-        // two rounds: cold, then warm with carried memories
-        for round in 0..2 {
-            let seq: Vec<MpcSolution> = states
-                .iter()
-                .zip(&refs)
-                .zip(&mut seq_mem)
-                .map(|((s, r), mem)| solve_mpc_warm(s, r, &[], &params, &config, mem))
-                .collect();
-            let jobs: Vec<MpcBatchJob<'_>> = states
-                .iter()
-                .zip(&refs)
-                .zip(&mut bat_mem)
-                .map(|((s, r), mem)| MpcBatchJob {
-                    state: s,
-                    reference: r,
-                    obstacles: &[],
-                    params: &params,
-                    config: &config,
-                    memory: mem,
-                })
-                .collect();
-            let bat = solve_mpc_batch(jobs);
-            assert_eq!(seq, bat, "round {round}");
-        }
-        for (s, b) in seq_mem.iter().zip(&bat_mem) {
-            assert_eq!(s.is_warm(), b.is_warm());
-            assert_eq!(s.controls, b.controls);
-        }
-    }
-
-    #[test]
-    fn batch_width_one_equals_solo_solve() {
-        let params = VehicleParams::default();
-        let config = CoConfig::default();
-        let state = VehicleState::new(Pose2::default(), 0.5);
-        let reference = straight_reference(config.horizon, 1.5, config.mpc_dt);
-        let mut m1 = MpcMemory::new();
-        let mut m2 = MpcMemory::new();
-        let solo = solve_mpc_warm(&state, &reference, &[], &params, &config, &mut m1);
-        let batched = solve_mpc_batch(vec![MpcBatchJob {
-            state: &state,
-            reference: &reference,
-            obstacles: &[],
-            params: &params,
-            config: &config,
-            memory: &mut m2,
-        }])
-        .remove(0);
-        assert_eq!(solo, batched);
-    }
-
-    #[test]
-    fn batch_isolates_a_poisoned_session() {
-        // one NaN-poisoned job must fail alone without corrupting its
-        // batchmates, each of which must match its sequential solve
-        let params = VehicleParams::default();
-        let config = CoConfig::default();
-        let good = VehicleState::new(Pose2::default(), 1.0);
-        let bad = VehicleState::new(Pose2::new(f64::NAN, 0.0, 0.0), 1.0);
-        let reference = straight_reference(config.horizon, 1.5, config.mpc_dt);
-        let mut mems: Vec<MpcMemory> = (0..3).map(|_| MpcMemory::new()).collect();
-        let states = [&good, &bad, &good];
-        let jobs: Vec<MpcBatchJob<'_>> = states
-            .iter()
-            .zip(&mut mems)
-            .map(|(s, mem)| MpcBatchJob {
-                state: s,
-                reference: &reference,
-                obstacles: &[],
-                params: &params,
-                config: &config,
-                memory: mem,
-            })
-            .collect();
-        let sols = solve_mpc_batch(jobs);
-        assert_eq!(sols[1].status, MpcStatus::NumericalError);
-        assert!(sols[1].controls.iter().flatten().all(|v| *v == 0.0));
-        let solo = solve_mpc(&good, &reference, &[], &params, &config);
-        assert_eq!(sols[0], solo);
-        assert_eq!(sols[2], solo);
-        assert!(!mems[1].is_warm(), "failed job resets its memory");
     }
 
     #[test]

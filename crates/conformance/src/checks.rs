@@ -15,8 +15,8 @@ use icoil_il::IlModel;
 use icoil_nn::Tensor;
 use icoil_perception::Perception;
 use icoil_solver::{
-    solve_qp, solve_qp_batch, solve_qp_warm, Backend, Mat, QpBatchJob, QpProblem, QpSettings,
-    QpStatus, QpWarmStart, QpWorkspace,
+    solve_qp, solve_qp_warm, Backend, Mat, QpProblem, QpSettings, QpStatus, QpWarmStart,
+    QpWorkspace,
 };
 use icoil_vehicle::ActionCodec;
 use icoil_world::episode::{run_episode, EpisodeConfig, Observation, Policy};
@@ -48,8 +48,6 @@ pub enum CheckKind {
     /// SIMD kernel dispatch vs the scalar reference on recorded solver
     /// inputs (bitwise) and real IL frames (within tolerance).
     SimdScalarKernels,
-    /// Block-diagonal batched QP solves vs sequential solves, bitwise.
-    BatchedSingleQp,
     /// Serving checkpoint/restore: a session evicted mid-episode and
     /// restored — in-process and into fresh engines at different shard
     /// counts — must replay the remaining trajectory bitwise.
@@ -79,7 +77,7 @@ pub enum CheckKind {
 
 impl CheckKind {
     /// Every real check (the canary is opt-in via `--inject`).
-    pub const ALL: [CheckKind; 15] = [
+    pub const ALL: [CheckKind; 14] = [
         CheckKind::WarmColdMpc,
         CheckKind::QpWarmCold,
         CheckKind::Parallelism,
@@ -90,7 +88,6 @@ impl CheckKind {
         CheckKind::DenseSparseQp,
         CheckKind::BatchedSingleIl,
         CheckKind::SimdScalarKernels,
-        CheckKind::BatchedSingleQp,
         CheckKind::CheckpointRestoreReplay,
         CheckKind::QuantizedIl,
         CheckKind::FamilyDeterminism,
@@ -110,7 +107,6 @@ impl CheckKind {
             CheckKind::DenseSparseQp => "dense_sparse_qp",
             CheckKind::BatchedSingleIl => "batched_single_il",
             CheckKind::SimdScalarKernels => "simd_scalar_kernels",
-            CheckKind::BatchedSingleQp => "batched_single_qp",
             CheckKind::CheckpointRestoreReplay => "checkpoint_restore_replay",
             CheckKind::QuantizedIl => "quantized_il",
             CheckKind::FamilyDeterminism => "family_determinism",
@@ -210,7 +206,6 @@ pub fn run_check(
         CheckKind::DenseSparseQp => check_dense_sparse_qp(spec, settings),
         CheckKind::BatchedSingleIl => check_batched_single_il(spec),
         CheckKind::SimdScalarKernels => check_simd_scalar_kernels(spec, settings),
-        CheckKind::BatchedSingleQp => check_batched_single_qp(spec),
         CheckKind::CheckpointRestoreReplay => check_checkpoint_restore_replay(spec, settings),
         CheckKind::QuantizedIl => check_quantized_il(spec, settings),
         CheckKind::FamilyDeterminism => check_family_determinism(spec, settings),
@@ -810,105 +805,6 @@ fn check_simd_scalar_kernels(spec: &ProcScenario, settings: &CheckSettings) -> R
     Ok(())
 }
 
-/// Generates families of same-pattern strictly convex QPs (shared `P`
-/// and `A`, per-member `q` perturbation and an equal shift of `l`/`u`)
-/// and solves each family both as one block-diagonal batch
-/// ([`solve_qp_batch`]) and as sequential [`solve_qp_warm`] calls — at
-/// widths 1, 2, 7 and 16, cold and then warm-started from the cold
-/// optima — demanding bitwise agreement on every solution field. This is
-/// the CO-lane twin of [`check_batched_single_il`]: the serving engine's
-/// determinism contract needs batch composition to never leak into any
-/// session's solve.
-fn check_batched_single_qp(spec: &ProcScenario) -> Result<(), String> {
-    let mut rng = SmallRng::seed_from_u64(spec.seed.wrapping_mul(0xD1B54A32D192ED03));
-    let n = 8;
-    let m = n + 4;
-    let qp_settings = QpSettings::default();
-    for &width in &[1usize, 2, 7, 16] {
-        // one shared structure per family: P = MᵀM + 0.1 I, dense A
-        let mut mdata = vec![0.0; n * n];
-        for v in mdata.iter_mut() {
-            *v = rng.gen_range(-1.0..1.0);
-        }
-        let mut p = Mat::from_vec(n, n, mdata).gram();
-        for i in 0..n {
-            *p.at_mut(i, i) += 0.1;
-        }
-        let mut adata = vec![0.0; m * n];
-        for v in adata.iter_mut() {
-            *v = rng.gen_range(-1.0..1.0);
-        }
-        let a = Mat::from_vec(m, n, adata);
-        let base_l: Vec<f64> = (0..m).map(|_| rng.gen_range(-2.0..0.0)).collect();
-        let base_u: Vec<f64> = base_l.iter().map(|lo| lo + rng.gen_range(0.5..3.0)).collect();
-
-        let problems: Vec<QpProblem> = (0..width)
-            .map(|_| {
-                let q: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-                // shifting l and u by the same offset keeps the interval
-                // width (and the pattern) while moving the active set
-                let shift = rng.gen_range(-0.5..0.5);
-                let l: Vec<f64> = base_l.iter().map(|v| v + shift).collect();
-                let u: Vec<f64> = base_u.iter().map(|v| v + shift).collect();
-                QpProblem::new(p.clone(), q, a.clone(), l, u).expect("consistent random QP")
-            })
-            .collect();
-
-        let mut seq_ws: Vec<QpWorkspace> = (0..width).map(|_| QpWorkspace::new()).collect();
-        let mut bat_ws: Vec<QpWorkspace> = (0..width).map(|_| QpWorkspace::new()).collect();
-        let mut warm: Vec<Option<QpWarmStart>> = vec![None; width];
-        for round in 0..2 {
-            let sequential: Vec<_> = problems
-                .iter()
-                .zip(seq_ws.iter_mut())
-                .zip(&warm)
-                .map(|((prob, ws), w)| solve_qp_warm(prob, &qp_settings, w.as_ref(), ws))
-                .collect();
-            let jobs: Vec<QpBatchJob<'_>> = problems
-                .iter()
-                .zip(bat_ws.iter_mut())
-                .zip(&warm)
-                .map(|((prob, ws), w)| QpBatchJob {
-                    problem: prob,
-                    warm: w.as_ref(),
-                    workspace: ws,
-                })
-                .collect();
-            let batched = solve_qp_batch(jobs, &qp_settings)
-                .map_err(|e| format!("width {width} round {round}: batch rejected: {e}"))?;
-            for (block, (s, b)) in sequential.iter().zip(&batched).enumerate() {
-                if s.x != b.x
-                    || s.y != b.y
-                    || s.status != b.status
-                    || s.iterations != b.iterations
-                    || s.primal_residual != b.primal_residual
-                    || s.dual_residual != b.dual_residual
-                {
-                    return Err(format!(
-                        "width {width} round {round} block {block}: batched solve diverged \
-                         from sequential (status {:?}/{:?}, iters {}/{}, primal \
-                         {:.17e}/{:.17e}, dual {:.17e}/{:.17e})",
-                        s.status,
-                        b.status,
-                        s.iterations,
-                        b.iterations,
-                        s.primal_residual,
-                        b.primal_residual,
-                        s.dual_residual,
-                        b.dual_residual
-                    ));
-                }
-            }
-            // round 2 exercises the warm path and the cached factors
-            warm = sequential
-                .iter()
-                .map(|s| Some(QpWarmStart::from_solution(s)))
-                .collect();
-        }
-    }
-    Ok(())
-}
-
 /// Frame-by-frame bitwise comparison of two served response streams,
 /// ignoring only the session id field (a restored-into-a-fresh-engine
 /// twin legitimately reuses the original id, but a from-scratch twin
@@ -1470,7 +1366,6 @@ mod tests {
             assert_eq!(check_qp_warm_cold(&spec, &CheckSettings::default()), Ok(()));
             assert_eq!(check_inference(&spec), Ok(()));
             assert_eq!(check_batched_single_il(&spec), Ok(()));
-            assert_eq!(check_batched_single_qp(&spec), Ok(()));
             assert_eq!(check_hsa_window(&spec), Ok(()));
             assert_eq!(check_hsa_guard(&spec), Ok(()));
         }
@@ -1559,7 +1454,6 @@ mod tests {
                 "dense_sparse_qp",
                 "batched_single_il",
                 "simd_scalar_kernels",
-                "batched_single_qp",
                 "checkpoint_restore_replay",
                 "quantized_il",
                 "family_determinism",

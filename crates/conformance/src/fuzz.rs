@@ -43,7 +43,6 @@ fn stride(kind: CheckKind, smoke: bool) -> usize {
         CheckKind::QpWarmCold
         | CheckKind::Inference
         | CheckKind::BatchedSingleIl
-        | CheckKind::BatchedSingleQp
         | CheckKind::HsaWindow
         | CheckKind::HsaGuard
         | CheckKind::InjectedCanary => 1,

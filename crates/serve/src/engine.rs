@@ -176,116 +176,52 @@ impl Lane {
         }
     }
 
-    /// Takes the next job if one is queued, never blocking — how a
-    /// worker tops up its batch after the blocking first pop.
-    fn try_pop(&self) -> Option<Box<CoJob>> {
-        self.state
-            .lock()
-            .expect("lane lock")
-            .queue
-            .pop()
-            .map(|(_, job)| job)
-    }
-
     fn close(&self) {
         self.state.lock().expect("lane lock").closed = true;
         self.ready.notify_all();
     }
 }
 
-/// A CO worker: drains up to `co_batch` earliest-deadline jobs, sheds
-/// the expired ones, solves the rest as one block-diagonal batched
-/// program, then replies to each client and mails each session back to
-/// its home shard. The batched solve is bit-identical per session to a
-/// solo solve, so batch composition — which may mix sessions from
-/// different shards — never changes a trajectory. A panic inside the
-/// batched solve falls back to per-job solo solves (each itself
-/// panic-caught and degraded to the full-brake response), so one
-/// poisoned scenario cannot take its batchmates — let alone the
-/// server — down.
-fn worker_loop(lane: Arc<Lane>, co_batch: usize) {
-    while let Some(first) = lane.pop_blocking() {
-        // top up the batch without blocking: under load this packs the
-        // deadline queue's head into one shared factorization pass,
-        // while an idle lane degrades to job-at-a-time service
-        let mut jobs: Vec<Box<CoJob>> = vec![first];
-        while jobs.len() < co_batch.max(1) {
-            match lane.try_pop() {
-                Some(job) => jobs.push(job),
-                None => break,
-            }
-        }
-        // shed decisions first, at the same point a solo worker would
-        // make them: an expired job never consumes solve budget
-        let mut outs: Vec<Option<(CoOutput, bool)>> = jobs
-            .iter()
-            .map(|job| {
-                (Instant::now() > job.deadline).then(|| (CoOutput::degraded_brake(), true))
-            })
-            .collect();
-        let live: Vec<usize> = (0..jobs.len()).filter(|&i| outs[i].is_none()).collect();
-        if !live.is_empty() {
-            let mut batch_jobs: Vec<(&mut Session, &Sensing)> = jobs
-                .iter_mut()
-                .zip(&outs)
-                .filter(|(_, out)| out.is_none())
-                .map(|(job, _)| {
-                    let job = &mut **job;
-                    (&mut *job.session, &job.sensing)
-                })
-                .collect();
-            let solved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                crate::session::solve_co_batch(&mut batch_jobs)
-            }));
-            drop(batch_jobs);
-            match solved {
-                Ok(results) => {
-                    for (&i, out) in live.iter().zip(results) {
-                        outs[i] = Some((out, false));
-                    }
-                }
-                Err(_) => {
-                    // a panic mid-batch leaves no way to tell the healthy
-                    // jobs from the poisoned one: re-solve each alone,
-                    // catching (and degrading) the one that panics again
-                    for &i in &live {
-                        let job = &mut *jobs[i];
-                        let solved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            job.session.solve_co(&job.sensing)
-                        }));
-                        outs[i] = Some(match solved {
-                            Ok(out) => (out, false),
-                            Err(_) => (CoOutput::degraded_brake(), false),
-                        });
-                    }
-                }
-            }
-        }
-        for (job, out) in jobs.into_iter().zip(outs) {
-            let CoJob {
-                mut session,
-                hsa,
-                reply,
-                t0,
-                home,
-                ..
-            } = *job;
-            let (out, shed) = out.expect("every drained job resolves");
-            let resp = session.advance(out.action, &hsa, Some(&out), shed);
-            let latency_s = t0.elapsed().as_secs_f64();
-            // mail the session home BEFORE replying: commands and CoDone
-            // share the shard's FIFO channel, so a client that has seen
-            // this reply is guaranteed the shard settles this frame's
-            // bookkeeping (shed counters, in-flight state) before
-            // processing any command the client sends afterwards — e.g.
-            // a metrics or snapshot request
-            let _ = home.send(Command::CoDone {
-                session,
-                latency_s,
-                shed,
-            });
-            let _ = reply.send(Ok(resp));
-        }
+/// A CO worker: pops the earliest-deadline job, sheds it if its deadline
+/// has passed and otherwise solves it on the session's own state, then
+/// replies to the client and mails the session back to its home shard.
+/// Each job is solved alone, so an idle worker takes the next queued job
+/// as soon as it frees up. A panic inside the solve degrades that frame
+/// to the full-brake response, so one poisoned scenario cannot take the
+/// worker — let alone the server — down.
+fn worker_loop(lane: Arc<Lane>) {
+    while let Some(job) = lane.pop_blocking() {
+        let CoJob {
+            mut session,
+            sensing,
+            hsa,
+            reply,
+            t0,
+            deadline,
+            home,
+        } = *job;
+        // an expired job never consumes solve budget
+        let shed = Instant::now() > deadline;
+        let out = if shed {
+            CoOutput::degraded_brake()
+        } else {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.solve_co(&sensing)))
+                .unwrap_or_else(|_| CoOutput::degraded_brake())
+        };
+        let resp = session.advance(out.action, &hsa, Some(&out), shed);
+        let latency_s = t0.elapsed().as_secs_f64();
+        // mail the session home BEFORE replying: commands and CoDone
+        // share the shard's FIFO channel, so a client that has seen
+        // this reply is guaranteed the shard settles this frame's
+        // bookkeeping (shed counters, in-flight state) before
+        // processing any command the client sends afterwards — e.g.
+        // a metrics or snapshot request
+        let _ = home.send(Command::CoDone {
+            session,
+            latency_s,
+            shed,
+        });
+        let _ = reply.send(Ok(resp));
     }
 }
 
@@ -759,13 +695,12 @@ impl Serve {
     /// Panics when a thread cannot be spawned.
     pub fn start_with_store(config: ServeConfig, store: Arc<WeightStore>) -> Serve {
         let lane = Arc::new(Lane::new(config.queue_capacity));
-        let co_batch = config.co_batch;
         let workers = (0..config.co_workers.max(1))
             .map(|i| {
                 let lane = Arc::clone(&lane);
                 std::thread::Builder::new()
                     .name(format!("icoil-co-{i}"))
-                    .spawn(move || worker_loop(lane, co_batch))
+                    .spawn(move || worker_loop(lane))
                     .expect("spawn CO lane worker")
             })
             .collect();

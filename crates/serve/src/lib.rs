@@ -31,11 +31,9 @@
 //! * **Deadline-aware CO lane** — sessions whose HSA decision is CO
 //!   mode are handed (state and all) to a worker pool draining a
 //!   bounded [`DeadlineQueue`] in earliest-deadline order. A worker
-//!   drains up to [`ServeConfig::co_batch`] queued jobs at once and
-//!   solves them as one block-diagonal batched program
-//!   ([`icoil_co::solve_mpc_batch`] over the solver's `QpBatch`) —
-//!   one symbolic factorization phase and one numeric refactor pass
-//!   shared across same-structure frames. A full queue or an expired
+//!   takes one job at a time and solves it on that session's own state
+//!   ([`icoil_co::CoController::control`]), so the next queued job goes
+//!   to whichever worker frees up first. A full queue or an expired
 //!   deadline sheds the request with the existing
 //!   [`icoil_co::CoOutput::degraded_brake`] full-brake response — the
 //!   lane never blocks the engine and never panics under overload.
@@ -46,16 +44,13 @@
 //! Determinism contract: a session's trajectory is a pure function of
 //! its own `(difficulty, seed)` as long as none of its frames are shed
 //! — batch composition cannot change IL rows (bit-identical batching),
-//! each CO solve runs on session-local state wherever the worker
-//! happens to be scheduled, and the batched CO solve is bit-identical
-//! per block to solo solves (the solver's batched-vs-sequential
-//! contract), so *who shares a worker's drain* cannot change a
-//! session's trajectory either. Sharding adds nothing to this list —
+//! and each CO solve runs alone on session-local state wherever the
+//! worker happens to be scheduled. Sharding adds nothing to this list —
 //! shards share no per-session state — and checkpoint/restore removes
 //! nothing: a snapshot carries every bit of episode state the next
 //! frame reads. `scripts/check.sh` holds the server to that standard
-//! across worker counts, batch widths, shard counts and a
-//! kill-snapshot-restore cycle.
+//! across worker counts, shard counts and a kill-snapshot-restore
+//! cycle.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -69,7 +64,7 @@ mod shard;
 mod snapshot;
 
 pub use engine::{Serve, ServeHandle};
-pub use net::run_server;
+pub use net::{run_server, MAX_REQUEST_LINE};
 pub use proto::{Request, Response};
 pub use queue::DeadlineQueue;
 pub use session::{
@@ -104,11 +99,6 @@ pub struct ServeConfig {
     /// Per-request CO deadline: a queued request still unserved past it
     /// is shed by the worker that pops it.
     pub co_deadline: Duration,
-    /// Most queued CO jobs one worker drains into a single batched
-    /// solve. `1` reproduces job-at-a-time behaviour exactly; larger
-    /// values amortize factorization work across same-structure frames
-    /// under load without changing any session's trajectory.
-    pub co_batch: usize,
     /// Most step requests drained into one IL micro-batch.
     pub max_batch: usize,
     /// Most concurrently live sessions; creation beyond it is refused.
@@ -129,7 +119,6 @@ impl Default for ServeConfig {
             co_workers: 2,
             queue_capacity: 64,
             co_deadline: Duration::from_millis(250),
-            co_batch: 4,
             max_batch: 32,
             max_sessions: 256,
             max_time: 60.0,

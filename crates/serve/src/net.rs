@@ -4,15 +4,27 @@
 
 use crate::proto::{Request, Response};
 use crate::ServeHandle;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
+
+/// Longest request line the front end reads, its `\n` excluded (1 MiB).
+///
+/// The longest legitimate request is a `restore`, whose snapshot travels
+/// as hex at two characters per byte. The largest snapshot the serve
+/// tests produce is 18,994 bytes, a 37,988-character hex string inside a
+/// short JSON object, so the cap leaves about 27× headroom for longer
+/// episodes and bigger scenarios while bounding what one connection can
+/// make the server buffer.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// Serves NDJSON requests on `listener` until the engine shuts down.
 ///
 /// Each accepted connection gets its own thread reading one request per
 /// line and writing one response per line. A malformed line yields a
-/// failure response (the connection survives); the loop ends when the
-/// client disconnects or the engine goes away.
+/// failure response (the connection survives); a line longer than
+/// [`MAX_REQUEST_LINE`] yields a failure response and closes that
+/// connection. The loop ends when the client disconnects or the engine
+/// goes away.
 ///
 /// # Errors
 ///
@@ -29,25 +41,51 @@ pub fn run_server(listener: TcpListener, handle: ServeHandle) -> std::io::Result
 }
 
 fn serve_connection(stream: TcpStream, handle: ServeHandle) {
-    let reader = match stream.try_clone() {
+    let mut reader = match stream.try_clone() {
         Ok(read_half) => BufReader::new(read_half),
         Err(_) => return,
     };
     let mut writer = stream;
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        // one byte past the cap is enough to tell an over-long line
+        let limit = MAX_REQUEST_LINE as u64 + 1;
+        match reader.by_ref().take(limit).read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
         }
-        let response = handle_line(&line, &handle);
-        let Ok(mut encoded) = serde_json::to_string(&response) else {
+        if line.last() == Some(&b'\n') {
+            line.pop();
+        }
+        if line.len() > MAX_REQUEST_LINE {
+            let refusal =
+                Response::failure(format!("request line exceeds {MAX_REQUEST_LINE} bytes"));
+            // returning drops both halves, which closes the connection
+            let _ = send(&mut writer, &refusal);
+            break;
+        }
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+        let Ok(text) = std::str::from_utf8(&line) else {
             break;
         };
-        encoded.push('\n');
-        if writer.write_all(encoded.as_bytes()).is_err() || writer.flush().is_err() {
+        if text.trim().is_empty() {
+            continue;
+        }
+        if send(&mut writer, &handle_line(text, &handle)).is_err() {
             break;
         }
     }
+}
+
+/// Writes one response line.
+fn send(writer: &mut TcpStream, response: &Response) -> std::io::Result<()> {
+    let mut encoded = serde_json::to_string(response).map_err(std::io::Error::other)?;
+    encoded.push('\n');
+    writer.write_all(encoded.as_bytes())?;
+    writer.flush()
 }
 
 /// Dispatches one request line; pure with respect to the connection, so

@@ -138,27 +138,6 @@ pub struct StepResponse {
     pub weight_version: u32,
 }
 
-/// The CO leg for several sessions at once: pools their MPC solves
-/// through [`icoil_co::control_batch`], which hands same-structure QPs
-/// to the solver's block-diagonal batched path. Each session's outcome
-/// — output, controller state, warm-start memory — is bit-identical to
-/// calling [`Session::solve_co`] on it alone; only factorization work
-/// is shared. Results are in job order.
-pub(crate) fn solve_co_batch(jobs: &mut [(&mut Session, &Sensing)]) -> Vec<CoOutput> {
-    let mut parts: Vec<(&mut CoController, Observation<'_>, &[icoil_geom::Obb])> = jobs
-        .iter_mut()
-        .map(|(session, sensing)| {
-            let s = &mut **session;
-            (&mut s.co, Observation::new(&s.world), sensing.boxes.as_slice())
-        })
-        .collect();
-    let mut co_jobs: Vec<(&mut CoController, &Observation, &[icoil_geom::Obb])> = parts
-        .iter_mut()
-        .map(|(co, obs, boxes)| (&mut **co, &*obs, *boxes))
-        .collect();
-    icoil_co::control_batch(&mut co_jobs)
-}
-
 /// The complete serializable state of a live session — everything
 /// needed to resume it bit-identically on any shard or a fresh process.
 ///

@@ -5,6 +5,7 @@ use icoil_il::{IlModel, IlPrecision};
 use icoil_perception::BevConfig;
 use icoil_serve::{
     Request, Response, Serve, ServeConfig, ServeError, SessionConfig, ShardRouter, StepResponse,
+    MAX_REQUEST_LINE,
 };
 use icoil_telemetry::{Counter, Series};
 use icoil_vehicle::ActionCodec;
@@ -21,27 +22,20 @@ fn test_model() -> IlModel {
 
 /// Runs `sessions` episodes for `frames` frames each through one server
 /// and returns every session's full response stream.
-fn run_once(
-    co_workers: usize,
-    co_batch: usize,
-    sessions: usize,
-    frames: usize,
-) -> (Vec<Vec<StepResponse>>, u64) {
-    run_sharded(1, co_workers, co_batch, sessions, frames)
+fn run_once(co_workers: usize, sessions: usize, frames: usize) -> (Vec<Vec<StepResponse>>, u64) {
+    run_sharded(1, co_workers, sessions, frames)
 }
 
 /// [`run_once`] with an explicit shard count.
 fn run_sharded(
     shards: usize,
     co_workers: usize,
-    co_batch: usize,
     sessions: usize,
     frames: usize,
 ) -> (Vec<Vec<StepResponse>>, u64) {
     let config = ServeConfig {
         shards,
         co_workers,
-        co_batch,
         // generous deadline and queue: zero sheds, so trajectories are
         // the pure function of (difficulty, seed) the contract promises
         co_deadline: Duration::from_secs(30),
@@ -76,8 +70,8 @@ fn run_sharded(
 
 #[test]
 fn trajectories_are_identical_across_worker_counts() {
-    let (serial, shed_serial) = run_once(1, 4, 3, 20);
-    let (parallel, shed_parallel) = run_once(4, 4, 3, 20);
+    let (serial, shed_serial) = run_once(1, 3, 20);
+    let (parallel, shed_parallel) = run_once(4, 3, 20);
     assert_eq!(shed_serial, 0, "low load must not shed");
     assert_eq!(shed_parallel, 0, "low load must not shed");
     // StepResponse is PartialEq over every f64 it carries: this is a
@@ -89,24 +83,9 @@ fn trajectories_are_identical_across_worker_counts() {
 }
 
 #[test]
-fn trajectories_are_identical_across_batch_widths() {
-    // one worker so every queued job funnels through the same drain loop:
-    // co_batch=1 is the job-at-a-time baseline, wider drains pool frames
-    // into block-diagonal batched solves
-    let (solo, shed_solo) = run_once(1, 1, 4, 15);
-    let (batched, shed_batched) = run_once(1, 8, 4, 15);
-    assert_eq!(shed_solo, 0, "low load must not shed");
-    assert_eq!(shed_batched, 0, "low load must not shed");
-    assert_eq!(
-        solo, batched,
-        "batched CO solves must be bit-identical to job-at-a-time solves"
-    );
-}
-
-#[test]
 fn trajectories_are_identical_across_shard_counts() {
-    let (one, shed_one) = run_sharded(1, 2, 4, 4, 15);
-    let (four, shed_four) = run_sharded(4, 2, 4, 4, 15);
+    let (one, shed_one) = run_sharded(1, 2, 4, 15);
+    let (four, shed_four) = run_sharded(4, 2, 4, 15);
     assert_eq!(shed_one, 0, "low load must not shed");
     assert_eq!(shed_four, 0, "low load must not shed");
     assert_eq!(
@@ -557,6 +536,52 @@ fn tcp_front_end_round_trips() {
     });
     assert!(!malformed_reply.ok, "unknown op must fail, not kill the connection");
 
+    server.shutdown();
+}
+
+#[test]
+fn over_long_request_line_is_refused_without_stopping_the_server() {
+    let server = Serve::start(ServeConfig::default(), test_model());
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let handle = server.handle();
+    std::thread::spawn(move || {
+        let _ = icoil_serve::run_server(listener, handle);
+    });
+
+    // one byte past the cap, then the newline
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut writer = stream;
+    let mut line = vec![b'x'; MAX_REQUEST_LINE + 1];
+    line.push(b'\n');
+    // the server stops reading at the cap, so the tail may go unread
+    let _ = writer.write_all(&line);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("recv refusal");
+    let refused: Response = serde_json::from_str(&reply).expect("decode refusal");
+    assert!(!refused.ok, "an over-long line must be refused");
+    assert_eq!(
+        refused.error.as_deref(),
+        Some(&*format!("request line exceeds {MAX_REQUEST_LINE} bytes"))
+    );
+    reply.clear();
+    assert!(
+        matches!(reader.read_line(&mut reply), Ok(0) | Err(_)),
+        "the refused connection must be closed, got {reply:?}"
+    );
+
+    // a second connection is served as usual
+    let stream = TcpStream::connect(addr).expect("connect again");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut writer = stream;
+    let mut request = serde_json::to_string(&Request::create(Difficulty::Easy, 7)).expect("encode");
+    request.push('\n');
+    writer.write_all(request.as_bytes()).expect("send");
+    reply.clear();
+    reader.read_line(&mut reply).expect("recv");
+    let created: Response = serde_json::from_str(&reply).expect("decode");
+    assert!(created.ok, "create failed: {:?}", created.error);
     server.shutdown();
 }
 

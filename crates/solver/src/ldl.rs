@@ -238,8 +238,8 @@ fn min_degree_order(k: &SparseMatrix) -> Vec<usize> {
     order
 }
 
-/// Numeric-phase scratch shared by [`SparseLdl`] and [`BatchLdl`]:
-/// refactors and solves allocate nothing once the scratch exists.
+/// Numeric-phase scratch of a [`SparseLdl`]: refactors and solves
+/// allocate nothing once the scratch exists.
 #[derive(Debug, Clone)]
 struct LdlScratch {
     y_vals: Vec<f64>,
@@ -264,10 +264,11 @@ impl LdlScratch {
     }
 }
 
-/// The up-looking numeric factorization, shared verbatim by
-/// [`SparseLdl::refactor`] and [`BatchLdl::refactor_block`] so a batched
-/// block factors bit-identically to a standalone one. The inner column
-/// scatter runs through [`crate::simd`] (bitwise-preserving kernels).
+/// The up-looking numeric factorization behind [`SparseLdl::refactor`],
+/// writing `L` and `D` into the factor's storage. The inner column
+/// scatter is a plain loop, one multiply and one subtract per entry: it
+/// beats a 4-wide kernel here, whose per-call dispatch costs more than
+/// it saves on columns of a few entries.
 fn refactor_core(
     sym: &SymbolicLdl,
     kv: &[f64],
@@ -321,7 +322,9 @@ fn refactor_core(
             // row would be skipped on every refactor after the first
             s.y_mark[c] = NONE;
             let (lo, hi) = (sym.l_col_ptr[c], s.l_next[c]);
-            crate::simd::scatter_sub(&mut s.y_vals, &l_row_ind[lo..hi], &l_values[lo..hi], yc);
+            for (&i, &lv) in l_row_ind[lo..hi].iter().zip(&l_values[lo..hi]) {
+                s.y_vals[i] -= lv * yc;
+            }
             let slot = s.l_next[c];
             s.l_next[c] += 1;
             let lkc = yc * dinv[c];
@@ -337,11 +340,11 @@ fn refactor_core(
     Ok(())
 }
 
-/// The permuted forward/diagonal/backward solve, shared by
-/// [`SparseLdl::solve_into`] and [`BatchLdl::solve_block_into`]: plain
-/// loops over the stored entries of `L`, one multiply and one subtract
-/// per entry in ascending order within each column, with no per-column
-/// kernel dispatch and no per-entry bounds checks. The diagonal scaling
+/// The permuted forward/diagonal/backward solve behind
+/// [`SparseLdl::solve_into`]: plain loops over the stored entries of `L`,
+/// one multiply and one subtract per entry in ascending order within each
+/// column, with no per-column kernel dispatch and no per-entry bounds
+/// checks. The diagonal scaling
 /// and the output permutation ride on the backward sweep. The unchecked
 /// indexing is kept for its measured gain: the same sweeps over zipped
 /// `l_row_ind`/`l_values` slices, which leave only `w[i]` checked, take
@@ -532,188 +535,11 @@ impl SparseLdl {
     }
 }
 
-/// `K` same-pattern LDLᵀ factors sharing **one** symbolic analysis,
-/// **one** `L` row-index array (the pattern fully determines it) and
-/// contiguous per-block numeric storage — the factorization backend of
-/// the batched block-diagonal QP solve.
-///
-/// Conceptually this is the LDLᵀ of the `K·n × K·n` block-diagonal
-/// matrix `diag(K₁, …, K_K)`: the blocks never couple, so the factor is
-/// `diag(L₁, …, L_K)` with each `Lᵢ` bit-identical to a standalone
-/// [`SparseLdl`] of `Kᵢ` (both run [`refactor_core`] over the same
-/// analysis). Memory layout: `l_values` is `K × l_nnz` with block `b` at
-/// `[b·l_nnz, (b+1)·l_nnz)`, `d`/`dinv` are `K × n` likewise — one
-/// numeric refactor pass walks the blocks in order over contiguous
-/// memory instead of `K` scattered allocations.
-#[derive(Debug, Clone)]
-pub struct BatchLdl {
-    sym: Arc<SymbolicLdl>,
-    blocks: usize,
-    /// Row index of each stored entry of `L`, shared by all blocks; every
-    /// entry is < n, as for [`SparseLdl`]'s.
-    l_row_ind: Vec<usize>,
-    l_values: Vec<f64>,
-    d: Vec<f64>,
-    dinv: Vec<f64>,
-    scratch: LdlScratch,
-}
-
-impl BatchLdl {
-    /// Storage for `blocks` same-pattern factors over `sym`. Nothing is
-    /// factored yet; call [`BatchLdl::refactor_block`] (or
-    /// [`BatchLdl::refactor_all`]) before solving.
-    ///
-    /// # Panics
-    ///
-    /// Panics for zero blocks.
-    pub fn new(sym: Arc<SymbolicLdl>, blocks: usize) -> Self {
-        assert!(blocks > 0, "BatchLdl needs at least one block");
-        let n = sym.n;
-        let l_nnz = sym.l_nnz();
-        BatchLdl {
-            blocks,
-            l_row_ind: vec![0; l_nnz],
-            l_values: vec![0.0; blocks * l_nnz],
-            d: vec![0.0; blocks * n],
-            dinv: vec![0.0; blocks * n],
-            scratch: LdlScratch::new(n),
-            sym,
-        }
-    }
-
-    /// Number of blocks.
-    pub fn blocks(&self) -> usize {
-        self.blocks
-    }
-
-    /// The shared symbolic analysis.
-    pub fn symbolic(&self) -> &Arc<SymbolicLdl> {
-        &self.sym
-    }
-
-    /// Refactors block `b` for new values `k` — bit-identical to
-    /// [`SparseLdl::refactor`] on the same input (same [`refactor_core`],
-    /// different storage offset). Blocks refactor independently, which
-    /// the batched ADMM needs: per-block ρ-adaptations fire at different
-    /// iterations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LdlError`] on a zero pivot; that block's contents are
-    /// then unspecified.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `b` is out of range or `k`'s pattern differs from the
-    /// shared analysis.
-    pub fn refactor_block(&mut self, b: usize, k: &SparseMatrix) -> Result<(), LdlError> {
-        assert!(b < self.blocks, "block index out of range");
-        assert!(self.sym.matches(k), "matrix pattern differs from the symbolic analysis");
-        let n = self.sym.n;
-        let l_nnz = self.sym.l_nnz();
-        refactor_core(
-            &self.sym,
-            k.values(),
-            &mut self.l_row_ind,
-            &mut self.l_values[b * l_nnz..(b + 1) * l_nnz],
-            &mut self.d[b * n..(b + 1) * n],
-            &mut self.dinv[b * n..(b + 1) * n],
-            &mut self.scratch,
-        )
-    }
-
-    /// One numeric pass over all blocks in storage order: the batched
-    /// equivalent of `K` separate [`SparseLdl::refactor`] calls.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first failing block, returning its index and error.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `kkts.len()` differs from the block count or a
-    /// pattern mismatches.
-    pub fn refactor_all(&mut self, kkts: &[&SparseMatrix]) -> Result<(), (usize, LdlError)> {
-        assert_eq!(kkts.len(), self.blocks, "one KKT matrix per block");
-        for (b, k) in kkts.iter().enumerate() {
-            self.refactor_block(b, k).map_err(|e| (b, e))?;
-        }
-        Ok(())
-    }
-
-    /// Whether block `b`'s pivots are all strictly positive.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `b` is out of range.
-    pub fn is_positive_definite(&self, b: usize) -> bool {
-        assert!(b < self.blocks, "block index out of range");
-        let n = self.sym.n;
-        self.d[b * n..(b + 1) * n].iter().all(|&v| v > 0.0)
-    }
-
-    /// Block `b`'s diagonal `D` (permuted order).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `b` is out of range.
-    pub fn diag_block(&self, b: usize) -> &[f64] {
-        assert!(b < self.blocks, "block index out of range");
-        let n = self.sym.n;
-        &self.d[b * n..(b + 1) * n]
-    }
-
-    /// Allocation-free solve with block `b`'s factor — bit-identical to
-    /// [`SparseLdl::solve_into`] on the standalone factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `b` is out of range or on dimension mismatch.
-    pub fn solve_block_into(&mut self, b: usize, rhs: &[f64], out: &mut [f64]) {
-        assert!(b < self.blocks, "block index out of range");
-        let n = self.sym.n;
-        let l_nnz = self.sym.l_nnz();
-        // SAFETY: every entry of `l_row_ind` is < n (see the field).
-        unsafe {
-            solve_core(
-                &self.sym,
-                &self.l_row_ind,
-                &self.l_values[b * l_nnz..(b + 1) * l_nnz],
-                &self.dinv[b * n..(b + 1) * n],
-                rhs,
-                out,
-                &mut self.scratch.rhs,
-            );
-        }
-    }
-
-    /// Copies block `b` out into a standalone [`SparseLdl`] (sharing the
-    /// symbolic `Arc`), so per-problem factor caches can keep a block's
-    /// factor after the batch is dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `b` is out of range.
-    pub fn extract_block(&self, b: usize) -> SparseLdl {
-        assert!(b < self.blocks, "block index out of range");
-        let n = self.sym.n;
-        let l_nnz = self.sym.l_nnz();
-        SparseLdl {
-            sym: self.sym.clone(),
-            l_row_ind: self.l_row_ind.clone(),
-            l_values: self.l_values[b * l_nnz..(b + 1) * l_nnz].to_vec(),
-            d: self.d[b * n..(b + 1) * n].to_vec(),
-            dinv: self.dinv[b * n..(b + 1) * n].to_vec(),
-            scratch: LdlScratch::new(n),
-        }
-    }
-}
-
 #[cfg(test)]
 impl SparseLdl {
-    /// The solve in its per-column form — one column-scatter kernel call
-    /// per column forward, a per-column reduction backward — which
-    /// [`solve_core`] must match bit for bit.
+    /// The solve in its per-column form — a column scatter per column
+    /// forward, a per-column reduction backward, each a separate pass —
+    /// which [`solve_core`] must match bit for bit.
     pub(crate) fn solve_per_column(&self, b: &[f64], out: &mut [f64]) {
         let sym = &self.sym;
         let mut w: Vec<f64> = sym.perm.iter().map(|&old| b[old]).collect();
@@ -721,12 +547,9 @@ impl SparseLdl {
             let wj = w[j];
             if wj != 0.0 {
                 let (lo, hi) = (sym.l_col_ptr[j], sym.l_col_ptr[j + 1]);
-                crate::simd::scatter_sub(
-                    &mut w,
-                    &self.l_row_ind[lo..hi],
-                    &self.l_values[lo..hi],
-                    wj,
-                );
+                for (&i, &lv) in self.l_row_ind[lo..hi].iter().zip(&self.l_values[lo..hi]) {
+                    w[i] -= lv * wj;
+                }
             }
         }
         for (wi, &di) in w.iter_mut().zip(&self.dinv) {
@@ -937,65 +760,6 @@ mod tests {
         assert_eq!(f.d, fresh.d);
         let rhs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();
         assert_eq!(f.solve(&rhs), fresh.solve(&rhs));
-    }
-
-    #[test]
-    fn batch_blocks_match_standalone_factors_bitwise() {
-        // each block of a BatchLdl must be bit-identical to a standalone
-        // SparseLdl of the same matrix — including after refactoring the
-        // blocks in an interleaved order through the shared scratch
-        let k0 = random_spd(20, 3);
-        let sym = SymbolicLdl::analyze(&k0);
-        let variants: Vec<SparseMatrix> = (0..4)
-            .map(|j| {
-                let mut k = k0.clone();
-                for (i, v) in k.values_mut().iter_mut().enumerate() {
-                    *v *= 1.0 + 0.1 * ((i + j) % 5) as f64;
-                }
-                k
-            })
-            .collect();
-        let mut batch = BatchLdl::new(sym.clone(), variants.len());
-        assert_eq!(batch.blocks(), 4);
-        let refs: Vec<&SparseMatrix> = variants.iter().collect();
-        batch.refactor_all(&refs).unwrap();
-        // interleaved per-block refactors (as the batched ADMM's per-block
-        // ρ-adaptations produce) must not disturb other blocks
-        batch.refactor_block(2, &variants[2]).unwrap();
-        batch.refactor_block(0, &variants[0]).unwrap();
-        let rhs: Vec<f64> = (0..20).map(|i| (i as f64 * 0.7).sin()).collect();
-        let mut out = vec![0.0; 20];
-        for (b, k) in variants.iter().enumerate() {
-            let mut solo = SparseLdl::factor(sym.clone(), k).unwrap();
-            let mut extracted = batch.extract_block(b);
-            assert_eq!(extracted.l_values, solo.l_values, "block {b} L");
-            assert_eq!(extracted.d, solo.d, "block {b} D");
-            assert_eq!(batch.diag_block(b), solo.diag(), "block {b} diag");
-            assert_eq!(batch.is_positive_definite(b), solo.is_positive_definite());
-            batch.solve_block_into(b, &rhs, &mut out);
-            assert_eq!(out, solo.solve(&rhs), "block {b} solve");
-            assert_eq!(extracted.solve(&rhs), out, "block {b} extracted solve");
-        }
-    }
-
-    #[test]
-    fn batch_zero_pivot_reports_failing_block() {
-        let mut b = TripletBuilder::new(3, 3);
-        b.push(0, 0, 1.0);
-        b.push(1, 1, 1.0);
-        b.push(2, 2, 0.0);
-        let singular = b.build();
-        let mut g = TripletBuilder::new(3, 3);
-        g.push(0, 0, 1.0);
-        g.push(1, 1, 1.0);
-        g.push(2, 2, 1.0);
-        let good = g.build();
-        // same pattern is required, so analyze the shared pattern from
-        // the structurally-identical good matrix
-        let sym = SymbolicLdl::analyze(&good);
-        let mut batch = BatchLdl::new(sym, 2);
-        let err = batch.refactor_all(&[&good, &singular]).unwrap_err();
-        assert_eq!(err.0, 1, "second block is the singular one");
     }
 
     #[test]

@@ -30,15 +30,13 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod batch;
 pub mod ldl;
 pub mod linalg;
 pub mod qp;
 pub mod simd;
 pub mod sparse;
 
-pub use batch::{solve_qp_batch, QpBatch, QpBatchError, QpBatchJob};
-pub use ldl::{BatchLdl, LdlError, SparseLdl, SymbolicLdl};
+pub use ldl::{LdlError, SparseLdl, SymbolicLdl};
 pub use linalg::{Cholesky, Mat};
 pub use qp::{
     solve_qp, solve_qp_warm, Backend, QpDiagnostics, QpProblem, QpSettings, QpSolution, QpStatus,

@@ -53,7 +53,7 @@ pub enum Backend {
 /// sparse. Thresholds sized for this codebase's MPC problems (dense
 /// factor ≈ n³/3 flops vs sparse ≈ Σ lnz² — at n ≥ 30 and ≤ 35 % fill
 /// the sparse path wins on every profile measured).
-pub(crate) fn choose_sparse(backend: Backend, n: usize, kkt_fill: f64) -> bool {
+fn choose_sparse(backend: Backend, n: usize, kkt_fill: f64) -> bool {
     match backend {
         Backend::Dense => false,
         Backend::Sparse => true,
@@ -71,15 +71,15 @@ pub(crate) fn choose_sparse(backend: Backend, n: usize, kkt_fill: f64) -> bool {
 /// what keeps the cached symbolic factorization valid across MPC frames.
 #[derive(Debug, Clone)]
 pub struct QpProblem {
-    pub(crate) p: SparseMatrix,
+    p: SparseMatrix,
     /// Linear cost vector, length `n`.
     pub q: Vec<f64>,
-    pub(crate) a: SparseMatrix,
+    a: SparseMatrix,
     /// Constraint lower bounds, length `m` (may contain `-∞`).
     pub l: Vec<f64>,
     /// Constraint upper bounds, length `m` (may contain `+∞`).
     pub u: Vec<f64>,
-    pub(crate) backend: Backend,
+    backend: Backend,
 }
 
 /// Error returned by [`QpProblem::new`] for dimensionally-inconsistent or
@@ -341,10 +341,10 @@ impl QpWarmStart {
 ///   start from the rebalanced value instead of re-learning it.
 #[derive(Debug, Clone, Default)]
 pub struct QpWorkspace {
-    pub(crate) scaling: Option<(Vec<f64>, Vec<f64>)>,
-    pub(crate) factor: Option<FactorCache>,
-    pub(crate) symbolic: Option<Arc<SymbolicLdl>>,
-    pub(crate) rho: Option<f64>,
+    scaling: Option<(Vec<f64>, Vec<f64>)>,
+    factor: Option<FactorCache>,
+    symbolic: Option<Arc<SymbolicLdl>>,
+    rho: Option<f64>,
 }
 
 /// The serializable slice of a [`QpWorkspace`]: exactly the carried state
@@ -372,47 +372,47 @@ pub struct QpWorkspaceSnapshot {
 /// add a pointer chase to the hot solve path.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
-pub(crate) enum Factor {
+enum Factor {
     Dense(Cholesky),
     Sparse(SparseLdl),
 }
 
 impl Factor {
-    pub(crate) fn solve_into(&mut self, b: &[f64], out: &mut [f64]) {
+    fn solve_into(&mut self, b: &[f64], out: &mut [f64]) {
         match self {
             Factor::Dense(c) => c.solve_into(b, out),
             Factor::Sparse(f) => f.solve_into(b, out),
         }
     }
 
-    pub(crate) fn is_sparse(&self) -> bool {
+    fn is_sparse(&self) -> bool {
         matches!(self, Factor::Sparse(_))
     }
 }
 
 #[derive(Debug, Clone)]
-pub(crate) struct FactorCache {
-    pub(crate) p: SparseMatrix,
-    pub(crate) a: SparseMatrix,
-    pub(crate) eq: Vec<bool>,
-    pub(crate) sigma: f64,
-    pub(crate) rho: f64,
-    pub(crate) gram: SparseMatrix,
-    pub(crate) kkt: SparseKkt,
-    pub(crate) factor: Factor,
+struct FactorCache {
+    p: SparseMatrix,
+    a: SparseMatrix,
+    eq: Vec<bool>,
+    sigma: f64,
+    rho: f64,
+    gram: SparseMatrix,
+    kkt: SparseKkt,
+    factor: Factor,
 }
 
 /// Stiffness multiplier applied to the ADMM penalty of equality rows
 /// (`l = u`), as in OSQP.
 const RHO_EQ_SCALE: f64 = 1e3;
 /// Clamp range of every per-constraint penalty ρ_i.
-pub(crate) const RHO_MIN: f64 = 1e-6;
+const RHO_MIN: f64 = 1e-6;
 /// See [`RHO_MIN`].
-pub(crate) const RHO_MAX: f64 = 1e6;
+const RHO_MAX: f64 = 1e6;
 
 /// Expands the scalar ρ into the per-constraint penalty vector: equality
 /// rows get `ρ·RHO_EQ_SCALE`, everything clamped to `[RHO_MIN, RHO_MAX]`.
-pub(crate) fn fill_rho_vec(rho: f64, eq: &[bool], out: &mut Vec<f64>) {
+fn fill_rho_vec(rho: f64, eq: &[bool], out: &mut Vec<f64>) {
     out.clear();
     out.extend(eq.iter().map(|&is_eq| {
         let r = if is_eq { rho * RHO_EQ_SCALE } else { rho };
@@ -571,7 +571,7 @@ pub fn solve_qp_warm(
 /// Each pass computes all row (then column) norms of the current scaled
 /// data before applying the updates, so the result is independent of
 /// storage order — both backends see the identical equilibration.
-pub(crate) fn compute_scaling(problem: &QpProblem) -> (Vec<f64>, Vec<f64>) {
+fn compute_scaling(problem: &QpProblem) -> (Vec<f64>, Vec<f64>) {
     let n = problem.num_vars();
     let m = problem.num_constraints();
     let mut d = vec![1.0f64; n];
@@ -628,7 +628,7 @@ pub(crate) fn compute_scaling(problem: &QpProblem) -> (Vec<f64>, Vec<f64>) {
 
 /// Applies scaling vectors to a problem: the scaled program is
 /// `min ½x̃ᵀ(DPD)x̃ + (Dq)ᵀx̃  s.t.  El ≤ (EAD)x̃ ≤ Eu` with `x = Dx̃`.
-pub(crate) fn apply_scaling(problem: &QpProblem, d: &[f64], e: &[f64]) -> QpProblem {
+fn apply_scaling(problem: &QpProblem, d: &[f64], e: &[f64]) -> QpProblem {
     let mut p = problem.p.clone();
     p.scale_rows(d);
     p.scale_cols(d);
@@ -651,19 +651,18 @@ pub(crate) fn apply_scaling(problem: &QpProblem, d: &[f64], e: &[f64]) -> QpProb
 /// All per-problem mutable state of one ADMM solve: iterates, the
 /// per-constraint penalty, residuals, and the hot-loop scratch.
 ///
-/// Extracted from [`solve_qp_scaled`] so the batched solver
-/// ([`crate::batch`]) advances each block with *literally the same*
-/// per-iteration code — bitwise equality between a batched block and a
-/// sequential solve holds by construction, not by tolerance.
-pub(crate) struct AdmmState {
-    pub(crate) x: Vec<f64>,
-    pub(crate) y: Vec<f64>,
-    pub(crate) z: Vec<f64>,
-    pub(crate) rho: f64,
-    pub(crate) rho_v: Vec<f64>,
-    pub(crate) eq: Vec<bool>,
-    pub(crate) primal_res: f64,
-    pub(crate) dual_res: f64,
+/// [`solve_qp_scaled`] drives it; the unit tests step the same
+/// [`AdmmState::iterate`] against a CSC reference iteration, so the
+/// iteration body is tested apart from the loop's control flow.
+struct AdmmState {
+    x: Vec<f64>,
+    y: Vec<f64>,
+    z: Vec<f64>,
+    rho: f64,
+    rho_v: Vec<f64>,
+    eq: Vec<bool>,
+    primal_res: f64,
+    dual_res: f64,
     /// `A` sliced by columns (for `Aᵀ·v`) and by rows (for `A·v`).
     a_cols: LaneSlices,
     a_rows: LaneSlices,
@@ -683,7 +682,7 @@ impl AdmmState {
     /// (cold zeros otherwise) with the resolved initial ρ. Slices the
     /// problem's `A` for the hot loop, so [`AdmmState::iterate`] and
     /// [`AdmmState::measure_residuals`] must be given this same problem.
-    pub(crate) fn new(
+    fn new(
         problem: &QpProblem,
         rho: f64,
         eq: Vec<bool>,
@@ -722,7 +721,7 @@ impl AdmmState {
     }
 
     /// Installs a rebalanced ρ and refreshes the per-constraint vector.
-    pub(crate) fn set_rho(&mut self, rho: f64) {
+    fn set_rho(&mut self, rho: f64) {
         self.rho = rho;
         fill_rho_vec(self.rho, &self.eq, &mut self.rho_v);
     }
@@ -732,7 +731,7 @@ impl AdmmState {
     /// (`out = M⁻¹·rhs`); the sparse products run on the lane slices of
     /// `A` and everything else is element-wise, all through the
     /// bitwise-preserving [`crate::simd`] kernels.
-    pub(crate) fn iterate(
+    fn iterate(
         &mut self,
         problem: &QpProblem,
         settings: &QpSettings,
@@ -767,7 +766,7 @@ impl AdmmState {
     ///
     /// Borrows `x_tilde`, `z_tilde` and `tmp_m` as scratch: `iterate`
     /// writes each of them before reading it.
-    pub(crate) fn measure_residuals(&mut self, problem: &QpProblem) {
+    fn measure_residuals(&mut self, problem: &QpProblem) {
         let (n, m) = (self.x.len(), self.z.len());
         self.x_tilde[..n].copy_from_slice(&self.x);
         self.a_rows.dot_into(&self.x_tilde, &mut self.z_tilde);
@@ -790,21 +789,21 @@ impl AdmmState {
     /// comparisons are all false) must not be consumed by anything
     /// downstream. The residual folds skip NaN (a poisoned residual
     /// reads 0.0), so the iterate itself is checked too.
-    pub(crate) fn poisoned(&self) -> bool {
+    fn poisoned(&self) -> bool {
         !self.primal_res.is_finite()
             || !self.dual_res.is_finite()
             || self.x.iter().any(|v| !v.is_finite())
     }
 
     /// Whether the measured residuals meet the tolerance.
-    pub(crate) fn converged(&self, eps_abs: f64) -> bool {
+    fn converged(&self, eps_abs: f64) -> bool {
         self.primal_res < eps_abs && self.dual_res < eps_abs
     }
 
     /// Adaptive-ρ decision (OSQP §5.2): rebalance when the residuals
     /// diverge by more than an order of magnitude. Returns the new ρ only
     /// when it actually changed (i.e. a refactorization is due).
-    pub(crate) fn rho_rebalance(&self, settings: &QpSettings) -> Option<f64> {
+    fn rho_rebalance(&self, settings: &QpSettings) -> Option<f64> {
         let scale = if self.primal_res > 10.0 * self.dual_res && self.primal_res > settings.eps_abs
         {
             Some(self.rho * 5.0)
@@ -964,7 +963,7 @@ fn solve_qp_scaled(
 
 /// Whether any problem entry is NaN, or a cost/matrix entry non-finite
 /// (constraint bounds may legitimately be ±∞; nothing else may).
-pub(crate) fn data_is_poisoned(problem: &QpProblem) -> bool {
+fn data_is_poisoned(problem: &QpProblem) -> bool {
     problem.q.iter().any(|v| !v.is_finite())
         || problem.l.iter().any(|v| v.is_nan())
         || problem.u.iter().any(|v| v.is_nan())
@@ -974,7 +973,7 @@ pub(crate) fn data_is_poisoned(problem: &QpProblem) -> bool {
 
 /// The canonical [`QpStatus::NumericalError`] result: zero iterates (the
 /// only point guaranteed finite), infinite residuals, nothing cached.
-pub(crate) fn numerical_error_solution(
+fn numerical_error_solution(
     n: usize,
     m: usize,
     iterations: usize,
@@ -999,8 +998,8 @@ pub(crate) fn numerical_error_solution(
 
 /// Assembles `K = P + (σ + bump)·I + AᵀRA` (the Gram matrix arrives
 /// already ρ-weighted) and factorizes it with the selected backend,
-/// escalating the diagonal bump while the matrix is not positive
-/// definite.
+/// escalating the diagonal bump along `σ, σ+1e-9, σ+1.1e-8, …` while
+/// the matrix is not positive definite.
 ///
 /// On the sparse path the symbolic analysis is taken from (or installed
 /// into) `symbolic`, and the numeric storage of `prev` is reused in place
@@ -1012,7 +1011,7 @@ pub(crate) fn numerical_error_solution(
 /// NaN-poisoned) cost matrix. This is a status, not a panic: the caller
 /// reports [`QpStatus::NumericalError`] and the stack degrades gracefully.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn build_factor(
+fn build_factor(
     kkt: &mut SparseKkt,
     p: &SparseMatrix,
     gram: &SparseMatrix,
@@ -1026,8 +1025,11 @@ pub(crate) fn build_factor(
         Some(Factor::Sparse(f)) => Some(f),
         _ => None,
     };
-    let mut out = None;
-    let ok = escalate_bumps(kkt, p, gram, sigma, diag, |k, diag| {
+    let mut bump = 0.0f64;
+    let mut step = 1e-9;
+    loop {
+        let k = kkt.assemble(p, gram, sigma + bump, 1.0);
+        diag.factorizations += 1;
         if use_sparse {
             let sym = match symbolic.as_ref() {
                 Some(s) if s.matches(k) => {
@@ -1047,53 +1049,19 @@ pub(crate) fn build_factor(
             };
             if let Ok(f) = attempt {
                 if f.is_positive_definite() {
-                    out = Some(Factor::Sparse(f));
-                    return true;
+                    return Some(Factor::Sparse(f));
                 }
                 // quasidefinite/indefinite: keep the storage, bump and retry
                 reuse = Some(f);
             }
-            false
         } else if let Ok(f) = k.to_dense().cholesky() {
-            out = Some(Factor::Dense(f));
-            true
-        } else {
-            false
-        }
-    });
-    if ok {
-        out
-    } else {
-        None
-    }
-}
-
-/// The shared regularization-bump escalation: assembles
-/// `K = P + (σ + bump)·I + AᵀRA` and calls `attempt` at each bump until
-/// it reports success or the budget runs out. Used by [`build_factor`]
-/// and the batched per-block factorization ([`crate::batch`]), so both
-/// walk the identical `σ, σ+1e-9, σ+1.1e-8, …` schedule.
-pub(crate) fn escalate_bumps(
-    kkt: &mut SparseKkt,
-    p: &SparseMatrix,
-    gram: &SparseMatrix,
-    sigma: f64,
-    diag: &mut QpDiagnostics,
-    mut attempt: impl FnMut(&SparseMatrix, &mut QpDiagnostics) -> bool,
-) -> bool {
-    let mut bump = 0.0f64;
-    let mut step = 1e-9;
-    loop {
-        let k = kkt.assemble(p, gram, sigma + bump, 1.0);
-        diag.factorizations += 1;
-        if attempt(k, diag) {
-            return true;
+            return Some(Factor::Dense(f));
         }
         // a bump budget spanning 15 decades: anything a finite diagonal
         // shift can repair is repaired well before this; what remains is
         // non-finite or structurally broken data
         if step >= 1e6 {
-            return false;
+            return None;
         }
         bump += step;
         step *= 10.0;

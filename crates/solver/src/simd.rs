@@ -6,7 +6,8 @@
 //! floating-point operations as the scalar loops — separate multiply
 //! and add/subtract, never a fused multiply-add, never a reduction-order
 //! change — so the CO trajectory contract (bit-identical episodes across
-//! worker counts, backends and batch widths) survives vectorization.
+//! worker counts, shard counts and kernel backends) survives
+//! vectorization.
 //! The lanes only batch *independent* element updates:
 //!
 //! * elementwise ADMM vector updates (`ρz−y`, `σx−q` accumulation, the
@@ -14,10 +15,7 @@
 //!   is its own dependency chain;
 //! * the sparse dot products `Aᵀ·v` and `A·v` ([`LaneSlices`]) — each
 //!   lane accumulates one whole column (or row) in storage order, so
-//!   four independent sums advance side by side;
-//! * the LDLᵀ column scatter `w[ind[j]] -= l[j]·s` of the numeric
-//!   refactor — row indices within one column are distinct, so updates
-//!   are independent.
+//!   four independent sums advance side by side.
 //!
 //! Residual ∞-norm folds are deliberately **not** vectorized:
 //! `f64::max` skips NaN operands where `_mm256_max_pd` would not, and
@@ -105,7 +103,6 @@ pub fn with_backend<R>(backend: KernelBackend, f: impl FnOnce() -> R) -> R {
 /// harness state the contract explicitly.
 pub fn kernel_modes() -> &'static [(&'static str, &'static str)] {
     &[
-        ("ldl_scatter_sub_f64", "bitwise"),
         ("admm_elementwise_f64", "bitwise"),
         ("sparse_col_dot_f64", "bitwise"),
         ("sparse_row_dot_f64", "bitwise"),
@@ -116,55 +113,6 @@ pub fn kernel_modes() -> &'static [(&'static str, &'static str)] {
 #[cfg(target_arch = "x86_64")]
 fn use_avx2() -> bool {
     active() == KernelBackend::Avx2
-}
-
-/// `w[ind[j]] -= l[j] * s` for every `j` — the LDLᵀ column scatter of
-/// the numeric refactor. Indices within a call are distinct (structural
-/// rows of one `L` column), so the updates are independent and the
-/// products can be formed 4-wide; each element still sees exactly one
-/// `mul` and one `sub`.
-///
-/// # Panics
-///
-/// Panics (debug) when `l` and `ind` lengths differ.
-#[inline]
-pub fn scatter_sub(w: &mut [f64], ind: &[usize], l: &[f64], s: f64) {
-    debug_assert_eq!(ind.len(), l.len());
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2() {
-        // SAFETY: avx2 verified by dispatch.
-        unsafe { scatter_sub_avx2(w, ind, l, s) };
-        return;
-    }
-    for (&i, &lv) in ind.iter().zip(l) {
-        w[i] -= lv * s;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn scatter_sub_avx2(w: &mut [f64], ind: &[usize], l: &[f64], s: f64) {
-    use std::arch::x86_64::*;
-    let vs = _mm256_set1_pd(s);
-    let chunks = l.len() / 4 * 4;
-    let mut j = 0;
-    while j < chunks {
-        // SAFETY: j + 4 <= chunks <= l.len() == ind.len().
-        let vl = unsafe { _mm256_loadu_pd(l.as_ptr().add(j)) };
-        let prod = _mm256_mul_pd(vl, vs);
-        let mut t = [0.0f64; 4];
-        unsafe { _mm256_storeu_pd(t.as_mut_ptr(), prod) };
-        // scatter stores need AVX-512; the subtracts stay scalar but each
-        // element's arithmetic (one mul, one sub) matches the scalar path
-        w[ind[j]] -= t[0];
-        w[ind[j + 1]] -= t[1];
-        w[ind[j + 2]] -= t[2];
-        w[ind[j + 3]] -= t[3];
-        j += 4;
-    }
-    for jj in chunks..l.len() {
-        w[ind[jj]] -= l[jj] * s;
-    }
 }
 
 /// `tmp[i] = rho[i] * z[i] - y[i]` — the ADMM x̃-RHS precursor.
@@ -700,28 +648,6 @@ mod tests {
                 project_dual(&mut z2, &mut y2, &xt, &rho_pos, &lo, &hi, 1.6)
             });
             assert_eq!((z1, y1), (z2, y2), "project_dual n={n}");
-        }
-    }
-
-    #[test]
-    fn scatter_kernel_is_bitwise() {
-        // a 32-long w with L "columns" of ragged lengths
-        let w0 = wavy(32);
-        for len in [0usize, 1, 3, 4, 6, 9, 13] {
-            let ind: Vec<usize> = (0..len).map(|j| (j * 5 + 2) % 32).collect();
-            // make indices distinct like structural L rows
-            let mut ind = ind;
-            ind.sort_unstable();
-            ind.dedup();
-            let l = wavy(ind.len());
-
-            let mut w1 = w0.clone();
-            let mut w2 = w0.clone();
-            with_backend(KernelBackend::Scalar, || {
-                scatter_sub(&mut w1, &ind, &l, 0.7315)
-            });
-            with_backend(detected(), || scatter_sub(&mut w2, &ind, &l, 0.7315));
-            assert_eq!(w1, w2, "scatter_sub len={}", ind.len());
         }
     }
 

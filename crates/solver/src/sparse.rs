@@ -218,14 +218,6 @@ impl SparseMatrix {
         &mut self.values
     }
 
-    /// Whether `other` has the identical fill pattern (shape + structure).
-    pub fn same_pattern(&self, other: &SparseMatrix) -> bool {
-        self.rows == other.rows
-            && self.cols == other.cols
-            && self.col_ptr == other.col_ptr
-            && self.row_ind == other.row_ind
-    }
-
     /// Matrix–vector product `A·v`.
     ///
     /// # Panics

@@ -13,30 +13,31 @@
 # aggregated counters, and validates the
 # BENCH_perf.json / BENCH_serve.json schemas. The serve smoke steps 8
 # concurrent sessions 50 frames through the in-process serving engine and
-# demands bit-identical trajectories across worker counts (1 vs 4), CO
-# batch widths (1 vs 8) and engine shard counts (1 vs 4), plus a
-# kill-snapshot-restore cycle (every session evicted at frame 20, the
-# server torn down, every snapshot restored into a fresh server at a
-# different shard count) with zero sheds — and runs again with
-# ICOIL_FORCE_SCALAR=1 so the scalar kernel fallback is held to the same
-# contract, and a third time with ICOIL_IL_PRECISION=int8 so the
-# quantized IL lane meets the same determinism bar. The solver, co, nn,
-# perception, telemetry and adapt suites run on the default kernel
-# dispatch, so the AVX2 kernels are tested on the backend they ship on
-# (the root `cargo test` covers only the umbrella package). The
-# solver/nn/co and perception suites also run once under
-# ICOIL_FORCE_SCALAR=1: the SIMD kernels' conformance tests then compare
-# scalar against scalar (trivially green) while everything else proves
-# the escape hatch leaves
-# the numerics bit-identical (the nn run includes the quantization
-# proptests and the fused-inference equivalence proptests, so the int8
-# quantizer/accumulator and f32 conv-block contracts are proved on both
-# backends). The
-# conformance smoke (which includes the simd_scalar_kernels,
-# batched_single_qp, quantized_il and family_determinism differential
-# checks) fuzzes procedurally generated scenarios through the full
-# harness, cycling every map family; a per-family pass then pins each
-# family for at least 5 cases so no family can hide behind the cycling.
+# demands bit-identical trajectories across worker counts (1 vs 4) and
+# engine shard counts (1 vs 4), plus a kill-snapshot-restore cycle (every
+# session evicted at frame 20, the server torn down, every snapshot
+# restored into a fresh server at a different shard count) with zero
+# sheds — and runs again with ICOIL_FORCE_SCALAR=1 so the scalar kernel
+# fallback is held to the same contract, and a third time with
+# ICOIL_IL_PRECISION=int8 so the quantized IL lane meets the same
+# determinism bar. The solver, co, nn, perception, telemetry, adapt and
+# serve suites run on the default kernel dispatch, so the AVX2 kernels
+# are tested on the backend they ship on (the root `cargo test` covers
+# only the umbrella package); the serve suites include the worker and
+# shard determinism tests, the request-line cap and the shard, queue and
+# snapshot proptests. The solver/nn/co and perception suites also run
+# once under ICOIL_FORCE_SCALAR=1: the SIMD kernels' conformance tests
+# then compare scalar against scalar (trivially green) while everything
+# else proves the escape hatch leaves the numerics bit-identical (the nn
+# run includes the quantization proptests and the fused-inference
+# equivalence proptests, so the int8 quantizer/accumulator and f32
+# conv-block contracts are proved on both backends). The conformance
+# smoke (which includes the simd_scalar_kernels,
+# checkpoint_restore_replay, quantized_il and family_determinism
+# differential checks) fuzzes procedurally generated scenarios through
+# the full harness, cycling every map family; a per-family pass then pins
+# each family for at least 5 cases so no family can hide behind the
+# cycling.
 # The scenarios bin drives two full-stack episodes per family and emits
 # the BENCH_scenarios.json the telemetry smoke schema-checks. The adapt
 # smoke runs the online-adaptation flywheel end to end — seed demos,
@@ -51,7 +52,7 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
-cargo test -q -p icoil-solver -p icoil-co -p icoil-nn -p icoil-perception -p icoil-telemetry -p icoil-adapt
+cargo test -q -p icoil-solver -p icoil-co -p icoil-nn -p icoil-perception -p icoil-telemetry -p icoil-adapt -p icoil-serve
 ICOIL_FORCE_SCALAR=1 cargo test -q -p icoil-solver -p icoil-nn -p icoil-co -p icoil-perception
 cargo test --release -q --test backend_e2e
 cargo clippy --workspace --all-targets -- -D warnings
