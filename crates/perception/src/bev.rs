@@ -1,11 +1,12 @@
 //! Ego-centric bird's-eye-view rendering (the BEV transformer `g`).
 
-use icoil_geom::{Obb, ObbPointTest, Vec2};
+use icoil_geom::{Obb, Vec2, EPS};
 use icoil_vehicle::VehicleState;
 use icoil_world::{NoiseConfig, ParkingMap};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// BEV image geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -116,41 +117,146 @@ impl BevRenderer {
     ) -> BevImage {
         let s = self.config.size;
         let mut data = vec![0.0f32; BevImage::CHANNELS * s * s];
-        let res = self.config.resolution();
+        let grid = PixelGrid::new(&self.config, ego);
+        let (occupancy, rest) = data.split_at_mut(s * s);
+        let (goal, speed) = rest.split_at_mut(s * s);
+        // channel 0, pass 1: every pixel against the map bounds, branch-free
         let bounds = map.bounds();
-        // Every rotation's sin_cos once per frame: the pixel loop then
-        // evaluates exactly the expressions of `Pose2::to_world` and
-        // `Obb::contains`, minus the trig.
-        let origin = ego.pose.position();
-        let ego_rot = ego.pose.theta.sin_cos();
-        let bay = map.bay().point_test();
-        let boxes: Vec<ObbPointTest> = obstacles.iter().map(Obb::point_test).collect();
-        // channel 2: constant normalized-speed plane
-        let v_norm = (ego.velocity / 2.5).clamp(-1.0, 1.0) as f32;
-        data[2 * s * s..].iter_mut().for_each(|v| *v = v_norm);
-        for row in 0..s {
-            for col in 0..s {
-                // ego frame: +x forward (columns), +y left (rows upward);
-                // row 0 is the left-most (+y) edge.
-                let ex = -self.config.range + (col as f64 + 0.5) * res;
-                let ey = self.config.range - (row as f64 + 0.5) * res;
-                let world = origin + Vec2::new(ex, ey).rotated_by(ego_rot);
-                let occupied = !bounds.contains(world) || boxes.iter().any(|o| o.contains(world));
-                if occupied {
-                    data[row * s + col] = 1.0;
-                }
-                if bay.contains(world) {
-                    data[(s + row) * s + col] = 1.0;
-                }
+        for (out, &ey) in occupancy.chunks_exact_mut(s).zip(&grid.ys) {
+            for (px, &ex) in out.iter_mut().zip(&grid.xs) {
+                *px = f32::from(u8::from(!bounds.contains(grid.world(ex, ey))));
             }
         }
-        let occupancy_len = 2 * s * s;
-        apply_noise(&mut data[..occupancy_len], noise, rng);
+        // pass 2: each obstacle footprint and the bay, inside its window
+        for obstacle in obstacles {
+            grid.paint(occupancy, obstacle);
+        }
+        grid.paint(goal, &map.bay());
+        // channel 2: constant normalized-speed plane
+        let v_norm = (ego.velocity / 2.5).clamp(-1.0, 1.0) as f32;
+        speed.fill(v_norm);
+        apply_noise(&mut data[..2 * s * s], noise, rng);
         BevImage {
             size: s,
             range: self.config.range,
             data,
         }
+    }
+}
+
+/// Largest coordinate magnitude, in pixels, for which [`PixelGrid::window`]
+/// trusts its rounding argument (2⁴⁰ ≈ 1.1e12; 5.5e11 m at the default
+/// 0.5 m pixel). Past it, a box is tested on the whole image.
+const WINDOW_SCALE_LIMIT: f64 = (1u64 << 40) as f64;
+
+/// One frame's pixel-centre geometry: where each column's and row's
+/// centre lies in the ego frame, and the ego pose that carries those
+/// points into the world.
+///
+/// Both raster passes get a pixel's world point from [`PixelGrid::world`],
+/// the expression of `Pose2::to_world` with the ego's `sin_cos` computed
+/// once per frame, so the map-bounds pass and the box passes test the
+/// same bits the per-pixel renderer did.
+struct PixelGrid {
+    origin: Vec2,
+    /// `sin_cos` of the ego heading.
+    rot: (f64, f64),
+    range: f64,
+    res: f64,
+    /// Ego-frame x of each column's centres (+x forward).
+    xs: Vec<f64>,
+    /// Ego-frame y of each row's centres (+y left; row 0 is the
+    /// left-most edge).
+    ys: Vec<f64>,
+}
+
+impl PixelGrid {
+    fn new(config: &BevConfig, ego: &VehicleState) -> Self {
+        let (range, res) = (config.range, config.resolution());
+        PixelGrid {
+            origin: ego.pose.position(),
+            rot: ego.pose.theta.sin_cos(),
+            range,
+            res,
+            xs: (0..config.size)
+                .map(|col| -range + (col as f64 + 0.5) * res)
+                .collect(),
+            ys: (0..config.size)
+                .map(|row| range - (row as f64 + 0.5) * res)
+                .collect(),
+        }
+    }
+
+    /// The world point of the pixel centre at ego-frame `(ex, ey)`.
+    fn world(&self, ex: f64, ey: f64) -> Vec2 {
+        self.origin + Vec2::new(ex, ey).rotated_by(self.rot)
+    }
+
+    /// Sets to 1 every pixel of `plane` (one `size × size` channel) whose
+    /// centre `obb` contains, testing only the pixels of its
+    /// [`window`](Self::window) with the unchanged [`Obb::contains`]
+    /// arithmetic.
+    fn paint(&self, plane: &mut [f32], obb: &Obb) {
+        let test = obb.point_test();
+        let s = self.xs.len();
+        let (rows, cols) = self.window(obb);
+        let xs = &self.xs[cols.clone()];
+        for row in rows {
+            let ey = self.ys[row];
+            for (px, &ex) in plane[row * s..][cols.clone()].iter_mut().zip(xs) {
+                if test.contains(self.world(ex, ey)) {
+                    *px = 1.0;
+                }
+            }
+        }
+    }
+
+    /// The rows and columns outside which `obb` contains no pixel centre:
+    /// its ego-frame centre ± the circumradius of its EPS-padded extents
+    /// plus one pixel, clamped to the image. The whole image when a
+    /// position, extent or heading is non-finite, or when the magnitudes
+    /// exceed [`WINDOW_SCALE_LIMIT`] pixels.
+    ///
+    /// Why culling with it is bit for bit: [`Obb::contains`] accepts a
+    /// point only if its local offset is within `half_length + EPS` and
+    /// `half_width + EPS`, so in exact arithmetic within `reach` (the
+    /// padded circumradius) of the centre. A pixel outside the window sits
+    /// more than `reach` plus one pixel from the computed ego-frame centre
+    /// along a row or a column. Every coordinate involved — the ego
+    /// origin, the box's ego-frame centre, its extents, the image range —
+    /// is below the `scale` checked here, at most 2⁴⁰ pixels, and the
+    /// sines and cosines are at most 1. So each of the few dozen roundings
+    /// between the exact and the computed points (the pixel's world point,
+    /// the box's inverse rotation, the window's own index arithmetic) is
+    /// at most 2⁻⁵² of 2⁴⁰ pixels, 2⁻¹² pixel, and all of them together
+    /// about a hundredth of a pixel. Such a pixel is therefore still most
+    /// of a pixel outside the padded box when [`Obb::contains`] evaluates
+    /// it, and the test rejects it: skipping it changes no bit.
+    fn window(&self, obb: &Obb) -> (Range<usize>, Range<usize>) {
+        let s = self.xs.len();
+        let inverse = (-self.rot.0, self.rot.1);
+        let centre = (obb.center - self.origin).rotated_by(inverse);
+        // NaN or infinite when any input is
+        let scale = self.origin.x.abs()
+            + self.origin.y.abs()
+            + centre.x.abs()
+            + centre.y.abs()
+            + obb.half_length.abs()
+            + obb.half_width.abs()
+            + self.range;
+        if !(scale < WINDOW_SCALE_LIMIT * self.res && obb.theta.is_finite()) {
+            return (0..s, 0..s);
+        }
+        let reach = obb.inflated(EPS).circumradius() / self.res + 1.0;
+        // fractional pixel index of the centre, rows counting down from +y
+        let col = (centre.x + self.range) / self.res - 0.5;
+        let row = (self.range - centre.y) / self.res - 0.5;
+        let span = |mid: f64| {
+            let lo = (mid - reach).ceil().clamp(0.0, s as f64);
+            let hi = ((mid + reach).floor() + 1.0).clamp(lo, s as f64);
+            lo as usize..hi as usize
+        };
+        (span(row), span(col))
     }
 }
 
@@ -178,7 +284,7 @@ fn apply_noise(data: &mut [f32], noise: &NoiseConfig, rng: &mut SmallRng) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icoil_geom::Pose2;
+    use icoil_geom::{Aabb, Pose2};
     use icoil_world::{Difficulty, ScenarioConfig};
     use proptest::prelude::*;
     use rand::SeedableRng;
@@ -186,8 +292,8 @@ mod tests {
 
     /// The renderer written per pixel, every pixel through
     /// `Pose2::to_world`, each obstacle's `Obb::contains` and the bay's:
-    /// the reference the trig-hoisted [`BevRenderer::render`] must equal
-    /// bit for bit.
+    /// the reference the two-pass, windowed [`BevRenderer::render`] must
+    /// equal bit for bit.
     fn render_per_pixel(
         r: &BevRenderer,
         ego: &VehicleState,
@@ -222,26 +328,23 @@ mod tests {
         }
     }
 
-    /// A box around `pixel`'s world point whose length boundary passes
-    /// through that point to the last bit (`|local.x| == half_length +
-    /// EPS`), so a world point off by one ulp can flip the pixel: random
-    /// boxes almost never sit that close to a pixel center.
-    fn knife_edge_box(
-        r: &BevRenderer,
-        ego: &VehicleState,
-        (row, col): (usize, usize),
-        (dx, dy): (f64, f64),
-        theta: f64,
-    ) -> Obb {
+    /// `pixel`'s centre in the world, through `Pose2::to_world`.
+    fn pixel_world(r: &BevRenderer, ego: &VehicleState, (row, col): (usize, usize)) -> Vec2 {
         let res = r.config.resolution();
         let ex = -r.config.range + (col as f64 + 0.5) * res;
         let ey = r.config.range - (row as f64 + 0.5) * res;
-        let world = ego.pose.to_world(Vec2::new(ex, ey));
-        let center = world + Vec2::new(dx, dy);
+        ego.pose.to_world(Vec2::new(ex, ey))
+    }
+
+    /// The half length at which a box at `center` with heading `theta`
+    /// has its length boundary pass through `world` to the last bit
+    /// (`|local.x| == half_length + EPS`), so a point off by one ulp can
+    /// flip the test.
+    fn knife_edge_half_length(world: Vec2, center: Vec2, theta: f64) -> f64 {
         let local = (world - center).rotated(-theta);
-        let mut half_length = local.x.abs() - icoil_geom::EPS;
+        let mut half_length = local.x.abs() - EPS;
         for _ in 0..8 {
-            let reach = half_length + icoil_geom::EPS;
+            let reach = half_length + EPS;
             if reach == local.x.abs() {
                 break;
             }
@@ -251,12 +354,132 @@ mod tests {
                 half_length.next_down()
             };
         }
+        half_length.max(0.0)
+    }
+
+    /// A box around `pixel`'s world point whose length boundary passes
+    /// through that point to the last bit: random boxes almost never sit
+    /// that close to a pixel center.
+    fn knife_edge_box(
+        r: &BevRenderer,
+        ego: &VehicleState,
+        pixel: (usize, usize),
+        (dx, dy): (f64, f64),
+        theta: f64,
+    ) -> Obb {
+        let world = pixel_world(r, ego, pixel);
+        let center = world + Vec2::new(dx, dy);
         Obb {
             center,
-            half_length: half_length.max(0.0),
-            half_width: local.y.abs() + 0.5,
+            half_length: knife_edge_half_length(world, center, theta),
+            half_width: (world - center).rotated(-theta).y.abs() + 0.5,
             theta,
         }
+    }
+
+    /// A box at one of the edges of [`PixelGrid::window`]'s culling,
+    /// chosen by `kind`; `pick` (a pixel or a corner) and the uniforms
+    /// place, size and orient it.
+    fn window_edge_box(
+        r: &BevRenderer,
+        ego: &VehicleState,
+        (kind, pick): (usize, usize),
+        (u, v, w, z): (f64, f64, f64, f64),
+        theta: f64,
+    ) -> Obb {
+        let (s, range, res) = (r.config.size, r.config.range, r.config.resolution());
+        let at = |ex: f64, ey: f64| ego.pose.to_world(Vec2::new(ex, ey));
+        let sized = |center: Vec2, half_length: f64, half_width: f64| Obb {
+            center,
+            half_length,
+            half_width,
+            theta,
+        };
+        let pixel = (pick / s % s, pick % s);
+        match kind {
+            // centred 3-8 window half-extents away: culled entirely
+            0 => {
+                let (sin, cos) = (2.0 * PI * u).sin_cos();
+                let d = range * (3.0 + 5.0 * v);
+                sized(at(d * cos, d * sin), w * range / 2.0, z * range / 2.0)
+            }
+            // larger than the window: half extents up to 2 × range
+            1 => sized(
+                at(range * (2.0 * u - 1.0), range * (2.0 * v - 1.0)),
+                2.0 * range * w,
+                2.0 * range * z,
+            ),
+            // zero half extents, within 2·EPS of a pixel centre
+            2 => {
+                let center = pixel_world(r, ego, pixel) + Vec2::new(u - 0.5, v - 0.5) * (4.0 * EPS);
+                match (3.0 * z) as usize {
+                    0 => sized(center, 0.0, 0.0),
+                    1 => sized(center, 0.0, w * range),
+                    _ => sized(center, w * range, 0.0),
+                }
+            }
+            // straddling an image corner
+            3 => {
+                let (sx, sy) = [(-1.0, 1.0), (1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)][pick % 4];
+                sized(
+                    at(
+                        sx * range + (u - 0.5) * 2.0 * res,
+                        sy * range + (v - 0.5) * 2.0 * res,
+                    ),
+                    w * range / 2.0,
+                    z * range / 2.0,
+                )
+            }
+            // a zero-width needle along a row or column, centred on one
+            // pixel centre, its tip on another 1-4 pixels away to the last
+            // bit: the window's ends pass through pixel centres
+            _ => {
+                let (row, col) = pixel;
+                let k = 1 + (4.0 * w) as usize;
+                let step = |i: usize| if i + k < s { i + k } else { i - k };
+                let (tip, heading) = if z < 0.5 {
+                    ((row, step(col)), ego.pose.theta)
+                } else {
+                    ((step(row), col), ego.pose.theta + PI / 2.0)
+                };
+                let center = pixel_world(r, ego, pixel);
+                let half_length = knife_edge_half_length(pixel_world(r, ego, tip), center, heading);
+                Obb {
+                    center,
+                    half_length,
+                    half_width: 0.0,
+                    theta: heading,
+                }
+            }
+        }
+    }
+
+    /// A lot no pixel falls outside, so the occupancy channel shows every
+    /// box pixel, with `bay` as its goal box.
+    fn open_lot(bay: Obb) -> ParkingMap {
+        let far = Vec2::new(1e18, 1e18);
+        let lot = Aabb::new(-far, far);
+        ParkingMap::new(lot, lot, bay.pose(), bay)
+    }
+
+    /// Renders `obstacles` over `map` with both renderers and asserts the
+    /// images agree bit for bit.
+    fn assert_matches_reference(
+        r: &BevRenderer,
+        ego: &VehicleState,
+        obstacles: &[Obb],
+        map: &ParkingMap,
+    ) {
+        let none = NoiseConfig::none();
+        let mut rng = SmallRng::seed_from_u64(0);
+        let fast = r.render(ego, obstacles, map, &none, &mut rng);
+        let reference = render_per_pixel(r, ego, obstacles, map, &none, &mut rng);
+        let bits = |img: &BevImage| img.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&fast),
+            bits(&reference),
+            "ego {ego:?}, boxes {obstacles:?}"
+        );
     }
 
     /// An angle drawn uniformly, or within 1e-6 of ±π, or exactly ±π.
@@ -318,6 +541,92 @@ mod tests {
                 render_per_pixel(&r, &ego, &obstacles, &map, &noise, &mut SmallRng::seed_from_u64(seed));
             let bits = |img: &BevImage| img.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&fast), bits(&reference));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The window's edge cases over an open lot: boxes culled
+        /// entirely, boxes larger than the window, zero extents, boxes
+        /// across each image corner and knife-edge needles whose tips
+        /// sit on a window end. The first box is also the bay.
+        #[test]
+        fn render_matches_per_pixel_reference_at_window_edges(
+            geometry in 0usize..3,
+            ego_xy in (-50.0f64..50.0, -50.0f64..50.0),
+            ego_angle in (0usize..4, 0.0f64..1.0),
+            boxes in prop::collection::vec(
+                ((0usize..5, 0usize..1024), (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0), (0usize..4, 0.0f64..1.0)),
+                1..8,
+            ),
+        ) {
+            let (size, range) = [(8, 4.0), (16, 8.0), (32, 12.0)][geometry];
+            let r = BevRenderer::new(BevConfig { size, range });
+            let ego = VehicleState {
+                pose: Pose2 { x: ego_xy.0, y: ego_xy.1, theta: angle(ego_angle) },
+                velocity: 0.0,
+            };
+            let obstacles: Vec<Obb> = boxes
+                .iter()
+                .map(|&(kind, uniforms, a)| window_edge_box(&r, &ego, kind, uniforms, angle(a)))
+                .collect();
+            assert_matches_reference(&r, &ego, &obstacles, &open_lot(obstacles[0]));
+        }
+    }
+
+    /// Boxes the window cannot bound fall back to the whole image: a NaN
+    /// centre, a `+∞` half length, an infinite centre with infinite
+    /// extents (which contains every pixel centre), a NaN heading, and an
+    /// ego so far out that rounding moves pixel centres by metres.
+    #[test]
+    fn render_matches_per_pixel_reference_for_unbounded_boxes() {
+        let r = BevRenderer::new(BevConfig::default());
+        let bay = Obb::from_pose(Pose2::new(10.0, 10.0, 0.3), 5.4, 3.0);
+        let map = open_lot(bay);
+        let unbounded = [
+            Obb {
+                center: Vec2::new(f64::NAN, 10.0),
+                half_length: f64::INFINITY,
+                half_width: 1.0,
+                theta: 0.2,
+            },
+            Obb {
+                center: Vec2::new(12.0, 9.0),
+                half_length: f64::INFINITY,
+                half_width: 1.0,
+                theta: 0.2,
+            },
+            Obb {
+                center: Vec2::new(f64::INFINITY, 0.0),
+                half_length: f64::INFINITY,
+                half_width: f64::INFINITY,
+                theta: PI / 4.0,
+            },
+            Obb {
+                center: Vec2::new(11.0, 10.0),
+                half_length: 2.0,
+                half_width: 1.0,
+                theta: f64::NAN,
+            },
+        ];
+        for theta in [0.0, 0.3, PI / 2.0, -PI] {
+            let ego = VehicleState::at_rest(Pose2::new(10.0, 10.0, theta));
+            for obstacle in &unbounded {
+                assert_matches_reference(&r, &ego, std::slice::from_ref(obstacle), &map);
+            }
+            assert_matches_reference(&r, &ego, &unbounded, &map);
+            // every f64 near 1e17 is a multiple of 16: all pixel centres
+            // round onto the ego's own x, inside a box whose exact extent
+            // starts 4 m ahead of it
+            let far_ego = VehicleState::at_rest(Pose2::new(1e17, 0.0, theta));
+            let far_box = Obb {
+                center: Vec2::new(1e17 + 96.0, 0.0),
+                half_length: 100.0,
+                half_width: 1.0,
+                theta: 0.0,
+            };
+            assert_matches_reference(&r, &far_ego, &[far_box], &map);
         }
     }
 

@@ -68,13 +68,12 @@ fn serve_connection(stream: TcpStream, handle: ServeHandle) {
         if line.last() == Some(&b'\r') {
             line.pop();
         }
-        let Ok(text) = std::str::from_utf8(&line) else {
-            break;
+        let response = match std::str::from_utf8(&line) {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => handle_line(text, &handle),
+            Err(err) => Response::failure(format!("request line is not UTF-8: {err}")),
         };
-        if text.trim().is_empty() {
-            continue;
-        }
-        if send(&mut writer, &handle_line(text, &handle)).is_err() {
+        if send(&mut writer, &response).is_err() {
             break;
         }
     }

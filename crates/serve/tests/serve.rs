@@ -585,6 +585,45 @@ fn over_long_request_line_is_refused_without_stopping_the_server() {
     server.shutdown();
 }
 
+#[test]
+fn non_utf8_request_line_is_refused_and_the_connection_survives() {
+    let server = Serve::start(ServeConfig::default(), test_model());
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let handle = server.handle();
+    std::thread::spawn(move || {
+        let _ = icoil_serve::run_server(listener, handle);
+    });
+
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut writer = stream;
+    let metrics = serde_json::to_string(&Request::metrics()).expect("encode");
+    let mut lines = Vec::new();
+    for line in [metrics.as_bytes(), &[0xFF], metrics.as_bytes()] {
+        lines.extend_from_slice(line);
+        lines.push(b'\n');
+    }
+    writer.write_all(&lines).expect("send");
+    let replies: Vec<bool> = (0..3)
+        .map(|_| {
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("recv");
+            let response: Response = serde_json::from_str(&reply).expect("decode");
+            response.ok
+        })
+        .collect();
+    assert_eq!(
+        replies,
+        [true, false, true],
+        "ok, failure, ok on one connection"
+    );
+    server.shutdown();
+}
+
 // ---------------------------------------------------------------------------
 // Weight hot-swap: sessions pin their generation for the whole episode.
 // ---------------------------------------------------------------------------

@@ -20,12 +20,16 @@
 # sheds — and runs again with ICOIL_FORCE_SCALAR=1 so the scalar kernel
 # fallback is held to the same contract, and a third time with
 # ICOIL_IL_PRECISION=int8 so the quantized IL lane meets the same
-# determinism bar. The solver, co, nn, perception, telemetry, adapt and
-# serve suites run on the default kernel dispatch, so the AVX2 kernels
-# are tested on the backend they ship on (the root `cargo test` covers
-# only the umbrella package); the serve suites include the worker and
-# shard determinism tests, the request-line cap and the shard, queue and
-# snapshot proptests. The solver/nn/co and perception suites also run
+# determinism bar. Every workspace crate's own suites except the
+# conformance crate's (geom, vehicle, world, perception, nn, il, hsa,
+# solver, co, planner, core, telemetry, adapt, serve and bench) run on
+# the default kernel dispatch, so the AVX2 kernels are tested on the
+# backend they ship on (the root `cargo test` covers only the umbrella
+# package); the serve suites include the worker and shard determinism
+# tests, the request-line cap, the non-UTF-8 line reply and the shard,
+# queue and snapshot proptests. The conformance crate's unit tests stay
+# out (about 270 s under --release): its checks run through the
+# conformance smokes below. The solver/nn/co and perception suites also run
 # once under ICOIL_FORCE_SCALAR=1: the SIMD kernels' conformance tests
 # then compare scalar against scalar (trivially green) while everything
 # else proves the escape hatch leaves the numerics bit-identical (the nn
@@ -52,7 +56,8 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
-cargo test -q -p icoil-solver -p icoil-co -p icoil-nn -p icoil-perception -p icoil-telemetry -p icoil-adapt -p icoil-serve
+cargo test -q -p icoil-solver -p icoil-co -p icoil-nn -p icoil-perception -p icoil-telemetry -p icoil-adapt -p icoil-serve \
+    -p icoil-geom -p icoil-vehicle -p icoil-world -p icoil-hsa -p icoil-il -p icoil-planner -p icoil-core -p icoil-bench
 ICOIL_FORCE_SCALAR=1 cargo test -q -p icoil-solver -p icoil-nn -p icoil-co -p icoil-perception
 cargo test --release -q --test backend_e2e
 cargo clippy --workspace --all-targets -- -D warnings
