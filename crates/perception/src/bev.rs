@@ -44,7 +44,9 @@ impl BevConfig {
 /// action depends on the current speed, which pixels alone cannot
 /// reveal). Row 0 is the far left-front of the vehicle; the ego sits at
 /// the image center facing +x (increasing column).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The default is the empty image: size 0 and no pixels.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct BevImage {
     /// Pixels per side.
     pub size: usize,

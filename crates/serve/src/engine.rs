@@ -530,19 +530,27 @@ impl Shard {
     }
 
     /// One shard tick over the drained step requests: a single blocked
-    /// IL pass over every pending frame (the HSA needs the softmax on
+    /// IL pass over the pending frames (the HSA needs the softmax on
     /// every frame regardless of mode), then per-session HSA decisions —
     /// IL-mode frames finish inline, CO-mode frames go to the lane.
     ///
-    /// Sessions pin their IL precision *and* their weight generation,
-    /// so a tick splits into one sub-batch per `(precision, version)`
-    /// pair present (each counted as its own `IlBatches` entry); a tick
-    /// of all-f32 sessions on one generation runs the exact
-    /// pre-quantization single-pass path. Batching stays bit-identical
-    /// per row because rows never cross models.
+    /// A frame whose BEV image repeats its session's last inferred one
+    /// bit for bit reuses that inference ([`Session::recalls_il`]) and
+    /// stays out of the pass. The rest split into one sub-batch per
+    /// `(precision, version)` pair present, since sessions pin both
+    /// (each sub-batch counted as its own `IlBatches` entry); a tick of
+    /// all-f32 sessions on one generation runs at most one pass.
+    /// Batching stays bit-identical per row because rows never cross
+    /// models.
     fn run_batch(&mut self, steps: Vec<PendingStep>) {
-        let mut results: Vec<Option<InferResult>> = Vec::new();
-        results.resize_with(steps.len(), || None);
+        let recalled: Vec<bool> = steps
+            .iter()
+            .map(|s| s.session.recalls_il(&s.sensing.bev))
+            .collect();
+        let hits = recalled.iter().filter(|&&r| r).count();
+        self.metrics.add(Counter::IlMemoHits, hits as u64);
+        let mut fresh: Vec<Option<InferResult>> = Vec::new();
+        fresh.resize_with(steps.len(), || None);
         for precision in [IlPrecision::F32, IlPrecision::Int8] {
             let mut versions: Vec<u32> = steps
                 .iter()
@@ -552,7 +560,7 @@ impl Shard {
             versions.sort_unstable();
             versions.dedup();
             for version in versions {
-                let picked: Vec<usize> = steps
+                let rows: Vec<usize> = steps
                     .iter()
                     .enumerate()
                     .filter(|(_, s)| {
@@ -561,8 +569,15 @@ impl Shard {
                     .map(|(i, _)| i)
                     .collect();
                 if precision == IlPrecision::Int8 {
+                    // every int8-pinned frame counts, recalled or inferred
+                    self.metrics.add(Counter::IlFramesInt8, rows.len() as u64);
+                }
+                let picked: Vec<usize> = rows.into_iter().filter(|&i| !recalled[i]).collect();
+                if picked.is_empty() {
+                    continue;
+                }
+                if precision == IlPrecision::Int8 {
                     self.ensure_calibrated(version);
-                    self.metrics.add(Counter::IlFramesInt8, picked.len() as u64);
                 } else {
                     self.ensure_model(version);
                 }
@@ -573,16 +588,21 @@ impl Shard {
                 self.metrics.add(Counter::IlBatches, 1);
                 self.metrics.observe(Series::IlBatchSize, bevs.len() as f64);
                 for (&i, il) in picked.iter().zip(il_results) {
-                    results[i] = Some(il);
+                    fresh[i] = Some(il);
                 }
             }
         }
-        for (mut step, il) in steps.into_iter().zip(results) {
-            let il = il.expect("every pending step ran in exactly one sub-batch");
-            let hsa = step.session.plan(&il.probs, &step.sensing);
+        for (mut step, il) in steps.into_iter().zip(fresh) {
+            if let Some(il) = il {
+                // the rest of the frame reads only the boxes, so the
+                // image moves into the memo rather than being copied
+                let bev = std::mem::take(&mut step.sensing.bev);
+                step.session.remember_il(bev, il);
+            }
+            let (hsa, il_action) = step.session.plan(&step.sensing);
             match hsa.mode {
                 Mode::Il => {
-                    let mut action = il.action;
+                    let mut action = il_action;
                     if let Some(projector) = &self.projector {
                         let world = step.session.world();
                         let proj = projector.project(

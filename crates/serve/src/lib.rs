@@ -27,7 +27,9 @@
 //!   [`ServeConfig::il_precision`] set to `Int8` the lane runs the
 //!   calibrated quantized network instead; sessions pin their precision
 //!   at creation (snapshots carry it), and a tick serving both kinds
-//!   splits into one sub-batch per precision.
+//!   splits into one sub-batch per precision. A frame whose image
+//!   repeats, bit for bit, the one its session last inferred reuses
+//!   that result and stays out of the batch.
 //! * **Deadline-aware CO lane** — sessions whose HSA decision is CO
 //!   mode are handed (state and all) to a worker pool draining a
 //!   bounded [`DeadlineQueue`] in earliest-deadline order. A worker
@@ -48,9 +50,10 @@
 //! worker happens to be scheduled. Sharding adds nothing to this list —
 //! shards share no per-session state — and checkpoint/restore removes
 //! nothing: a snapshot carries every bit of episode state the next
-//! frame reads. `scripts/check.sh` holds the server to that standard
-//! across worker counts, shard counts and a kill-snapshot-restore
-//! cycle.
+//! frame reads (the IL memo is a cache whose reuse equals re-inference,
+//! so a restored session just infers again). `scripts/check.sh` holds
+//! the server to that standard across worker counts, shard counts and a
+//! kill-snapshot-restore cycle.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

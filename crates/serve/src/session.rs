@@ -3,8 +3,8 @@
 use crate::ServeConfig;
 use icoil_co::{CoController, CoOutput, CoSnapshot};
 use icoil_hsa::{Hsa, HsaDecision, Mode};
-use icoil_il::IlPrecision;
-use icoil_perception::{Perception, Sensing};
+use icoil_il::{IlPrecision, InferResult};
+use icoil_perception::{BevImage, Perception, Sensing};
 use icoil_vehicle::Action;
 use icoil_world::episode::{Observation, Outcome};
 use icoil_world::{Difficulty, MapFamilyKind, Scenario, ScenarioConfig, World};
@@ -197,6 +197,31 @@ pub(crate) struct Session {
     /// creation (or carried over by restore): mid-episode publishes
     /// change which generation *new* sessions get, never this one's.
     pub(crate) weight_version: u32,
+    /// The last BEV image this session sent through the CNN and the
+    /// inference that came back (see [`Session::recalls_il`]). Not part
+    /// of [`SessionSnapshot`]: a restored session starts without one and
+    /// infers its first frame afresh.
+    il_memo: Option<IlMemo>,
+}
+
+/// A session's last IL inference and the image it was computed from.
+struct IlMemo {
+    bev: BevImage,
+    result: InferResult,
+}
+
+/// Whether two BEV images are equal bit for bit: size, range and every
+/// pixel compared as raw IEEE-754 bits (so `-0.0` and `0.0` differ and
+/// a NaN pixel equals only the same NaN), stopping at the first
+/// difference.
+fn same_bits(a: &BevImage, b: &BevImage) -> bool {
+    a.size == b.size
+        && a.range.to_bits() == b.range.to_bits()
+        && a.data.len() == b.data.len()
+        && a.data
+            .iter()
+            .zip(&b.data)
+            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 impl Session {
@@ -224,6 +249,7 @@ impl Session {
             outcome,
             precision: config.il_precision,
             weight_version,
+            il_memo: None,
         }
     }
 
@@ -280,6 +306,7 @@ impl Session {
             outcome: snap.outcome,
             precision: snap.il_precision,
             weight_version: snap.weight_version,
+            il_memo: None,
         }
     }
 
@@ -292,11 +319,37 @@ impl Session {
         self.perception.observe(&Observation::new(&self.world))
     }
 
-    /// HSA decision from this frame's IL softmax distribution.
-    pub(crate) fn plan(&mut self, probs: &[f64], sensing: &Sensing) -> HsaDecision {
-        self.hsa
-            .set_ego_position(self.world.ego().pose.position());
-        self.hsa.update(probs, &sensing.boxes)
+    /// Whether `bev` repeats, bit for bit, the image this session last
+    /// sent through the CNN — in which case that inference is this
+    /// frame's too. The session pins its weight generation and IL
+    /// precision for the whole episode, under both inference is a pure
+    /// function of the image, and a row's result does not depend on the
+    /// batch it ran in; so the stored result is exactly what running the
+    /// CNN again would return.
+    pub(crate) fn recalls_il(&self, bev: &BevImage) -> bool {
+        self.il_memo
+            .as_ref()
+            .is_some_and(|m| same_bits(&m.bev, bev))
+    }
+
+    /// Stores a fresh inference and the image it was computed from as
+    /// the memo. The image moves in, so refreshing the memo copies and
+    /// allocates nothing.
+    pub(crate) fn remember_il(&mut self, bev: BevImage, result: InferResult) {
+        self.il_memo = Some(IlMemo { bev, result });
+    }
+
+    /// HSA decision from this frame's IL softmax distribution, and the
+    /// IL action. Reads the memo, which the shard's IL pass leaves
+    /// holding this frame's inference (recalled or freshly stored).
+    pub(crate) fn plan(&mut self, sensing: &Sensing) -> (HsaDecision, Action) {
+        let il = &self
+            .il_memo
+            .as_ref()
+            .expect("the IL pass stores or recalls every stepped frame's inference")
+            .result;
+        self.hsa.set_ego_position(self.world.ego().pose.position());
+        (self.hsa.update(&il.probs, &sensing.boxes), il.action)
     }
 
     /// The CO leg, run on a lane worker: hybrid-A* path + warm-started
@@ -373,5 +426,47 @@ impl Session {
             outcome: self.outcome.map(|o| o.to_string()),
             weight_version: self.weight_version,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn image(data: Vec<f32>) -> BevImage {
+        BevImage {
+            size: 1,
+            range: 10.0,
+            data,
+        }
+    }
+
+    #[test]
+    fn same_bits_compares_raw_bits() {
+        let base: Vec<f32> = (0..200).map(|i| i as f32 * 0.5).collect();
+        assert!(same_bits(&image(base.clone()), &image(base.clone())));
+        // one flipped pixel anywhere, first and last included
+        for at in [0, 63, 64, 150, 199] {
+            let mut other = base.clone();
+            other[at] = f32::from_bits(other[at].to_bits() ^ 1);
+            assert!(
+                !same_bits(&image(base.clone()), &image(other)),
+                "pixel {at}"
+            );
+        }
+        // -0.0 == 0.0 as floats, but not as bits; a NaN equals its own bits
+        assert!(!same_bits(&image(vec![0.0]), &image(vec![-0.0])));
+        assert!(same_bits(&image(vec![f32::NAN]), &image(vec![f32::NAN])));
+        // size, range and length take part too
+        let mut wider = image(base.clone());
+        wider.size = 2;
+        assert!(!same_bits(&image(base.clone()), &wider));
+        let mut farther = image(base.clone());
+        farther.range = 10.000001;
+        assert!(!same_bits(&image(base.clone()), &farther));
+        assert!(!same_bits(
+            &image(base.clone()),
+            &image(base[..199].to_vec())
+        ));
     }
 }

@@ -106,10 +106,14 @@ pub enum Counter {
     /// whose raw IL action violated an actuation bound or an obstacle
     /// half-space and was projected back into the feasible set).
     SafetyProjections,
+    /// Served frames whose BEV image repeated, bit for bit, the one
+    /// their session last sent through the CNN, and which reused that
+    /// inference instead of joining the IL micro-batch.
+    IlMemoHits,
 }
 
 /// Number of [`Counter`] variants (the fixed counter-array length).
-pub const NUM_COUNTERS: usize = 44;
+pub const NUM_COUNTERS: usize = 45;
 
 const COUNTER_NAMES: [&str; NUM_COUNTERS] = [
     "frames",
@@ -156,6 +160,7 @@ const COUNTER_NAMES: [&str; NUM_COUNTERS] = [
     "co_shed_crowded_lot",
     "weight_swaps",
     "safety_projections",
+    "il_memo_hits",
 ];
 
 impl Counter {
@@ -382,6 +387,7 @@ mod tests {
     #[test]
     fn counter_names_cover_every_variant() {
         // a name lookup on the last variant proves the array length
+        assert_eq!(Counter::IlMemoHits.name(), "il_memo_hits");
         assert_eq!(Counter::SafetyProjections.name(), "safety_projections");
         assert_eq!(Counter::WeightSwaps.name(), "weight_swaps");
         assert_eq!(

@@ -22,11 +22,13 @@
 # ICOIL_IL_PRECISION=int8 so the quantized IL lane meets the same
 # determinism bar. Every workspace crate's own suites except the
 # conformance crate's (geom, vehicle, world, perception, nn, il, hsa,
-# solver, co, planner, core, telemetry, adapt, serve and bench) run on
+# solver, co, planner, core, telemetry, adapt, serve and bench, plus the
+# vendored criterion harness's) run on
 # the default kernel dispatch, so the AVX2 kernels are tested on the
 # backend they ship on (the root `cargo test` covers only the umbrella
 # package); the serve suites include the worker and shard determinism
-# tests, the request-line cap, the non-UTF-8 line reply and the shard,
+# tests, the IL memo's test against a reference that infers every
+# frame, the request-line cap, the non-UTF-8 line reply and the shard,
 # queue and snapshot proptests. The conformance crate's unit tests stay
 # out (about 270 s under --release): its checks run through the
 # conformance smokes below. The solver/nn/co and perception suites also run
@@ -51,15 +53,33 @@
 # ICOIL_FORCE_SCALAR=1 so retraining on the scalar kernels meets the
 # same contract. Override the fuzz case count with ICOIL_FUZZ_CASES,
 # e.g. `ICOIL_FUZZ_CASES=200 scripts/check.sh` for the full local sweep.
+# The `cargo test` steps count the suites they run (one `test result:`
+# line each, doc tests included) and the gate fails when fewer than
+# MIN_TEST_SUITES ran, so a crate or test target that silently drops out
+# of the gate is caught. Raise the floor when a suite is added.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+MIN_TEST_SUITES=98
+suites=0
+count_suites() {
+    local log=target/check-test-suites.log
+    "$@" 2>&1 | tee "$log"
+    suites=$((suites + $(grep -c '^test result:' "$log" || true)))
+}
+
 cargo build --release
-cargo test -q
-cargo test -q -p icoil-solver -p icoil-co -p icoil-nn -p icoil-perception -p icoil-telemetry -p icoil-adapt -p icoil-serve \
-    -p icoil-geom -p icoil-vehicle -p icoil-world -p icoil-hsa -p icoil-il -p icoil-planner -p icoil-core -p icoil-bench
-ICOIL_FORCE_SCALAR=1 cargo test -q -p icoil-solver -p icoil-nn -p icoil-co -p icoil-perception
-cargo test --release -q --test backend_e2e
+count_suites cargo test -q
+count_suites cargo test -q -p icoil-solver -p icoil-co -p icoil-nn -p icoil-perception -p icoil-telemetry -p icoil-adapt -p icoil-serve \
+    -p icoil-geom -p icoil-vehicle -p icoil-world -p icoil-hsa -p icoil-il -p icoil-planner -p icoil-core -p icoil-bench \
+    -p criterion
+count_suites env ICOIL_FORCE_SCALAR=1 cargo test -q -p icoil-solver -p icoil-nn -p icoil-co -p icoil-perception
+count_suites cargo test --release -q --test backend_e2e
+if (( suites < MIN_TEST_SUITES )); then
+    echo "only $suites test suites ran; the floor is $MIN_TEST_SUITES" >&2
+    exit 1
+fi
+echo "$suites test suites ran (floor $MIN_TEST_SUITES)"
 cargo clippy --workspace --all-targets -- -D warnings
 ICOIL_EPISODES=2 \
     cargo run --release -q -p icoil-bench --bin scenarios -- --untrained --out target/BENCH_scenarios_smoke.json
