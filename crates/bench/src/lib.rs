@@ -128,8 +128,8 @@ pub struct PerfReport {
     /// f32 matmul throughput with the detected SIMD kernels (GFLOP/s).
     #[serde(default)]
     pub matmul_gflops_simd: f64,
-    /// Kernel dispatch target the microbenchmarks ran on (e.g.
-    /// `"avx2+fma"` or `"scalar"`).
+    /// Kernel dispatch target the microbenchmarks ran on (`"avx512"`,
+    /// `"avx2"` or `"scalar"`).
     #[serde(default)]
     pub simd_dispatch: String,
     /// Timing discipline of the kernel microbenchmarks: each number is

@@ -722,6 +722,11 @@ fn check_batched_single_il(spec: &ProcScenario) -> Result<(), String> {
 /// agreement (FMA tolerated), so inference probabilities are compared
 /// within a small tolerance instead. On machines without AVX2 both runs
 /// dispatch to scalar and the check passes trivially.
+///
+/// Where the CPU has AVX-512, a third leg runs the same frames through
+/// the `Avx512` and `Avx2` IL backends, one at a time and as one batch,
+/// and demands bit-identical probabilities and classes: served
+/// trajectories are the same across hosts only because those two agree.
 fn check_simd_scalar_kernels(spec: &ProcScenario, settings: &CheckSettings) -> Result<(), String> {
     use icoil_solver::simd::KernelBackend;
 
@@ -766,6 +771,7 @@ fn check_simd_scalar_kernels(spec: &ProcScenario, settings: &CheckSettings) -> R
     let mut model = IlModel::untrained(ActionCodec::default(), config.bev, spec.seed ^ 0x51D0);
     let mut perception = Perception::new(config.bev, &scenario);
     let mut world = World::new(scenario);
+    let mut frames = Vec::new();
     for frame in 0..4 {
         let sensing = perception.observe(&Observation::new(&world));
         let scalar = icoil_nn::simd::with_backend(icoil_nn::KernelBackend::Scalar, || {
@@ -798,8 +804,45 @@ fn check_simd_scalar_kernels(spec: &ProcScenario, settings: &CheckSettings) -> R
                 ));
             }
         }
+        frames.push(sensing.bev);
         for _ in 0..8 {
             world.step(&icoil_vehicle::Action::forward(0.3, 0.05));
+        }
+    }
+
+    // --- IL leg, AVX-512 against AVX2: bitwise ---
+    use icoil_nn::KernelBackend::{Avx2, Avx512};
+    if icoil_nn::simd::supported(Avx512) {
+        let images: Vec<&icoil_perception::BevImage> = frames.iter().collect();
+        let mut run = |backend| {
+            icoil_nn::simd::with_backend(backend, || {
+                let mut results: Vec<_> = images.iter().map(|image| model.infer(image)).collect();
+                results.extend(model.infer_batch(&images));
+                results
+            })
+        };
+        let (avx2, avx512) = (run(Avx2), run(Avx512));
+        for (i, (a, b)) in avx2.iter().zip(&avx512).enumerate() {
+            let same_bits = a.probs.len() == b.probs.len()
+                && a.probs
+                    .iter()
+                    .zip(&b.probs)
+                    .all(|(x, y)| x.to_bits() == y.to_bits());
+            if a.class != b.class || !same_bits {
+                let (frame, how) = if i < frames.len() {
+                    (i, "alone")
+                } else {
+                    (i - frames.len(), "in a batch")
+                };
+                return Err(format!(
+                    "frame {frame} {how}: AVX-512 IL output differs from AVX2 (class {} vs {}, \
+                     probs[0..3] {:?} vs {:?})",
+                    b.class,
+                    a.class,
+                    &b.probs[..3.min(b.probs.len())],
+                    &a.probs[..3.min(a.probs.len())]
+                ));
+            }
         }
     }
     Ok(())

@@ -6,7 +6,7 @@
 //! training after one forward pass.
 
 use crate::init;
-use crate::simd::{self, ConvEpilogue, ConvShape};
+use crate::simd::{ConvEpilogue, ConvScratch, ConvShape, FusedConv};
 use crate::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -20,8 +20,9 @@ use serde::{Deserialize, Serialize};
 pub(crate) struct InferScratch {
     /// One zero-padded input sample of the current conv block.
     padded: Vec<f32>,
-    /// Row accumulators of the scalar conv kernel.
-    rows: Vec<f32>,
+    /// The conv kernels' own scratch (scalar row accumulators, the
+    /// AVX-512 weight pack).
+    conv: ConvScratch,
 }
 
 /// A sequential network layer.
@@ -399,10 +400,12 @@ impl Conv2d {
 
     /// Inference through one conv block: this convolution, plus the
     /// ReLU and the 2×2 max pool that follow it in the network when
-    /// `epilogue` says so, in one pass per sample. Each sample is padded
-    /// once into `scratch`, and [`simd::conv2d_fused`] reads its patches
-    /// straight from there. Bit-identical to running the layers'
-    /// `forward(x, false)` one by one; caches nothing.
+    /// `epilogue` says so, in one pass per sample. The kernel is
+    /// prepared once per call (on AVX-512 that packs the weights into
+    /// `scratch`); each sample is then padded once into `scratch`, and
+    /// the kernel reads its patches straight from there. Bit-identical
+    /// to running the layers' `forward(x, false)` one by one; caches
+    /// nothing across calls.
     ///
     /// # Panics
     ///
@@ -436,16 +439,13 @@ impl Conv2d {
         }
         let sample_len = c * h * w;
         let out_sample_len = out.len() / n.max(1);
+        let InferScratch { padded, conv } = scratch;
+        let mut kernel = FusedConv::new(geom, self.weight.data(), self.bias.data(), epilogue, conv);
         for i in 0..n {
             let sample = &x.data()[i * sample_len..(i + 1) * sample_len];
-            pad_sample(sample, c, h, w, p, &mut scratch.padded);
-            simd::conv2d_fused(
-                &scratch.padded,
-                &geom,
-                self.weight.data(),
-                self.bias.data(),
-                epilogue,
-                &mut scratch.rows,
+            pad_sample(sample, c, h, w, p, padded);
+            kernel.run(
+                padded,
                 &mut out.data_mut()[i * out_sample_len..(i + 1) * out_sample_len],
             );
         }

@@ -1,16 +1,22 @@
 //! Runtime-dispatched SIMD kernels for the crate's `f32` hot paths and
 //! the quantized int8 inference lane.
 //!
-//! Two backends implement each kernel:
+//! Three backends implement the kernels:
 //!
 //! * **scalar** — the original portable loops, unchanged, so
 //!   `ICOIL_FORCE_SCALAR=1` reproduces pre-SIMD results bit-for-bit;
 //! * **avx2** — x86-64 AVX2/FMA `f32x8` lanes, selected at runtime when
-//!   the CPU reports both `avx2` and `fma`.
+//!   the CPU reports both `avx2` and `fma`;
+//! * **avx512** — selected when the CPU also reports `avx512f`. The fused
+//!   conv blocks run on 512-bit tiles, every other kernel (GEMM, the
+//!   Dense GEMM-NT, the int8 lane) keeps its AVX2 body. The conv tiles
+//!   replay the AVX2 sequence of every output element, so this backend's
+//!   results equal the AVX2 backend's bit for bit.
 //!
 //! # Determinism contract
 //!
-//! Each kernel declares a conformance *mode* (see [`kernel_modes`]):
+//! Each kernel declares a conformance *mode* against the scalar backend
+//! (see [`kernel_modes`]):
 //!
 //! * `"bitwise"` — the SIMD path performs the same floating-point
 //!   operations in the same order as the scalar path (pure data movement
@@ -23,13 +29,19 @@
 //!   batched-vs-single and worker-count bit-identity contracts *within*
 //!   a backend.
 //!
+//! Between `avx512` and `avx2` every kernel is bitwise: the two run the
+//! same body except the fused conv, whose 512-bit tiles keep each
+//! element's AVX2 operation sequence. A served trajectory therefore does
+//! not depend on which of the two a host detects.
+//!
 //! Dispatch is process-wide (cached on first use, honoring
 //! `ICOIL_FORCE_SCALAR=1`) with a thread-local override
-//! ([`with_backend`]) so differential tests can compare both backends in
-//! one process.
+//! ([`with_backend`]) so differential tests can compare backends in one
+//! process. The override accepts only a backend the CPU supports, so
+//! every dispatched `unsafe` call runs on instructions the CPU has.
 
 // This module is the one place in the crate allowed to use `unsafe`: the
-// AVX2 kernels require `core::arch` intrinsics, which are only callable
+// SIMD kernels require `core::arch` intrinsics, which are only callable
 // from `#[target_feature]` functions guarded by runtime detection.
 #![allow(unsafe_code)]
 
@@ -43,32 +55,66 @@ pub enum KernelBackend {
     Scalar,
     /// x86-64 AVX2 + FMA `f32x8` lanes.
     Avx2,
+    /// x86-64 AVX-512F: the fused conv blocks on `f32x16` tiles, bit for
+    /// bit with [`KernelBackend::Avx2`]; the other kernels run their AVX2
+    /// bodies.
+    Avx512,
 }
 
 impl KernelBackend {
+    /// Every backend, narrowest first.
+    const ALL: [KernelBackend; 3] = [
+        KernelBackend::Scalar,
+        KernelBackend::Avx2,
+        KernelBackend::Avx512,
+    ];
+
     /// The backend's stable label, as recorded in bench JSON
-    /// (`"scalar"` / `"avx2"`).
+    /// (`"scalar"` / `"avx2"` / `"avx512"`).
     pub fn label(self) -> &'static str {
         match self {
             KernelBackend::Scalar => "scalar",
             KernelBackend::Avx2 => "avx2",
+            KernelBackend::Avx512 => "avx512",
         }
     }
+}
+
+/// Whether this CPU can run `backend`'s kernels. The one feature probe
+/// behind both [`detected`] and [`with_backend`]; unlike [`detected`] it
+/// ignores `ICOIL_FORCE_SCALAR`.
+pub fn supported(backend: KernelBackend) -> bool {
+    match backend {
+        KernelBackend::Scalar => true,
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Avx2 => {
+            std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+        }
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Avx512 => {
+            supported(KernelBackend::Avx2) && std::arch::is_x86_feature_detected!("avx512f")
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => false,
+    }
+}
+
+/// Every backend this CPU supports, narrowest first: what differential
+/// tests loop over.
+pub fn supported_backends() -> impl Iterator<Item = KernelBackend> {
+    KernelBackend::ALL.into_iter().filter(|&b| supported(b))
 }
 
 fn detect() -> KernelBackend {
     if std::env::var("ICOIL_FORCE_SCALAR").is_ok_and(|v| v == "1") {
         return KernelBackend::Scalar;
     }
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
-        return KernelBackend::Avx2;
-    }
-    KernelBackend::Scalar
+    supported_backends().last().unwrap_or(KernelBackend::Scalar)
 }
 
 /// The process-wide backend chosen at first use: scalar when
-/// `ICOIL_FORCE_SCALAR=1`, otherwise the best the CPU supports.
+/// `ICOIL_FORCE_SCALAR=1`, otherwise the widest the CPU supports.
 pub fn detected() -> KernelBackend {
     static DETECTED: OnceLock<KernelBackend> = OnceLock::new();
     *DETECTED.get_or_init(detect)
@@ -80,20 +126,32 @@ thread_local! {
 
 /// The backend the *current thread* will use: a [`with_backend`] override
 /// when one is active, the process-wide [`detected`] backend otherwise.
+/// Either way it is a backend the CPU [`supported`], which is what every
+/// dispatched `unsafe` kernel call relies on.
 pub fn active() -> KernelBackend {
     OVERRIDE.with(Cell::get).unwrap_or_else(detected)
 }
 
-/// The active backend's label (`"avx2"` / `"scalar"`), for bench
-/// metadata.
+/// The active backend's label (`"avx512"` / `"avx2"` / `"scalar"`), for
+/// bench metadata.
 pub fn dispatch_target() -> &'static str {
     active().label()
 }
 
 /// Runs `f` with the current thread's kernels pinned to `backend`,
 /// restoring the previous dispatch afterwards (also on panic), so
-/// differential tests can compare scalar and SIMD results in-process.
+/// differential tests can compare backends in-process.
+///
+/// # Panics
+///
+/// Panics when the CPU does not support `backend` (see [`supported`]):
+/// its kernels would execute instructions the CPU lacks.
 pub fn with_backend<R>(backend: KernelBackend, f: impl FnOnce() -> R) -> R {
+    assert!(
+        supported(backend),
+        "kernel backend {:?} is not supported by this CPU",
+        backend
+    );
     struct Restore(Option<KernelBackend>);
     impl Drop for Restore {
         fn drop(&mut self) {
@@ -104,10 +162,13 @@ pub fn with_backend<R>(backend: KernelBackend, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Per-kernel conformance modes: `(kernel, mode)` where mode is
-/// `"bitwise"` (backends agree bit-for-bit) or `"ulp"` (tolerance-bounded
-/// agreement; FMA/lane reductions reorder roundings). See the module docs
-/// for what each mode guarantees.
+/// Per-kernel conformance modes against the scalar backend: `(kernel,
+/// mode)` where mode is `"bitwise"` (backends agree bit-for-bit) or
+/// `"ulp"` (tolerance-bounded agreement; FMA/lane reductions reorder
+/// roundings). See the module docs for what each mode guarantees. The
+/// `avx512` backend is bitwise against `avx2` in every kernel, the
+/// fused conv (`conv2d_f32`) included, so its modes against scalar are
+/// the ones listed.
 pub fn kernel_modes() -> &'static [(&'static str, &'static str)] {
     &[
         ("matmul_f32", "ulp"),
@@ -119,6 +180,18 @@ pub fn kernel_modes() -> &'static [(&'static str, &'static str)] {
     ]
 }
 
+/// `rows · cols`, the element count a dimension pair promises.
+///
+/// # Panics
+///
+/// Panics when the product overflows `usize`: no slice can be that long,
+/// and a wrapped product would pass the length checks that the SIMD
+/// bodies' unchecked indexing relies on.
+fn elems(rows: usize, cols: usize) -> usize {
+    rows.checked_mul(cols)
+        .expect("matrix dimensions overflow usize")
+}
+
 /// `out[m×n] = a[m×k] · b[k×n]`, row-major. `out` is fully overwritten.
 ///
 /// Both backends accumulate each output element over `k` in ascending
@@ -127,21 +200,21 @@ pub fn kernel_modes() -> &'static [(&'static str, &'static str)] {
 ///
 /// # Panics
 ///
-/// Panics (in debug builds) when the slice lengths disagree with the
-/// dimensions.
+/// Panics when the slice lengths disagree with the dimensions.
 pub fn matmul(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
+    assert_eq!(a.len(), elems(m, k), "matmul: a is not m×k");
+    assert_eq!(b.len(), elems(k, n), "matmul: b is not k×n");
+    assert_eq!(out.len(), elems(m, n), "matmul: out is not m×n");
     match active() {
         KernelBackend::Scalar => matmul_scalar(a, m, k, b, n, out),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: the Avx2 backend is only ever selected after runtime
-        // detection of avx2+fma (or by an explicit test override on a
-        // machine where detection already succeeded).
-        KernelBackend::Avx2 => unsafe { matmul_avx2(a, m, k, b, n, out) },
+        // SAFETY: `active` returns only a backend the CPU supports
+        // (`detected` picks among supported ones and `with_backend`
+        // asserts `supported`), and both SIMD backends include avx2+fma;
+        // the asserts above bound every index the kernel reads or writes.
+        KernelBackend::Avx2 | KernelBackend::Avx512 => unsafe { matmul_avx2(a, m, k, b, n, out) },
         #[cfg(not(target_arch = "x86_64"))]
-        KernelBackend::Avx2 => matmul_scalar(a, m, k, b, n, out),
+        _ => matmul_scalar(a, m, k, b, n, out),
     }
 }
 
@@ -157,10 +230,13 @@ pub fn matmul_nt(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [
     match active() {
         KernelBackend::Scalar => matmul_nt_scalar(a, m, k, b, n, out),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `matmul` — avx2+fma verified before dispatch.
-        KernelBackend::Avx2 => unsafe { matmul_nt_avx2(a, m, k, b, n, out) },
+        // SAFETY: as in `matmul`, the active backend is supported and
+        // includes avx2+fma; the kernel slices its rows with bounds checks.
+        KernelBackend::Avx2 | KernelBackend::Avx512 => unsafe {
+            matmul_nt_avx2(a, m, k, b, n, out)
+        },
         #[cfg(not(target_arch = "x86_64"))]
-        KernelBackend::Avx2 => matmul_nt_scalar(a, m, k, b, n, out),
+        _ => matmul_nt_scalar(a, m, k, b, n, out),
     }
 }
 
@@ -439,62 +515,256 @@ pub(crate) struct ConvEpilogue {
     pub pool: bool,
 }
 
-/// Direct convolution of one zero-padded sample, fused with the bias and
-/// the [`ConvEpilogue`]: no im2col matrix, no separate bias, ReLU or pool
-/// pass. `out` receives `[out_ch, oh, ow]` (or the pooled
-/// `[out_ch, oh/2, ow/2]`); `weight` is `[out_ch, in_ch·k·k]` in
-/// `(c, ky, kx)` order; `rows` is scratch for the scalar backend's row
-/// accumulators, grown on first use.
+/// The register tiles that run a fused conv block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ConvTiles {
+    /// Row accumulators on the scalar backend.
+    Scalar,
+    /// `f32x8` tiles of 4 output channels × 8 columns × 2 rows: every
+    /// block on the AVX2 backend, and every AVX-512 block that neither
+    /// 512-bit tile serves.
+    Avx2,
+    /// AVX-512 column lanes: `f32x16` tiles of 8 output channels × 16
+    /// columns × 2 rows, for stride-1 blocks of at least 8 channels and
+    /// 16 columns (the IL CNN's 3→8 conv at 32×32).
+    Columns,
+    /// AVX-512 channel lanes: one `f32x16` holds 16 output channels of
+    /// one output pixel, in tiles of 8 columns × 2 rows, for stride-1
+    /// blocks whose channel count is a multiple of 16 (the 8→16 and
+    /// 16→32 convs).
+    Channels,
+}
+
+impl ConvTiles {
+    fn choose(backend: KernelBackend, s: &ConvShape) -> Self {
+        match backend {
+            KernelBackend::Scalar => ConvTiles::Scalar,
+            KernelBackend::Avx2 => ConvTiles::Avx2,
+            KernelBackend::Avx512
+                if s.stride == 1
+                    && s.out_ch.is_multiple_of(16)
+                    && s.ow >= 8
+                    && s.k_len() <= i32::MAX as usize / 16 =>
+            {
+                ConvTiles::Channels
+            }
+            KernelBackend::Avx512 if s.stride == 1 && s.out_ch >= 8 && s.ow >= 16 => {
+                ConvTiles::Columns
+            }
+            KernelBackend::Avx512 => ConvTiles::Avx2,
+        }
+    }
+}
+
+/// Kernel scratch of the fused conv blocks, held by the inference
+/// buffers: the scalar backend's row accumulators and the AVX-512
+/// channel-lane weight pack. Both grow on first use and are then reused,
+/// so inference stays allocation-free after warm-up.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ConvScratch {
+    /// Two rows of scalar accumulators.
+    rows: Vec<f32>,
+    /// The weights tap-major: `packed[t·out_ch + o] = weight[o·k_len + t]`.
+    packed: Vec<f32>,
+    /// `masks[t·out_ch/16 + g]` has bit `l` set when output channel
+    /// `16g + l` has a nonzero weight at tap `t`.
+    masks: Vec<u16>,
+}
+
+impl ConvScratch {
+    /// Packs `weight` (`[out_ch, k_len]`) for the channel lanes, with the
+    /// zero-skip mask of every tap and 16-channel group: one gather of 16
+    /// channels' weights per tap and group.
+    ///
+    /// # Safety
+    ///
+    /// avx512f must be available; `out_ch` must be a multiple of 16,
+    /// `16·k_len` must fit an `i32`, and `weight` must hold
+    /// `out_ch·k_len` entries.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn pack_channel_lanes(&mut self, s: &ConvShape, weight: &[f32]) {
+        use std::arch::x86_64::*;
+        let (kl, oc) = (s.k_len(), s.out_ch);
+        let groups = oc / 16;
+        self.packed.resize(kl * oc, 0.0);
+        self.masks.resize(kl * groups, 0);
+        // lane l reads channel 16g + l's row, kl entries further each
+        let rows = _mm512_mullo_epi32(
+            _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+            _mm512_set1_epi32(kl as i32),
+        );
+        for g in 0..groups {
+            for t in 0..kl {
+                // SAFETY: lane l reads weight[(16g + l)·kl + t] <
+                // out_ch·kl <= weight.len(); the store fills
+                // packed[t·out_ch + 16g..][..16] inside packed.
+                let v = unsafe {
+                    let v = _mm512_i32gather_ps::<4>(rows, weight.as_ptr().add(16 * g * kl + t));
+                    _mm512_storeu_ps(self.packed.as_mut_ptr().add(t * oc + 16 * g), v);
+                    v
+                };
+                // the AVX2 tiles skip a weight that compares equal to
+                // zero; NEQ_UQ is its negation, NaN included
+                self.masks[t * groups + g] =
+                    _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(v, _mm512_setzero_ps());
+            }
+        }
+    }
+}
+
+/// Whether `outputs` positions of a kernel of side `kernel` at `stride`
+/// fit a padded side of `padded`.
+fn conv_fits(outputs: usize, stride: usize, kernel: usize, padded: usize) -> bool {
+    outputs == 0
+        || (outputs - 1)
+            .checked_mul(stride)
+            .and_then(|v| v.checked_add(kernel))
+            .is_some_and(|end| end <= padded)
+}
+
+/// A fused conv block ready to run sample by sample on the current
+/// thread's backend: direct convolution of one zero-padded sample, fused
+/// with the bias and the [`ConvEpilogue`] — no im2col matrix, no
+/// separate bias, ReLU or pool pass.
 ///
 /// Every output element keeps the op sequence of the im2col route
 /// (`matmul` over the patch matrix, then the bias, ReLU and pool
 /// layers): the accumulator starts at `+0.0` and takes one
 /// multiply-accumulate per nonzero weight, `(c, ky, kx)` ascending — one
-/// FMA on AVX2, a multiply then an add on the scalar backend, exactly as
-/// [`matmul`] — then `+ bias`, then `max(v, 0)`, then the pool's `>` scan
-/// over its window in row-major order starting from `−∞`. Tiling never
-/// changes an element's sequence, so on a given backend the result is
-/// bit-identical to running the layers one by one.
-///
-/// # Panics
-///
-/// Panics when the slices are shorter than the shape requires.
-pub(crate) fn conv2d_fused(
-    xpad: &[f32],
-    shape: &ConvShape,
-    weight: &[f32],
-    bias: &[f32],
+/// FMA on the SIMD backends, a multiply then an add on the scalar
+/// backend, exactly as [`matmul`] — then `+ bias`, then `max(v, 0)`, then
+/// the pool's `>` scan over its window in row-major order starting from
+/// `−∞`. Tiling never changes an element's sequence, so on a given
+/// backend the result is bit-identical to running the layers one by
+/// one, and the AVX-512 tiles give the AVX2 tiles' bits.
+pub(crate) struct FusedConv<'a> {
+    shape: ConvShape,
+    weight: &'a [f32],
+    bias: &'a [f32],
     epilogue: ConvEpilogue,
-    rows: &mut Vec<f32>,
-    out: &mut [f32],
-) {
-    let s = shape;
-    assert!(
-        xpad.len() >= s.in_ch * s.hp * s.wp,
-        "padded input too short"
-    );
-    assert!(weight.len() >= s.out_ch * s.k_len() && bias.len() >= s.out_ch);
-    assert!(
-        s.oh == 0
-            || s.ow == 0
-            || ((s.oh - 1) * s.stride + s.kernel <= s.hp
-                && (s.ow - 1) * s.stride + s.kernel <= s.wp),
-        "conv output exceeds the padded input"
-    );
-    let out_len = if epilogue.pool {
-        s.out_ch * (s.oh / 2) * (s.ow / 2)
-    } else {
-        s.out_ch * s.oh * s.ow
-    };
-    assert!(out.len() >= out_len, "conv output buffer too short");
-    match active() {
-        KernelBackend::Scalar => conv2d_fused_scalar(xpad, s, weight, bias, epilogue, rows, out),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `matmul` — avx2+fma verified before dispatch; the
-        // asserts above bound every index the kernel touches.
-        KernelBackend::Avx2 => unsafe { conv2d_fused_avx2(xpad, s, weight, bias, epilogue, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        KernelBackend::Avx2 => conv2d_fused_scalar(xpad, s, weight, bias, epilogue, rows, out),
+    tiles: ConvTiles,
+    /// Elements of one padded input sample.
+    in_len: usize,
+    /// Elements of one output sample.
+    out_len: usize,
+    /// Exclusively borrowed, so the pack `new` wrote stays the pack of
+    /// `weight` for as long as this block exists.
+    scratch: &'a mut ConvScratch,
+}
+
+impl<'a> FusedConv<'a> {
+    /// Prepares one block for any number of samples: checks that the
+    /// weights (`[out_ch, in_ch·k·k]` in `(c, ky, kx)` order), the biases
+    /// and the output fit the shape, picks the active backend's tiles,
+    /// and for the AVX-512 channel lanes packs the weights — once per
+    /// call, never per sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the weights or biases are shorter than the shape
+    /// requires, or the output does not fit the padded input.
+    pub(crate) fn new(
+        shape: ConvShape,
+        weight: &'a [f32],
+        bias: &'a [f32],
+        epilogue: ConvEpilogue,
+        scratch: &'a mut ConvScratch,
+    ) -> Self {
+        let s = &shape;
+        let k_len = elems(s.in_ch, elems(s.kernel, s.kernel));
+        assert!(
+            weight.len() >= elems(s.out_ch, k_len) && bias.len() >= s.out_ch,
+            "conv weights or biases too short"
+        );
+        assert!(
+            s.oh == 0
+                || s.ow == 0
+                || (conv_fits(s.oh, s.stride, s.kernel, s.hp)
+                    && conv_fits(s.ow, s.stride, s.kernel, s.wp)),
+            "conv output exceeds the padded input"
+        );
+        let in_len = elems(s.in_ch, elems(s.hp, s.wp));
+        let out_len = if epilogue.pool {
+            elems(s.out_ch, elems(s.oh / 2, s.ow / 2))
+        } else {
+            elems(s.out_ch, elems(s.oh, s.ow))
+        };
+        let tiles = ConvTiles::choose(active(), s);
+        match tiles {
+            ConvTiles::Scalar if scratch.rows.len() < 2 * s.ow => {
+                scratch.rows.resize(2 * s.ow, 0.0)
+            }
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: channel lanes are chosen only on the avx512 backend,
+            // which the CPU supports (see `matmul`), for out_ch a multiple
+            // of 16 and 16·k_len within i32; the weights were asserted
+            // above.
+            ConvTiles::Channels => unsafe { scratch.pack_channel_lanes(s, weight) },
+            _ => {}
+        }
+        FusedConv {
+            shape,
+            weight,
+            bias,
+            epilogue,
+            tiles,
+            in_len,
+            out_len,
+            scratch,
+        }
+    }
+
+    /// Runs the block on one zero-padded sample `xpad` (`[in_ch, hp,
+    /// wp]`), writing `[out_ch, oh, ow]` (or the pooled `[out_ch, oh/2,
+    /// ow/2]`) to the front of `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `xpad` or `out` is shorter than the shape requires.
+    pub(crate) fn run(&mut self, xpad: &[f32], out: &mut [f32]) {
+        assert!(xpad.len() >= self.in_len, "padded input too short");
+        assert!(out.len() >= self.out_len, "conv output buffer too short");
+        let (s, weight, bias, epilogue) = (&self.shape, self.weight, self.bias, self.epilogue);
+        match self.tiles {
+            ConvTiles::Scalar => {
+                conv2d_fused_scalar(xpad, s, weight, bias, epilogue, &mut self.scratch.rows, out)
+            }
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `new` chose the tiles from the active backend, which
+            // the CPU supports (see `matmul`) and which includes avx2+fma;
+            // `new` asserted that weight, bias and the output fit the
+            // shape, and the asserts above that xpad and out hold a sample.
+            ConvTiles::Avx2 => unsafe {
+                conv_block_avx2(xpad, s, weight, bias, epilogue, 0..s.out_ch, 0, out)
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as for `Avx2`; column lanes are chosen only on the
+            // avx512 backend (avx512f+avx2+fma), at stride 1 with at least
+            // 8 output channels and 16 output columns.
+            ConvTiles::Columns => unsafe {
+                conv_column_lanes_avx512(xpad, s, weight, bias, epilogue, out)
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as for `Avx2`; channel lanes are chosen only on the
+            // avx512 backend (avx512f+avx2+fma), at stride 1 with out_ch a
+            // multiple of 16 and at least 8 output columns, and `new`
+            // packed this weight for this shape into the scratch it still
+            // borrows exclusively.
+            ConvTiles::Channels => unsafe {
+                conv_channel_lanes_avx512(
+                    xpad,
+                    s,
+                    weight,
+                    bias,
+                    epilogue,
+                    (&self.scratch.packed, &self.scratch.masks),
+                    out,
+                )
+            },
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => conv2d_fused_scalar(xpad, s, weight, bias, epilogue, &mut self.scratch.rows, out),
+        }
     }
 }
 
@@ -533,15 +803,12 @@ fn conv2d_fused_scalar(
     weight: &[f32],
     bias: &[f32],
     epilogue: ConvEpilogue,
-    rows: &mut Vec<f32>,
+    rows: &mut [f32],
     out: &mut [f32],
 ) {
     let kl = s.k_len();
     let ow = s.ow;
     let finish = |v: f32, b: f32| bias_relu_f32(v, b, epilogue.relu);
-    if rows.len() < 2 * ow {
-        rows.resize(2 * ow, 0.0);
-    }
     let (r0, r1) = rows[..2 * ow].split_at_mut(ow);
     for (o, &b) in bias[..s.out_ch].iter().enumerate() {
         let w_row = &weight[o * kl..(o + 1) * kl];
@@ -600,52 +867,63 @@ fn accumulate_row(xpad: &[f32], s: &ConvShape, w_row: &[f32], oy: usize, acc: &m
     }
 }
 
-/// The AVX2 backend: stride-1 convolutions run a register tile of up to
-/// four output channels × 8 columns × 2 rows straight off the padded
-/// input (the 8 input values under one kernel tap are contiguous), with
-/// bias, ReLU and the 2×2 pool applied in registers. Column tails and
-/// strided convolutions take per-element FMAs with the same sequence.
+/// The AVX2 tiles over output channels `channels` and output columns
+/// `x_from..ow`: stride-1 convolutions run a register tile of up to four
+/// output channels × 8 columns × 2 rows straight off the padded input
+/// (the 8 input values under one kernel tap are contiguous), with bias,
+/// ReLU and the 2×2 pool applied in registers. Column tails and strided
+/// convolutions take per-element FMAs with the same sequence.
+///
+/// # Safety
+///
+/// avx2+fma must be available; the slices must satisfy the bounds
+/// [`FusedConv`] asserts; `channels.end <= out_ch`; `x_from <= ow`, even
+/// when the epilogue pools, and 0 unless the stride is 1.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn conv2d_fused_avx2(
+#[allow(clippy::too_many_arguments)]
+unsafe fn conv_block_avx2(
     xpad: &[f32],
     s: &ConvShape,
     weight: &[f32],
     bias: &[f32],
     epilogue: ConvEpilogue,
+    channels: std::ops::Range<usize>,
+    x_from: usize,
     out: &mut [f32],
 ) {
     let kl = s.k_len();
-    let mut o0 = 0;
-    while o0 < s.out_ch {
-        let mr = if s.out_ch - o0 >= 4 { 4 } else { 1 };
+    let mut o0 = channels.start;
+    while o0 < channels.end {
+        let mr = if channels.end - o0 >= 4 { 4 } else { 1 };
         let w = &weight[o0 * kl..(o0 + mr) * kl];
         let b = &bias[o0..o0 + mr];
+        let at = (o0, x_from);
         // Trained weights are practically never exactly zero, so the
         // zero-skip test is hoisted out of the tile: a tile with no zero
         // weight runs branch-free (same sequence — nothing to skip).
         let has_zero = w.iter().fold(false, |z, &v| z | (v == 0.0));
-        // SAFETY: avx2+fma are enabled on this function; the dispatcher
-        // asserted the slice bounds the blocks index within.
+        // SAFETY: avx2+fma are enabled on this function; the caller's
+        // contract bounds every index the blocks touch.
         unsafe {
             match (mr, has_zero) {
-                (4, false) => conv_channels_avx2::<4, false>(xpad, s, w, b, epilogue, o0, out),
-                (4, true) => conv_channels_avx2::<4, true>(xpad, s, w, b, epilogue, o0, out),
-                (_, false) => conv_channels_avx2::<1, false>(xpad, s, w, b, epilogue, o0, out),
-                (_, true) => conv_channels_avx2::<1, true>(xpad, s, w, b, epilogue, o0, out),
+                (4, false) => conv_channels_avx2::<4, false>(xpad, s, w, b, epilogue, at, out),
+                (4, true) => conv_channels_avx2::<4, true>(xpad, s, w, b, epilogue, at, out),
+                (_, false) => conv_channels_avx2::<1, false>(xpad, s, w, b, epilogue, at, out),
+                (_, true) => conv_channels_avx2::<1, true>(xpad, s, w, b, epilogue, at, out),
             }
         }
         o0 += mr;
     }
 }
 
-/// Output channels `o0..o0 + MR` of [`conv2d_fused_avx2`]; `w` and `b`
-/// are those channels' weight rows and biases.
+/// Output channels `o0..o0 + MR`, columns `x_from..ow` of
+/// [`conv_block_avx2`]; `w` and `b` are those channels' weight rows and
+/// biases.
 ///
 /// # Safety
 ///
-/// avx2+fma must be available, and the slices must satisfy the bounds
-/// [`conv2d_fused`] asserts.
+/// As for [`conv_block_avx2`], with `o0 + MR <= out_ch`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn conv_channels_avx2<const MR: usize, const CHECK: bool>(
@@ -654,33 +932,38 @@ unsafe fn conv_channels_avx2<const MR: usize, const CHECK: bool>(
     w: &[f32],
     b: &[f32],
     epilogue: ConvEpilogue,
-    o0: usize,
+    (o0, x_from): (usize, usize),
     out: &mut [f32],
 ) {
     use std::arch::x86_64::*;
     let kl = s.k_len();
     // full 8-column tiles; strided convolutions read scattered patches and
     // go per element
-    let tiles = if s.stride == 1 { s.ow / 8 } else { 0 };
+    let tiles = if s.stride == 1 {
+        (s.ow - x_from) / 8
+    } else {
+        0
+    };
+    let x_tail = x_from + 8 * tiles;
     // SAFETY (whole function): tiles only exist at stride 1, where
     // oy + ry + ky < hp and x0 + kx + 8 <= wp for every tile load (the
-    // dispatcher asserted the output fits the padded input), and every
-    // store lands inside out's [out_ch, oh', ow'] plane for o0 + r <
-    // out_ch.
+    // output fits the padded input), and every store lands inside out's
+    // [out_ch, oh', ow'] plane for o0 + r < out_ch.
     unsafe {
         if epilogue.pool {
             let (ph, pw) = (s.oh / 2, s.ow / 2);
             for py in 0..ph {
                 for t in 0..tiles {
-                    let acc = conv_tile_avx2::<MR, 2, CHECK>(xpad, s, w, 2 * py, 8 * t);
+                    let x0 = x_from + 8 * t;
+                    let acc = conv_tile_avx2::<MR, 2, CHECK>(xpad, s, w, 2 * py, x0);
                     for (r, acc_r) in acc.iter().enumerate() {
                         let top = bias_relu_avx2(acc_r[0], b[r], epilogue.relu);
                         let bottom = bias_relu_avx2(acc_r[1], b[r], epilogue.relu);
-                        let dst = out.as_mut_ptr().add(((o0 + r) * ph + py) * pw + 4 * t);
+                        let dst = out.as_mut_ptr().add(((o0 + r) * ph + py) * pw + x0 / 2);
                         _mm_storeu_ps(dst, pool2x2_avx2(top, bottom));
                     }
                 }
-                for px in 4 * tiles..pw {
+                for px in x_tail / 2..pw {
                     for r in 0..MR {
                         let w_row = &w[r * kl..(r + 1) * kl];
                         let at = |dy: usize, dx: usize| {
@@ -697,26 +980,27 @@ unsafe fn conv_channels_avx2<const MR: usize, const CHECK: bool>(
             while oy < s.oh {
                 let ry = if oy + 1 < s.oh { 2 } else { 1 };
                 for t in 0..tiles {
+                    let x0 = x_from + 8 * t;
                     if ry == 2 {
-                        let acc = conv_tile_avx2::<MR, 2, CHECK>(xpad, s, w, oy, 8 * t);
+                        let acc = conv_tile_avx2::<MR, 2, CHECK>(xpad, s, w, oy, x0);
                         for (r, acc_r) in acc.iter().enumerate() {
                             for (dy, &a) in acc_r.iter().enumerate() {
                                 let dst = out
                                     .as_mut_ptr()
-                                    .add(((o0 + r) * s.oh + oy + dy) * s.ow + 8 * t);
+                                    .add(((o0 + r) * s.oh + oy + dy) * s.ow + x0);
                                 _mm256_storeu_ps(dst, bias_relu_avx2(a, b[r], epilogue.relu));
                             }
                         }
                     } else {
-                        let acc = conv_tile_avx2::<MR, 1, CHECK>(xpad, s, w, oy, 8 * t);
+                        let acc = conv_tile_avx2::<MR, 1, CHECK>(xpad, s, w, oy, x0);
                         for (r, acc_r) in acc.iter().enumerate() {
-                            let dst = out.as_mut_ptr().add(((o0 + r) * s.oh + oy) * s.ow + 8 * t);
+                            let dst = out.as_mut_ptr().add(((o0 + r) * s.oh + oy) * s.ow + x0);
                             _mm256_storeu_ps(dst, bias_relu_avx2(acc_r[0], b[r], epilogue.relu));
                         }
                     }
                 }
                 for y in oy..oy + ry {
-                    for ox in 8 * tiles..s.ow {
+                    for ox in x_tail..s.ow {
                         for r in 0..MR {
                             let acc = conv_point_fma(xpad, s, &w[r * kl..(r + 1) * kl], y, ox);
                             out[((o0 + r) * s.oh + y) * s.ow + ox] =
@@ -866,6 +1150,398 @@ unsafe fn conv_point_fma(xpad: &[f32], s: &ConvShape, w_row: &[f32], oy: usize, 
     acc
 }
 
+/// The AVX-512 column lanes: per block of 8 output channels, `f32x16`
+/// tiles of 16 columns × 2 rows (16 accumulators), each tap one load per
+/// row and one broadcast weight per channel, as [`conv_tile_avx2`] at
+/// twice the width. Columns past the last full 16 and channels past the
+/// last full 8 run on the AVX2 tiles.
+///
+/// # Safety
+///
+/// avx512f, avx2 and fma must be available; the shape must have stride 1
+/// and the slices must satisfy the bounds [`FusedConv`] asserts.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn conv_column_lanes_avx512(
+    xpad: &[f32],
+    s: &ConvShape,
+    weight: &[f32],
+    bias: &[f32],
+    epilogue: ConvEpilogue,
+    out: &mut [f32],
+) {
+    let kl = s.k_len();
+    let cols = s.ow - s.ow % 16;
+    let lane_channels = s.out_ch - s.out_ch % 8;
+    for o0 in (0..lane_channels).step_by(8) {
+        let w = &weight[o0 * kl..(o0 + 8) * kl];
+        let b = &bias[o0..o0 + 8];
+        // SAFETY: the target features are enabled here, o0 + 8 <= out_ch
+        // and cols <= ow is a multiple of 16; the caller's contract bounds
+        // the rest.
+        unsafe {
+            if w.contains(&0.0) {
+                column_block_avx512::<true>(xpad, s, w, b, epilogue, (o0, cols), out);
+            } else {
+                column_block_avx512::<false>(xpad, s, w, b, epilogue, (o0, cols), out);
+            }
+        }
+    }
+    // SAFETY: avx2+fma are enabled here; both channel ranges end at or
+    // below out_ch, cols <= ow is even, and the stride is 1.
+    unsafe {
+        if cols < s.ow {
+            conv_block_avx2(xpad, s, weight, bias, epilogue, 0..lane_channels, cols, out);
+        }
+        conv_block_avx2(
+            xpad,
+            s,
+            weight,
+            bias,
+            epilogue,
+            lane_channels..s.out_ch,
+            0,
+            out,
+        );
+    }
+}
+
+/// Output channels `o0..o0 + 8`, columns `0..cols` of
+/// [`conv_column_lanes_avx512`]; `w` and `b` are those channels' weight
+/// rows and biases.
+///
+/// # Safety
+///
+/// As for [`conv_column_lanes_avx512`], with `o0 + 8 <= out_ch` and
+/// `cols <= ow` a multiple of 16.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn column_block_avx512<const CHECK: bool>(
+    xpad: &[f32],
+    s: &ConvShape,
+    w: &[f32],
+    b: &[f32],
+    epilogue: ConvEpilogue,
+    (o0, cols): (usize, usize),
+    out: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let bias: [__m512; 8] = std::array::from_fn(|r| _mm512_set1_ps(b[r]));
+    // SAFETY (whole function): each tile covers rows oy..oy + RY <= oh and
+    // columns x0..x0 + 16 <= cols <= ow, and every store lands inside
+    // out's [out_ch, oh', ow'] plane for o0 + r < out_ch.
+    unsafe {
+        if epilogue.pool {
+            let (ph, pw) = (s.oh / 2, s.ow / 2);
+            for py in 0..ph {
+                for x0 in (0..cols).step_by(16) {
+                    let acc = column_tile_avx512::<2, CHECK>(xpad, s, w, 2 * py, x0);
+                    for (r, acc_r) in acc.iter().enumerate() {
+                        let top = bias_relu_avx512(acc_r[0], bias[r], epilogue.relu);
+                        let bottom = bias_relu_avx512(acc_r[1], bias[r], epilogue.relu);
+                        let dst = out.as_mut_ptr().add(((o0 + r) * ph + py) * pw + x0 / 2);
+                        _mm256_storeu_ps(dst, pool2x2_avx512(top, bottom));
+                    }
+                }
+            }
+        } else {
+            let mut oy = 0;
+            while oy < s.oh {
+                let ry = if oy + 1 < s.oh { 2 } else { 1 };
+                for x0 in (0..cols).step_by(16) {
+                    let at = |r: usize, dy: usize| ((o0 + r) * s.oh + oy + dy) * s.ow + x0;
+                    if ry == 2 {
+                        let acc = column_tile_avx512::<2, CHECK>(xpad, s, w, oy, x0);
+                        for (r, acc_r) in acc.iter().enumerate() {
+                            for (dy, &a) in acc_r.iter().enumerate() {
+                                let v = bias_relu_avx512(a, bias[r], epilogue.relu);
+                                _mm512_storeu_ps(out.as_mut_ptr().add(at(r, dy)), v);
+                            }
+                        }
+                    } else {
+                        let acc = column_tile_avx512::<1, CHECK>(xpad, s, w, oy, x0);
+                        for (r, acc_r) in acc.iter().enumerate() {
+                            let v = bias_relu_avx512(acc_r[0], bias[r], epilogue.relu);
+                            _mm512_storeu_ps(out.as_mut_ptr().add(at(r, 0)), v);
+                        }
+                    }
+                }
+                oy += ry;
+            }
+        }
+    }
+}
+
+/// Accumulators of one column-lane tile: output channels `0..8` of `w`,
+/// rows `oy..oy + RY`, columns `x0..x0 + 16`, at stride 1 — per element
+/// the [`conv_tile_avx2`] sequence.
+///
+/// # Safety
+///
+/// avx512f+fma must be available; `w` must hold 8 weight rows; the tile
+/// must lie inside the output (`oy + RY <= oh`, `x0 + 16 <= ow`) of a
+/// stride-1 shape whose output fits the padded input.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn column_tile_avx512<const RY: usize, const CHECK: bool>(
+    xpad: &[f32],
+    s: &ConvShape,
+    w: &[f32],
+    oy: usize,
+    x0: usize,
+) -> [[std::arch::x86_64::__m512; RY]; 8] {
+    use std::arch::x86_64::*;
+    let k = s.kernel;
+    let kl = s.k_len();
+    let mut acc = [[_mm512_setzero_ps(); RY]; 8];
+    // SAFETY: per the contract, every load reads
+    // xpad[(c·hp + oy + ry + ky)·wp + x0 + kx ..][..16] inside the padded
+    // sample, and every weight read w[r·kl + kk] has r < 8, kk < kl.
+    unsafe {
+        let mut wk = w.as_ptr();
+        for c in 0..s.in_ch {
+            for ky in 0..k {
+                let row = xpad.as_ptr().add((c * s.hp + oy + ky) * s.wp + x0);
+                for kx in 0..k {
+                    let mut xv = [_mm512_setzero_ps(); RY];
+                    for (ry, v) in xv.iter_mut().enumerate() {
+                        *v = _mm512_loadu_ps(row.add(ry * s.wp + kx));
+                    }
+                    for (r, acc_r) in acc.iter_mut().enumerate() {
+                        let wv = *wk.add(r * kl);
+                        if CHECK && wv == 0.0 {
+                            continue;
+                        }
+                        let va = _mm512_set1_ps(wv);
+                        for (a, &x) in acc_r.iter_mut().zip(&xv) {
+                            *a = _mm512_fmadd_ps(va, x, *a);
+                        }
+                    }
+                    wk = wk.add(1);
+                }
+            }
+        }
+    }
+    acc
+}
+
+/// The AVX-512 channel lanes: one `f32x16` holds 16 output channels of
+/// one output pixel. Per tap, one load of the packed weights feeds a
+/// tile of 8 columns × 2 rows, each input value broadcast, and each FMA
+/// masked by the tap's nonzero-weight mask, so a zero weight leaves its
+/// lane untouched exactly as the AVX2 skip does, even against a NaN or
+/// infinite input. Columns past the last full 8 run on the AVX2 tiles.
+///
+/// # Safety
+///
+/// avx512f, avx2 and fma must be available; the shape must have stride 1
+/// and `out_ch % 16 == 0`; `pack` must be the
+/// [`ConvScratch::pack_channel_lanes`] pack of `weight` for `s`; the
+/// slices must satisfy the bounds [`FusedConv`] asserts.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn conv_channel_lanes_avx512(
+    xpad: &[f32],
+    s: &ConvShape,
+    weight: &[f32],
+    bias: &[f32],
+    epilogue: ConvEpilogue,
+    pack: (&[f32], &[u16]),
+    out: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let cols = s.ow - s.ow % 8;
+    let (ph, pw) = (s.oh / 2, s.ow / 2);
+    let plane = if epilogue.pool { ph * pw } else { s.oh * s.ow };
+    for g in 0..s.out_ch / 16 {
+        // channel 16g's plane: lane l of a register stores `plane` further
+        let base = 16 * g * plane;
+        // SAFETY (whole loop): g < out_ch/16, so bias[16g..16g + 16] is
+        // inside bias; every tile lies inside the output: rows
+        // oy..oy + RY <= oh, columns x0..x0 + 8 <= cols <= ow.
+        unsafe {
+            let vb = _mm512_loadu_ps(bias.as_ptr().add(16 * g));
+            if epilogue.pool {
+                for py in 0..ph {
+                    for x0 in (0..cols).step_by(8) {
+                        let acc = channel_tile_avx512::<2>(xpad, s, pack, g, 2 * py, x0);
+                        for j in 0..4 {
+                            let mut best = _mm512_set1_ps(f32::NEG_INFINITY);
+                            for a in [
+                                acc[0][2 * j],
+                                acc[0][2 * j + 1],
+                                acc[1][2 * j],
+                                acc[1][2 * j + 1],
+                            ] {
+                                best = _mm512_max_ps(bias_relu_avx512(a, vb, epilogue.relu), best);
+                            }
+                            store_channel_lanes(out, base + py * pw + x0 / 2 + j, plane, best);
+                        }
+                    }
+                }
+            } else {
+                let mut oy = 0;
+                while oy < s.oh {
+                    let ry = if oy + 1 < s.oh { 2 } else { 1 };
+                    for x0 in (0..cols).step_by(8) {
+                        if ry == 2 {
+                            let acc = channel_tile_avx512::<2>(xpad, s, pack, g, oy, x0);
+                            for (dy, acc_r) in acc.iter().enumerate() {
+                                for (dx, &a) in acc_r.iter().enumerate() {
+                                    let v = bias_relu_avx512(a, vb, epilogue.relu);
+                                    store_channel_lanes(
+                                        out,
+                                        base + (oy + dy) * s.ow + x0 + dx,
+                                        plane,
+                                        v,
+                                    );
+                                }
+                            }
+                        } else {
+                            let acc = channel_tile_avx512::<1>(xpad, s, pack, g, oy, x0);
+                            for (dx, &a) in acc[0].iter().enumerate() {
+                                let v = bias_relu_avx512(a, vb, epilogue.relu);
+                                store_channel_lanes(out, base + oy * s.ow + x0 + dx, plane, v);
+                            }
+                        }
+                    }
+                    oy += ry;
+                }
+            }
+        }
+    }
+    if cols < s.ow {
+        // SAFETY: avx2+fma are enabled here; cols <= ow is even and the
+        // stride is 1.
+        unsafe { conv_block_avx2(xpad, s, weight, bias, epilogue, 0..s.out_ch, cols, out) };
+    }
+}
+
+/// Accumulators of one channel-lane tile: channels `16g..16g + 16`, rows
+/// `oy..oy + RY`, columns `x0..x0 + 8`, at stride 1. Per element: one
+/// FMA per nonzero weight, `(c, ky, kx)` ascending, from `+0.0` — the
+/// masked FMA leaves a lane whose weight is zero unchanged.
+///
+/// # Safety
+///
+/// avx512f+fma must be available; `pack` must be the channel-lane pack
+/// for `s` and `g < out_ch/16`; the tile must lie inside the output
+/// (`oy + RY <= oh`, `x0 + 8 <= ow`) of a stride-1 shape whose output
+/// fits the padded input.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn channel_tile_avx512<const RY: usize>(
+    xpad: &[f32],
+    s: &ConvShape,
+    (packed, masks): (&[f32], &[u16]),
+    g: usize,
+    oy: usize,
+    x0: usize,
+) -> [[std::arch::x86_64::__m512; 8]; RY] {
+    use std::arch::x86_64::*;
+    let k = s.kernel;
+    let groups = s.out_ch / 16;
+    let mut acc = [[_mm512_setzero_ps(); 8]; RY];
+    // SAFETY: per the contract, every input read is
+    // xpad[(c·hp + oy + ry + ky)·wp + x0 + kx + dx] with dx < 8, inside the
+    // padded sample; tap t's weights are packed[t·out_ch + 16g..][..16]
+    // and its mask masks[t·groups + g], with t < k_len.
+    unsafe {
+        let mut wt = packed.as_ptr().add(16 * g);
+        let mut mt = masks.as_ptr().add(g);
+        for c in 0..s.in_ch {
+            for ky in 0..k {
+                let row = xpad.as_ptr().add((c * s.hp + oy + ky) * s.wp + x0);
+                for kx in 0..k {
+                    let wv = _mm512_loadu_ps(wt);
+                    let m = *mt;
+                    for (ry, acc_r) in acc.iter_mut().enumerate() {
+                        let xr = row.add(ry * s.wp + kx);
+                        for (dx, a) in acc_r.iter_mut().enumerate() {
+                            *a = _mm512_mask3_fmadd_ps(wv, _mm512_set1_ps(*xr.add(dx)), *a, m);
+                        }
+                    }
+                    wt = wt.add(s.out_ch);
+                    mt = mt.add(groups);
+                }
+            }
+        }
+    }
+    acc
+}
+
+/// Stores lane `l` of `v` at `out[at + l·plane]`: a channel-lane
+/// register's 16 channels go to 16 output planes. The stores are bounds
+/// checked, so a wrong offset panics instead of escaping `out`.
+///
+/// # Safety
+///
+/// avx512f must be available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn store_channel_lanes(
+    out: &mut [f32],
+    at: usize,
+    plane: usize,
+    v: std::arch::x86_64::__m512,
+) {
+    let mut lanes = [0.0f32; 16];
+    // SAFETY: lanes holds 16 f32.
+    unsafe { std::arch::x86_64::_mm512_storeu_ps(lanes.as_mut_ptr(), v) };
+    for (l, &x) in lanes.iter().enumerate() {
+        out[at + l * plane] = x;
+    }
+}
+
+/// [`bias_relu_avx2`] on 16 lanes: `vmaxps` has the same operand rule at
+/// every width.
+///
+/// # Safety
+///
+/// avx512f must be available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn bias_relu_avx512(
+    acc: std::arch::x86_64::__m512,
+    bias: std::arch::x86_64::__m512,
+    relu: bool,
+) -> std::arch::x86_64::__m512 {
+    use std::arch::x86_64::*;
+    let v = _mm512_add_ps(acc, bias);
+    if relu {
+        _mm512_max_ps(v, _mm512_setzero_ps())
+    } else {
+        v
+    }
+}
+
+/// 2×2 max pool of two 16-column rows into 8 outputs, as the `>` scan of
+/// [`pool2x2_avx2`]: top-left, top-right, bottom-left, bottom-right.
+///
+/// # Safety
+///
+/// avx512f must be available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2")]
+#[inline]
+unsafe fn pool2x2_avx512(
+    top: std::arch::x86_64::__m512,
+    bottom: std::arch::x86_64::__m512,
+) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    // [even columns | odd columns] of each row
+    let split = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7, 9, 11, 13, 15);
+    let top = _mm512_castps_pd(_mm512_permutexvar_ps(split, top));
+    let bottom = _mm512_castps_pd(_mm512_permutexvar_ps(split, bottom));
+    let mut best = _mm256_set1_ps(f32::NEG_INFINITY);
+    best = _mm256_max_ps(_mm256_castpd_ps(_mm512_castpd512_pd256(top)), best);
+    best = _mm256_max_ps(_mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(top)), best);
+    best = _mm256_max_ps(_mm256_castpd_ps(_mm512_castpd512_pd256(bottom)), best);
+    _mm256_max_ps(_mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(bottom)), best)
+}
+
 /// `out[m×n] = a[m×k] · b[n×k]ᵀ` over quantized integers: `a` holds
 /// unsigned activation codes, `b` signed int8 weights, and every output
 /// element is an exact i32 dot product — the quantized counterpart of
@@ -886,12 +1562,13 @@ unsafe fn conv_point_fma(xpad: &[f32], s: &ConvShape, w_row: &[f32], oy: usize, 
 ///
 /// # Panics
 ///
-/// Panics (in debug builds) when the slice lengths disagree with the
-/// dimensions.
+/// Panics when the slice lengths disagree with the dimensions (and, in
+/// debug builds only, on an activation code above 127: that O(m·k) scan
+/// guards the numeric contract, not memory).
 pub fn gemm_nt_i8(a: &[u8], m: usize, k: usize, b: &[i8], n: usize, out: &mut [i32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(out.len(), m * n);
+    assert_eq!(a.len(), elems(m, k), "gemm_nt_i8: a is not m×k");
+    assert_eq!(b.len(), elems(n, k), "gemm_nt_i8: b is not n×k");
+    assert_eq!(out.len(), elems(m, n), "gemm_nt_i8: out is not m×n");
     debug_assert!(
         a.iter().all(|&v| v <= 127),
         "activation codes above 127 break the maddubs bitwise contract"
@@ -899,10 +1576,14 @@ pub fn gemm_nt_i8(a: &[u8], m: usize, k: usize, b: &[i8], n: usize, out: &mut [i
     match active() {
         KernelBackend::Scalar => gemm_nt_i8_scalar(a, m, k, b, n, out),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `matmul` — avx2 verified before dispatch.
-        KernelBackend::Avx2 => unsafe { gemm_nt_i8_avx2(a, m, k, b, n, out) },
+        // SAFETY: as in `matmul`, the active backend is supported and
+        // includes avx2; the asserts above bound every pointer the kernel
+        // forms.
+        KernelBackend::Avx2 | KernelBackend::Avx512 => unsafe {
+            gemm_nt_i8_avx2(a, m, k, b, n, out)
+        },
         #[cfg(not(target_arch = "x86_64"))]
-        KernelBackend::Avx2 => gemm_nt_i8_scalar(a, m, k, b, n, out),
+        _ => gemm_nt_i8_scalar(a, m, k, b, n, out),
     }
 }
 
@@ -929,8 +1610,7 @@ unsafe fn gemm_nt_i8_avx2(a: &[u8], m: usize, k: usize, b: &[i8], n: usize, out:
     let lanes = k - k % 32;
     let n_main = n - n % 8;
     // SAFETY (whole function): every pointer below indexes a[..m*k],
-    // b[..n*k] or out[..m*n] within the bounds debug-asserted by the
-    // dispatcher; vector loads read 32 bytes at offsets < lanes <= k, and
+    // b[..n*k] or out[..m*n], the lengths `gemm_nt_i8` asserts; vector loads read 32 bytes at offsets < lanes <= k, and
     // the 256-bit result store covers out[i*n+j .. +8] with j+8 <= n.
     unsafe {
         let ones = _mm256_set1_epi16(1);
@@ -1056,8 +1736,8 @@ fn requant_one(a: i32, zc: i32, s: f32, b: f32, fuse_relu: bool, zp_out: f32) ->
 ///
 /// # Panics
 ///
-/// Panics (in debug builds) when the column arrays disagree in length or
-/// the plane sizes are not `rows × zp_corr.len()`.
+/// Panics when the column arrays disagree in length or the plane sizes
+/// are not `rows × zp_corr.len()`.
 pub fn requant_rows_u8(
     acc: &[i32],
     zp_corr: &[i32],
@@ -1068,23 +1748,30 @@ pub fn requant_rows_u8(
     dst: &mut [u8],
 ) {
     let out = zp_corr.len();
-    debug_assert_eq!(s_out.len(), out);
-    debug_assert_eq!(b_out.len(), out);
-    debug_assert_eq!(acc.len(), dst.len());
-    debug_assert!(out == 0 || acc.len().is_multiple_of(out));
+    assert_eq!(s_out.len(), out, "requant_rows_u8: one scale per column");
+    assert_eq!(b_out.len(), out, "requant_rows_u8: one offset per column");
+    assert_eq!(
+        acc.len(),
+        dst.len(),
+        "requant_rows_u8: planes differ in size"
+    );
+    assert!(
+        out == 0 || acc.len().is_multiple_of(out),
+        "requant_rows_u8: plane is not rows × columns"
+    );
     match active() {
         KernelBackend::Scalar => {
             requant_rows_u8_scalar(acc, zp_corr, s_out, b_out, fuse_relu, zp_out, dst)
         }
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `matmul` — avx2 verified before dispatch.
-        KernelBackend::Avx2 => unsafe {
+        // SAFETY: as in `matmul`, the active backend is supported and
+        // includes avx2; the asserts above bound every pointer the kernel
+        // forms.
+        KernelBackend::Avx2 | KernelBackend::Avx512 => unsafe {
             requant_rows_u8_avx2(acc, zp_corr, s_out, b_out, fuse_relu, zp_out, dst)
         },
         #[cfg(not(target_arch = "x86_64"))]
-        KernelBackend::Avx2 => {
-            requant_rows_u8_scalar(acc, zp_corr, s_out, b_out, fuse_relu, zp_out, dst)
-        }
+        _ => requant_rows_u8_scalar(acc, zp_corr, s_out, b_out, fuse_relu, zp_out, dst),
     }
 }
 
@@ -1128,8 +1815,9 @@ unsafe fn requant_rows_u8_avx2(
     let rows = acc.len() / out;
     let out_main = out - out % 8;
     // SAFETY (whole function): row pointers index acc[..rows*out] and
-    // dst[..rows*out]; vector loads/stores cover 8 elements at offsets
-    // j <= out_main - 8; x86-64 is little-endian, so the packed low
+    // dst[..rows*out], and column loads zp_corr/s_out/b_out[..out] (the
+    // lengths `requant_rows_u8` asserts); vector loads/stores cover 8
+    // elements at offsets j <= out_main - 8; x86-64 is little-endian, so the packed low
     // 4-byte halves land in dst in column order.
     unsafe {
         let zero = _mm256_setzero_ps();
@@ -1181,16 +1869,24 @@ unsafe fn requant_rows_u8_avx2(
 ///
 /// # Panics
 ///
-/// Panics (in debug builds) when the slices disagree in length.
+/// Panics when the slices disagree in length.
 pub fn quantize_f32_u8(src: &[f32], inv_scale: f32, zero_point: f32, dst: &mut [u8]) {
-    debug_assert_eq!(src.len(), dst.len());
+    assert_eq!(
+        src.len(),
+        dst.len(),
+        "quantize_f32_u8: slices differ in length"
+    );
     match active() {
         KernelBackend::Scalar => quantize_f32_u8_scalar(src, inv_scale, zero_point, dst),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `matmul` — avx2 verified before dispatch.
-        KernelBackend::Avx2 => unsafe { quantize_f32_u8_avx2(src, inv_scale, zero_point, dst) },
+        // SAFETY: as in `matmul`, the active backend is supported and
+        // includes avx2; the kernel writes dst only below src.len(), which
+        // the assert above makes dst's length.
+        KernelBackend::Avx2 | KernelBackend::Avx512 => unsafe {
+            quantize_f32_u8_avx2(src, inv_scale, zero_point, dst)
+        },
         #[cfg(not(target_arch = "x86_64"))]
-        KernelBackend::Avx2 => quantize_f32_u8_scalar(src, inv_scale, zero_point, dst),
+        _ => quantize_f32_u8_scalar(src, inv_scale, zero_point, dst),
     }
 }
 
@@ -1212,8 +1908,9 @@ unsafe fn quantize_f32_u8_avx2(src: &[f32], inv_scale: f32, zero_point: f32, dst
     let n = src.len();
     let main = n - n % 8;
     // SAFETY (whole function): vector loads/stores cover 8 elements at
-    // offsets j <= main - 8 within src/dst of equal length n; x86-64 is
-    // little-endian for the packed 4-byte halves.
+    // offsets j <= main - 8, and the tail writes dst[j] for j < n, within
+    // src and dst of equal length n (asserted by `quantize_f32_u8`);
+    // x86-64 is little-endian for the packed 4-byte halves.
     unsafe {
         let zero = _mm256_setzero_ps();
         let v127 = _mm256_set1_ps(127.0);
@@ -1269,6 +1966,23 @@ mod tests {
     }
 
     #[test]
+    fn override_accepts_exactly_the_supported_backends() {
+        for backend in KernelBackend::ALL {
+            let pinned = std::panic::catch_unwind(|| with_backend(backend, active));
+            if supported(backend) {
+                assert_eq!(pinned.ok(), Some(backend), "{backend:?} is supported");
+            } else {
+                assert!(
+                    pinned.is_err(),
+                    "{backend:?} is not supported but was accepted"
+                );
+            }
+        }
+        assert_eq!(supported_backends().next(), Some(KernelBackend::Scalar));
+        assert!(supported(detected()));
+    }
+
+    #[test]
     fn override_survives_panic() {
         let before = active();
         let caught = std::panic::catch_unwind(|| {
@@ -1285,12 +1999,14 @@ mod tests {
         let a = wavy(m * k, 0.137);
         let b = wavy(k * n, 0.219);
         let mut scalar = vec![0.0; m * n];
-        let mut simd = vec![0.0; m * n];
         with_backend(KernelBackend::Scalar, || {
             matmul(&a, m, k, &b, n, &mut scalar)
         });
-        with_backend(detected(), || matmul(&a, m, k, &b, n, &mut simd));
-        assert_close(&scalar, &simd, "matmul");
+        for backend in supported_backends() {
+            let mut simd = vec![0.0; m * n];
+            with_backend(backend, || matmul(&a, m, k, &b, n, &mut simd));
+            assert_close(&scalar, &simd, backend.label());
+        }
     }
 
     #[test]
@@ -1299,12 +2015,14 @@ mod tests {
         let a = wavy(m * k, 0.091);
         let b = wavy(n * k, 0.173);
         let mut scalar = vec![0.0; m * n];
-        let mut simd = vec![0.0; m * n];
         with_backend(KernelBackend::Scalar, || {
             matmul_nt(&a, m, k, &b, n, &mut scalar)
         });
-        with_backend(detected(), || matmul_nt(&a, m, k, &b, n, &mut simd));
-        assert_close(&scalar, &simd, "matmul_nt");
+        for backend in supported_backends() {
+            let mut simd = vec![0.0; m * n];
+            with_backend(backend, || matmul_nt(&a, m, k, &b, n, &mut simd));
+            assert_close(&scalar, &simd, backend.label());
+        }
     }
 
     #[test]
@@ -1325,13 +2043,19 @@ mod tests {
         a[3] = f32::NAN;
         let b = wavy(k * n, 0.3);
         let mut scalar = vec![0.0; m * n];
-        let mut simd = vec![0.0; m * n];
         with_backend(KernelBackend::Scalar, || {
             matmul(&a, m, k, &b, n, &mut scalar)
         });
-        with_backend(detected(), || matmul(&a, m, k, &b, n, &mut simd));
-        for (s, v) in scalar.iter().zip(&simd) {
-            assert_eq!(s.is_nan(), v.is_nan(), "NaN pattern must match");
+        for backend in supported_backends() {
+            let mut simd = vec![0.0; m * n];
+            with_backend(backend, || matmul(&a, m, k, &b, n, &mut simd));
+            for (s, v) in scalar.iter().zip(&simd) {
+                assert_eq!(
+                    s.is_nan(),
+                    v.is_nan(),
+                    "{backend:?}: NaN pattern must match"
+                );
+            }
         }
     }
 
@@ -1361,12 +2085,14 @@ mod tests {
         for (m, k, n) in [(1, 27, 8), (5, 72, 16), (3, 160, 21), (8, 512, 128), (2, 33, 5)] {
             let (a, b) = quant_inputs(m, k, n);
             let mut scalar = vec![0i32; m * n];
-            let mut simd = vec![0i32; m * n];
             with_backend(KernelBackend::Scalar, || {
                 gemm_nt_i8(&a, m, k, &b, n, &mut scalar)
             });
-            with_backend(detected(), || gemm_nt_i8(&a, m, k, &b, n, &mut simd));
-            assert_eq!(scalar, simd, "gemm_nt_i8 {m}x{k}x{n} diverged");
+            for backend in supported_backends() {
+                let mut simd = vec![0i32; m * n];
+                with_backend(backend, || gemm_nt_i8(&a, m, k, &b, n, &mut simd));
+                assert_eq!(scalar, simd, "{backend:?} gemm_nt_i8 {m}x{k}x{n} diverged");
+            }
         }
     }
 
@@ -1383,14 +2109,21 @@ mod tests {
             for fuse_relu in [false, true] {
                 for zp_out in [0.0f32, 64.0] {
                     let mut scalar = vec![0u8; rows * out];
-                    let mut simd = vec![0u8; rows * out];
                     with_backend(KernelBackend::Scalar, || {
                         requant_rows_u8(&acc, &zp_corr, &s_out, &b_out, fuse_relu, zp_out, &mut scalar)
                     });
-                    with_backend(detected(), || {
-                        requant_rows_u8(&acc, &zp_corr, &s_out, &b_out, fuse_relu, zp_out, &mut simd)
-                    });
-                    assert_eq!(scalar, simd, "requant {rows}x{out} relu={fuse_relu} diverged");
+                    for backend in supported_backends() {
+                        let mut simd = vec![0u8; rows * out];
+                        with_backend(backend, || {
+                            requant_rows_u8(
+                                &acc, &zp_corr, &s_out, &b_out, fuse_relu, zp_out, &mut simd,
+                            )
+                        });
+                        assert_eq!(
+                            scalar, simd,
+                            "{backend:?} requant {rows}x{out} relu={fuse_relu}"
+                        );
+                    }
                 }
             }
         }
@@ -1403,12 +2136,14 @@ mod tests {
             .collect();
         for (inv, zp) in [(127.0f32 / 3.0, 0.0f32), (63.0 / 3.0, 64.0)] {
             let mut scalar = vec![0u8; src.len()];
-            let mut simd = vec![0u8; src.len()];
             with_backend(KernelBackend::Scalar, || {
                 quantize_f32_u8(&src, inv, zp, &mut scalar)
             });
-            with_backend(detected(), || quantize_f32_u8(&src, inv, zp, &mut simd));
-            assert_eq!(scalar, simd, "quantize zp={zp} diverged");
+            for backend in supported_backends() {
+                let mut simd = vec![0u8; src.len()];
+                with_backend(backend, || quantize_f32_u8(&src, inv, zp, &mut simd));
+                assert_eq!(scalar, simd, "{backend:?} quantize zp={zp} diverged");
+            }
             // every code stays in range and saturates sanely
             assert!(scalar.iter().all(|&c| c <= 127));
         }
@@ -1447,11 +2182,49 @@ mod tests {
         let a = vec![127u8; m * k];
         let b: Vec<i8> = (0..n * k).map(|i| if i % 2 == 0 { 127 } else { -127 }).collect();
         let mut scalar = vec![0i32; m * n];
-        let mut simd = vec![0i32; m * n];
         with_backend(KernelBackend::Scalar, || {
             gemm_nt_i8(&a, m, k, &b, n, &mut scalar)
         });
-        with_backend(detected(), || gemm_nt_i8(&a, m, k, &b, n, &mut simd));
-        assert_eq!(scalar, simd);
+        for backend in supported_backends() {
+            let mut simd = vec![0i32; m * n];
+            with_backend(backend, || gemm_nt_i8(&a, m, k, &b, n, &mut simd));
+            assert_eq!(scalar, simd, "{backend:?}");
+        }
+    }
+
+    // A slice one element short of its stated dimensions must panic on
+    // every backend, release builds included: the SIMD bodies index
+    // through raw pointers sized by the dimensions.
+
+    #[test]
+    #[should_panic(expected = "matmul: a is not m×k")]
+    fn matmul_rejects_a_short_slice() {
+        let (m, k, n) = (4, 8, 16);
+        let mut out = vec![0.0; m * n];
+        matmul(&wavy(m * k - 1, 0.1), m, k, &wavy(k * n, 0.2), n, &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm_nt_i8: b is not n×k")]
+    fn gemm_nt_i8_rejects_a_short_slice() {
+        let (m, k, n) = (1, 32, 8);
+        let (a, b) = quant_inputs(m, k, n);
+        let mut out = vec![0i32; m * n];
+        gemm_nt_i8(&a, m, k, &b[..n * k - 1], n, &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "requant_rows_u8: one scale per column")]
+    fn requant_rows_u8_rejects_a_short_slice() {
+        let acc = vec![100i32; 8];
+        let mut dst = vec![0u8; 8];
+        requant_rows_u8(&acc, &[0; 8], &[0.01; 7], &[0.0; 8], true, 0.0, &mut dst);
+    }
+
+    #[test]
+    #[should_panic(expected = "quantize_f32_u8: slices differ in length")]
+    fn quantize_f32_u8_rejects_a_short_slice() {
+        let mut dst = vec![0u8; 8];
+        quantize_f32_u8(&wavy(9, 0.3), 40.0, 0.0, &mut dst);
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the int8 quantization lane: quantizer
 //! round-trip and saturation contracts, exact i32 accumulation at every
 //! reduction length the iCOIL CNN uses, and calibration determinism
-//! across calibration-set order.
+//! across calibration-set order and across the vector backends.
 
 use icoil_nn::quant::{dequantize_weight, quantize_weight_row};
 use icoil_nn::simd::{self, KernelBackend};
@@ -168,5 +168,21 @@ proptest! {
         // the whole struct — weights, scales, error bound, and the
         // sorted per-logit error list — is order-independent
         prop_assert_eq!(baseline, permuted);
+    }
+}
+
+/// Calibration folds ranges over f32 conv-block outputs, which the AVX2
+/// and AVX-512 backends compute bit for bit alike, so every vector
+/// backend the CPU supports calibrates the same scales and error bound.
+#[test]
+fn calibration_is_identical_on_every_vector_backend() {
+    let net = Network::il_architecture((3, 32, 32), 21, 7);
+    let frames = bev_like_frames(6, 3, 32, 7);
+    let calibrated: Vec<QuantizedNetwork> = simd::supported_backends()
+        .filter(|&b| b != KernelBackend::Scalar)
+        .map(|b| simd::with_backend(b, || QuantizedNetwork::calibrate(&net, &frames)))
+        .collect();
+    for other in calibrated.iter().skip(1) {
+        assert_eq!(other, &calibrated[0]);
     }
 }

@@ -175,8 +175,8 @@ pub struct Response {
     /// (`"metrics"` responses).
     #[serde(default)]
     pub il_precision: Option<String>,
-    /// The SIMD kernel backend the IL lane dispatches to, e.g. `"avx2"`
-    /// or `"scalar"` (`"metrics"` responses).
+    /// The SIMD kernel backend the IL lane dispatches to: `"avx512"`,
+    /// `"avx2"` or `"scalar"` (`"metrics"` responses).
     #[serde(default)]
     pub kernel_backend: Option<String>,
 }

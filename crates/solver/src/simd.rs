@@ -24,8 +24,10 @@
 //!
 //! Dispatch mirrors `icoil_nn::simd`: process-wide detection (honoring
 //! `ICOIL_FORCE_SCALAR=1`) plus a thread-local override for
-//! differential tests. The conformance harness drives both crates'
-//! overrides independently.
+//! differential tests, which accepts only a backend the CPU supports.
+//! The conformance harness drives both crates' overrides independently.
+//! This crate has no AVX-512 backend: its kernels keep their AVX2 bodies
+//! on every AVX2 host.
 
 // `unsafe` here is `core::arch` intrinsics behind runtime feature
 // detection (the LDLᵀ solve sweeps in `ldl.rs` are the crate's only
@@ -54,15 +56,26 @@ impl KernelBackend {
     }
 }
 
+/// Whether this CPU can run `backend`'s kernels. The one feature probe
+/// behind both [`detected`] and [`with_backend`]; unlike [`detected`] it
+/// ignores `ICOIL_FORCE_SCALAR`.
+pub fn supported(backend: KernelBackend) -> bool {
+    match backend {
+        KernelBackend::Scalar => true,
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+        #[cfg(not(target_arch = "x86_64"))]
+        KernelBackend::Avx2 => false,
+    }
+}
+
 fn detect() -> KernelBackend {
-    if std::env::var("ICOIL_FORCE_SCALAR").is_ok_and(|v| v == "1") {
+    if std::env::var("ICOIL_FORCE_SCALAR").is_ok_and(|v| v == "1")
+        || !supported(KernelBackend::Avx2)
+    {
         return KernelBackend::Scalar;
     }
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        return KernelBackend::Avx2;
-    }
-    KernelBackend::Scalar
+    KernelBackend::Avx2
 }
 
 /// The process-wide backend chosen at first use.
@@ -75,7 +88,8 @@ thread_local! {
     static OVERRIDE: Cell<Option<KernelBackend>> = const { Cell::new(None) };
 }
 
-/// The backend the current thread will use.
+/// The backend the current thread will use: always one the CPU
+/// [`supported`], which every dispatched `unsafe` kernel call relies on.
 pub fn active() -> KernelBackend {
     OVERRIDE.with(Cell::get).unwrap_or_else(detected)
 }
@@ -87,7 +101,17 @@ pub fn dispatch_target() -> &'static str {
 
 /// Runs `f` with this thread's kernels pinned to `backend`, restoring
 /// the previous dispatch afterwards (also on panic).
+///
+/// # Panics
+///
+/// Panics when the CPU does not support `backend` (see [`supported`]):
+/// its kernels would execute instructions the CPU lacks.
 pub fn with_backend<R>(backend: KernelBackend, f: impl FnOnce() -> R) -> R {
+    assert!(
+        supported(backend),
+        "kernel backend {:?} is not supported by this CPU",
+        backend
+    );
     struct Restore(Option<KernelBackend>);
     impl Drop for Restore {
         fn drop(&mut self) {
@@ -110,6 +134,10 @@ pub fn kernel_modes() -> &'static [(&'static str, &'static str)] {
     ]
 }
 
+/// Whether the AVX2 bodies run. The `unsafe` calls they guard rely on
+/// `active` returning only a backend the CPU supports: `detected` picks
+/// AVX2 only after `supported` found it, and `with_backend` asserts
+/// `supported`.
 #[cfg(target_arch = "x86_64")]
 fn use_avx2() -> bool {
     active() == KernelBackend::Avx2
@@ -119,13 +147,17 @@ fn use_avx2() -> bool {
 ///
 /// # Panics
 ///
-/// Panics (debug) on length mismatch.
+/// Panics when the slice lengths differ.
 #[inline]
 pub fn mul_sub(tmp: &mut [f64], rho: &[f64], z: &[f64], y: &[f64]) {
-    debug_assert!(tmp.len() == rho.len() && tmp.len() == z.len() && tmp.len() == y.len());
+    assert!(
+        tmp.len() == rho.len() && tmp.len() == z.len() && tmp.len() == y.len(),
+        "mul_sub: slice lengths differ"
+    );
     #[cfg(target_arch = "x86_64")]
     if use_avx2() {
-        // SAFETY: avx2 verified by dispatch.
+        // SAFETY: the CPU supports avx2 (see `use_avx2`), and the assert
+        // above makes every slice tmp.len() long.
         unsafe { mul_sub_avx2(tmp, rho, z, y) };
         return;
     }
@@ -158,13 +190,17 @@ unsafe fn mul_sub_avx2(tmp: &mut [f64], rho: &[f64], z: &[f64], y: &[f64]) {
 ///
 /// # Panics
 ///
-/// Panics (debug) on length mismatch.
+/// Panics when the slice lengths differ.
 #[inline]
 pub fn add_scaled_sub(rhs: &mut [f64], sigma: f64, x: &[f64], q: &[f64]) {
-    debug_assert!(rhs.len() == x.len() && rhs.len() == q.len());
+    assert!(
+        rhs.len() == x.len() && rhs.len() == q.len(),
+        "add_scaled_sub: slice lengths differ"
+    );
     #[cfg(target_arch = "x86_64")]
     if use_avx2() {
-        // SAFETY: avx2 verified by dispatch.
+        // SAFETY: the CPU supports avx2 (see `use_avx2`), and the assert
+        // above makes every slice rhs.len() long.
         unsafe { add_scaled_sub_avx2(rhs, sigma, x, q) };
         return;
     }
@@ -198,14 +234,15 @@ unsafe fn add_scaled_sub_avx2(rhs: &mut [f64], sigma: f64, x: &[f64], q: &[f64])
 ///
 /// # Panics
 ///
-/// Panics (debug) on length mismatch.
+/// Panics when the slice lengths differ.
 #[inline]
 pub fn relax(x: &mut [f64], alpha: f64, xt: &[f64]) {
-    debug_assert_eq!(x.len(), xt.len());
+    assert_eq!(x.len(), xt.len(), "relax: slice lengths differ");
     let beta = 1.0 - alpha;
     #[cfg(target_arch = "x86_64")]
     if use_avx2() {
-        // SAFETY: avx2 verified by dispatch.
+        // SAFETY: the CPU supports avx2 (see `use_avx2`), and the assert
+        // above makes both slices x.len() long.
         unsafe { relax_avx2(x, alpha, beta, xt) };
         return;
     }
@@ -269,7 +306,8 @@ pub fn project_dual(
     let beta = 1.0 - alpha;
     #[cfg(target_arch = "x86_64")]
     if use_avx2() {
-        // SAFETY: avx2 verified by dispatch; every slice is m long.
+        // SAFETY: the CPU supports avx2 (see `use_avx2`); every slice is
+        // m long (asserted above).
         unsafe { project_dual_avx2(z, y, z_tilde, rho, l, u, alpha, beta) };
         return;
     }
@@ -516,8 +554,8 @@ impl LaneSlices {
         assert_eq!(out.len(), self.lanes, "output dimension mismatch");
         #[cfg(target_arch = "x86_64")]
         if use_avx2() {
-            // SAFETY: avx2 verified by dispatch; `slice` stores only
-            // indices <= input_len (entries asserted < input_len, padding
+            // SAFETY: the CPU supports avx2 (see `use_avx2`); `slice` stores
+            // only indices <= input_len (entries asserted < input_len, padding
             // = input_len), and `v` is input_len + 1 long (asserted above).
             unsafe {
                 if self.skip_zero {
@@ -702,6 +740,44 @@ mod tests {
                 "columns_of {json}"
             );
         }
+    }
+
+    #[test]
+    fn override_accepts_exactly_the_supported_backends() {
+        for backend in [KernelBackend::Scalar, KernelBackend::Avx2] {
+            let pinned = std::panic::catch_unwind(|| with_backend(backend, active));
+            if supported(backend) {
+                assert_eq!(pinned.ok(), Some(backend), "{backend:?} is supported");
+            } else {
+                assert!(
+                    pinned.is_err(),
+                    "{backend:?} is not supported but was accepted"
+                );
+            }
+        }
+        assert!(supported(detected()));
+    }
+
+    // A slice one element short must panic on every backend, release
+    // builds included: the AVX2 bodies index through raw pointers sized
+    // by the first slice.
+
+    #[test]
+    #[should_panic(expected = "mul_sub: slice lengths differ")]
+    fn mul_sub_rejects_a_short_slice() {
+        mul_sub(&mut wavy(8), &wavy(8), &wavy(8), &wavy(7));
+    }
+
+    #[test]
+    #[should_panic(expected = "add_scaled_sub: slice lengths differ")]
+    fn add_scaled_sub_rejects_a_short_slice() {
+        add_scaled_sub(&mut wavy(8), 1e-6, &wavy(8), &wavy(7));
+    }
+
+    #[test]
+    #[should_panic(expected = "relax: slice lengths differ")]
+    fn relax_rejects_a_short_slice() {
+        relax(&mut wavy(8), 1.6, &wavy(7));
     }
 
     #[test]

@@ -24,21 +24,32 @@
 # conformance crate's (geom, vehicle, world, perception, nn, il, hsa,
 # solver, co, planner, core, telemetry, adapt, serve and bench, plus the
 # vendored criterion harness's) run on
-# the default kernel dispatch, so the AVX2 kernels are tested on the
-# backend they ship on (the root `cargo test` covers only the umbrella
-# package); the serve suites include the worker and shard determinism
+# the default kernel dispatch, the widest backend the CPU has: AVX-512 on
+# an AVX-512 host (the fused conv blocks on 512-bit tiles, every other nn
+# kernel on its AVX2 body), AVX2 on an AVX2 host (the root `cargo test`
+# covers only the umbrella package). Whatever the dispatch, the nn
+# kernel unit tests and simd proptests loop over every backend the CPU
+# supports, so scalar, the AVX2 kernels and (where present) the AVX-512
+# conv tiles are each compared on every host that has them, and the
+# AVX-512 tiles are held to the AVX2 tiles bit for bit. The solver and
+# co suites compare scalar with the dispatched backend, which is AVX2 on
+# every AVX2 host (the solver has no AVX-512 backend). The serve suites
+# include the worker and shard determinism
 # tests, the IL memo's test against a reference that infers every
 # frame, the request-line cap, the non-UTF-8 line reply and the shard,
 # queue and snapshot proptests. The conformance crate's unit tests stay
 # out (about 270 s under --release): its checks run through the
 # conformance smokes below. The solver/nn/co and perception suites also run
-# once under ICOIL_FORCE_SCALAR=1: the SIMD kernels' conformance tests
-# then compare scalar against scalar (trivially green) while everything
-# else proves the escape hatch leaves the numerics bit-identical (the nn
-# run includes the quantization proptests and the fused-inference
-# equivalence proptests, so the int8 quantizer/accumulator and f32
-# conv-block contracts are proved on both backends). The conformance
-# smoke (which includes the simd_scalar_kernels,
+# once under ICOIL_FORCE_SCALAR=1: every test that uses the default
+# dispatch then runs the scalar kernels, which proves the escape hatch
+# leaves the numerics bit-identical (the nn run includes the
+# quantization proptests and the fused-inference equivalence proptests,
+# so the int8 quantizer/accumulator and f32 conv-block contracts are
+# proved on the scalar backend too); the solver and co backend
+# comparisons then compare scalar with scalar, while the nn kernel tests
+# still compare every backend the CPU supports. The conformance
+# smoke (which includes the simd_scalar_kernels check, with its
+# AVX-512-against-AVX2 bitwise IL leg on AVX-512 hosts, and the
 # checkpoint_restore_replay, quantized_il and family_determinism
 # differential checks) fuzzes procedurally generated scenarios through
 # the full harness, cycling every map family; a per-family pass then pins
