@@ -1,10 +1,11 @@
-//! Versioned, checksummed binary container shared by the adaptation
-//! artifacts (datasets and weight generations).
+//! Versioned, checksummed binary container: the one file format of the
+//! stack, shared by the adaptation artifacts (`ICDS` datasets, `ICWT`
+//! weight generations) and the serving stack's `ICSN` session snapshots.
 //!
-//! The layout mirrors the serving stack's `ICSN` session snapshots —
-//! the serde [`Value`] tree encoded directly to bytes (floats as raw
-//! IEEE-754 bit patterns, integers little-endian, length-prefixed
-//! strings and sequences) behind a 24-byte header:
+//! A container is the serde [`Value`] tree encoded directly to bytes
+//! (floats as raw IEEE-754 bit patterns, so NaN payloads and `-0.0`
+//! survive; integers little-endian; length-prefixed strings and
+//! sequences) behind a 24-byte header:
 //!
 //! ```text
 //! magic   [u8; 4]          4 bytes   (artifact kind, e.g. "ICDS")
@@ -32,7 +33,7 @@ const HEADER: usize = 24;
 /// errors out instead of exhausting the stack.
 const MAX_DEPTH: usize = 64;
 
-/// Why an adaptation artifact failed to decode.
+/// Why a container failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ContainerError {
     /// The buffer does not start with the expected magic bytes.
@@ -52,13 +53,11 @@ pub enum ContainerError {
 impl std::fmt::Display for ContainerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ContainerError::BadMagic => write!(f, "not an adaptation artifact (bad magic)"),
-            ContainerError::UnsupportedVersion(v) => {
-                write!(f, "unsupported container version {v}")
-            }
-            ContainerError::Truncated => write!(f, "truncated container"),
-            ContainerError::Corrupted(msg) => write!(f, "corrupted container: {msg}"),
-            ContainerError::Decode(msg) => write!(f, "container decode: {msg}"),
+            ContainerError::BadMagic => write!(f, "bad magic bytes"),
+            ContainerError::UnsupportedVersion(v) => write!(f, "unsupported version {v}"),
+            ContainerError::Truncated => write!(f, "truncated input"),
+            ContainerError::Corrupted(msg) => write!(f, "corrupted payload: {msg}"),
+            ContainerError::Decode(msg) => write!(f, "payload has the wrong shape: {msg}"),
         }
     }
 }
@@ -107,8 +106,10 @@ pub fn decode_container<T: Deserialize>(
     let checksum = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
     let len = usize::try_from(len)
         .map_err(|_| ContainerError::Corrupted("payload length overflow".into()))?;
-    let payload = bytes
-        .get(HEADER..HEADER + len)
+    // a hostile length near `usize::MAX` must not overflow the sum
+    let payload = HEADER
+        .checked_add(len)
+        .and_then(|end| bytes.get(HEADER..end))
         .ok_or(ContainerError::Truncated)?;
     if bytes.len() != HEADER + len {
         return Err(ContainerError::Corrupted("trailing bytes".into()));
@@ -284,6 +285,22 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_float_bits() {
+        let doubles: Vec<f64> = vec![
+            0.0,
+            -0.0,
+            1.5,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::from_bits(0x7ff8_0000_dead_beef), // NaN payload
+            f64::MIN_POSITIVE / 2.0,               // subnormal
+        ];
+        let bytes = encode_container(MAGIC, 1, &doubles);
+        let back: Vec<f64> = decode_container(MAGIC, 1, &bytes).expect("decode");
+        assert_eq!(doubles.len(), back.len());
+        for (a, b) in doubles.iter().zip(&back) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
+        }
         let values: Vec<f32> = vec![
             0.0,
             -0.0,
@@ -328,6 +345,48 @@ mod tests {
         corrupt[last] ^= 0x40;
         assert!(matches!(
             decode_container::<Vec<f64>>(MAGIC, 1, &corrupt),
+            Err(ContainerError::Corrupted(_))
+        ));
+    }
+
+    /// A 24-byte header with the right magic and version whose declared
+    /// payload length is `len`.
+    fn header_declaring(len: u64) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC);
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&len.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn hostile_payload_lengths_are_truncation_not_overflow() {
+        // lengths at the top of the range must not overflow the
+        // header-plus-length sum
+        for len in [u64::MAX, u64::MAX - 23, u64::MAX / 2, 1] {
+            assert_eq!(
+                decode_container::<Value>(MAGIC, 1, &header_declaring(len)),
+                Err(ContainerError::Truncated),
+                "length {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_rejected() {
+        // hand-build a payload of 80 nested single-element sequences
+        let mut payload = Vec::new();
+        for _ in 0..80 {
+            payload.push(TAG_SEQ);
+            payload.extend_from_slice(&1u64.to_le_bytes());
+        }
+        payload.push(TAG_NULL);
+        let mut bytes = header_declaring(payload.len() as u64);
+        bytes[16..24].copy_from_slice(&fnv1a(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        assert!(matches!(
+            decode_container::<Value>(MAGIC, 1, &bytes),
             Err(ContainerError::Corrupted(_))
         ));
     }

@@ -23,8 +23,10 @@
 //!   commands to the interval the nearby obstacles allow, so a stale or
 //!   mid-update policy can never emit an infeasible action.
 //!
-//! The [`container`] module provides the shared `ICDS`/`ICWT` binary
-//! envelope (24-byte header, FNV-1a checksum) both artifact kinds use.
+//! The [`container`] module provides the stack's one checksummed binary
+//! envelope (24-byte header, FNV-1a checksum): both artifact kinds here
+//! (`ICDS`/`ICWT`) and the serving stack's `ICSN` session snapshots use
+//! it.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

@@ -14,7 +14,9 @@
 //! * **reservoir determinism** — the retained subset is a pure function
 //!   of (seed, push sequence), including across an encode/decode
 //!   boundary mid-stream, because the sampler state travels with the
-//!   dataset.
+//!   dataset;
+//! * **hostile lengths** — a header declaring a `u64::MAX`-byte payload
+//!   is a typed truncation, not an overflow.
 
 use icoil_adapt::{
     encode_container, AdaptDataset, ContainerError, DATASET_MAGIC, DATASET_VERSION, NUM_FAMILIES,
@@ -204,4 +206,15 @@ proptest! {
         // allocations driven by hostile length fields
         let _ = AdaptDataset::decode(&noise);
     }
+}
+
+#[test]
+fn hostile_payload_length_is_a_typed_error() {
+    // a valid `ICDS` header declaring a `u64::MAX`-byte payload: a typed
+    // error, never an overflow of the header-plus-length sum
+    let mut bytes = DATASET_MAGIC.to_vec();
+    bytes.extend_from_slice(&DATASET_VERSION.to_le_bytes());
+    bytes.extend_from_slice(&u64::MAX.to_le_bytes());
+    bytes.extend_from_slice(&0u64.to_le_bytes());
+    assert_eq!(AdaptDataset::decode(&bytes), Err(ContainerError::Truncated));
 }

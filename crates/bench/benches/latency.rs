@@ -6,7 +6,8 @@
 //! * `co_solve_warm` — the same solve reusing the previous frame's
 //!   [`MpcMemory`] (the deployed receding-horizon path);
 //! * `qp_solve` — the inner ADMM QP alone;
-//! * `qp_solve_warm` — the QP with a warm iterate + cached workspace;
+//! * `qp_solve_warm` — the QP with a warm iterate + cached scaling and
+//!   symbolic analysis;
 //! * `hybrid_astar` — one global plan (amortized over replans);
 //! * `bev_render` + `detect` — the perception substrate;
 //! * `hsa_update` — the mode-switching overhead (must be negligible).
@@ -120,8 +121,9 @@ fn bench_qp_solve(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(solve_qp(&qp, &settings)))
     });
 
-    // Warm variant: previous-solution iterate plus cached Ruiz scaling
-    // and Cholesky factor, as the MPC loop uses across SCP passes.
+    // Warm variant: previous-solution iterate plus the workspace's
+    // cached Ruiz scaling and symbolic LDLᵀ analysis; every solve still
+    // factors its KKT afresh, as the MPC does on each SCP pass.
     let cold = solve_qp(&qp, &settings);
     let warm = QpWarmStart::from_solution(&cold);
     let mut workspace = QpWorkspace::new();

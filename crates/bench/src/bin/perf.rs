@@ -15,15 +15,12 @@
 //! * `co_hz` / `co_hz_cold` — CO solve rate along an actual drive with
 //!   the deployed warm-start memory vs. with the memory cleared every
 //!   frame (paper: 18 Hz);
-//! * `co_hz_sparse` — same warm drive with the sparse KKT backend
-//!   forced, to keep the backend comparison visible even if the
-//!   auto-selection rule changes;
 //! * `mean_admm_iters_warm` / `mean_admm_iters_cold` — mean ADMM
 //!   iterations per MPC step, the number the QP warm start exists to cut;
-//! * `kkt_factor_us_dense` / `kkt_factor_us_sparse` / `kkt_nnz_ratio` —
-//!   per-factorization microseconds for dense Cholesky vs the cached
-//!   symbolic + numeric-refactor sparse LDLᵀ on the *actual* MPC KKT
-//!   matrix of a mid-episode frame, plus that matrix's fill ratio;
+//! * `kkt_factor_us_sparse` / `kkt_nnz_ratio` — per-factorization
+//!   microseconds of the sparse LDLᵀ's numeric refactorization over the
+//!   cached symbolic analysis on the *actual* MPC KKT matrix of a
+//!   mid-episode frame, plus that matrix's fill ratio;
 //! * `matmul_gflops_{scalar,simd}` — f32 GEMM throughput of the IL
 //!   kernel layer with the scalar reference forced vs the detected SIMD
 //!   dispatch, at a network-shaped problem size (best-of-N timing,
@@ -43,7 +40,7 @@
 use icoil_bench::{PerfReport, RunSize};
 use icoil_co::{build_mpc_qp, CoConfig, CoController};
 use icoil_core::{eval, ICoilConfig, Method};
-use icoil_solver::{Backend, SparseKkt, SparseLdl, SparseMatrix, SymbolicLdl};
+use icoil_solver::{SparseKkt, SparseLdl, SparseMatrix, SymbolicLdl};
 use icoil_il::{IlModel, IlPrecision};
 use icoil_perception::Perception;
 use icoil_telemetry::{Recorder, Series};
@@ -55,16 +52,12 @@ use std::time::Instant;
 /// Drives `frames` control steps in a fresh world, recording per-frame
 /// and CO-stage latencies into `recorder`; returns `(frames/sec, mean
 /// ADMM iterations per solved frame)`.
-fn drive(seed: u64, frames: usize, cold: bool, backend: Backend, recorder: &mut Recorder) -> (f64, f64) {
+fn drive(seed: u64, frames: usize, cold: bool, recorder: &mut Recorder) -> (f64, f64) {
     let scenario = ScenarioConfig::new(Difficulty::Normal, seed).build();
     let params = scenario.vehicle_params;
     let mut perception = Perception::new(ICoilConfig::default().bev, &scenario);
     let mut world = icoil_world::World::new(scenario);
-    let co_config = CoConfig {
-        qp_backend: backend,
-        ..CoConfig::default()
-    };
-    let mut co = CoController::new(co_config, params);
+    let mut co = CoController::new(CoConfig::default(), params);
     // Plan the global path outside the timed region.
     let s = perception.observe(&Observation::new(&world));
     let _ = co.control(&Observation::new(&world), &s.boxes);
@@ -127,23 +120,13 @@ fn mpc_kkt_matrix() -> SparseMatrix {
     kkt.assemble(qp.p(), &gram, 1e-6, 0.1).clone()
 }
 
-/// Times one KKT factorization per frame for both backends on the real
-/// mid-episode MPC KKT matrix: dense Cholesky from scratch vs sparse
-/// LDLᵀ numeric refactorization over the cached symbolic analysis —
-/// exactly the work each backend repeats when ADMM adapts ρ. Returns
-/// `(dense_us, sparse_us, kkt_fill_ratio)`.
-fn kkt_microbench(matrix: &SparseMatrix) -> (f64, f64, f64) {
+/// Times the sparse LDLᵀ numeric refactorization over the cached
+/// symbolic analysis on the real mid-episode MPC KKT matrix — the work
+/// each ρ-adaptation repeats. Returns `(sparse_us, kkt_fill_ratio)`.
+fn kkt_microbench(matrix: &SparseMatrix) -> (f64, f64) {
     let fill = matrix.fill_ratio();
 
     let reps = 2000;
-    let dense = matrix.to_dense();
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        let factor = dense.cholesky().expect("MPC KKT is positive definite");
-        std::hint::black_box(&factor);
-    }
-    let dense_us = t0.elapsed().as_secs_f64() * 1e6 / reps as f64;
-
     let sym = SymbolicLdl::analyze(matrix);
     let mut factor = SparseLdl::factor(sym, matrix).expect("MPC KKT is quasidefinite");
     let t0 = Instant::now();
@@ -153,7 +136,7 @@ fn kkt_microbench(matrix: &SparseMatrix) -> (f64, f64, f64) {
     }
     let sparse_us = t0.elapsed().as_secs_f64() * 1e6 / reps as f64;
 
-    (dense_us, sparse_us, fill)
+    (sparse_us, fill)
 }
 
 /// Number of timed repetitions each kernel microbenchmark takes the
@@ -271,16 +254,12 @@ fn main() {
     let il_hz = 1.0 / lane_best[0];
     let il_hz_int8 = 1.0 / lane_best[1];
 
-    // 3) CO solve rate and ADMM iteration counts, warm vs. cold, plus a
-    //    forced-sparse warm drive for the backend comparison; latency
+    // 3) CO solve rate and ADMM iteration counts, warm vs. cold; latency
     //    percentiles come from the warm drive's telemetry histograms
     let frames = 60;
     let mut warm_recorder = Recorder::new();
-    let mut scratch_recorder = Recorder::new();
-    let (co_hz, mean_admm_iters_warm) = drive(3, frames, false, Backend::Auto, &mut warm_recorder);
-    let (co_hz_cold, mean_admm_iters_cold) =
-        drive(3, frames, true, Backend::Auto, &mut scratch_recorder);
-    let (co_hz_sparse, _) = drive(3, frames, false, Backend::Sparse, &mut scratch_recorder);
+    let (co_hz, mean_admm_iters_warm) = drive(3, frames, false, &mut warm_recorder);
+    let (co_hz_cold, mean_admm_iters_cold) = drive(3, frames, true, &mut Recorder::new());
     let frame_hist = warm_recorder.metrics().series(Series::FrameTotal);
     let solve_hist = warm_recorder.metrics().series(Series::CoSolve);
     let (frame_p50_us, frame_p95_us, frame_p99_us) = (
@@ -297,7 +276,7 @@ fn main() {
     // 4) per-frame KKT factorization microbenchmark on the actual MPC
     //    KKT matrix of a mid-episode frame
     let kkt_matrix = mpc_kkt_matrix();
-    let (kkt_factor_us_dense, kkt_factor_us_sparse, kkt_nnz_ratio) = kkt_microbench(&kkt_matrix);
+    let (kkt_factor_us_sparse, kkt_nnz_ratio) = kkt_microbench(&kkt_matrix);
 
     // 5) kernel-layer microbenchmarks: scalar-vs-SIMD f32 GEMM and the
     //    int8 GEMM
@@ -313,11 +292,9 @@ fn main() {
         gemm_gops_int8,
         co_hz,
         co_hz_cold,
-        co_hz_sparse,
         mean_admm_iters_warm,
         mean_admm_iters_cold,
         il_over_co_ratio: il_hz / co_hz,
-        kkt_factor_us_dense,
         kkt_factor_us_sparse,
         kkt_nnz_ratio,
         frame_p50_us,
@@ -353,10 +330,8 @@ fn main() {
          vs {co_hz_cold:.1} Hz cold ({mean_admm_iters_cold:.0} iters)"
     );
     println!("ratio IL/CO:   {:8.1}x (paper shape: >= 4x)", il_hz / co_hz);
-    println!("CO sparse:     {co_hz_sparse:8.1} Hz warm (backend forced)");
     println!(
-        "KKT factor:    {kkt_factor_us_dense:8.1} us dense vs {kkt_factor_us_sparse:.1} us \
-         sparse refactor (fill {kkt_nnz_ratio:.3})"
+        "KKT factor:    {kkt_factor_us_sparse:8.1} us sparse refactor (fill {kkt_nnz_ratio:.3})"
     );
     println!(
         "frame latency: {frame_p50_us:8.1} us p50 / {frame_p95_us:.1} us p95 / \

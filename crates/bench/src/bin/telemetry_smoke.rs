@@ -55,7 +55,7 @@ fn check_trace(lines: &[String]) -> Result<(usize, usize), String> {
                 }
                 if let Some(solve) = v.get("solve") {
                     solves += 1;
-                    for key in ["scp", "admm", "backend"] {
+                    for key in ["scp", "admm"] {
                         field(solve, key)?;
                     }
                 }

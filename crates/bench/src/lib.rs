@@ -90,16 +90,12 @@ pub struct PerfReport {
     pub co_hz: f64,
     /// CO solve rate with the warm-start memory cleared every frame (Hz).
     pub co_hz_cold: f64,
-    /// Warm CO solve rate with the sparse KKT backend forced (Hz).
-    pub co_hz_sparse: f64,
     /// Mean ADMM iterations per warm MPC step.
     pub mean_admm_iters_warm: f64,
     /// Mean ADMM iterations per cold MPC step.
     pub mean_admm_iters_cold: f64,
     /// IL rate over CO rate (the paper's headline speed gap).
     pub il_over_co_ratio: f64,
-    /// Dense Cholesky microseconds per KKT factorization.
-    pub kkt_factor_us_dense: f64,
     /// Sparse LDLᵀ numeric-refactor microseconds per KKT factorization.
     pub kkt_factor_us_sparse: f64,
     /// Fill ratio of the MPC KKT matrix.
@@ -154,11 +150,9 @@ impl PerfReport {
         "gemm_gops_int8",
         "co_hz",
         "co_hz_cold",
-        "co_hz_sparse",
         "mean_admm_iters_warm",
         "mean_admm_iters_cold",
         "il_over_co_ratio",
-        "kkt_factor_us_dense",
         "kkt_factor_us_sparse",
         "kkt_nnz_ratio",
         "frame_p50_us",
@@ -183,11 +177,9 @@ impl PerfReport {
             &mut self.gemm_gops_int8,
             &mut self.co_hz,
             &mut self.co_hz_cold,
-            &mut self.co_hz_sparse,
             &mut self.mean_admm_iters_warm,
             &mut self.mean_admm_iters_cold,
             &mut self.il_over_co_ratio,
-            &mut self.kkt_factor_us_dense,
             &mut self.kkt_factor_us_sparse,
             &mut self.kkt_nnz_ratio,
             &mut self.frame_p50_us,
@@ -786,11 +778,9 @@ mod tests {
             gemm_gops_int8: 20.0,
             co_hz: 3000.0,
             co_hz_cold: 2000.0,
-            co_hz_sparse: 3200.0,
             mean_admm_iters_warm: 40.0,
             mean_admm_iters_cold: 120.0,
             il_over_co_ratio: 4000.0 / 3000.0,
-            kkt_factor_us_dense: 60.0,
             kkt_factor_us_sparse: 10.0,
             kkt_nnz_ratio: 0.05,
             frame_p50_us: 300.0,

@@ -1,6 +1,5 @@
 //! CO-module configuration.
 
-use icoil_solver::Backend;
 use serde::{Deserialize, Serialize};
 
 /// Tuning parameters of the CO module.
@@ -34,11 +33,6 @@ pub struct CoConfig {
     pub replan_deviation: f64,
     /// Minimum frames between global replans.
     pub replan_cooldown: usize,
-    /// KKT factorization backend for the inner QP solver. `Auto` (the
-    /// default) picks sparse/dense from the problem structure; forcing a
-    /// backend is for benchmarks and differential conformance checks.
-    #[serde(default)]
-    pub qp_backend: Backend,
 }
 
 impl Default for CoConfig {
@@ -55,7 +49,6 @@ impl Default for CoConfig {
             scp_iterations: 2,
             replan_deviation: 2.0,
             replan_cooldown: 40,
-            qp_backend: Backend::Auto,
         }
     }
 }

@@ -79,7 +79,7 @@ pub struct MpcSolution {
     /// cold (whichever plan was kept).
     #[serde(default)]
     pub cold_restarted: bool,
-    /// Resolved KKT backend of the inner QP solves.
+    /// Always [`Backend::Sparse`]; `perfbench` reads it.
     #[serde(default)]
     pub backend: Backend,
     /// Factorization accounting summed over all inner QP solves.
@@ -152,10 +152,9 @@ pub const MPC_REPLAN_VIOLATION: f64 = 0.1;
 ///   classic shift-and-extend initialization;
 /// * the previous QP iterate, warm-starting ADMM both across SCP
 ///   iterations within a frame and across frames;
-/// * the QP solver's [`QpWorkspace`] (cached Ruiz scaling, KKT
-///   factorization — including the sparse backend's symbolic analysis,
-///   which keys on the KKT pattern and survives every value change —
-///   and adapted ρ).
+/// * the QP solver's [`QpWorkspace`] (cached Ruiz scaling and the
+///   sparse LDLᵀ's symbolic analysis, which keys on the KKT pattern and
+///   survives every value change).
 ///
 /// A fresh (or [`reset`](MpcMemory::reset)) memory reproduces the cold
 /// [`solve_mpc`] behaviour exactly.
@@ -179,7 +178,7 @@ pub struct MpcMemorySnapshot {
     pub controls: Option<Vec<[f64; NU]>>,
     /// Previous QP iterate (primal/dual warm start).
     pub warm: Option<QpWarmStart>,
-    /// Iterate-affecting solver workspace state (Ruiz scaling, adapted ρ).
+    /// Iterate-affecting solver workspace state (the Ruiz scaling).
     pub workspace: QpWorkspaceSnapshot,
 }
 
@@ -321,7 +320,6 @@ struct ScpFrame<'a> {
     qp_iters_total: usize,
     status: MpcStatus,
     scp_passes: u32,
-    backend: Backend,
     diagnostics: QpDiagnostics,
 }
 
@@ -377,7 +375,6 @@ impl<'a> ScpFrame<'a> {
             qp_iters_total: 0,
             status: MpcStatus::Ok,
             scp_passes: 0,
-            backend: Backend::Dense,
             diagnostics: QpDiagnostics::default(),
         }
     }
@@ -387,7 +384,6 @@ impl<'a> ScpFrame<'a> {
     fn absorb(&mut self, sol: QpSolution) {
         self.qp_iters_total += sol.iterations;
         self.scp_passes += 1;
-        self.backend = sol.backend;
         self.diagnostics.absorb(&sol.diagnostics);
         if sol.status == QpStatus::NumericalError {
             // NaN/∞-poisoned data: nothing from this frame is drivable or
@@ -431,7 +427,6 @@ impl<'a> ScpFrame<'a> {
             qp_iters_total,
             mut status,
             scp_passes,
-            backend,
             diagnostics,
         } = self;
         if status == MpcStatus::Ok {
@@ -485,7 +480,7 @@ impl<'a> ScpFrame<'a> {
             status,
             scp_passes,
             cold_restarted: false,
-            backend,
+            backend: Backend::Sparse,
             diagnostics,
         };
 
@@ -527,8 +522,9 @@ impl<'a> ScpFrame<'a> {
                 return sol;
             }
             // the warm iterate stands: restore the memory the cold re-solve
-            // overwrote (the workspace keeps the cold scaling — it is a
-            // cache revalidated against the problem data on every solve)
+            // overwrote (the workspace keeps the cold solve's scaling and
+            // symbolic analysis; reusing either on a same-shape problem is
+            // exact)
             memory.controls = Some(warm_solution.controls.clone());
             memory.warm = warm_iterate;
             let mut sol = warm_solution;
@@ -729,7 +725,6 @@ fn assemble_qp(
     }
     QpProblem::from_sparse(p.build(), q, a.build(), lo, hi)
         .expect("well-formed MPC QP")
-        .with_backend(config.qp_backend)
 }
 
 /// Assembles (without solving) the QP of one SCP pass around the given
@@ -1175,10 +1170,5 @@ mod tests {
         assert_eq!(sol.scp_passes as usize, config.scp_iterations);
         assert!(!sol.cold_restarted);
         assert!(sol.diagnostics.factorizations >= 1);
-        assert!(
-            sol.backend == Backend::Dense || sol.backend == Backend::Sparse,
-            "backend must be resolved, got {:?}",
-            sol.backend
-        );
     }
 }

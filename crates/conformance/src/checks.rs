@@ -15,8 +15,7 @@ use icoil_il::IlModel;
 use icoil_nn::Tensor;
 use icoil_perception::Perception;
 use icoil_solver::{
-    solve_qp, solve_qp_warm, Backend, Mat, QpProblem, QpSettings, QpStatus, QpWarmStart,
-    QpWorkspace,
+    solve_qp, solve_qp_warm, Mat, QpProblem, QpSettings, QpStatus, QpWarmStart, QpWorkspace,
 };
 use icoil_vehicle::ActionCodec;
 use icoil_world::episode::{run_episode, EpisodeConfig, Observation, Policy};
@@ -41,8 +40,6 @@ pub enum CheckKind {
     HsaGuard,
     /// The same episode run twice must be bit-identical.
     Determinism,
-    /// Dense vs sparse KKT backend on identical recorded MPC inputs.
-    DenseSparseQp,
     /// Micro-batched IL inference vs per-sample inference, bitwise.
     BatchedSingleIl,
     /// SIMD kernel dispatch vs the scalar reference on recorded solver
@@ -77,7 +74,7 @@ pub enum CheckKind {
 
 impl CheckKind {
     /// Every real check (the canary is opt-in via `--inject`).
-    pub const ALL: [CheckKind; 14] = [
+    pub const ALL: [CheckKind; 13] = [
         CheckKind::WarmColdMpc,
         CheckKind::QpWarmCold,
         CheckKind::Parallelism,
@@ -85,7 +82,6 @@ impl CheckKind {
         CheckKind::HsaWindow,
         CheckKind::HsaGuard,
         CheckKind::Determinism,
-        CheckKind::DenseSparseQp,
         CheckKind::BatchedSingleIl,
         CheckKind::SimdScalarKernels,
         CheckKind::CheckpointRestoreReplay,
@@ -104,7 +100,6 @@ impl CheckKind {
             CheckKind::HsaWindow => "hsa_window",
             CheckKind::HsaGuard => "hsa_guard",
             CheckKind::Determinism => "determinism",
-            CheckKind::DenseSparseQp => "dense_sparse_qp",
             CheckKind::BatchedSingleIl => "batched_single_il",
             CheckKind::SimdScalarKernels => "simd_scalar_kernels",
             CheckKind::CheckpointRestoreReplay => "checkpoint_restore_replay",
@@ -143,12 +138,6 @@ pub struct CheckSettings {
     pub qp_tolerance: f64,
     /// Batch width of the parallelism check.
     pub batch: usize,
-    /// Relative tracking-cost gap tolerated between the dense and sparse
-    /// KKT backends solving identical recorded MPC inputs. The backends
-    /// run the same ADMM loop and differ only in factorization rounding,
-    /// but the SCP re-linearizes around the pass-1 solution, so tiny
-    /// factorization differences are amplified once before comparison.
-    pub backend_cost_tol: f64,
 }
 
 impl Default for CheckSettings {
@@ -161,7 +150,6 @@ impl Default for CheckSettings {
             mpc_violation_slack: MPC_REPLAN_VIOLATION,
             qp_tolerance: 1e-4,
             batch: 3,
-            backend_cost_tol: 0.05,
         }
     }
 }
@@ -203,7 +191,6 @@ pub fn run_check(
         CheckKind::HsaWindow => check_hsa_window(spec),
         CheckKind::HsaGuard => check_hsa_guard(spec),
         CheckKind::Determinism => check_determinism(spec, settings),
-        CheckKind::DenseSparseQp => check_dense_sparse_qp(spec, settings),
         CheckKind::BatchedSingleIl => check_batched_single_il(spec),
         CheckKind::SimdScalarKernels => check_simd_scalar_kernels(spec, settings),
         CheckKind::CheckpointRestoreReplay => check_checkpoint_restore_replay(spec, settings),
@@ -591,83 +578,6 @@ fn check_determinism(spec: &ProcScenario, settings: &CheckSettings) -> Result<()
             "re-running the episode diverged: {:?}/{} frames vs {:?}/{} frames",
             first.outcome, first.frames, second.outcome, second.frames
         ));
-    }
-    Ok(())
-}
-
-/// Drives one CO episode with the solve log enabled, then re-solves a
-/// stride of the recorded per-frame inputs cold twice — once with the
-/// dense KKT backend forced, once with the sparse one — and demands
-/// agreement: tracking costs within tolerance, the same convergence
-/// status, and the MPC's cold-restart fallback triggering identically.
-///
-/// Like the warm/cold check, re-solving *identical recorded inputs* is
-/// what makes a tolerance meaningful: whole-episode comparison would
-/// compound rounding through the plant dynamics. The backends share one
-/// ADMM loop and one Ruiz equilibration; only the KKT factorization
-/// differs, so any divergence beyond factorization rounding (amplified
-/// once by the SCP re-linearization) is a backend bug.
-fn check_dense_sparse_qp(spec: &ProcScenario, settings: &CheckSettings) -> Result<(), String> {
-    let scenario = spec.build();
-    let config = ICoilConfig::default();
-    let params = scenario.vehicle_params;
-    let mut dense_config: CoConfig = config.co;
-    dense_config.qp_backend = Backend::Dense;
-    let mut sparse_config = dense_config;
-    sparse_config.qp_backend = Backend::Sparse;
-    let budget = dense_config.scp_iterations * MPC_QP_MAX_ITERS;
-
-    let mut policy = PureCoPolicy::new(&config, &scenario);
-    policy.co_mut().enable_solve_log();
-    let mut world = World::new(scenario);
-    let _ = run_episode(&mut world, &mut policy, &episode_config(settings));
-    let log = policy.co_mut().take_solve_log();
-
-    for (i, record) in log.iter().enumerate() {
-        if i % settings.cold_stride != 0 {
-            continue;
-        }
-        let SolveRecord {
-            state,
-            reference,
-            tracked,
-            ..
-        } = record;
-        let dense = solve_mpc(state, reference, tracked, &params, &dense_config);
-        let sparse = solve_mpc(state, reference, tracked, &params, &sparse_config);
-
-        let cost_gap = (dense.tracking_cost - sparse.tracking_cost).abs()
-            / dense.tracking_cost.abs().max(1e-9);
-        // Convergence status must match — except when both land within
-        // rounding of the iteration budget, where "capped" is decided by
-        // which side of the every-10-iterations residual check each
-        // backend's last ulps fall on.
-        let dense_capped = dense.qp_iterations >= budget;
-        let sparse_capped = sparse.qp_iterations >= budget;
-        let near_budget = dense.qp_iterations.min(sparse.qp_iterations) * 10 >= budget * 8;
-        let status_diverged = dense_capped != sparse_capped && !near_budget;
-        // The MPC's cold-restart fallback keys on predicted violation
-        // crossing MPC_REPLAN_VIOLATION: the trigger must fire for both
-        // backends or neither, unless the violations straddle the
-        // threshold by less than the control tolerance.
-        let dense_trigger = dense.predicted_violation > MPC_REPLAN_VIOLATION;
-        let sparse_trigger = sparse.predicted_violation > MPC_REPLAN_VIOLATION;
-        let viol_gap = (dense.predicted_violation - sparse.predicted_violation).abs();
-        let trigger_diverged =
-            dense_trigger != sparse_trigger && viol_gap > settings.mpc_tolerance;
-        if cost_gap > settings.backend_cost_tol || status_diverged || trigger_diverged {
-            return Err(format!(
-                "solve {i}: dense cost {:.4} ({} iters, violation {:.4}) vs sparse cost {:.4} \
-                 ({} iters, violation {:.4}): cost gap {cost_gap:.2e}, \
-                 capped {dense_capped}/{sparse_capped}, trigger {dense_trigger}/{sparse_trigger}",
-                dense.tracking_cost,
-                dense.qp_iterations,
-                dense.predicted_violation,
-                sparse.tracking_cost,
-                sparse.qp_iterations,
-                sparse.predicted_violation,
-            ));
-        }
     }
     Ok(())
 }
@@ -1494,7 +1404,6 @@ mod tests {
                 "hsa_window",
                 "hsa_guard",
                 "determinism",
-                "dense_sparse_qp",
                 "batched_single_il",
                 "simd_scalar_kernels",
                 "checkpoint_restore_replay",

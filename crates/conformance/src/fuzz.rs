@@ -47,7 +47,6 @@ fn stride(kind: CheckKind, smoke: bool) -> usize {
         | CheckKind::HsaGuard
         | CheckKind::InjectedCanary => 1,
         CheckKind::WarmColdMpc => 2,
-        CheckKind::DenseSparseQp => 2,
         CheckKind::SimdScalarKernels => 2,
         CheckKind::Determinism => 5,
         CheckKind::Parallelism => 5,

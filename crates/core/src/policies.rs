@@ -6,7 +6,6 @@ use icoil_co::{CoController, CoOutput, MpcSolution, MpcStatus};
 use icoil_hsa::{Hsa, Mode};
 use icoil_il::IlModel;
 use icoil_perception::Perception;
-use icoil_solver::Backend;
 use icoil_telemetry::{Counter, FrameEvent, Recorder, Series, SolveEvent};
 use icoil_vehicle::VehicleParams;
 use icoil_world::episode::{Decision, ModeTag, Observation, Policy};
@@ -26,14 +25,9 @@ fn solve_event(mpc: &MpcSolution) -> SolveEvent {
     SolveEvent {
         scp_passes: mpc.scp_passes,
         admm_iterations: mpc.qp_iterations as u64,
-        backend: match mpc.backend {
-            Backend::Sparse => "Sparse",
-            _ => "Dense",
-        },
         reg_bumps: mpc.diagnostics.reg_bumps,
         symbolic_cache_hits: mpc.diagnostics.symbolic_cache_hits,
         symbolic_rebuilds: mpc.diagnostics.symbolic_rebuilds,
-        factor_cache_hits: mpc.diagnostics.factor_cache_hits,
         cold_restart: mpc.cold_restarted,
         numerical_error: mpc.status == MpcStatus::NumericalError,
     }

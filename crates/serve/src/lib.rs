@@ -16,7 +16,7 @@
 //! * **Checkpoint/restore** — [`ServeHandle::snapshot`] serializes a
 //!   session's complete state ([`SessionSnapshot`]) into a versioned
 //!   binary format (raw IEEE-754 bit patterns, FNV-1a checksummed;
-//!   see [`SnapshotError`] for the typed rejection set), and
+//!   see [`icoil_adapt::ContainerError`] for the typed rejection set), and
 //!   [`ServeHandle::restore`] resumes it — on any shard, at any shard
 //!   count, in any process — with a bit-identical remaining trajectory.
 //! * **Micro-batched IL lane** — each engine tick drains all pending
@@ -74,7 +74,7 @@ pub use session::{
     ServeError, SessionConfig, SessionSnapshot, SessionSpec, StepResponse,
 };
 pub use shard::ShardRouter;
-pub use snapshot::{decode_snapshot, encode_snapshot, SnapshotError};
+pub use snapshot::{decode_snapshot, encode_snapshot};
 
 use icoil_core::ICoilConfig;
 use icoil_il::IlPrecision;

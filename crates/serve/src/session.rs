@@ -61,9 +61,9 @@ pub enum ServeError {
     ShuttingDown,
     /// The engine thread is gone (server already shut down).
     Disconnected,
-    /// A snapshot failed to decode (bad magic, version, checksum or
-    /// shape); the message is the underlying
-    /// [`SnapshotError`](crate::SnapshotError).
+    /// A snapshot failed to decode (bad magic, version, length, checksum
+    /// or shape); the message is the underlying
+    /// [`ContainerError`](icoil_adapt::ContainerError).
     Snapshot(String),
     /// A restored snapshot pinned a weight-store generation this server
     /// has not published — restoring it here would silently change the

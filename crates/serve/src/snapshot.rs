@@ -1,353 +1,88 @@
 //! Versioned binary codec for session checkpoints.
 //!
-//! A snapshot is the serde [`Value`] tree of a [`SessionSnapshot`](crate::SessionSnapshot)
-//! encoded directly to bytes — floats as raw IEEE-754 bit patterns (so
-//! NaN payloads and `-0.0` survive, which a decimal text format cannot
-//! guarantee), integers little-endian, length-prefixed strings and
-//! sequences. The payload sits behind a versioned header:
-//!
-//! ```text
-//! magic  "ICSN"          4 bytes
-//! version u32 LE          4 bytes   (currently 1)
-//! length  u64 LE          8 bytes   (payload byte count)
-//! checksum u64 LE         8 bytes   (FNV-1a over the payload)
-//! payload                 `length` bytes
-//! ```
-//!
-//! Versioning rules: the header layout is frozen; bumping `VERSION`
-//! covers any payload-encoding change. Decoders reject unknown versions
-//! with [`SnapshotError::UnsupportedVersion`] rather than guessing.
-//! Every malformed input — short buffer, bad magic, checksum mismatch,
-//! type-shape mismatch — is a typed [`SnapshotError`], never a panic.
+//! A snapshot is the serde `Value` tree of a
+//! [`SessionSnapshot`](crate::SessionSnapshot) in the stack's one
+//! checksummed container format ([`icoil_adapt::container`]) under the
+//! `ICSN` magic, version 1. Bumping the version covers any
+//! payload-encoding change; decoders reject unknown versions rather than
+//! guessing. Every malformed input — short buffer, bad magic, hostile
+//! length, checksum mismatch, type-shape mismatch — is a typed
+//! [`ContainerError`], never a panic.
 
-use serde::{Deserialize, Serialize, Value};
+use icoil_adapt::container::{decode_container, encode_container, ContainerError};
+use serde::{Deserialize, Serialize};
 
 /// Snapshot container magic bytes.
 const MAGIC: [u8; 4] = *b"ICSN";
 /// Current container version.
 const VERSION: u32 = 1;
-/// Header size in bytes (magic + version + length + checksum).
-const HEADER: usize = 24;
-/// Maximum Seq/Map nesting accepted while decoding — far above any
-/// legitimate snapshot (whose trees are a few levels deep) and low
-/// enough that hostile deeply-nested input errors out instead of
-/// exhausting the stack.
-const MAX_DEPTH: usize = 64;
-
-/// Why a snapshot failed to decode.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SnapshotError {
-    /// The buffer does not start with the `ICSN` magic.
-    BadMagic,
-    /// The container version is newer than this build understands.
-    UnsupportedVersion(u32),
-    /// The buffer ends before the declared payload does.
-    Truncated,
-    /// The payload is internally inconsistent (checksum mismatch, bad
-    /// tag, invalid UTF-8, trailing bytes, or excessive nesting).
-    Corrupted(String),
-    /// The payload decoded to a well-formed tree of the wrong shape for
-    /// the requested type.
-    Decode(String),
-}
-
-impl std::fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapshotError::BadMagic => write!(f, "not a snapshot (bad magic)"),
-            SnapshotError::UnsupportedVersion(v) => {
-                write!(f, "unsupported snapshot version {v}")
-            }
-            SnapshotError::Truncated => write!(f, "truncated snapshot"),
-            SnapshotError::Corrupted(msg) => write!(f, "corrupted snapshot: {msg}"),
-            SnapshotError::Decode(msg) => write!(f, "snapshot decode: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
 
 /// Encodes any serializable value into the versioned snapshot format.
 pub fn encode_snapshot<T: Serialize>(value: &T) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(256);
-    encode_value(&value.to_value(), &mut payload);
-    let mut out = Vec::with_capacity(HEADER + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    encode_container(MAGIC, VERSION, value)
 }
 
 /// Decodes a snapshot produced by [`encode_snapshot`].
 ///
 /// # Errors
 ///
-/// Returns a [`SnapshotError`] for any malformed input; never panics.
-pub fn decode_snapshot<T: Deserialize>(bytes: &[u8]) -> Result<T, SnapshotError> {
-    if bytes.len() < HEADER {
-        return if bytes.len() >= 4 && bytes[..4] != MAGIC {
-            Err(SnapshotError::BadMagic)
-        } else {
-            Err(SnapshotError::Truncated)
-        };
-    }
-    if bytes[..4] != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if version != VERSION {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
-    let len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    let checksum = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
-    let len = usize::try_from(len)
-        .map_err(|_| SnapshotError::Corrupted("payload length overflow".into()))?;
-    let payload = bytes
-        .get(HEADER..HEADER + len)
-        .ok_or(SnapshotError::Truncated)?;
-    if bytes.len() != HEADER + len {
-        return Err(SnapshotError::Corrupted("trailing bytes".into()));
-    }
-    if fnv1a(payload) != checksum {
-        return Err(SnapshotError::Corrupted("checksum mismatch".into()));
-    }
-    let mut cursor = Cursor { buf: payload, pos: 0 };
-    let value = decode_value(&mut cursor, 0)?;
-    if cursor.pos != payload.len() {
-        return Err(SnapshotError::Corrupted("payload trailing bytes".into()));
-    }
-    T::from_value(&value).map_err(|e| SnapshotError::Decode(e.to_string()))
-}
-
-/// FNV-1a 64-bit hash.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-// Payload tag bytes, one per Value variant.
-const TAG_NULL: u8 = 0;
-const TAG_BOOL: u8 = 1;
-const TAG_I64: u8 = 2;
-const TAG_U64: u8 = 3;
-const TAG_F64: u8 = 4;
-const TAG_F32: u8 = 5;
-const TAG_STR: u8 = 6;
-const TAG_SEQ: u8 = 7;
-const TAG_MAP: u8 = 8;
-
-fn encode_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Null => out.push(TAG_NULL),
-        Value::Bool(b) => {
-            out.push(TAG_BOOL);
-            out.push(u8::from(*b));
-        }
-        Value::I64(n) => {
-            out.push(TAG_I64);
-            out.extend_from_slice(&n.to_le_bytes());
-        }
-        Value::U64(n) => {
-            out.push(TAG_U64);
-            out.extend_from_slice(&n.to_le_bytes());
-        }
-        Value::F64(x) => {
-            out.push(TAG_F64);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Value::F32(x) => {
-            out.push(TAG_F32);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(TAG_STR);
-            out.extend_from_slice(&(s.len() as u64).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Seq(items) => {
-            out.push(TAG_SEQ);
-            out.extend_from_slice(&(items.len() as u64).to_le_bytes());
-            for item in items {
-                encode_value(item, out);
-            }
-        }
-        Value::Map(entries) => {
-            out.push(TAG_MAP);
-            out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-            for (key, val) in entries {
-                out.extend_from_slice(&(key.len() as u64).to_le_bytes());
-                out.extend_from_slice(key.as_bytes());
-                encode_value(val, out);
-            }
-        }
-    }
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], SnapshotError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(SnapshotError::Truncated)?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn len(&mut self) -> Result<usize, SnapshotError> {
-        let n = self.u64()?;
-        // a declared length beyond the remaining bytes can't be honest;
-        // rejecting it here also stops huge preallocations
-        let n = usize::try_from(n).map_err(|_| SnapshotError::Truncated)?;
-        if n > self.buf.len() - self.pos {
-            return Err(SnapshotError::Truncated);
-        }
-        Ok(n)
-    }
-
-    fn string(&mut self) -> Result<String, SnapshotError> {
-        let n = self.len()?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| SnapshotError::Corrupted("invalid UTF-8".into()))
-    }
-}
-
-fn decode_value(c: &mut Cursor<'_>, depth: usize) -> Result<Value, SnapshotError> {
-    if depth > MAX_DEPTH {
-        return Err(SnapshotError::Corrupted("nesting too deep".into()));
-    }
-    match c.u8()? {
-        TAG_NULL => Ok(Value::Null),
-        TAG_BOOL => match c.u8()? {
-            0 => Ok(Value::Bool(false)),
-            1 => Ok(Value::Bool(true)),
-            b => Err(SnapshotError::Corrupted(format!("bad bool byte {b}"))),
-        },
-        TAG_I64 => Ok(Value::I64(c.u64()? as i64)),
-        TAG_U64 => Ok(Value::U64(c.u64()?)),
-        TAG_F64 => Ok(Value::F64(f64::from_bits(c.u64()?))),
-        TAG_F32 => Ok(Value::F32(f32::from_bits(u32::from_le_bytes(
-            c.take(4)?.try_into().expect("4 bytes"),
-        )))),
-        TAG_STR => Ok(Value::Str(c.string()?)),
-        TAG_SEQ => {
-            let n = c.len()?;
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(decode_value(c, depth + 1)?);
-            }
-            Ok(Value::Seq(items))
-        }
-        TAG_MAP => {
-            let n = c.len()?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let key = c.string()?;
-                entries.push((key, decode_value(c, depth + 1)?));
-            }
-            Ok(Value::Map(entries))
-        }
-        tag => Err(SnapshotError::Corrupted(format!("unknown tag {tag}"))),
-    }
+/// Returns a [`ContainerError`] for any malformed input; never panics.
+pub fn decode_snapshot<T: Deserialize>(bytes: &[u8]) -> Result<T, ContainerError> {
+    decode_container(MAGIC, VERSION, bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     #[test]
-    fn roundtrip_preserves_float_bits() {
-        let values: Vec<f64> = vec![
-            0.0,
-            -0.0,
-            1.5,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NAN,
-            f64::from_bits(0x7ff8_0000_dead_beef), // NaN payload
-            f64::MIN_POSITIVE / 2.0,               // subnormal
-        ];
-        let bytes = encode_snapshot(&values);
-        let back: Vec<f64> = decode_snapshot(&bytes).expect("decode");
-        assert_eq!(values.len(), back.len());
-        for (a, b) in values.iter().zip(&back) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
-        }
+    fn encoding_is_pinned_byte_for_byte() {
+        // one value of every payload tag; the bytes were captured from
+        // the snapshot codec before it moved onto the shared container,
+        // so snapshots written by either decode with the other
+        let value = Value::Map(vec![
+            ("null".to_string(), Value::Null),
+            ("bool".to_string(), Value::Bool(true)),
+            ("i64".to_string(), Value::I64(-3)),
+            ("u64".to_string(), Value::U64(7)),
+            ("f64".to_string(), Value::F64(-0.0)),
+            ("f32".to_string(), Value::F32(1.5)),
+            ("str".to_string(), Value::Str("ICSN".to_string())),
+            (
+                "seq".to_string(),
+                Value::Seq(vec![
+                    Value::F64(f64::from_bits(0x7ff8_0000_dead_beef)),
+                    Value::U64(1),
+                ]),
+            ),
+        ]);
+        const PINNED: &str = "4943534e01000000ae000000000000005c8aca5a0c49077f0808000000000000\
+            0004000000000000006e756c6c000400000000000000626f6f6c01010300000000000000693634\
+            02fdffffffffffffff030000000000000075363403070000000000000003000000000000006636\
+            340400000000000000800300000000000000663332050000c03f03000000000000007374720604\
+            000000000000004943534e030000000000000073657107020000000000000004efbeadde0000f8\
+            7f030100000000000000";
+        let hex: String = encode_snapshot(&value).iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, PINNED);
+        let back: Value = decode_snapshot(&encode_snapshot(&value)).expect("decode");
+        assert_eq!(encode_snapshot(&back), encode_snapshot(&value));
     }
 
     #[test]
-    fn header_violations_are_typed_errors() {
-        let bytes = encode_snapshot(&vec![1.0f64, 2.0]);
-        assert_eq!(decode_snapshot::<Vec<f64>>(&[]), Err(SnapshotError::Truncated));
-        assert_eq!(
-            decode_snapshot::<Vec<f64>>(b"XXXX123456789012345678901234"),
-            Err(SnapshotError::BadMagic)
-        );
-        let mut wrong_version = bytes.clone();
-        wrong_version[4] = 99;
-        assert_eq!(
-            decode_snapshot::<Vec<f64>>(&wrong_version),
-            Err(SnapshotError::UnsupportedVersion(99))
-        );
-        let truncated = &bytes[..bytes.len() - 1];
-        assert_eq!(decode_snapshot::<Vec<f64>>(truncated), Err(SnapshotError::Truncated));
-        let mut corrupt = bytes.clone();
-        let last = corrupt.len() - 1;
-        corrupt[last] ^= 0x40;
-        assert!(matches!(
-            decode_snapshot::<Vec<f64>>(&corrupt),
-            Err(SnapshotError::Corrupted(_))
-        ));
-    }
-
-    #[test]
-    fn wrong_shape_is_a_decode_error() {
-        let bytes = encode_snapshot(&42u64);
-        assert!(matches!(
-            decode_snapshot::<Vec<f64>>(&bytes),
-            Err(SnapshotError::Decode(_))
-        ));
-    }
-
-    #[test]
-    fn deep_nesting_is_rejected() {
-        // hand-build a payload of 80 nested single-element sequences
-        let mut payload = Vec::new();
-        for _ in 0..80 {
-            payload.push(TAG_SEQ);
-            payload.extend_from_slice(&1u64.to_le_bytes());
-        }
-        payload.push(TAG_NULL);
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
+    fn hostile_payload_length_is_a_typed_error() {
+        // the right magic and version declaring a `u64::MAX`-byte payload:
+        // a typed error, never an overflow of the header-plus-length sum
+        let mut bytes = MAGIC.to_vec();
         bytes.extend_from_slice(&VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        assert!(matches!(
-            decode_snapshot::<Value>(&bytes),
-            Err(SnapshotError::Corrupted(_))
-        ));
+        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(decode_snapshot::<Value>(&bytes), Err(ContainerError::Truncated));
+    }
+
+    #[test]
+    fn other_magics_are_refused() {
+        let bytes = encode_container(*b"ICDS", VERSION, &7u64);
+        assert_eq!(decode_snapshot::<u64>(&bytes), Err(ContainerError::BadMagic));
     }
 }

@@ -1,13 +1,15 @@
-//! Dense linear algebra and an ADMM quadratic-program solver — the
-//! CVXPY substitute for the iCOIL CO module.
+//! An ADMM quadratic-program solver over a sparse LDLᵀ KKT factorization
+//! — the CVXPY substitute for the iCOIL CO module.
 //!
 //! The paper convexifies the nonconvex parking problem (eq. 6) and hands
 //! the resulting convex subproblems to "open-source optimization software
 //! (e.g., CVXPY)". This crate plays that role:
 //!
-//! * [`Mat`] — a small dense `f64` matrix with Cholesky factorization;
 //! * [`QpProblem`] / [`solve_qp`] — an OSQP-style ADMM solver for
-//!   `min ½xᵀPx + qᵀx  s.t.  l ≤ Ax ≤ u`.
+//!   `min ½xᵀPx + qᵀx  s.t.  l ≤ Ax ≤ u`, factoring its KKT matrix with
+//!   [`SparseLdl`];
+//! * [`Mat`] — a small dense `f64` matrix for building problems, with a
+//!   Cholesky factorization that tests hold the sparse LDLᵀ against.
 //!
 //! The sequential-convexification loop that *produces* those QPs lives in
 //! `icoil-co`, next to the MPC formulation it linearizes.

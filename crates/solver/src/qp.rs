@@ -11,54 +11,25 @@
 //! variables stop protecting the actual rollout.
 //!
 //! Problem data is held in CSC sparse form ([`SparseMatrix`]) and the
-//! KKT matrix can be factorized by either of two interchangeable
-//! [`Backend`]s:
-//!
-//! * **Dense** — the KKT matrix is densified and factorized with
-//!   [`Cholesky`]; right for small or genuinely dense problems.
-//! * **Sparse** — a sparse LDLᵀ ([`SparseLdl`]) whose symbolic phase
-//!   (fill-reducing ordering + elimination tree) is computed once per
-//!   sparsity pattern, cached in the [`QpWorkspace`], and reused across
-//!   every ρ-adaptation and re-solve; only the `O(|L|)` numeric
-//!   refactorization runs when values change. Right for the block-banded
-//!   KKT systems that simultaneous-form MPC produces.
-//!
-//! `Backend::Auto` (the default) picks per problem from the dimension and
-//! the KKT fill ratio; both backends run the identical ADMM iteration, so
-//! they agree to factorization rounding (checked differentially by the
-//! conformance harness).
+//! KKT matrix is factorized with a sparse LDLᵀ ([`SparseLdl`]). Its
+//! symbolic phase (fill-reducing ordering + elimination tree) is computed
+//! once per sparsity pattern and cached in the [`QpWorkspace`]; each
+//! solve factors the KKT afresh over that analysis, and a ρ-adaptation
+//! inside the solve refactors the same storage in place.
 
 use crate::ldl::{SparseLdl, SymbolicLdl};
-use crate::linalg::{Cholesky, Mat};
+use crate::linalg::Mat;
 use crate::simd::{self, LaneSlices};
 use crate::sparse::{SparseKkt, SparseMatrix};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// KKT factorization backend selection for a [`QpProblem`].
+/// The one KKT factorization backend, kept because `perfbench` reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum Backend {
-    /// Pick per problem: sparse when the problem is large enough and the
-    /// KKT fill ratio low enough to pay off, dense otherwise.
+    /// The sparse LDLᵀ over the workspace's cached symbolic analysis.
     #[default]
-    Auto,
-    /// Always densify and use dense Cholesky.
-    Dense,
-    /// Always use the sparse LDLᵀ with the cached symbolic phase.
     Sparse,
-}
-
-/// The `Auto` rule: sparse pays off once the problem is big enough that
-/// the O(n³) dense factor dominates and the KKT pattern actually is
-/// sparse. Thresholds sized for this codebase's MPC problems (dense
-/// factor ≈ n³/3 flops vs sparse ≈ Σ lnz² — at n ≥ 30 and ≤ 35 % fill
-/// the sparse path wins on every profile measured).
-fn choose_sparse(backend: Backend, n: usize, kkt_fill: f64) -> bool {
-    match backend {
-        Backend::Dense => false,
-        Backend::Sparse => true,
-        Backend::Auto => n >= 30 && kkt_fill <= 0.35,
-    }
 }
 
 /// A quadratic program `min ½xᵀPx + qᵀx  s.t.  l ≤ Ax ≤ u`.
@@ -79,7 +50,6 @@ pub struct QpProblem {
     pub l: Vec<f64>,
     /// Constraint upper bounds, length `m` (may contain `+∞`).
     pub u: Vec<f64>,
-    backend: Backend,
 }
 
 /// Error returned by [`QpProblem::new`] for dimensionally-inconsistent or
@@ -141,25 +111,7 @@ impl QpProblem {
         if l.iter().zip(&u).any(|(lo, hi)| lo > hi) {
             return Err(QpError::CrossedBounds);
         }
-        Ok(QpProblem {
-            p,
-            q,
-            a,
-            l,
-            u,
-            backend: Backend::Auto,
-        })
-    }
-
-    /// Overrides the KKT factorization backend (default [`Backend::Auto`]).
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// The configured backend selection.
-    pub fn backend(&self) -> Backend {
-        self.backend
+        Ok(QpProblem { p, q, a, l, u })
     }
 
     /// The quadratic cost matrix `P` (CSC).
@@ -254,7 +206,7 @@ pub struct QpDiagnostics {
     pub symbolic_cache_hits: u32,
     /// Sparse symbolic analyses computed fresh.
     pub symbolic_rebuilds: u32,
-    /// Whole-factorization cache reuses (identical scaled data).
+    /// Always 0 (no solve reuses a whole factor); `perfbench` reads it.
     pub factor_cache_hits: u32,
 }
 
@@ -285,10 +237,6 @@ pub struct QpSolution {
     pub primal_residual: f64,
     /// Final dual residual `‖Px + q + Aᵀy‖∞`.
     pub dual_residual: f64,
-    /// Backend actually used for the KKT factorization (resolved — never
-    /// [`Backend::Auto`]).
-    #[serde(default)]
-    pub backend: Backend,
     /// Factorization accounting for this solve.
     #[serde(default)]
     pub diagnostics: QpDiagnostics,
@@ -322,29 +270,20 @@ impl QpWarmStart {
 }
 
 /// Reusable setup state cached across solves of structurally-similar
-/// problems (same variable/constraint counts).
+/// problems, in the spirit of OSQP's setup/update split. Two caches:
 ///
-/// Caches, in the spirit of OSQP's setup/update split:
-///
-/// * the Ruiz scaling vectors `D`, `E` — equilibration is a change of
-///   variables, so reusing the previous scaling on slightly-changed data
-///   stays exact and skips the iterative scaling passes;
-/// * the ρ-weighted Gram matrix `AᵀRA`, the KKT assembly maps and the
-///   factorization of `P + σI + AᵀRA`, reused only while the scaled
-///   `P`/`A` data, the equality-row pattern and σ are bit-identical;
+/// * the Ruiz scaling vectors `D`, `E`, keyed on the problem's shape —
+///   equilibration is a change of variables, so reusing the previous
+///   scaling on slightly-changed data stays exact and skips the
+///   iterative scaling passes;
 /// * the **symbolic** sparse analysis (fill-reducing permutation +
-///   elimination tree), which keys only on the KKT *pattern* and therefore
-///   survives every value change — across ADMM ρ-adaptations, SCP passes,
-///   and warm/cold re-solves of a frame only the numeric refactorization
-///   runs;
-/// * the adapted step size ρ from the previous solve, so later solves
-///   start from the rebalanced value instead of re-learning it.
+///   elimination tree), keyed on the KKT *pattern* and therefore
+///   surviving every value change — ρ-adaptations, SCP passes, and
+///   warm/cold re-solves of a frame all factor over it.
 #[derive(Debug, Clone, Default)]
 pub struct QpWorkspace {
     scaling: Option<(Vec<f64>, Vec<f64>)>,
-    factor: Option<FactorCache>,
     symbolic: Option<Arc<SymbolicLdl>>,
-    rho: Option<f64>,
 }
 
 /// The serializable slice of a [`QpWorkspace`]: exactly the carried state
@@ -352,54 +291,15 @@ pub struct QpWorkspace {
 /// checkpoint for bit-identical replay.
 ///
 /// The cached Ruiz scaling is reused verbatim on slightly-changed data
-/// (a change of variables, not a convergence tweak) and the adapted ρ
-/// seeds the next solve's penalty, so both alter every subsequent
-/// iterate. The factorization and symbolic caches are *not* captured:
-/// they are recomputed bit-identically from the (scaled) problem data on
-/// the first post-restore solve — dropping them costs one refactor, not
-/// one ulp.
+/// (a change of variables, not a convergence tweak), so it alters every
+/// subsequent iterate. The symbolic analysis is *not* captured: it is
+/// recomputed bit-identically from the (scaled) problem pattern on the
+/// first post-restore solve — dropping it costs one analysis, not one
+/// ulp.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct QpWorkspaceSnapshot {
     /// Cached Ruiz scaling vectors `D` (variables) and `E` (constraints).
     pub scaling: Option<(Vec<f64>, Vec<f64>)>,
-    /// Adapted ADMM step size ρ carried from the previous solve.
-    pub rho: Option<f64>,
-}
-
-/// A factorization bound to one of the two backends; both expose the same
-/// allocation-free `solve_into`. One value lives per cache entry (never in
-/// an array), so the variant size gap costs nothing and boxing would only
-/// add a pointer chase to the hot solve path.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-enum Factor {
-    Dense(Cholesky),
-    Sparse(SparseLdl),
-}
-
-impl Factor {
-    fn solve_into(&mut self, b: &[f64], out: &mut [f64]) {
-        match self {
-            Factor::Dense(c) => c.solve_into(b, out),
-            Factor::Sparse(f) => f.solve_into(b, out),
-        }
-    }
-
-    fn is_sparse(&self) -> bool {
-        matches!(self, Factor::Sparse(_))
-    }
-}
-
-#[derive(Debug, Clone)]
-struct FactorCache {
-    p: SparseMatrix,
-    a: SparseMatrix,
-    eq: Vec<bool>,
-    sigma: f64,
-    rho: f64,
-    gram: SparseMatrix,
-    kkt: SparseKkt,
-    factor: Factor,
 }
 
 /// Stiffness multiplier applied to the ADMM penalty of equality rows
@@ -426,45 +326,33 @@ impl QpWorkspace {
         QpWorkspace::default()
     }
 
-    /// Drops all cached state (scaling, factor, symbolic analysis,
-    /// adapted ρ).
+    /// Drops all cached state (scaling and symbolic analysis).
     pub fn clear(&mut self) {
         self.scaling = None;
-        self.factor = None;
         self.symbolic = None;
-        self.rho = None;
     }
 
-    /// The adapted ρ carried from the previous solve, if any.
-    pub fn carried_rho(&self) -> Option<f64> {
-        self.rho
-    }
-
-    /// The cached symbolic LDLᵀ analysis, if a sparse-backend solve has
-    /// run through this workspace.
+    /// The cached symbolic LDLᵀ analysis, if a solve has run through this
+    /// workspace.
     pub fn symbolic(&self) -> Option<&Arc<SymbolicLdl>> {
         self.symbolic.as_ref()
     }
 
-    /// Captures the iterate-affecting carried state (scaling + adapted ρ)
-    /// for a session checkpoint. See [`QpWorkspaceSnapshot`].
+    /// Captures the iterate-affecting carried state (the scaling) for a
+    /// session checkpoint. See [`QpWorkspaceSnapshot`].
     pub fn snapshot(&self) -> QpWorkspaceSnapshot {
         QpWorkspaceSnapshot {
             scaling: self.scaling.clone(),
-            rho: self.rho,
         }
     }
 
-    /// Rebuilds a workspace from a checkpoint. The factorization and
-    /// symbolic caches start empty and are recomputed bit-identically on
-    /// the first solve, so a restored workspace replays exactly like the
-    /// captured one.
+    /// Rebuilds a workspace from a checkpoint. The symbolic cache starts
+    /// empty and is recomputed bit-identically on the first solve, so a
+    /// restored workspace replays exactly like the captured one.
     pub fn from_snapshot(snap: &QpWorkspaceSnapshot) -> Self {
         QpWorkspace {
             scaling: snap.scaling.clone(),
-            factor: None,
             symbolic: None,
-            rho: snap.rho,
         }
     }
 }
@@ -491,9 +379,8 @@ pub fn solve_qp(problem: &QpProblem, settings: &QpSettings) -> QpSolution {
 /// reusing cached setup work from `workspace` where valid.
 ///
 /// `warm` is ignored unless its dimensions fit the problem. Scaling reuse
-/// keys on dimensions; factorization reuse additionally keys on the exact
-/// scaled data, σ and ρ (the symbolic sparse analysis keys only on the
-/// KKT pattern), so the result always corresponds to the problem actually
+/// keys on dimensions and the symbolic analysis on the KKT pattern; the
+/// numeric factorization is always computed from the problem actually
 /// passed in.
 pub fn solve_qp_warm(
     problem: &QpProblem,
@@ -509,7 +396,7 @@ pub fn solve_qp_warm(
     // `clamp` (min > max assert) before any residual is ever measured.
     if data_is_poisoned(problem) {
         workspace.clear();
-        return numerical_error_solution(n, m, 0, false, QpDiagnostics::default());
+        return numerical_error_solution(n, m, 0, QpDiagnostics::default());
     }
     let reuse_scaling = matches!(
         &workspace.scaling,
@@ -517,8 +404,6 @@ pub fn solve_qp_warm(
     );
     if !reuse_scaling {
         workspace.scaling = Some(compute_scaling(problem));
-        workspace.factor = None;
-        workspace.rho = None;
     }
     let (d, e) = workspace.scaling.as_ref().expect("scaling just ensured");
     let scaled = apply_scaling(problem, d, e);
@@ -570,7 +455,7 @@ pub fn solve_qp_warm(
 ///
 /// Each pass computes all row (then column) norms of the current scaled
 /// data before applying the updates, so the result is independent of
-/// storage order — both backends see the identical equilibration.
+/// storage order.
 fn compute_scaling(problem: &QpProblem) -> (Vec<f64>, Vec<f64>) {
     let n = problem.num_vars();
     let m = problem.num_constraints();
@@ -638,14 +523,7 @@ fn apply_scaling(problem: &QpProblem, d: &[f64], e: &[f64]) -> QpProblem {
     let q: Vec<f64> = problem.q.iter().zip(d).map(|(qi, di)| qi * di).collect();
     let l: Vec<f64> = problem.l.iter().zip(e).map(|(li, ei)| li * ei).collect();
     let u: Vec<f64> = problem.u.iter().zip(e).map(|(ui, ei)| ui * ei).collect();
-    QpProblem {
-        p,
-        q,
-        a,
-        l,
-        u,
-        backend: problem.backend,
-    }
+    QpProblem { p, q, a, l, u }
 }
 
 /// All per-problem mutable state of one ADMM solve: iterates, the
@@ -784,11 +662,10 @@ impl AdmmState {
             .fold(0.0, f64::max);
     }
 
-    /// NaN/∞-poisoned iterates (a NaN in the problem data, a NaN cost
-    /// matrix whose dense Cholesky spuriously "succeeded" — NaN
-    /// comparisons are all false) must not be consumed by anything
-    /// downstream. The residual folds skip NaN (a poisoned residual
-    /// reads 0.0), so the iterate itself is checked too.
+    /// NaN/∞-poisoned iterates (a NaN in the problem data, or iterates
+    /// that overflowed) must not be consumed by anything downstream.
+    /// The residual folds skip NaN (a poisoned residual reads 0.0), so
+    /// the iterate itself is checked too.
     fn poisoned(&self) -> bool {
         !self.primal_res.is_finite()
             || !self.dual_res.is_finite()
@@ -817,9 +694,9 @@ impl AdmmState {
     }
 }
 
-/// The core ADMM loop on an (already scaled) problem, reusing the cached
-/// Gram matrix, KKT assembly and factorization from `workspace` when the
-/// scaled data, σ and ρ all match.
+/// The core ADMM loop on an (already scaled) problem: assembles the KKT
+/// matrix, factors it over `workspace`'s cached symbolic analysis, then
+/// iterates.
 fn solve_qp_scaled(
     problem: &QpProblem,
     settings: &QpSettings,
@@ -828,59 +705,30 @@ fn solve_qp_scaled(
 ) -> QpSolution {
     let n = problem.num_vars();
     let m = problem.num_constraints();
-    let init_rho = settings.rho.clamp(RHO_MIN, RHO_MAX);
+    let rho = settings.rho.clamp(RHO_MIN, RHO_MAX);
     // equality rows (l = u) get the stiffer penalty; scaling multiplies
     // both bounds by the same row scale, so the pattern is scale-invariant
     let eq: Vec<bool> = problem.l.iter().zip(&problem.u).map(|(lo, hi)| lo == hi).collect();
 
     // KKT matrix M = P + σI + AᵀRA with R = diag(ρ_i), factorized once
-    // per ρ value. The full setup (weighted Gram, assembly maps, factor)
-    // is reused verbatim when the scaled data and equality pattern are
-    // bit-identical; the backend choice is part of the cache (it depends
-    // only on problem shape + pattern, which the data equality implies).
+    // per ρ value
     let mut diag = QpDiagnostics::default();
-    let cached = workspace.factor.take();
-    let (mut gram, mut kkt, mut factor, rho) = match cached {
-        Some(c)
-            if c.sigma == settings.sigma
-                && c.p == problem.p
-                && c.a == problem.a
-                && c.eq == eq
-                && c.factor.is_sparse()
-                    == choose_sparse(problem.backend, n, c.kkt.matrix().fill_ratio()) =>
-        {
-            // identical scaled data: the previously-adapted ρ applies, so
-            // the cached factor can be reused verbatim
-            diag.factor_cache_hits += 1;
-            let rho = c.rho;
-            (c.gram, c.kkt, c.factor, rho)
-        }
-        _ => {
-            let mut rho_v = Vec::with_capacity(m);
-            fill_rho_vec(init_rho, &eq, &mut rho_v);
-            let gram = problem.a.gram_weighted(&rho_v);
-            let mut kkt = SparseKkt::new(&problem.p, &gram);
-            let use_sparse = choose_sparse(problem.backend, n, kkt.matrix().fill_ratio());
-            let factor = build_factor(
-                &mut kkt,
-                &problem.p,
-                &gram,
-                settings.sigma,
-                use_sparse,
-                &mut workspace.symbolic,
-                None,
-                &mut diag,
-            );
-            let Some(factor) = factor else {
-                // the KKT matrix cannot be factorized at any bump: report
-                // the failure without caching anything from this solve
-                workspace.rho = None;
-                return numerical_error_solution(n, m, 0, use_sparse, diag);
-            };
-            (gram, kkt, factor, init_rho)
-        }
+    let mut rho_v = Vec::with_capacity(m);
+    fill_rho_vec(rho, &eq, &mut rho_v);
+    let gram = problem.a.gram_weighted(&rho_v);
+    let mut kkt = SparseKkt::new(&problem.p, &gram);
+    let Some(mut factor) = build_factor(
+        &mut kkt,
+        &problem.p,
+        &gram,
+        settings.sigma,
+        &mut workspace.symbolic,
+        None,
+        &mut diag,
+    ) else {
+        // the KKT matrix cannot be factorized at any bump
+        return numerical_error_solution(n, m, 0, diag);
     };
-    let use_sparse = factor.is_sparse();
 
     let mut st = AdmmState::new(problem, rho, eq, start);
     let mut iters = 0;
@@ -905,50 +753,26 @@ fn solve_qp_scaled(
                 // the weighted Gram changes with R; its pattern does
                 // not, so the assembly maps and symbolic analysis
                 // both survive and only the numeric refactor runs
-                gram = problem.a.gram_weighted(&st.rho_v);
+                let gram = problem.a.gram_weighted(&st.rho_v);
                 match build_factor(
                     &mut kkt,
                     &problem.p,
                     &gram,
                     settings.sigma,
-                    use_sparse,
                     &mut workspace.symbolic,
                     Some(factor),
                     &mut diag,
                 ) {
                     Some(f) => factor = f,
-                    None => {
-                        workspace.rho = None;
-                        return numerical_error_solution(n, m, iters, use_sparse, diag);
-                    }
+                    None => return numerical_error_solution(n, m, iters, diag),
                 }
             }
         }
     }
 
     if status == QpStatus::NumericalError {
-        // poisoned iterates: cache nothing from this solve
-        workspace.rho = None;
-        return numerical_error_solution(n, m, iters, use_sparse, diag);
+        return numerical_error_solution(n, m, iters, diag);
     }
-
-    workspace.rho = Some(st.rho);
-    let backend = if use_sparse {
-        Backend::Sparse
-    } else {
-        Backend::Dense
-    };
-    workspace.factor = Some(FactorCache {
-        p: problem.p.clone(),
-        a: problem.a.clone(),
-        eq: st.eq.clone(),
-        sigma: settings.sigma,
-        rho: st.rho,
-        gram,
-        kkt,
-        factor,
-    });
-
     QpSolution {
         x: st.x,
         y: st.y,
@@ -956,7 +780,6 @@ fn solve_qp_scaled(
         iterations: iters,
         primal_residual: st.primal_res,
         dual_residual: st.dual_res,
-        backend,
         diagnostics: diag,
     }
 }
@@ -972,12 +795,11 @@ fn data_is_poisoned(problem: &QpProblem) -> bool {
 }
 
 /// The canonical [`QpStatus::NumericalError`] result: zero iterates (the
-/// only point guaranteed finite), infinite residuals, nothing cached.
+/// only point guaranteed finite), infinite residuals.
 fn numerical_error_solution(
     n: usize,
     m: usize,
     iterations: usize,
-    use_sparse: bool,
     diagnostics: QpDiagnostics,
 ) -> QpSolution {
     QpSolution {
@@ -987,75 +809,60 @@ fn numerical_error_solution(
         iterations,
         primal_residual: f64::INFINITY,
         dual_residual: f64::INFINITY,
-        backend: if use_sparse {
-            Backend::Sparse
-        } else {
-            Backend::Dense
-        },
         diagnostics,
     }
 }
 
 /// Assembles `K = P + (σ + bump)·I + AᵀRA` (the Gram matrix arrives
-/// already ρ-weighted) and factorizes it with the selected backend,
+/// already ρ-weighted) and factorizes it with the sparse LDLᵀ,
 /// escalating the diagonal bump along `σ, σ+1e-9, σ+1.1e-8, …` while
 /// the matrix is not positive definite.
 ///
-/// On the sparse path the symbolic analysis is taken from (or installed
-/// into) `symbolic`, and the numeric storage of `prev` is reused in place
-/// when it was built for the same analysis — the ρ-adaptation path then
-/// allocates nothing beyond the re-weighted Gram.
+/// The symbolic analysis is taken from (or installed into) `symbolic`,
+/// and the numeric storage of `prev` is reused in place when it was
+/// built for the same analysis — the ρ-adaptation path then allocates
+/// nothing beyond the re-weighted Gram.
 ///
 /// Returns `None` when the bump escalation exhausts its budget without
 /// producing a positive-definite factor — a pathological (typically
 /// NaN-poisoned) cost matrix. This is a status, not a panic: the caller
 /// reports [`QpStatus::NumericalError`] and the stack degrades gracefully.
-#[allow(clippy::too_many_arguments)]
 fn build_factor(
     kkt: &mut SparseKkt,
     p: &SparseMatrix,
     gram: &SparseMatrix,
     sigma: f64,
-    use_sparse: bool,
     symbolic: &mut Option<Arc<SymbolicLdl>>,
-    prev: Option<Factor>,
+    mut reuse: Option<SparseLdl>,
     diag: &mut QpDiagnostics,
-) -> Option<Factor> {
-    let mut reuse = match prev {
-        Some(Factor::Sparse(f)) => Some(f),
-        _ => None,
-    };
+) -> Option<SparseLdl> {
     let mut bump = 0.0f64;
     let mut step = 1e-9;
     loop {
         let k = kkt.assemble(p, gram, sigma + bump, 1.0);
         diag.factorizations += 1;
-        if use_sparse {
-            let sym = match symbolic.as_ref() {
-                Some(s) if s.matches(k) => {
-                    diag.symbolic_cache_hits += 1;
-                    s.clone()
-                }
-                _ => {
-                    let s = SymbolicLdl::analyze(k);
-                    *symbolic = Some(s.clone());
-                    diag.symbolic_rebuilds += 1;
-                    s
-                }
-            };
-            let attempt = match reuse.take() {
-                Some(mut f) if Arc::ptr_eq(f.symbolic(), &sym) => f.refactor(k).map(|()| f),
-                _ => SparseLdl::factor(sym, k),
-            };
-            if let Ok(f) = attempt {
-                if f.is_positive_definite() {
-                    return Some(Factor::Sparse(f));
-                }
-                // quasidefinite/indefinite: keep the storage, bump and retry
-                reuse = Some(f);
+        let sym = match symbolic.as_ref() {
+            Some(s) if s.matches(k) => {
+                diag.symbolic_cache_hits += 1;
+                s.clone()
             }
-        } else if let Ok(f) = k.to_dense().cholesky() {
-            return Some(Factor::Dense(f));
+            _ => {
+                let s = SymbolicLdl::analyze(k);
+                *symbolic = Some(s.clone());
+                diag.symbolic_rebuilds += 1;
+                s
+            }
+        };
+        let attempt = match reuse.take() {
+            Some(mut f) if Arc::ptr_eq(f.symbolic(), &sym) => f.refactor(k).map(|()| f),
+            _ => SparseLdl::factor(sym, k),
+        };
+        if let Ok(f) = attempt {
+            if f.is_positive_definite() {
+                return Some(f);
+            }
+            // quasidefinite/indefinite: keep the storage, bump and retry
+            reuse = Some(f);
         }
         // a bump budget spanning 15 decades: anything a finite diagonal
         // shift can repair is repaired well before this; what remains is
@@ -1214,7 +1021,8 @@ mod tests {
 
     #[test]
     fn indefinite_cost_is_regularized_not_fatal() {
-        // P has a negative eigenvalue; solver must still terminate.
+        // P has a negative eigenvalue; the regularization-bump escalation
+        // (negative pivots → bump → retry) must still terminate.
         let qp = QpProblem::new(
             Mat::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]),
             vec![0.0, 0.0],
@@ -1224,25 +1032,6 @@ mod tests {
         )
         .unwrap();
         let sol = solve_qp(&qp, &settings());
-        assert!(sol.x.iter().all(|v| v.is_finite()));
-        assert!(qp.max_violation(&sol.x) < 1e-3);
-    }
-
-    #[test]
-    fn indefinite_cost_is_regularized_not_fatal_sparse() {
-        // the regularization-bump escalation must also work on the
-        // sparse LDLᵀ path (negative pivots → bump → retry)
-        let qp = QpProblem::new(
-            Mat::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]),
-            vec![0.0, 0.0],
-            Mat::identity(2),
-            vec![-1.0, -1.0],
-            vec![1.0, 1.0],
-        )
-        .unwrap()
-        .with_backend(Backend::Sparse);
-        let sol = solve_qp(&qp, &settings());
-        assert_eq!(sol.backend, Backend::Sparse);
         assert!(sol.x.iter().all(|v| v.is_finite()));
         assert!(qp.max_violation(&sol.x) < 1e-3);
     }
@@ -1290,36 +1079,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_selects_sparse_on_banded_and_dense_on_small() {
-        // 40-variable banded tracking QP: n ≥ 30 with a tridiagonal-ish
-        // KKT → sparse; tiny problems stay dense
-        let banded = tracking_qp(40, 0.0);
-        let sol = solve_qp(&banded, &settings());
-        assert_eq!(sol.status, QpStatus::Solved);
-        assert_eq!(sol.backend, Backend::Sparse);
-        let small = tracking_qp(6, 0.0);
-        let sol = solve_qp(&small, &settings());
-        assert_eq!(sol.backend, Backend::Dense);
-    }
-
-    #[test]
-    fn forced_backends_agree() {
-        let qp = tracking_qp(40, 0.3);
-        let s = settings();
-        let dense = solve_qp(&qp.clone().with_backend(Backend::Dense), &s);
-        let sparse = solve_qp(&qp.clone().with_backend(Backend::Sparse), &s);
-        assert_eq!(dense.backend, Backend::Dense);
-        assert_eq!(sparse.backend, Backend::Sparse);
-        assert_eq!(dense.status, sparse.status);
-        for (a, b) in dense.x.iter().zip(&sparse.x) {
-            assert!((a - b).abs() < 1e-4, "dense {a} vs sparse {b}");
-        }
-        let od = qp.objective(&dense.x);
-        let os = qp.objective(&sparse.x);
-        assert!((od - os).abs() < 1e-6 * (1.0 + od.abs()), "{od} vs {os}");
-    }
-
-    #[test]
     fn from_sparse_keeps_structural_zeros() {
         // a structural zero in A must survive into the problem pattern
         let mut pa = TripletBuilder::new(2, 2);
@@ -1350,20 +1109,9 @@ mod tests {
         // analyze the KKT pattern exactly once
         let s = settings();
         let mut ws = QpWorkspace::new();
-        let first = solve_qp_warm(
-            &tracking_qp(40, 0.0).with_backend(Backend::Sparse),
-            &s,
-            None,
-            &mut ws,
-        );
-        assert_eq!(first.backend, Backend::Sparse);
-        let sym = ws.symbolic().expect("sparse solve populates the cache").clone();
-        let second = solve_qp_warm(
-            &tracking_qp(40, 0.5).with_backend(Backend::Sparse),
-            &s,
-            None,
-            &mut ws,
-        );
+        solve_qp_warm(&tracking_qp(40, 0.0), &s, None, &mut ws);
+        let sym = ws.symbolic().expect("a solve populates the cache").clone();
+        let second = solve_qp_warm(&tracking_qp(40, 0.5), &s, None, &mut ws);
         assert_eq!(second.status, QpStatus::Solved);
         let sym2 = ws.symbolic().expect("cache retained");
         assert!(Arc::ptr_eq(&sym, sym2), "same pattern must not re-analyze");
@@ -1412,7 +1160,6 @@ mod tests {
         let mut ws = QpWorkspace::new();
         let first = solve_qp_warm(&qp, &s, None, &mut ws);
         assert_eq!(first.x, cold.x);
-        assert!(ws.carried_rho().is_some());
         let warm = QpWarmStart::from_solution(&first);
         let again = solve_qp_warm(&qp, &s, Some(&warm), &mut ws);
         assert_eq!(again.status, QpStatus::Solved);
@@ -1496,28 +1243,23 @@ mod tests {
 
     /// A QP whose cost matrix is NaN-poisoned (what an upstream
     /// linearization bug would produce).
-    fn nan_cost_qp(backend: Backend) -> QpProblem {
+    fn nan_cost_qp() -> QpProblem {
         let mut p = Mat::diag(&[2.0; 4]);
         *p.at_mut(1, 1) = f64::NAN;
-        QpProblem::new(p, vec![0.0; 4], Mat::identity(4), vec![-1.0; 4], vec![1.0; 4])
-            .unwrap()
-            .with_backend(backend)
+        QpProblem::new(p, vec![0.0; 4], Mat::identity(4), vec![-1.0; 4], vec![1.0; 4]).unwrap()
     }
 
     #[test]
     fn nan_cost_matrix_is_a_status_not_a_panic() {
         // Regression: the sparse LDLᵀ sees NaN pivots as "not positive
         // definite" and the regularization loop escalated its diagonal
-        // bump forever, ending in a panic; the dense Cholesky "succeeds"
-        // (NaN comparisons are all false) and poisoned the iterates
-        // instead. Both backends must now report NumericalError.
-        for backend in [Backend::Dense, Backend::Sparse] {
-            let sol = solve_qp(&nan_cost_qp(backend), &settings());
-            assert_eq!(sol.status, QpStatus::NumericalError, "{backend:?}");
-            assert!(sol.x.iter().all(|v| *v == 0.0), "{backend:?}");
-            assert!(sol.primal_residual.is_infinite(), "{backend:?}");
-            assert!(sol.dual_residual.is_infinite(), "{backend:?}");
-        }
+        // bump forever, ending in a panic. It must now report
+        // NumericalError.
+        let sol = solve_qp(&nan_cost_qp(), &settings());
+        assert_eq!(sol.status, QpStatus::NumericalError);
+        assert!(sol.x.iter().all(|v| *v == 0.0));
+        assert!(sol.primal_residual.is_infinite());
+        assert!(sol.dual_residual.is_infinite());
     }
 
     #[test]
@@ -1542,25 +1284,22 @@ mod tests {
         // — beyond what any bump in the budget (~1e5) can repair. The
         // escalation must stop at its budget with a status, not loop or
         // panic, and the diagnostics must show it ran.
-        for backend in [Backend::Dense, Backend::Sparse] {
-            let qp = QpProblem::new(
-                Mat::diag(&[-1e300, -1e300]),
-                vec![0.0; 2],
-                Mat::identity(2),
-                vec![-1.0; 2],
-                vec![1.0; 2],
-            )
-            .unwrap()
-            .with_backend(backend);
-            let sol = solve_qp(&qp, &settings());
-            assert_eq!(sol.status, QpStatus::NumericalError, "{backend:?}");
-            assert!(
-                (10..=20).contains(&sol.diagnostics.reg_bumps),
-                "{backend:?}: bumps = {}",
-                sol.diagnostics.reg_bumps
-            );
-            assert_eq!(sol.iterations, 0, "never entered the ADMM loop");
-        }
+        let qp = QpProblem::new(
+            Mat::diag(&[-1e300, -1e300]),
+            vec![0.0; 2],
+            Mat::identity(2),
+            vec![-1.0; 2],
+            vec![1.0; 2],
+        )
+        .unwrap();
+        let sol = solve_qp(&qp, &settings());
+        assert_eq!(sol.status, QpStatus::NumericalError);
+        assert!(
+            (10..=20).contains(&sol.diagnostics.reg_bumps),
+            "bumps = {}",
+            sol.diagnostics.reg_bumps
+        );
+        assert_eq!(sol.iterations, 0, "never entered the ADMM loop");
     }
 
     #[test]
@@ -1596,10 +1335,10 @@ mod tests {
         let first = solve_qp_warm(&good, &s, None, &mut ws);
         assert_eq!(first.status, QpStatus::Solved);
 
-        let bad = nan_cost_qp(Backend::Auto);
-        let failed = solve_qp_warm(&bad, &s, None, &mut ws);
+        let failed = solve_qp_warm(&nan_cost_qp(), &s, None, &mut ws);
         assert_eq!(failed.status, QpStatus::NumericalError);
-        assert!(ws.carried_rho().is_none(), "failure must clear the workspace");
+        assert!(ws.symbolic().is_none(), "failure must clear the workspace");
+        assert_eq!(ws.snapshot(), QpWorkspaceSnapshot::default());
 
         let recovered = solve_qp_warm(&good, &s, None, &mut ws);
         assert_eq!(recovered.status, QpStatus::Solved);
@@ -1734,13 +1473,12 @@ mod tests {
                         &scaled.p,
                         &gram,
                         s.sigma,
-                        true,
                         &mut None,
                         None,
                         &mut QpDiagnostics::default(),
                     );
-                    let Some(Factor::Sparse(mut ldl)) = factor else {
-                        panic!("case {case}: sparse factor expected");
+                    let Some(mut ldl) = factor else {
+                        panic!("case {case}: factor expected");
                     };
                     let reference = ldl.clone();
                     let mut seed = case as u64;
@@ -1794,10 +1532,11 @@ mod tests {
         let s = settings();
         let mut ws = QpWorkspace::new();
         let first = solve_qp_warm(&qp, &s, None, &mut ws);
-        assert_eq!(first.diagnostics.factor_cache_hits, 0);
         assert!(first.diagnostics.factorizations >= 1);
+        assert_eq!(first.diagnostics.symbolic_rebuilds, 1);
         let warm = QpWarmStart::from_solution(&first);
         let second = solve_qp_warm(&qp, &s, Some(&warm), &mut ws);
-        assert_eq!(second.diagnostics.factor_cache_hits, 1);
+        assert_eq!(second.diagnostics.symbolic_rebuilds, 0);
+        assert!(second.diagnostics.symbolic_cache_hits >= 1);
     }
 }

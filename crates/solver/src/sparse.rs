@@ -163,7 +163,7 @@ impl SparseMatrix {
         b.build()
     }
 
-    /// Densifies (mainly for the dense factorization backend and tests).
+    /// Densifies (for the dense reference checks in tests and benches).
     pub fn to_dense(&self) -> Mat {
         let mut out = Mat::zeros(self.rows, self.cols);
         for c in 0..self.cols {
@@ -530,11 +530,6 @@ impl SparseKkt {
         for &slot in &self.diag_map {
             self.kkt.values[slot] += sigma;
         }
-        &self.kkt
-    }
-
-    /// The assembled KKT matrix (values from the last `assemble` call).
-    pub fn matrix(&self) -> &SparseMatrix {
         &self.kkt
     }
 }

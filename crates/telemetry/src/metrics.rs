@@ -25,16 +25,10 @@ pub enum Counter {
     ScpPasses,
     /// ADMM iterations across all QP solves.
     AdmmIterations,
-    /// Solves whose KKT factorization resolved to the dense backend.
-    DenseSolves,
-    /// Solves whose KKT factorization resolved to the sparse backend.
-    SparseSolves,
     /// Sparse symbolic analyses served from the workspace cache.
     SymbolicCacheHits,
     /// Sparse symbolic analyses computed fresh.
     SymbolicRebuilds,
-    /// Whole-factorization cache reuses (identical scaled data).
-    FactorCacheHits,
     /// Diagonal regularization bumps while factorizing KKT matrices.
     RegBumps,
     /// Warm-start pathology fallbacks (cold re-solve of a frame).
@@ -113,7 +107,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] variants (the fixed counter-array length).
-pub const NUM_COUNTERS: usize = 45;
+pub const NUM_COUNTERS: usize = 42;
 
 const COUNTER_NAMES: [&str; NUM_COUNTERS] = [
     "frames",
@@ -123,11 +117,8 @@ const COUNTER_NAMES: [&str; NUM_COUNTERS] = [
     "mpc_solves",
     "scp_passes",
     "admm_iterations",
-    "dense_solves",
-    "sparse_solves",
     "symbolic_cache_hits",
     "symbolic_rebuilds",
-    "factor_cache_hits",
     "reg_bumps",
     "cold_restarts",
     "numerical_errors",

@@ -107,16 +107,12 @@ pub struct SolveEvent {
     pub scp_passes: u32,
     /// Total ADMM iterations of this solve.
     pub admm_iterations: u64,
-    /// Resolved KKT backend name (`"Dense"` / `"Sparse"`).
-    pub backend: &'static str,
     /// Diagonal regularization bumps while factorizing.
     pub reg_bumps: u32,
     /// Sparse symbolic analyses served from the cache.
     pub symbolic_cache_hits: u32,
     /// Sparse symbolic analyses computed fresh.
     pub symbolic_rebuilds: u32,
-    /// Whole-factorization cache reuses.
-    pub factor_cache_hits: u32,
     /// Whether the warm-start pathology fallback re-solved the frame
     /// cold.
     pub cold_restart: bool,
@@ -282,15 +278,9 @@ impl Recorder {
             m.add(Counter::MpcSolves, 1);
             m.add(Counter::ScpPasses, u64::from(s.scp_passes));
             m.add(Counter::AdmmIterations, s.admm_iterations);
-            if s.backend == "Sparse" {
-                m.add(Counter::SparseSolves, 1);
-            } else {
-                m.add(Counter::DenseSolves, 1);
-            }
             m.add(Counter::RegBumps, u64::from(s.reg_bumps));
             m.add(Counter::SymbolicCacheHits, u64::from(s.symbolic_cache_hits));
             m.add(Counter::SymbolicRebuilds, u64::from(s.symbolic_rebuilds));
-            m.add(Counter::FactorCacheHits, u64::from(s.factor_cache_hits));
             if s.cold_restart {
                 m.add(Counter::ColdRestarts, 1);
             }
@@ -350,16 +340,14 @@ impl Recorder {
         if let Some(s) = &ev.solve {
             let _ = write!(
                 w,
-                ",\"solve\":{{\"scp\":{},\"admm\":{},\"backend\":\"{}\",\"reg_bumps\":{},\
-                 \"symbolic_cache_hits\":{},\"symbolic_rebuilds\":{},\"factor_cache_hits\":{},\
+                ",\"solve\":{{\"scp\":{},\"admm\":{},\"reg_bumps\":{},\
+                 \"symbolic_cache_hits\":{},\"symbolic_rebuilds\":{},\
                  \"cold_restart\":{},\"numerical_error\":{}}}",
                 s.scp_passes,
                 s.admm_iterations,
-                s.backend,
                 s.reg_bumps,
                 s.symbolic_cache_hits,
                 s.symbolic_rebuilds,
-                s.factor_cache_hits,
                 s.cold_restart,
                 s.numerical_error,
             );
@@ -433,11 +421,9 @@ mod tests {
         SolveEvent {
             scp_passes: 2,
             admm_iterations: 112,
-            backend: "Sparse",
             reg_bumps: 0,
             symbolic_cache_hits: 2,
             symbolic_rebuilds: 0,
-            factor_cache_hits: 0,
             cold_restart: false,
             numerical_error: false,
         }
@@ -452,7 +438,6 @@ mod tests {
         assert_eq!(r.metrics().counter(Counter::CoFrames), 1);
         assert_eq!(r.metrics().counter(Counter::MpcSolves), 1);
         assert_eq!(r.metrics().counter(Counter::AdmmIterations), 112);
-        assert_eq!(r.metrics().counter(Counter::SparseSolves), 1);
         assert_eq!(r.metrics().series(Series::AdmmPerSolve).count(), 1);
         assert_eq!(r.metrics().series(Series::FrameTotal).count(), 1);
     }
@@ -486,7 +471,7 @@ mod tests {
         assert_eq!(field(&first, "raw_mode").as_str(), Some("IL"));
         let solve = field(&first, "solve");
         assert_eq!(field(solve, "admm").as_u64(), Some(112));
-        assert_eq!(field(solve, "backend").as_str(), Some("Sparse"));
+        assert_eq!(field(solve, "symbolic_cache_hits").as_u64(), Some(2));
         assert!(field(&first, "total_us").as_f64().unwrap() > 0.0);
         let second: serde_json::Value = serde_json::from_str(&lines[1]).unwrap();
         assert!(second.get("solve").is_none(), "no solve block without a solve");

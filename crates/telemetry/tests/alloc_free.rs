@@ -69,11 +69,9 @@ fn event(frame: usize) -> FrameEvent<'static> {
         solve: Some(SolveEvent {
             scp_passes: 2,
             admm_iterations: 80 + frame as u64,
-            backend: "Dense",
             reg_bumps: 0,
             symbolic_cache_hits: 0,
             symbolic_rebuilds: 0,
-            factor_cache_hits: 1,
             cold_restart: false,
             numerical_error: false,
         }),

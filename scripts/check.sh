@@ -6,9 +6,8 @@
 # Fails on the first broken step. Clippy lints every workspace crate with
 # warnings denied so the tree stays lint-clean. The conformance smoke
 # fuzzes a small batch of procedurally generated scenarios through the
-# differential harness (crates/conformance) — including the
-# dense-vs-sparse KKT backend check — and the backend_e2e suite drives
-# full episodes with each factorization backend forced. The telemetry
+# differential harness (crates/conformance), and the co_e2e suite drives
+# a full CO parking episode under --release. The telemetry
 # smoke runs one traced episode, re-parses the NDJSON trace against the
 # aggregated counters, and validates the
 # BENCH_perf.json / BENCH_serve.json schemas. The serve smoke steps 8
@@ -85,7 +84,7 @@ count_suites cargo test -q -p icoil-solver -p icoil-co -p icoil-nn -p icoil-perc
     -p icoil-geom -p icoil-vehicle -p icoil-world -p icoil-hsa -p icoil-il -p icoil-planner -p icoil-core -p icoil-bench \
     -p criterion
 count_suites env ICOIL_FORCE_SCALAR=1 cargo test -q -p icoil-solver -p icoil-nn -p icoil-co -p icoil-perception
-count_suites cargo test --release -q --test backend_e2e
+count_suites cargo test --release -q --test co_e2e
 if (( suites < MIN_TEST_SUITES )); then
     echo "only $suites test suites ran; the floor is $MIN_TEST_SUITES" >&2
     exit 1

@@ -70,10 +70,9 @@ proptest! {
         }
     }
 
-    /// The sparse LDLᵀ must agree with dense Cholesky on the *actual* MPC
-    /// KKT matrix — the sparsity pattern the backend exists for — across
-    /// randomized scenarios, and the auto backend rule must pick sparse
-    /// for it.
+    /// The sparse LDLᵀ must agree with the dense Cholesky reference on
+    /// the *actual* MPC KKT matrix — the sparsity pattern the solver
+    /// factors every frame — across randomized scenarios.
     #[test]
     fn sparse_ldl_matches_dense_on_actual_mpc_kkt(seed in 0u64..500, d in arb_difficulty()) {
         use icoil_co::{build_mpc_qp, CoConfig, RefState};
@@ -104,7 +103,6 @@ proptest! {
         let mut kkt = SparseKkt::new(qp.p(), &gram);
         let matrix = kkt.assemble(qp.p(), &gram, 1e-6, 0.1);
         prop_assert!(matrix.rows() >= 30, "MPC KKT is {} x {}", matrix.rows(), matrix.cols());
-        prop_assert!(matrix.fill_ratio() <= 0.35, "fill {}", matrix.fill_ratio());
 
         let sym = SymbolicLdl::analyze(matrix);
         let mut sparse = SparseLdl::factor(sym, matrix).expect("MPC KKT factors");
