@@ -39,7 +39,12 @@ impl LabelAggregator {
     /// Records a frame the arbiter sent to CO and that CO solved.
     ///
     /// Returns whether the frame was retained by its family reservoir.
-    pub fn record_co_frame(&mut self, family: MapFamilyKind, bev: &BevImage, expert: &Action) -> bool {
+    pub fn record_co_frame(
+        &mut self,
+        family: MapFamilyKind,
+        bev: &BevImage,
+        expert: &Action,
+    ) -> bool {
         self.co_frames += 1;
         let label = self.codec.encode(expert);
         self.dataset.push(family, &bev.data, label)
@@ -49,7 +54,12 @@ impl LabelAggregator {
     /// that was later relabeled offline by the expert.
     ///
     /// Returns whether the frame was retained by its family reservoir.
-    pub fn record_shed_frame(&mut self, family: MapFamilyKind, bev: &BevImage, expert: &Action) -> bool {
+    pub fn record_shed_frame(
+        &mut self,
+        family: MapFamilyKind,
+        bev: &BevImage,
+        expert: &Action,
+    ) -> bool {
         self.shed_frames += 1;
         let label = self.codec.encode(expert);
         self.dataset.push(family, &bev.data, label)

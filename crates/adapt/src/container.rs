@@ -117,7 +117,10 @@ pub fn decode_container<T: Deserialize>(
     if fnv1a(payload) != checksum {
         return Err(ContainerError::Corrupted("checksum mismatch".into()));
     }
-    let mut cursor = Cursor { buf: payload, pos: 0 };
+    let mut cursor = Cursor {
+        buf: payload,
+        pos: 0,
+    };
     let value = decode_value(&mut cursor, 0)?;
     if cursor.pos != payload.len() {
         return Err(ContainerError::Corrupted("payload trailing bytes".into()));
@@ -216,7 +219,9 @@ impl Cursor<'_> {
     }
 
     fn u64(&mut self) -> Result<u64, ContainerError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
     }
 
     fn len(&mut self) -> Result<usize, ContainerError> {

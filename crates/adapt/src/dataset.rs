@@ -194,7 +194,8 @@ impl AdaptDataset {
         let mut out = icoil_nn::Dataset::new(self.sample_shape.clone());
         for fam in &self.families {
             for rec in &fam.records {
-                out.push(&rec.sample, rec.label).expect("shape checked on push");
+                out.push(&rec.sample, rec.label)
+                    .expect("shape checked on push");
             }
         }
         out

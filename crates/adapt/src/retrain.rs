@@ -113,7 +113,11 @@ mod tests {
             }
             let steer = if left { -1.0 } else { 1.0 };
             let label = codec.encode(&Action::forward(0.6, steer));
-            d.push(MapFamilyKind::ALL[i % MapFamilyKind::ALL.len()], &img, label);
+            d.push(
+                MapFamilyKind::ALL[i % MapFamilyKind::ALL.len()],
+                &img,
+                label,
+            );
         }
         d
     }

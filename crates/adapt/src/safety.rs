@@ -220,7 +220,11 @@ mod tests {
 
     fn ego(x: f64, velocity: f64) -> VehicleState {
         VehicleState {
-            pose: Pose2 { x, y: 0.0, theta: 0.0 },
+            pose: Pose2 {
+                x,
+                y: 0.0,
+                theta: 0.0,
+            },
             velocity,
         }
     }
@@ -334,12 +338,7 @@ mod tests {
             theta: 0.0,
         };
         let act = Action::forward(0.6, 0.0);
-        let out = p.project(
-            &ego(0.0, 1.0),
-            &params,
-            &[side(2.5), side(-2.5)],
-            act,
-        );
+        let out = p.project(&ego(0.0, 1.0), &params, &[side(2.5), side(-2.5)], act);
         assert!(!out.clipped, "side walls must not clip forward motion");
     }
 

@@ -86,7 +86,8 @@ impl WeightStore {
 
     /// The most recently published generation.
     pub fn latest(&self) -> Arc<WeightGeneration> {
-        self.get(self.published()).expect("published version exists")
+        self.get(self.published())
+            .expect("published version exists")
     }
 
     /// Number of published generations (≥ 1).
@@ -126,7 +127,10 @@ mod tests {
         assert_eq!(store.published(), 1);
         // the pinned generation is untouched by the publish
         assert_eq!(pinned.checksum, store.get(0).unwrap().checksum);
-        assert_ne!(store.get(0).unwrap().checksum, store.get(1).unwrap().checksum);
+        assert_ne!(
+            store.get(0).unwrap().checksum,
+            store.get(1).unwrap().checksum
+        );
         assert_eq!(store.latest().version, 1);
         assert_eq!(store.latest().examples, 100);
     }

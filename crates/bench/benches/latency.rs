@@ -19,9 +19,7 @@ use icoil_hsa::{Hsa, HsaConfig};
 use icoil_il::IlModel;
 use icoil_perception::{BevConfig, BevRenderer, ObjectDetector};
 use icoil_planner::{plan, PlannerConfig, PlanningProblem};
-use icoil_solver::{
-    solve_qp, solve_qp_warm, Mat, QpProblem, QpSettings, QpWarmStart, QpWorkspace,
-};
+use icoil_solver::{solve_qp, solve_qp_warm, Mat, QpProblem, QpSettings, QpWarmStart, QpWorkspace};
 use icoil_vehicle::{ActionCodec, VehicleParams, VehicleState};
 use icoil_world::{Difficulty, NoiseConfig, ScenarioConfig};
 use rand::SeedableRng;
@@ -63,9 +61,7 @@ fn bench_co_solve(c: &mut Criterion) {
         })
         .collect();
     c.bench_function("co_solve", |b| {
-        b.iter(|| {
-            std::hint::black_box(solve_mpc(&state, &reference, &obstacles, &params, &config))
-        })
+        b.iter(|| std::hint::black_box(solve_mpc(&state, &reference, &obstacles, &params, &config)))
     });
 }
 
@@ -89,7 +85,14 @@ fn bench_co_solve_warm(c: &mut Criterion) {
         .collect();
     let mut memory = MpcMemory::new();
     // Prime the memory with one frame, as the receding-horizon loop does.
-    let _ = solve_mpc_warm(&state, &reference, &obstacles, &params, &config, &mut memory);
+    let _ = solve_mpc_warm(
+        &state,
+        &reference,
+        &obstacles,
+        &params,
+        &config,
+        &mut memory,
+    );
     c.bench_function("co_solve_warm", |b| {
         b.iter(|| {
             std::hint::black_box(solve_mpc_warm(

@@ -80,7 +80,8 @@ impl AdaptOptions {
             ..ProcGenConfig::default()
         });
         // disjoint seed blocks per family, mirroring the scenarios bin
-        gen.generate(self.seed + family as u64 * 1000 + episode).build()
+        gen.generate(self.seed + family as u64 * 1000 + episode)
+            .build()
     }
 
     /// The retraining configuration for one generation.

@@ -27,7 +27,10 @@ fn main() {
         .map(|s| ScenarioConfig::new(Difficulty::Easy, s))
         .collect();
 
-    println!("# Ablation: behavioral cloning vs DAgger (easy level, {} episodes)", size.episodes);
+    println!(
+        "# Ablation: behavioral cloning vs DAgger (easy level, {} episodes)",
+        size.episodes
+    );
     println!("# variant            success  avg_s");
     for (name, rounds) in [("BC (0 rounds)", 0usize), ("DAgger (2 rounds)", 2)] {
         let model = if rounds == 0 {
@@ -35,8 +38,14 @@ fn main() {
         } else {
             artifacts::train_dagger_model(size.train_episodes, size.train_epochs, rounds)
         };
-        let results =
-            eval::run_batch_with(Method::Il, &config, &model, &scenario_configs, &episode, &size.eval_config());
+        let results = eval::run_batch_with(
+            Method::Il,
+            &config,
+            &model,
+            &scenario_configs,
+            &episode,
+            &size.eval_config(),
+        );
         let stats = ParkingStats::from_results(&results);
         println!(
             "{name:18}  {:6.0}%  {:.2}",

@@ -32,8 +32,14 @@ fn main() {
     for guard in [1usize, 5, 20, 60] {
         let mut config = ICoilConfig::default();
         config.hsa.guard_time = guard;
-        let results =
-            eval::run_batch_with(Method::ICoil, &config, &model, &scenario_configs, &episode, &size.eval_config());
+        let results = eval::run_batch_with(
+            Method::ICoil,
+            &config,
+            &model,
+            &scenario_configs,
+            &episode,
+            &size.eval_config(),
+        );
         let switches: usize = results
             .iter()
             .map(|r| {

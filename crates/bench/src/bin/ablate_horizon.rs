@@ -35,7 +35,14 @@ fn main() {
         config.co.horizon = horizon;
         config.hsa.complexity.horizon = horizon;
         let t0 = Instant::now();
-        let results = eval::run_batch_with(Method::Co, &config, &model, &scenario_configs, &episode, &size.eval_config());
+        let results = eval::run_batch_with(
+            Method::Co,
+            &config,
+            &model,
+            &scenario_configs,
+            &episode,
+            &size.eval_config(),
+        );
         let wall = t0.elapsed().as_secs_f64() / results.len() as f64;
         let stats = ParkingStats::from_results(&results);
         println!(

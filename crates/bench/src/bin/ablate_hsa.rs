@@ -25,7 +25,10 @@ fn main() {
         .map(|s| ScenarioConfig::new(Difficulty::Normal, s))
         .collect();
 
-    println!("# Ablation: HSA switching rule (normal level, {} episodes)", size.episodes);
+    println!(
+        "# Ablation: HSA switching rule (normal level, {} episodes)",
+        size.episodes
+    );
     println!("# variant             avg_s   success");
 
     // ratio rule (the paper), via lambda sweep around the default
@@ -35,12 +38,21 @@ fn main() {
         ("ratio λ=2e-5", 2e-5),
         // uncertainty-only: complexity in the ratio replaced by a huge λ
         // scaled against the known C floor ⇒ behaves like U ≤ u₀
-        ("U-only u₀≈0.18", 0.18 / icoil_hsa::ComplexityParams::default().min_value()),
+        (
+            "U-only u₀≈0.18",
+            0.18 / icoil_hsa::ComplexityParams::default().min_value(),
+        ),
     ] {
         let mut config = ICoilConfig::default();
         config.hsa.lambda = lambda;
-        let results =
-            eval::run_batch_with(Method::ICoil, &config, &model, &scenario_configs, &episode, &size.eval_config());
+        let results = eval::run_batch_with(
+            Method::ICoil,
+            &config,
+            &model,
+            &scenario_configs,
+            &episode,
+            &size.eval_config(),
+        );
         let stats = ParkingStats::from_results(&results);
         println!(
             "{name:20} {:>6}  {:.0}%",
@@ -51,7 +63,14 @@ fn main() {
     // never switch: pure baselines
     let config = ICoilConfig::default();
     for (name, method) in [("always IL", Method::Il), ("always CO", Method::Co)] {
-        let results = eval::run_batch_with(method, &config, &model, &scenario_configs, &episode, &size.eval_config());
+        let results = eval::run_batch_with(
+            method,
+            &config,
+            &model,
+            &scenario_configs,
+            &episode,
+            &size.eval_config(),
+        );
         let stats = ParkingStats::from_results(&results);
         println!(
             "{name:20} {:>6}  {:.0}%",

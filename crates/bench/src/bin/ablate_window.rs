@@ -31,8 +31,14 @@ fn main() {
     for window in [1usize, 5, 20, 60, 150] {
         let mut config = ICoilConfig::default();
         config.hsa.window = window;
-        let results =
-            eval::run_batch_with(Method::ICoil, &config, &model, &scenario_configs, &episode, &size.eval_config());
+        let results = eval::run_batch_with(
+            Method::ICoil,
+            &config,
+            &model,
+            &scenario_configs,
+            &episode,
+            &size.eval_config(),
+        );
         let switches: usize = results
             .iter()
             .map(|r| {

@@ -100,7 +100,11 @@ fn main() {
             "  {} seed {} [{}]: {} (minimized: {} static(s), {} route(s))",
             d.check,
             d.seed,
-            if d.injected { "injected" } else { "UNEXPLAINED" },
+            if d.injected {
+                "injected"
+            } else {
+                "UNEXPLAINED"
+            },
             d.detail,
             d.minimized.statics.len(),
             d.minimized.routes.len(),

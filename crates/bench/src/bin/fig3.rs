@@ -25,8 +25,11 @@ fn shade(v: f32) -> char {
 }
 
 fn print_bev(image: &BevImage, title: &str) {
-    println!("\n## {title} (obstacle channel, {0}x{0} @ {1:.2} m/px; ego at center facing right)",
-        image.size, 2.0 * image.range / image.size as f64);
+    println!(
+        "\n## {title} (obstacle channel, {0}x{0} @ {1:.2} m/px; ego at center facing right)",
+        image.size,
+        2.0 * image.range / image.size as f64
+    );
     for row in 0..image.size {
         let line: String = (0..image.size)
             .map(|col| shade(image.at(0, row, col)))
@@ -39,22 +42,30 @@ fn main() {
     // place the ego mid-lot where obstacles and the bay are in view
     let scenario = ScenarioConfig::new(Difficulty::Easy, 5).build();
     let mut world = World::new(scenario);
-    world.set_ego(icoil_vehicle::VehicleState::at_rest(icoil_geom::Pose2::new(
-        15.0, 9.0, 0.2,
-    )));
+    world.set_ego(icoil_vehicle::VehicleState::at_rest(
+        icoil_geom::Pose2::new(15.0, 9.0, 0.2),
+    ));
 
     let mut perception = Perception::new(BevConfig::default(), world.scenario());
     let clean = perception.observe(&Observation::new(&world));
     print_bev(&clean.bev, "clean BEV");
-    println!("# goal-channel pixels set: {}",
+    println!(
+        "# goal-channel pixels set: {}",
         clean.bev.data[clean.bev.size * clean.bev.size..2 * clean.bev.size * clean.bev.size]
             .iter()
             .filter(|&&v| v > 0.5)
-            .count());
+            .count()
+    );
     println!("# detected boxes ({}):", clean.boxes.len());
     for b in &clean.boxes {
-        println!("#   center ({:5.1}, {:5.1})  {:.1} x {:.1}  heading {:+.2}",
-            b.center.x, b.center.y, b.length(), b.width(), b.theta);
+        println!(
+            "#   center ({:5.1}, {:5.1})  {:.1} x {:.1}  heading {:+.2}",
+            b.center.x,
+            b.center.y,
+            b.length(),
+            b.width(),
+            b.theta
+        );
     }
 
     perception.set_noise(NoiseConfig::hard());
@@ -62,7 +73,13 @@ fn main() {
     print_bev(&noisy.bev, "hard-level BEV (speckle + dropout)");
     println!("# detected boxes under noise ({}):", noisy.boxes.len());
     for b in &noisy.boxes {
-        println!("#   center ({:5.1}, {:5.1})  {:.1} x {:.1}  heading {:+.2}",
-            b.center.x, b.center.y, b.length(), b.width(), b.theta);
+        println!(
+            "#   center ({:5.1}, {:5.1})  {:.1} x {:.1}  heading {:+.2}",
+            b.center.x,
+            b.center.y,
+            b.length(),
+            b.width(),
+            b.theta
+        );
     }
 }

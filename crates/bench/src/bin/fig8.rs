@@ -38,8 +38,14 @@ fn main() {
                         .with_n_static(n_obs)
                 })
                 .collect();
-            let results =
-                eval::run_batch_with(Method::ICoil, &config, &model, &scenario_configs, &episode, &size.eval_config());
+            let results = eval::run_batch_with(
+                Method::ICoil,
+                &config,
+                &model,
+                &scenario_configs,
+                &episode,
+                &size.eval_config(),
+            );
             let stats = ParkingStats::from_results(&results);
             println!(
                 "{name:8} {n_obs:5}  {:>6}  {:>6}  {:.0}%",

@@ -28,11 +28,16 @@ fn main() {
     for method in [Method::ICoil, Method::Il, Method::Co] {
         for n_obs in [0usize, 1, 3, 5] {
             let scenario_configs: Vec<ScenarioConfig> = (0..size.episodes)
-                .map(|s| {
-                    ScenarioConfig::new(Difficulty::Easy, 500 + s).with_n_static(n_obs)
-                })
+                .map(|s| ScenarioConfig::new(Difficulty::Easy, 500 + s).with_n_static(n_obs))
                 .collect();
-            let results = eval::run_batch_with(method, &config, &model, &scenario_configs, &episode, &size.eval_config());
+            let results = eval::run_batch_with(
+                method,
+                &config,
+                &model,
+                &scenario_configs,
+                &episode,
+                &size.eval_config(),
+            );
             let stats = ParkingStats::from_results(&results);
             println!(
                 "{:7} {n_obs:5}  {:>6}  {:>6}  {:.0}%",

@@ -108,7 +108,11 @@ fn main() {
         eprintln!("gen_demos: written dataset fails to reload: {e}");
         std::process::exit(1);
     });
-    assert_eq!(reloaded.len(), dataset.len(), "reload changed the frame count");
+    assert_eq!(
+        reloaded.len(),
+        dataset.len(),
+        "reload changed the frame count"
+    );
     println!(
         "gen_demos: {} frame(s) across {} families -> {} ({:.1}s)",
         dataset.len(),

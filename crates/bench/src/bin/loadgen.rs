@@ -260,7 +260,11 @@ fn main() {
         1,
         400,
     );
-    assert_eq!(adapt.generations.len(), 3, "the adapt phase runs three generations");
+    assert_eq!(
+        adapt.generations.len(),
+        3,
+        "the adapt phase runs three generations"
+    );
     let adapt_metrics = adapt.merged_metrics();
     let adapt_collisions: u64 = adapt.generations.iter().map(|g| g.collisions).sum();
     let family_counter = |metrics: &Metrics, table: &[Counter; 6], kind: MapFamilyKind| {

@@ -40,9 +40,9 @@
 use icoil_bench::{PerfReport, RunSize};
 use icoil_co::{build_mpc_qp, CoConfig, CoController};
 use icoil_core::{eval, ICoilConfig, Method};
-use icoil_solver::{SparseKkt, SparseLdl, SparseMatrix, SymbolicLdl};
 use icoil_il::{IlModel, IlPrecision};
 use icoil_perception::Perception;
+use icoil_solver::{SparseKkt, SparseLdl, SparseMatrix, SymbolicLdl};
 use icoil_telemetry::{Recorder, Series};
 use icoil_vehicle::{Action, ActionCodec};
 use icoil_world::episode::{EpisodeConfig, Observation};
@@ -150,8 +150,12 @@ const KERNEL_BEST_OF: usize = 5;
 fn matmul_gflops(backend: icoil_nn::KernelBackend) -> f64 {
     let (m, k, n) = (64usize, 288usize, 256usize);
     // deterministic non-trivial fill; values do not affect timing
-    let a: Vec<f32> = (0..m * k).map(|i| ((i * 37 + 11) % 97) as f32 * 0.013 - 0.6).collect();
-    let b: Vec<f32> = (0..k * n).map(|i| ((i * 53 + 7) % 89) as f32 * 0.011 - 0.5).collect();
+    let a: Vec<f32> = (0..m * k)
+        .map(|i| ((i * 37 + 11) % 97) as f32 * 0.013 - 0.6)
+        .collect();
+    let b: Vec<f32> = (0..k * n)
+        .map(|i| ((i * 53 + 7) % 89) as f32 * 0.011 - 0.5)
+        .collect();
     let mut out = vec![0.0f32; m * n];
     let flops = 2.0 * m as f64 * k as f64 * n as f64;
     let inner = 40;
@@ -241,7 +245,10 @@ fn main() {
     let il_rounds = 8;
     let mut lane_best = [f64::INFINITY; 2];
     for _ in 0..il_rounds {
-        for (slot, precision) in [IlPrecision::F32, IlPrecision::Int8].into_iter().enumerate() {
+        for (slot, precision) in [IlPrecision::F32, IlPrecision::Int8]
+            .into_iter()
+            .enumerate()
+        {
             model.set_precision(precision);
             let t0 = Instant::now();
             for _ in 0..il_iters {
@@ -318,7 +325,10 @@ fn main() {
     std::fs::write("BENCH_perf.json", &json).expect("write BENCH_perf.json");
 
     println!("# performance trajectory (wrote BENCH_perf.json)");
-    println!("episodes/sec ({} workers): {episodes_per_sec:8.2}", size.parallelism);
+    println!(
+        "episodes/sec ({} workers): {episodes_per_sec:8.2}",
+        size.parallelism
+    );
     println!("IL inference:  {il_hz:8.1} Hz f32");
     println!(
         "IL int8:       {il_hz_int8:8.1} Hz ({:.2}x f32, calibrated lane, best of {il_rounds} \

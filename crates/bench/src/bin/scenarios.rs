@@ -18,8 +18,7 @@
 //! exercise the full pipeline without the training artifact.
 
 use icoil_bench::{
-    print_row, shared_model, validate_scenarios_json, FamilyScenarioStats, RunSize,
-    ScenariosReport,
+    print_row, shared_model, validate_scenarios_json, FamilyScenarioStats, RunSize, ScenariosReport,
 };
 use icoil_core::eval::drain_episode_metrics;
 use icoil_core::{ICoilConfig, ICoilPolicy};
@@ -157,8 +156,16 @@ fn main() {
     let widths = [16usize, 8, 8, 8, 8, 9, 10, 12, 10, 10];
     print_row(
         &[
-            "family", "episodes", "success", "collide", "timeout", "il_share", "reversals",
-            "single_shot", "p50_us", "p95_us",
+            "family",
+            "episodes",
+            "success",
+            "collide",
+            "timeout",
+            "il_share",
+            "reversals",
+            "single_shot",
+            "p50_us",
+            "p95_us",
         ]
         .map(String::from),
         &widths,

@@ -87,7 +87,9 @@ fn step_all(
 }
 
 fn no_sheds(handle: &icoil_serve::ServeHandle, what: &str) -> Result<(), String> {
-    let metrics = handle.metrics().map_err(|e| format!("{what}: metrics: {e}"))?;
+    let metrics = handle
+        .metrics()
+        .map_err(|e| format!("{what}: metrics: {e}"))?;
     let shed = metrics.counter(Counter::CoShed);
     if shed != 0 {
         return Err(format!(
@@ -137,13 +139,16 @@ fn run_interrupted() -> Result<Vec<Vec<StepResponse>>, String> {
             .restore(bytes)
             .map_err(|e| format!("restore session {i}: {e}"))?;
         if restored != ids[i] {
-            return Err(format!(
-                "restore renamed session {} to {restored}",
-                ids[i]
-            ));
+            return Err(format!("restore renamed session {} to {restored}", ids[i]));
         }
     }
-    step_all(&handle, &ids, &mut streams, FRAMES - KILL_AT, "post-restore run")?;
+    step_all(
+        &handle,
+        &ids,
+        &mut streams,
+        FRAMES - KILL_AT,
+        "post-restore run",
+    )?;
     no_sheds(&handle, "post-restore run")?;
     server.shutdown();
     Ok(streams)

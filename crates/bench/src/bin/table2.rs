@@ -45,7 +45,14 @@ fn main() {
             let scenario_configs: Vec<ScenarioConfig> = (0..size.episodes)
                 .map(|s| ScenarioConfig::new(difficulty, s))
                 .collect();
-            let results = eval::run_batch_with(method, &config, &model, &scenario_configs, &episode, &size.eval_config());
+            let results = eval::run_batch_with(
+                method,
+                &config,
+                &model,
+                &scenario_configs,
+                &episode,
+                &size.eval_config(),
+            );
             let stats = ParkingStats::from_results(&results);
             print_row(
                 &[

@@ -30,7 +30,8 @@ use serde_json::Value;
 use std::process::ExitCode;
 
 fn field<'v>(v: &'v Value, key: &str) -> Result<&'v Value, String> {
-    v.get(key).ok_or_else(|| format!("trace line is missing {key:?}"))
+    v.get(key)
+        .ok_or_else(|| format!("trace line is missing {key:?}"))
 }
 
 fn check_trace(lines: &[String]) -> Result<(usize, usize), String> {
@@ -47,7 +48,9 @@ fn check_trace(lines: &[String]) -> Result<(usize, usize), String> {
         match tag.as_str() {
             "frame" => {
                 frames += 1;
-                for key in ["frame", "time", "mode", "raw_mode", "u", "c", "ratio", "total_us"] {
+                for key in [
+                    "frame", "time", "mode", "raw_mode", "u", "c", "ratio", "total_us",
+                ] {
                     let value = field(&v, key)?;
                     if value.as_f64().is_none() && value.as_str().is_none() {
                         return Err(format!("frame field {key:?} is null: {line}"));
@@ -70,7 +73,9 @@ fn check_trace(lines: &[String]) -> Result<(usize, usize), String> {
         }
     }
     if episodes != 1 {
-        return Err(format!("expected exactly one episode event, saw {episodes}"));
+        return Err(format!(
+            "expected exactly one episode event, saw {episodes}"
+        ));
     }
     Ok((frames, solves))
 }

@@ -31,7 +31,9 @@ fn main() {
     let counts = dataset.class_counts(codec.num_classes());
     let fwd: usize = counts[2 * codec.steer_bins()..].iter().sum();
     let rev: usize = counts[..codec.steer_bins()].iter().sum();
-    let stop: usize = counts[codec.steer_bins()..2 * codec.steer_bins()].iter().sum();
+    let stop: usize = counts[codec.steer_bins()..2 * codec.steer_bins()]
+        .iter()
+        .sum();
     println!("#   forward {fwd}  reverse {rev}  stop {stop}");
 
     let dagger_config = DaggerConfig {
@@ -66,7 +68,14 @@ fn main() {
     let held_out: Vec<ScenarioConfig> = (0..8)
         .map(|s| ScenarioConfig::new(Difficulty::Easy, s))
         .collect();
-    let results = eval::run_batch_with(Method::Il, &config, &model, &held_out, &episode, &size.eval_config());
+    let results = eval::run_batch_with(
+        Method::Il,
+        &config,
+        &model,
+        &held_out,
+        &episode,
+        &size.eval_config(),
+    );
     let stats = ParkingStats::from_results(&results);
     println!(
         "# held-out IL closed-loop: success {:.0}% avg {:.1}s",

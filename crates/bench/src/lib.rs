@@ -669,7 +669,9 @@ pub fn validate_scenarios_json(v: &serde_json::Value) -> Result<(), String> {
             .and_then(serde_json::Value::as_str)
             .ok_or_else(|| "BENCH_scenarios.json row is missing \"family\"".to_string())?;
         if icoil_world::MapFamilyKind::from_name(name).is_none() {
-            return Err(format!("BENCH_scenarios.json names unknown family {name:?}"));
+            return Err(format!(
+                "BENCH_scenarios.json names unknown family {name:?}"
+            ));
         }
         if seen.contains(&name) {
             return Err(format!("BENCH_scenarios.json lists family {name:?} twice"));
@@ -698,7 +700,11 @@ pub fn validate_scenarios_json(v: &serde_json::Value) -> Result<(), String> {
         }
         let outcome_sum: f64 = ["success_rate", "collision_rate", "timeout_rate"]
             .iter()
-            .map(|k| row.get(k).and_then(serde_json::Value::as_f64).unwrap_or(0.0))
+            .map(|k| {
+                row.get(k)
+                    .and_then(serde_json::Value::as_f64)
+                    .unwrap_or(0.0)
+            })
             .sum();
         if (outcome_sum - 1.0).abs() > 1e-9 {
             return Err(format!(
@@ -721,9 +727,7 @@ pub fn validate_scenarios_json(v: &serde_json::Value) -> Result<(), String> {
         })?;
     v.get("had_nonfinite")
         .and_then(serde_json::Value::as_bool)
-        .ok_or_else(|| {
-            "BENCH_scenarios.json field \"had_nonfinite\" is not a bool".to_string()
-        })?;
+        .ok_or_else(|| "BENCH_scenarios.json field \"had_nonfinite\" is not a bool".to_string())?;
     Ok(())
 }
 
@@ -958,7 +962,10 @@ mod tests {
         let json = serde_json::to_string(&poisoned).unwrap();
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();
         let err = validate_serve_json(&v).unwrap_err();
-        assert!(err.contains("frames_per_sec"), "names the null field: {err}");
+        assert!(
+            err.contains("frames_per_sec"),
+            "names the null field: {err}"
+        );
     }
 
     fn sample_scenarios_report() -> ScenariosReport {

@@ -309,15 +309,14 @@ impl CoController {
             .as_ref()
             .map(|w| w.total() - self.progress)
             .unwrap_or(f64::INFINITY);
-        let misaligned_at_end = self
-            .path
-            .as_ref()
-            .and_then(|p| p.poses.last())
-            .is_some_and(|end| {
-                remaining <= 0.5
-                    && (ego.pose.heading_error(end) > 0.12
-                        || ego.pose.distance(end) > 0.25)
-            });
+        let misaligned_at_end =
+            self.path
+                .as_ref()
+                .and_then(|p| p.poses.last())
+                .is_some_and(|end| {
+                    remaining <= 0.5
+                        && (ego.pose.heading_error(end) > 0.12 || ego.pose.distance(end) > 0.25)
+                });
         if self.progress > self.last_progress + 0.2 {
             self.last_progress = self.progress;
             self.stalled_frames = 0;
@@ -332,9 +331,7 @@ impl CoController {
         let needs_plan = stalled
             || match (&self.path, &self.walker) {
                 (Some(path), Some(_)) => {
-                    let dev = path
-                        .polyline()
-                        .distance_to_point(ego.pose.position());
+                    let dev = path.polyline().distance_to_point(ego.pose.position());
                     dev > self.config.replan_deviation
                         && self.frames_since_replan > self.config.replan_cooldown
                 }
@@ -376,13 +373,8 @@ impl CoController {
             self.progress + 2.5,
         );
         self.progress = self.progress.max(s_now);
-        let reference = build_reference_at(
-            path,
-            walker,
-            self.progress,
-            ego.pose.theta,
-            &self.config,
-        );
+        let reference =
+            build_reference_at(path, walker, self.progress, ego.pose.theta, &self.config);
         Prepared::Solve {
             state: ego,
             reference,
@@ -483,19 +475,16 @@ enum Prepared {
 /// forward when it is behind), steering straight.
 fn unstick_action(ego: &VehicleState, boxes: &[Obb]) -> Action {
     let pos = ego.pose.position();
-    let nearest = boxes
-        .iter()
-        .min_by(|a, b| {
-            a.distance_to_point(pos)
-                .partial_cmp(&b.distance_to_point(pos))
-                .expect("finite distances")
-        });
+    let nearest = boxes.iter().min_by(|a, b| {
+        a.distance_to_point(pos)
+            .partial_cmp(&b.distance_to_point(pos))
+            .expect("finite distances")
+    });
     let Some(obb) = nearest else {
         return Action::full_brake();
     };
     let bearing = (obb.center - pos).angle();
-    let ahead = icoil_geom::angle_diff(bearing, ego.pose.theta).abs()
-        < std::f64::consts::FRAC_PI_2;
+    let ahead = icoil_geom::angle_diff(bearing, ego.pose.theta).abs() < std::f64::consts::FRAC_PI_2;
     if ahead {
         Action::backward(0.25, 0.0)
     } else {
@@ -512,7 +501,10 @@ mod tests {
     fn setup(difficulty: Difficulty, seed: u64) -> (World, CoController) {
         let scenario = ScenarioConfig::new(difficulty, seed).build();
         let params = scenario.vehicle_params;
-        (World::new(scenario), CoController::new(CoConfig::default(), params))
+        (
+            World::new(scenario),
+            CoController::new(CoConfig::default(), params),
+        )
     }
 
     #[test]
@@ -588,7 +580,10 @@ mod tests {
         world.set_ego(bad);
         let out = co.control(&Observation::new(&world), &world.obstacle_footprints());
         assert!(out.degraded, "NaN ego must degrade");
-        assert!(out.action.validate().is_ok(), "brake action must be well-formed");
+        assert!(
+            out.action.validate().is_ok(),
+            "brake action must be well-formed"
+        );
         assert!(out.action.brake > 0.0 && out.action.throttle == 0.0);
         assert_eq!(
             out.mpc.as_ref().map(|m| m.status),

@@ -43,7 +43,7 @@ pub mod tracker;
 pub use config::CoConfig;
 pub use controller::{CoController, CoOutput, CoSnapshot, SolveRecord};
 pub use mpc::{
-    build_mpc_qp, solve_mpc, solve_mpc_warm, MpcMemory, MpcMemorySnapshot, MpcSolution,
-    MpcStatus, RefState, MPC_QP_MAX_ITERS, MPC_REPLAN_VIOLATION,
+    build_mpc_qp, solve_mpc, solve_mpc_warm, MpcMemory, MpcMemorySnapshot, MpcSolution, MpcStatus,
+    RefState, MPC_QP_MAX_ITERS, MPC_REPLAN_VIOLATION,
 };
 pub use tracker::{BoxTracker, MovingObstacle};

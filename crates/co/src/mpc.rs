@@ -116,12 +116,7 @@ const A_PATTERN: [[bool; NX]; NX] = [
 ];
 
 /// Structural pattern of the control Jacobian `B` ([`linearize`]).
-const B_PATTERN: [[bool; NU]; NX] = [
-    [false, false],
-    [false, false],
-    [false, true],
-    [true, false],
-];
+const B_PATTERN: [[bool; NU]; NX] = [[false, false], [false, false], [false, true], [true, false]];
 
 /// Per-SCP-pass ADMM iteration budget of the inner QP.
 ///
@@ -258,7 +253,14 @@ pub fn solve_mpc(
     params: &VehicleParams,
     config: &CoConfig,
 ) -> MpcSolution {
-    solve_mpc_warm(state, reference, obstacles, params, config, &mut MpcMemory::new())
+    solve_mpc_warm(
+        state,
+        reference,
+        obstacles,
+        params,
+        config,
+        &mut MpcMemory::new(),
+    )
 }
 
 /// Solves the MPC problem, carrying warm-start state in `memory`.
@@ -449,10 +451,8 @@ impl<'a> ScpFrame<'a> {
             for mo in obstacles {
                 let obb = &mo.predicted(h as f64 * dt);
                 for &(off, radius) in &circles {
-                    let pc = icoil_geom::Vec2::new(
-                        s[0] + off * s[2].cos(),
-                        s[1] + off * s[2].sin(),
-                    );
+                    let pc =
+                        icoil_geom::Vec2::new(s[0] + off * s[2].cos(), s[1] + off * s[2].sin());
                     let d = obb.distance_to_point(pc);
                     violation = violation.max(radius + config.safety_margin - d);
                 }
@@ -541,7 +541,12 @@ impl<'a> ScpFrame<'a> {
 
 /// Packs controls and their nonlinear rollout into the simultaneous
 /// decision vector `z = [u_0 … u_{H−1}, s_1 … s_H]`.
-fn pack_primal(s0: &[f64; NX], controls: &[[f64; NU]], params: &VehicleParams, dt: f64) -> Vec<f64> {
+fn pack_primal(
+    s0: &[f64; NX],
+    controls: &[[f64; NU]],
+    params: &VehicleParams,
+    dt: f64,
+) -> Vec<f64> {
     let h_len = controls.len();
     let states = rollout(s0, controls, params, dt);
     let mut z = vec![0.0f64; h_len * (NU + NX)];
@@ -693,17 +698,12 @@ fn assemble_qp(
                 }
                 // n̂·pc(s_h) ≥ n̂·cp + R, linearized around s̄_h: the
                 // circle center depends on (x, y, θ) of s_h only
-                let coeff = [
-                    n_hat.x,
-                    n_hat.y,
-                    -n_hat.x * off * st + n_hat.y * off * ct,
-                ];
+                let coeff = [n_hat.x, n_hat.y, -n_hat.x * off * st + n_hat.y * off * ct];
                 for (i, &c) in coeff.iter().enumerate() {
                     entries.push((row, si(h_len, h, i), c));
                 }
                 let base = n_hat.dot(pc - cp);
-                let nominal_term =
-                    coeff[0] * sbar[0] + coeff[1] * sbar[1] + coeff[2] * sbar[2];
+                let nominal_term = coeff[0] * sbar[0] + coeff[1] * sbar[1] + coeff[2] * sbar[2];
                 lo.push(circle_radius - base + nominal_term);
                 hi.push(1e9);
                 row += 1;
@@ -723,8 +723,7 @@ fn assemble_qp(
             *l = *h;
         }
     }
-    QpProblem::from_sparse(p.build(), q, a.build(), lo, hi)
-        .expect("well-formed MPC QP")
+    QpProblem::from_sparse(p.build(), q, a.build(), lo, hi).expect("well-formed MPC QP")
 }
 
 /// Assembles (without solving) the QP of one SCP pass around the given
@@ -745,7 +744,11 @@ pub fn build_mpc_qp(
     config: &CoConfig,
 ) -> QpProblem {
     assert!(!reference.is_empty(), "reference horizon must be non-empty");
-    assert_eq!(nominal_u.len(), reference.len(), "one control per reference step");
+    assert_eq!(
+        nominal_u.len(),
+        reference.len(),
+        "one control per reference step"
+    );
     config.validate().expect("valid CO config");
     let s0 = [state.pose.x, state.pose.y, state.pose.theta, state.velocity];
     let nominal_s = rollout(&s0, nominal_u, params, config.mpc_dt);
@@ -756,7 +759,10 @@ pub fn build_mpc_qp(
 /// point. For points *inside* the box the nearest face is used, so the
 /// linearized constraint pushes a penetrating nominal back out through
 /// the closest face instead of deeper in.
-fn boundary_point_and_normal(obb: &Obb, p: icoil_geom::Vec2) -> (icoil_geom::Vec2, icoil_geom::Vec2) {
+fn boundary_point_and_normal(
+    obb: &Obb,
+    p: icoil_geom::Vec2,
+) -> (icoil_geom::Vec2, icoil_geom::Vec2) {
     use icoil_geom::Vec2;
     let local = (p - obb.center).rotated(-obb.theta);
     let inside = local.x.abs() <= obb.half_length && local.y.abs() <= obb.half_width;
@@ -831,7 +837,12 @@ fn linearize(
 }
 
 /// Nonlinear rollout of the MPC model.
-fn rollout(s0: &[f64; NX], controls: &[[f64; NU]], params: &VehicleParams, dt: f64) -> Vec<[f64; NX]> {
+fn rollout(
+    s0: &[f64; NX],
+    controls: &[[f64; NU]],
+    params: &VehicleParams,
+    dt: f64,
+) -> Vec<[f64; NX]> {
     let mut out = Vec::with_capacity(controls.len() + 1);
     out.push(*s0);
     let mut s = *s0;
@@ -867,7 +878,11 @@ mod tests {
         let sol = solve_mpc(&state, &reference, &[], &params, &config);
         // first control accelerates forward with no steering
         assert!(sol.controls[0][0] > 0.2, "accel {}", sol.controls[0][0]);
-        assert!(sol.controls[0][1].abs() < 0.1, "steer {}", sol.controls[0][1]);
+        assert!(
+            sol.controls[0][1].abs() < 0.1,
+            "steer {}",
+            sol.controls[0][1]
+        );
         assert_eq!(sol.predicted.len(), config.horizon + 1);
     }
 
@@ -886,7 +901,11 @@ mod tests {
             })
             .collect();
         let sol = solve_mpc(&state, &reference, &[], &params, &config);
-        assert!(sol.controls[0][1] > 0.05, "must steer left, got {}", sol.controls[0][1]);
+        assert!(
+            sol.controls[0][1] > 0.05,
+            "must steer left, got {}",
+            sol.controls[0][1]
+        );
     }
 
     #[test]
@@ -937,7 +956,13 @@ mod tests {
         let free = solve_mpc(&state, &reference, &[], &params, &config);
         // wall ahead, clear of the car at t = 0 but reached by the horizon
         let wall = Obb::from_pose(Pose2::new(6.0, 0.0, 0.0), 1.5, 6.0);
-        let blocked = solve_mpc(&state, &reference, &[MovingObstacle::fixed(wall)], &params, &config);
+        let blocked = solve_mpc(
+            &state,
+            &reference,
+            &[MovingObstacle::fixed(wall)],
+            &params,
+            &config,
+        );
         // with the wall the predicted end point stays short of it or dodges
         let end_free = free.predicted.last().unwrap();
         let end_blocked = blocked.predicted.last().unwrap();
@@ -947,7 +972,11 @@ mod tests {
             progressed || dodged,
             "free end {end_free:?} vs blocked end {end_blocked:?}"
         );
-        assert!(blocked.predicted_violation < 0.35, "violation {}", blocked.predicted_violation);
+        assert!(
+            blocked.predicted_violation < 0.35,
+            "violation {}",
+            blocked.predicted_violation
+        );
     }
 
     #[test]
@@ -957,12 +986,7 @@ mod tests {
         let state = VehicleState::new(Pose2::new(1.0, 2.0, 0.3), 0.5);
         let reference = straight_reference(config.horizon, 1.0, config.mpc_dt);
         let sol = solve_mpc(&state, &reference, &[], &params, &config);
-        let manual = rollout(
-            &[1.0, 2.0, 0.3, 0.5],
-            &sol.controls,
-            &params,
-            config.mpc_dt,
-        );
+        let manual = rollout(&[1.0, 2.0, 0.3, 0.5], &sol.controls, &params, config.mpc_dt);
         assert_eq!(sol.predicted, manual);
     }
 
@@ -1005,7 +1029,8 @@ mod tests {
         let config = CoConfig::default();
         let state = VehicleState::new(Pose2::default(), 1.5);
         let reference = straight_reference(config.horizon, 1.5, config.mpc_dt);
-        let mover_box = Obb::from_pose(Pose2::new(6.0, 4.0, -std::f64::consts::FRAC_PI_2), 2.0, 2.0);
+        let mover_box =
+            Obb::from_pose(Pose2::new(6.0, 4.0, -std::f64::consts::FRAC_PI_2), 2.0, 2.0);
         let frozen = solve_mpc(
             &state,
             &reference,
@@ -1016,7 +1041,10 @@ mod tests {
         let moving = solve_mpc(
             &state,
             &reference,
-            &[MovingObstacle { obb: mover_box, velocity: Vec2::new(0.0, -2.0) }],
+            &[MovingObstacle {
+                obb: mover_box,
+                velocity: Vec2::new(0.0, -2.0),
+            }],
             &params,
             &config,
         );
@@ -1027,7 +1055,11 @@ mod tests {
             end_moving[0] < end_frozen[0] - 0.2 || end_moving[1].abs() > 0.3,
             "prediction must alter the plan: frozen {end_frozen:?} vs moving {end_moving:?}"
         );
-        assert!(moving.predicted_violation < 0.3, "violation {}", moving.predicted_violation);
+        assert!(
+            moving.predicted_violation < 0.3,
+            "violation {}",
+            moving.predicted_violation
+        );
     }
 
     #[test]
@@ -1145,7 +1177,10 @@ mod tests {
         let good_ref = straight_reference(config.horizon, 1.5, config.mpc_dt);
         let recovered = solve_mpc_warm(&state, &good_ref, &[], &params, &config, &mut memory);
         assert_eq!(recovered.status, MpcStatus::Ok);
-        assert_eq!(recovered, solve_mpc(&state, &good_ref, &[], &params, &config));
+        assert_eq!(
+            recovered,
+            solve_mpc(&state, &good_ref, &[], &params, &config)
+        );
     }
 
     #[test]

@@ -130,8 +130,7 @@ impl BoxTracker {
                         let baseline_v = (*t.history.back().expect("non-empty")
                             - *t.history.front().expect("non-empty"))
                             / span;
-                        t.velocity =
-                            t.velocity + (baseline_v - t.velocity) * self.alpha_vel;
+                        t.velocity = t.velocity + (baseline_v - t.velocity) * self.alpha_vel;
                     }
                     t.last_box = *obb;
                     t.missed = 0;

@@ -8,9 +8,7 @@
 
 use icoil_co::{solve_mpc, CoConfig, SolveRecord, MPC_QP_MAX_ITERS, MPC_REPLAN_VIOLATION};
 use icoil_core::{run_scenarios_with, EvalConfig, ICoilConfig, ICoilPolicy, PureCoPolicy};
-use icoil_hsa::{
-    instant_complexity, instant_uncertainty, ComplexityParams, Hsa, HsaConfig, Mode,
-};
+use icoil_hsa::{instant_complexity, instant_uncertainty, ComplexityParams, Hsa, HsaConfig, Mode};
 use icoil_il::IlModel;
 use icoil_nn::Tensor;
 use icoil_perception::Perception;
@@ -397,7 +395,12 @@ fn check_parallelism(spec: &ProcScenario, settings: &CheckSettings) -> Result<()
         record_trace: false,
     };
     let factory = |s: &Scenario| -> Box<dyn Policy> { Box::new(PureCoPolicy::new(&config, s)) };
-    let serial = run_scenarios_with(&scenarios, factory, &episode, &EvalConfig::with_parallelism(1));
+    let serial = run_scenarios_with(
+        &scenarios,
+        factory,
+        &episode,
+        &EvalConfig::with_parallelism(1),
+    );
     let parallel = run_scenarios_with(
         &scenarios,
         factory,
@@ -687,9 +690,8 @@ fn check_simd_scalar_kernels(spec: &ProcScenario, settings: &CheckSettings) -> R
         let scalar = icoil_nn::simd::with_backend(icoil_nn::KernelBackend::Scalar, || {
             model.infer(&sensing.bev)
         });
-        let simd = icoil_nn::simd::with_backend(icoil_nn::simd::detected(), || {
-            model.infer(&sensing.bev)
-        });
+        let simd =
+            icoil_nn::simd::with_backend(icoil_nn::simd::detected(), || model.infer(&sensing.bev));
         let worst = scalar
             .probs
             .iter()
@@ -808,7 +810,11 @@ fn check_checkpoint_restore_replay(
     // ~2 s of simulated driving (1.2 s under smoke settings): enough
     // frames for warm starts, HSA windows and mode flips to accumulate
     // state that a lossy snapshot would betray
-    let total: usize = if settings.episode_time >= 12.0 { 40 } else { 24 };
+    let total: usize = if settings.episode_time >= 12.0 {
+        40
+    } else {
+        24
+    };
     let mut rng = SmallRng::seed_from_u64(spec.seed ^ 0xC0DE_5EED);
     let cut = rng.gen_range(1..total);
 
@@ -1019,7 +1025,11 @@ fn check_quantized_il(spec: &ProcScenario, settings: &CheckSettings) -> Result<(
     }
 
     // --- outcome-parity leg: one served episode per precision ---
-    let total: usize = if settings.episode_time >= 12.0 { 40 } else { 24 };
+    let total: usize = if settings.episode_time >= 12.0 {
+        40
+    } else {
+        24
+    };
     let run_served = |precision: IlPrecision| -> Result<(usize, Option<String>), String> {
         let serve_config = ServeConfig {
             il_precision: precision,
@@ -1138,7 +1148,11 @@ fn check_weight_version_pinning(
     use std::sync::Arc;
     use std::time::Duration;
 
-    let total: usize = if settings.episode_time >= 12.0 { 40 } else { 24 };
+    let total: usize = if settings.episode_time >= 12.0 {
+        40
+    } else {
+        24
+    };
     let mut rng = SmallRng::seed_from_u64(spec.seed ^ 0x5AFE_11A0);
     let swap_at = rng.gen_range(1..total);
 
@@ -1420,7 +1434,11 @@ mod tests {
         for seed in [0u64, 7] {
             let spec = gen.generate(seed);
             assert_eq!(
-                run_check(CheckKind::WeightVersionPinning, &spec, &CheckSettings::smoke()),
+                run_check(
+                    CheckKind::WeightVersionPinning,
+                    &spec,
+                    &CheckSettings::smoke()
+                ),
                 Ok(()),
                 "seed {seed}"
             );

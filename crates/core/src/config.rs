@@ -29,8 +29,10 @@ mod tests {
     fn default_config_is_consistent() {
         let c = ICoilConfig::default();
         assert!(c.co.validate().is_ok());
-        assert_eq!(c.hsa.complexity.horizon, c.co.horizon,
-            "HSA complexity model should reflect the CO horizon");
+        assert_eq!(
+            c.hsa.complexity.horizon, c.co.horizon,
+            "HSA complexity model should reflect the CO horizon"
+        );
         assert!(c.bev.size % 8 == 0);
         assert!(
             !c.safety.enabled,

@@ -359,9 +359,8 @@ pub fn evaluate_with(
     eval: &EvalConfig,
 ) -> ParkingStats {
     let config = ICoilConfig::default();
-    let scenario_configs: Vec<ScenarioConfig> = seeds
-        .map(|s| ScenarioConfig::new(difficulty, s))
-        .collect();
+    let scenario_configs: Vec<ScenarioConfig> =
+        seeds.map(|s| ScenarioConfig::new(difficulty, s)).collect();
     let results = run_batch_with(
         method,
         &config,
@@ -385,8 +384,10 @@ mod tests {
     fn run_batch_is_deterministic() {
         let config = ICoilConfig::default();
         let model = IlModel::untrained(ActionCodec::default(), config.bev, 3);
-        let scenario_configs =
-            vec![ScenarioConfig::new(Difficulty::Easy, 1), ScenarioConfig::new(Difficulty::Easy, 2)];
+        let scenario_configs = vec![
+            ScenarioConfig::new(Difficulty::Easy, 1),
+            ScenarioConfig::new(Difficulty::Easy, 2),
+        ];
         let episode = EpisodeConfig {
             max_time: 3.0,
             record_trace: false,

@@ -243,7 +243,10 @@ impl Policy for PureIlPolicy {
         let hsa = self.hsa.update(&il.probs, &sensing.boxes);
         let t3 = Instant::now();
 
-        if self.last_reverse.is_some_and(|prev| prev != il.action.reverse) {
+        if self
+            .last_reverse
+            .is_some_and(|prev| prev != il.action.reverse)
+        {
             self.recorder.add(Counter::GearReversals, 1);
         }
         self.last_reverse = Some(il.action.reverse);
@@ -317,7 +320,10 @@ impl Policy for PureCoPolicy {
         let out = self.co.control(obs, &sensing.boxes);
         let t2 = Instant::now();
 
-        if self.last_reverse.is_some_and(|prev| prev != out.action.reverse) {
+        if self
+            .last_reverse
+            .is_some_and(|prev| prev != out.action.reverse)
+        {
             self.recorder.add(Counter::GearReversals, 1);
         }
         self.last_reverse = Some(out.action.reverse);
@@ -415,10 +421,7 @@ mod tests {
                 record_trace: true,
             },
         );
-        assert!(result
-            .trace
-            .iter()
-            .all(|f| f.mode == Some(ModeTag::Il)));
+        assert!(result.trace.iter().all(|f| f.mode == Some(ModeTag::Il)));
     }
 
     #[test]

@@ -275,10 +275,7 @@ impl OccupancyGrid {
         // order by running rounds with a simple binary heap instead.
         let mut heap: std::collections::BinaryHeap<HeapItem> = queue
             .iter()
-            .map(|&c| HeapItem {
-                cost: 0.0,
-                cell: c,
-            })
+            .map(|&c| HeapItem { cost: 0.0, cell: c })
             .collect();
         while let Some(HeapItem { cost, cell }) = heap.pop() {
             let i = match self.index(cell) {

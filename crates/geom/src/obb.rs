@@ -145,12 +145,7 @@ impl Obb {
         if !self.aabb().intersects(&other.aabb()) {
             return false;
         }
-        let axes = [
-            self.axis_x(),
-            self.axis_y(),
-            other.axis_x(),
-            other.axis_y(),
-        ];
+        let axes = [self.axis_x(), self.axis_y(), other.axis_x(), other.axis_y()];
         let ca = self.corners();
         let cb = other.corners();
         for axis in axes {

@@ -19,8 +19,7 @@ fn arb_pose(range: f64) -> impl Strategy<Value = Pose2> {
 }
 
 fn arb_obb() -> impl Strategy<Value = Obb> {
-    (arb_pose(20.0), 0.1f64..8.0, 0.1f64..8.0)
-        .prop_map(|(p, l, w)| Obb::from_pose(p, l, w))
+    (arb_pose(20.0), 0.1f64..8.0, 0.1f64..8.0).prop_map(|(p, l, w)| Obb::from_pose(p, l, w))
 }
 
 proptest! {

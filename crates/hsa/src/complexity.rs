@@ -89,11 +89,7 @@ mod tests {
     fn complexity_increases_with_obstacle_count() {
         let p = ComplexityParams::default();
         let one = instant_complexity(Vec2::ZERO, &[obstacle_at(3.0)], &p);
-        let two = instant_complexity(
-            Vec2::ZERO,
-            &[obstacle_at(3.0), obstacle_at(-3.0)],
-            &p,
-        );
+        let two = instant_complexity(Vec2::ZERO, &[obstacle_at(3.0), obstacle_at(-3.0)], &p);
         assert!(two > one);
     }
 

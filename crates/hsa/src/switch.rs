@@ -226,7 +226,11 @@ mod tests {
         // alternate confident/uncertain every frame: the raw decision
         // flaps, the debounced mode must stay put
         for i in 0..40 {
-            let probs = if i % 2 == 0 { confident(21) } else { uniform(21) };
+            let probs = if i % 2 == 0 {
+                confident(21)
+            } else {
+                uniform(21)
+            };
             let d = hsa.update(&probs, &[]);
             assert_eq!(d.mode, Mode::Co, "frame {i} must hold the mode");
         }

@@ -57,9 +57,8 @@ pub fn collect_demonstrations(
             // expert corrects from the perturbed state on later frames
             let executed = if noise_rng.gen_bool(0.2) {
                 Action {
-                    steer: (decision.action.steer
-                        + noise_rng.gen_range(-0.4..0.4))
-                    .clamp(-1.0, 1.0),
+                    steer: (decision.action.steer + noise_rng.gen_range(-0.4..0.4))
+                        .clamp(-1.0, 1.0),
                     ..decision.action
                 }
             } else {
@@ -99,7 +98,11 @@ mod tests {
         let bev = BevConfig::default();
         let scenarios = vec![ScenarioConfig::new(Difficulty::Easy, 4)];
         let d = collect_demonstrations(&scenarios, &codec, &bev, 90.0);
-        assert!(d.len() > 100, "an episode is hundreds of frames, got {}", d.len());
+        assert!(
+            d.len() > 100,
+            "an episode is hundreds of frames, got {}",
+            d.len()
+        );
         assert_eq!(d.sample_shape(), &[3, 32, 32]);
         // labels must span both forward and reverse classes
         let counts = d.class_counts(codec.num_classes());

@@ -92,21 +92,15 @@ pub fn dagger_train(
                 let ego = obs.ego();
                 let truth = obs.obstacles();
                 let mut rng = rand::SeedableRng::seed_from_u64(0);
-                let image = renderer.render(
-                    &ego,
-                    &truth,
-                    world.map(),
-                    &NoiseConfig::none(),
-                    &mut rng,
-                );
+                let image =
+                    renderer.render(&ego, &truth, world.map(), &NoiseConfig::none(), &mut rng);
                 dataset
                     .push(&image.data, codec.encode(&label_decision.action))
                     .expect("BEV sample matches dataset shape");
                 // ...but the learner drives
                 let learner = model.infer(&image);
                 world.step(&learner.action);
-                if world.in_collision() || world.at_goal() || world.time() >= config.max_time
-                {
+                if world.in_collision() || world.at_goal() || world.time() >= config.max_time {
                     break;
                 }
             }

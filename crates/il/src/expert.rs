@@ -8,8 +8,8 @@
 //! loop.
 
 use icoil_co::{CoConfig, CoController};
-use icoil_world::episode::{Decision, ModeTag, Observation, Policy};
 use icoil_vehicle::VehicleParams;
+use icoil_world::episode::{Decision, ModeTag, Observation, Policy};
 
 /// A [`Policy`] that drives with the CO stack on ground-truth obstacles.
 pub struct ExpertPolicy {

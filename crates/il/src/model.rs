@@ -84,7 +84,9 @@ impl std::str::FromStr for IlPrecision {
         match s.to_ascii_lowercase().as_str() {
             "f32" => Ok(IlPrecision::F32),
             "int8" => Ok(IlPrecision::Int8),
-            other => Err(format!("unknown IL precision {other:?} (expected \"f32\" or \"int8\")")),
+            other => Err(format!(
+                "unknown IL precision {other:?} (expected \"f32\" or \"int8\")"
+            )),
         }
     }
 }
@@ -160,8 +162,11 @@ impl IlModel {
     /// A freshly-initialized (untrained) model with the paper's
     /// architecture — useful for tests and as a training starting point.
     pub fn untrained(codec: ActionCodec, bev: BevConfig, seed: u64) -> Self {
-        let network =
-            Network::il_architecture((BevImage::CHANNELS, bev.size, bev.size), codec.num_classes(), seed);
+        let network = Network::il_architecture(
+            (BevImage::CHANNELS, bev.size, bev.size),
+            codec.num_classes(),
+            seed,
+        );
         IlModel::new(network, codec, bev)
     }
 
@@ -205,11 +210,8 @@ impl IlModel {
                     image.size, size,
                     "calibration frame size does not match the model"
                 );
-                Tensor::from_vec(
-                    vec![BevImage::CHANNELS, size, size],
-                    image.data.clone(),
-                )
-                .expect("BEV frame reshapes")
+                Tensor::from_vec(vec![BevImage::CHANNELS, size, size], image.data.clone())
+                    .expect("BEV frame reshapes")
             })
             .collect();
         let net = QuantizedNetwork::calibrate(&self.network, &tensors);
@@ -323,10 +325,7 @@ impl IlModel {
         let samples: Vec<&[f32]> = images
             .iter()
             .map(|image| {
-                assert_eq!(
-                    image.size, size,
-                    "BEV image size does not match the model"
-                );
+                assert_eq!(image.size, size, "BEV image size does not match the model");
                 image.data.as_slice()
             })
             .collect();
@@ -372,10 +371,7 @@ impl IlModel {
         let samples: Vec<&[f32]> = images
             .iter()
             .map(|image| {
-                assert_eq!(
-                    image.size, size,
-                    "BEV image size does not match the model"
-                );
+                assert_eq!(image.size, size, "BEV image size does not match the model");
                 image.data.as_slice()
             })
             .collect();
@@ -626,7 +622,10 @@ mod tests {
         assert!("fp16".parse::<IlPrecision>().is_err());
         assert_eq!(IlPrecision::F32.label(), "f32");
         assert_eq!(IlPrecision::Int8.label(), "int8");
-        assert_eq!(serde_json::to_string(&IlPrecision::Int8).unwrap(), "\"int8\"");
+        assert_eq!(
+            serde_json::to_string(&IlPrecision::Int8).unwrap(),
+            "\"int8\""
+        );
         assert_eq!(IlPrecision::default(), IlPrecision::F32);
     }
 }

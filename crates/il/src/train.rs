@@ -179,7 +179,11 @@ mod tests {
             report.losses[0],
             report.final_loss()
         );
-        assert!(report.final_accuracy() > 0.9, "accuracy {}", report.final_accuracy());
+        assert!(
+            report.final_accuracy() > 0.9,
+            "accuracy {}",
+            report.final_accuracy()
+        );
     }
 
     #[test]

@@ -110,8 +110,14 @@ impl LayerKind {
     /// Mutable (parameter, gradient) pairs, in a stable order.
     pub fn params_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
         match self {
-            LayerKind::Dense(l) => vec![(&mut l.weight, &mut l.grad_weight), (&mut l.bias, &mut l.grad_bias)],
-            LayerKind::Conv2d(l) => vec![(&mut l.weight, &mut l.grad_weight), (&mut l.bias, &mut l.grad_bias)],
+            LayerKind::Dense(l) => vec![
+                (&mut l.weight, &mut l.grad_weight),
+                (&mut l.bias, &mut l.grad_bias),
+            ],
+            LayerKind::Conv2d(l) => vec![
+                (&mut l.weight, &mut l.grad_weight),
+                (&mut l.bias, &mut l.grad_bias),
+            ],
             _ => Vec::new(),
         }
     }
@@ -266,7 +272,10 @@ impl Conv2d {
         padding: usize,
         seed: u64,
     ) -> Self {
-        assert!(kernel > 0 && stride > 0, "kernel and stride must be positive");
+        assert!(
+            kernel > 0 && stride > 0,
+            "kernel and stride must be positive"
+        );
         let fan_in = in_ch * kernel * kernel;
         Conv2d {
             in_ch,
@@ -342,8 +351,7 @@ impl Conv2d {
                     *v += b;
                 }
             }
-            out.data_mut()[i * out_sample_len..(i + 1) * out_sample_len]
-                .copy_from_slice(y.data());
+            out.data_mut()[i * out_sample_len..(i + 1) * out_sample_len].copy_from_slice(y.data());
             if train {
                 cols_cache.push(cols);
             }
@@ -480,8 +488,7 @@ impl Conv2d {
                             let ox1 = ow.min((w as isize - shift).max(0) as usize);
                             if ox0 < ox1 {
                                 let ix0 = (ox0 as isize + shift) as usize;
-                                dst_row[ox0..ox1]
-                                    .copy_from_slice(&src_row[ix0..ix0 + (ox1 - ox0)]);
+                                dst_row[ox0..ox1].copy_from_slice(&src_row[ix0..ix0 + (ox1 - ox0)]);
                             }
                         } else {
                             for (ox, d) in dst_row.iter_mut().enumerate() {
@@ -743,7 +750,10 @@ impl Dropout {
     ///
     /// Panics unless `p ∈ [0, 1)`.
     pub fn new(p: f64, seed: u64) -> Self {
-        assert!((0.0..1.0).contains(&p), "dropout probability must be in [0, 1)");
+        assert!(
+            (0.0..1.0).contains(&p),
+            "dropout probability must be in [0, 1)"
+        );
         Dropout {
             p,
             seed,
@@ -889,8 +899,8 @@ mod tests {
     #[test]
     fn conv_backward_matches_finite_difference() {
         let mut c = Conv2d::new(1, 2, 3, 1, 1, 9);
-        let x = Tensor::from_vec(vec![1, 1, 4, 4], (0..16).map(|v| v as f32 * 0.1).collect())
-            .unwrap();
+        let x =
+            Tensor::from_vec(vec![1, 1, 4, 4], (0..16).map(|v| v as f32 * 0.1).collect()).unwrap();
         // scalar loss = sum(conv(x)); grad wrt output is ones
         let y = c.forward(&x, true);
         let g = Tensor::full(y.shape().to_vec(), 1.0);
@@ -930,7 +940,10 @@ mod tests {
         let _ = l.backward(&Tensor::full(vec![1, 2], 1.0));
         assert!(l.params_grads()[0].1.data().iter().any(|&v| v != 0.0));
         l.zero_grad();
-        assert!(l.params_grads().iter().all(|(_, g)| g.data().iter().all(|&v| v == 0.0)));
+        assert!(l
+            .params_grads()
+            .iter()
+            .all(|(_, g)| g.data().iter().all(|&v| v == 0.0)));
     }
 
     #[test]

@@ -135,7 +135,11 @@ pub fn cross_entropy_smoothed(logits: &Tensor, labels: &[usize], eps: f32) -> (f
 /// Panics when `labels.len()` differs from the batch size.
 pub fn accuracy(logits: &Tensor, labels: &[usize]) -> f64 {
     let preds = logits.argmax_rows();
-    assert_eq!(preds.len(), labels.len(), "one label per batch row required");
+    assert_eq!(
+        preds.len(),
+        labels.len(),
+        "one label per batch row required"
+    );
     if preds.is_empty() {
         return f64::NAN;
     }

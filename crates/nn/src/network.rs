@@ -244,7 +244,10 @@ impl Network {
         buf: &mut InferBuffers,
         out: &mut Tensor,
     ) {
-        assert!(!samples.is_empty(), "forward_batch_into needs at least one sample");
+        assert!(
+            !samples.is_empty(),
+            "forward_batch_into needs at least one sample"
+        );
         assert!(sample_shape.len() <= 7, "sample rank exceeds 7");
         let sample_len: usize = sample_shape.iter().product();
         // fixed-size shape scratch keeps this path heap-allocation-free

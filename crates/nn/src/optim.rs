@@ -202,17 +202,20 @@ mod tests {
 
     fn quadratic_problem() -> (Network, Tensor, Vec<usize>) {
         // logistic regression on linearly separable points
-        let x = Tensor::from_vec(
-            vec![4, 2],
-            vec![2.0, 0.1, 1.5, -0.2, -2.0, 0.3, -1.2, -0.1],
-        )
-        .unwrap();
+        let x =
+            Tensor::from_vec(vec![4, 2], vec![2.0, 0.1, 1.5, -0.2, -2.0, 0.3, -1.2, -0.1]).unwrap();
         let y = vec![0usize, 0, 1, 1];
         let net = Network::new(vec![LayerKind::dense(2, 2, 5)]);
         (net, x, y)
     }
 
-    fn train<O: Optimizer>(mut net: Network, x: &Tensor, y: &[usize], opt: &mut O, iters: usize) -> f32 {
+    fn train<O: Optimizer>(
+        mut net: Network,
+        x: &Tensor,
+        y: &[usize],
+        opt: &mut O,
+        iters: usize,
+    ) -> f32 {
         for _ in 0..iters {
             let logits = net.forward(x, true);
             let (_, grad) = loss::cross_entropy(&logits, y);

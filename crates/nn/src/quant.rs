@@ -64,11 +64,17 @@ impl ActQuant {
         let amax = amax.max(0.0);
         if amin >= 0.0 {
             let scale = if amax > 0.0 { amax / 127.0 } else { 1.0 };
-            ActQuant { scale, zero_point: 0 }
+            ActQuant {
+                scale,
+                zero_point: 0,
+            }
         } else {
             let m = amax.max(-amin);
             let scale = if m > 0.0 { m / 63.0 } else { 1.0 };
-            ActQuant { scale, zero_point: 64 }
+            ActQuant {
+                scale,
+                zero_point: 64,
+            }
         }
     }
 
@@ -308,14 +314,22 @@ impl QuantizedNetwork {
     pub fn calibrate(net: &Network, frames: &[Tensor]) -> QuantizedNetwork {
         assert!(!frames.is_empty(), "calibration needs at least one frame");
         let sample_shape: Vec<usize> = frames[0].shape().to_vec();
-        assert_eq!(sample_shape.len(), 3, "calibration frames must be [c, h, w]");
+        assert_eq!(
+            sample_shape.len(),
+            3,
+            "calibration frames must be [c, h, w]"
+        );
 
         // pass 1: fold activation ranges at every GEMM input, plus the
         // network input itself
         let mut ranges: Vec<(f32, f32)> = Vec::new();
         let mut input_range = (f32::INFINITY, f32::NEG_INFINITY);
         for frame in frames {
-            assert_eq!(frame.shape(), sample_shape, "calibration frame shape mismatch");
+            assert_eq!(
+                frame.shape(),
+                sample_shape,
+                "calibration frame shape mismatch"
+            );
             for &v in frame.data() {
                 input_range.0 = input_range.0.min(v);
                 input_range.1 = input_range.1.max(v);
@@ -361,11 +375,7 @@ impl QuantizedNetwork {
                         padding: c.padding(),
                     });
                     let (_, h, w) = spatial.expect("conv layers need spatial input");
-                    spatial = Some((
-                        c.weight().shape()[0],
-                        c.out_dim(h),
-                        c.out_dim(w),
-                    ));
+                    spatial = Some((c.weight().shape()[0], c.out_dim(h), c.out_dim(w)));
                     gemm_index += 1;
                 }
                 LayerKind::Dense(d) => {
@@ -504,13 +514,24 @@ impl QuantizedNetwork {
         scratch: &mut QuantScratch,
         out: &mut Tensor,
     ) {
-        assert!(!samples.is_empty(), "forward_batch_into needs at least one sample");
-        assert_eq!(sample_shape.len(), 3, "quantized inference expects [c, h, w] samples");
+        assert!(
+            !samples.is_empty(),
+            "forward_batch_into needs at least one sample"
+        );
+        assert_eq!(
+            sample_shape.len(),
+            3,
+            "quantized inference expects [c, h, w] samples"
+        );
         let sample_len: usize = sample_shape.iter().product();
         let n = samples.len();
         buf.ping.resize(&[n, self.classes]);
         for (i, sample) in samples.iter().enumerate() {
-            assert_eq!(sample.len(), sample_len, "sample {i} does not match sample_shape");
+            assert_eq!(
+                sample.len(),
+                sample_len,
+                "sample {i} does not match sample_shape"
+            );
             let logits_start = i * self.classes;
             self.forward_sample(sample, sample_shape, scratch, |oc, v| {
                 buf.ping.data_mut()[logits_start + oc] = v;
@@ -620,7 +641,11 @@ impl QuantizedNetwork {
                     let k = ch * h * w;
                     debug_assert_eq!(k, g.k, "dense input length mismatch");
                     {
-                        let src_buf = if in_ping { &scratch.q_ping } else { &scratch.q_pong };
+                        let src_buf = if in_ping {
+                            &scratch.q_ping
+                        } else {
+                            &scratch.q_pong
+                        };
                         let src = &src_buf[..k];
                         // stage into the padded patch buffer (pads at the
                         // input zero point; the padded weight codes are 0)
@@ -745,18 +770,23 @@ fn im2col_u8(
         let clipped_y = iy0 < padding || iy0 + kernel > h + padding;
         if clipped_y {
             for ox in 0..ow {
-                patch_careful(src, in_ch, h, w, kernel, stride, padding, ow, zero_point, k_pad, cols, oy, ox);
+                patch_careful(
+                    src, in_ch, h, w, kernel, stride, padding, ow, zero_point, k_pad, cols, oy, ox,
+                );
             }
             continue;
         }
         for ox in 0..x_lo {
-            patch_careful(src, in_ch, h, w, kernel, stride, padding, ow, zero_point, k_pad, cols, oy, ox);
+            patch_careful(
+                src, in_ch, h, w, kernel, stride, padding, ow, zero_point, k_pad, cols, oy, ox,
+            );
         }
         let n_fast = x_hi - x_lo;
         if n_fast > 0 {
             let iy_top = iy0 - padding;
             let yrow = w * in_ch;
-            let src_end = ((iy_top + kernel - 1) * w + (x_hi - 1) * stride - padding) * in_ch + blind;
+            let src_end =
+                ((iy_top + kernel - 1) * w + (x_hi - 1) * stride - padding) * in_ch + blind;
             let dst_end = (oy * ow + x_hi - 1) * k_pad + (kernel - 1) * kernel * in_ch + blind;
             if src_end <= src.len() && dst_end <= cols.len() {
                 let mut row = (oy * ow + x_lo) * k_pad;
@@ -779,12 +809,17 @@ fn im2col_u8(
                 }
             } else {
                 for ox in x_lo..x_hi {
-                    patch_careful(src, in_ch, h, w, kernel, stride, padding, ow, zero_point, k_pad, cols, oy, ox);
+                    patch_careful(
+                        src, in_ch, h, w, kernel, stride, padding, ow, zero_point, k_pad, cols, oy,
+                        ox,
+                    );
                 }
             }
         }
         for ox in x_hi..ow {
-            patch_careful(src, in_ch, h, w, kernel, stride, padding, ow, zero_point, k_pad, cols, oy, ox);
+            patch_careful(
+                src, in_ch, h, w, kernel, stride, padding, ow, zero_point, k_pad, cols, oy, ox,
+            );
         }
     }
 }
@@ -838,7 +873,16 @@ fn patch_careful(
 /// give the same winner as f32 comparisons because the code mapping is
 /// monotone, and 0 is the smallest code so it is a safe identity.
 #[allow(clippy::too_many_arguments)]
-fn maxpool_u8(src: &[u8], ch: usize, h: usize, w: usize, size: usize, oh: usize, ow: usize, dst: &mut [u8]) {
+fn maxpool_u8(
+    src: &[u8],
+    ch: usize,
+    h: usize,
+    w: usize,
+    size: usize,
+    oh: usize,
+    ow: usize,
+    dst: &mut [u8],
+) {
     let _ = h;
     if size == 2 {
         // every pool in the iCOIL net is 2×2 over one of these widths
@@ -874,9 +918,13 @@ fn pool2_const<const N: usize>(src: &[u8], w: usize, oh: usize, ow: usize, dst: 
             let top = (2 * oy * w + 2 * ox) * N;
             let bot = top + w * N;
             let a: &[u8; N] = src[top..top + N].first_chunk().expect("window pixel");
-            let b: &[u8; N] = src[top + N..top + 2 * N].first_chunk().expect("window pixel");
+            let b: &[u8; N] = src[top + N..top + 2 * N]
+                .first_chunk()
+                .expect("window pixel");
             let c: &[u8; N] = src[bot..bot + N].first_chunk().expect("window pixel");
-            let d: &[u8; N] = src[bot + N..bot + 2 * N].first_chunk().expect("window pixel");
+            let d: &[u8; N] = src[bot + N..bot + 2 * N]
+                .first_chunk()
+                .expect("window pixel");
             let mut m = [0u8; N];
             for i in 0..N {
                 m[i] = a[i].max(b[i]).max(c[i]).max(d[i]);
@@ -927,7 +975,10 @@ mod tests {
         assert_eq!(signed.quantize(0.0), 64);
         for v in [-1.0f32, -0.5, 0.0, 0.7, 2.5] {
             let back = signed.dequantize(signed.quantize(v));
-            assert!((v - back).abs() <= signed.scale / 2.0 + 1e-6, "{v} -> {back}");
+            assert!(
+                (v - back).abs() <= signed.scale / 2.0 + 1e-6,
+                "{v} -> {back}"
+            );
         }
     }
 
@@ -943,7 +994,9 @@ mod tests {
 
     #[test]
     fn weight_rows_round_trip_within_half_step() {
-        let row: Vec<f32> = (0..40).map(|i| ((i * 13 + 5) as f32 * 0.37).sin()).collect();
+        let row: Vec<f32> = (0..40)
+            .map(|i| ((i * 13 + 5) as f32 * 0.37).sin())
+            .collect();
         let (codes, scale) = quantize_weight_row(&row);
         for (&w, &c) in row.iter().zip(&codes) {
             assert!((w - dequantize_weight(c, scale)).abs() <= scale / 2.0 + 1e-6);
@@ -1035,6 +1088,10 @@ mod tests {
         let samples: Vec<&[f32]> = frames.iter().map(|f| f.data()).collect();
         q.forward_batch_into(&samples, &[3, 32, 32], &mut buf, &mut scratch, &mut a);
         q.forward_batch_into(&samples, &[3, 32, 32], &mut buf, &mut scratch, &mut b);
-        assert_eq!(a.data(), b.data(), "warm buffers must not change the result");
+        assert_eq!(
+            a.data(),
+            b.data(),
+            "warm buffers must not change the result"
+        );
     }
 }

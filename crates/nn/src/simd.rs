@@ -1700,7 +1700,10 @@ unsafe fn dot_i8_avx2(a: *const u8, b: *const i8, k: usize, lanes: usize) -> i32
             accv = _mm256_add_epi32(accv, _mm256_madd_epi16(_mm256_maddubs_epi16(va, vb), ones));
             kk += 32;
         }
-        let s = _mm_add_epi32(_mm256_castsi256_si128(accv), _mm256_extracti128_si256(accv, 1));
+        let s = _mm_add_epi32(
+            _mm256_castsi256_si128(accv),
+            _mm256_extracti128_si256(accv, 1),
+        );
         let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b_01_00_11_10));
         let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b_00_00_00_01));
         let mut acc = _mm_cvtsi128_si32(s);
@@ -1789,7 +1792,12 @@ fn requant_rows_u8_scalar(
         return;
     }
     for (acc_row, dst_row) in acc.chunks_exact(out).zip(dst.chunks_exact_mut(out)) {
-        let lanes = dst_row.iter_mut().zip(acc_row).zip(zp_corr).zip(s_out).zip(b_out);
+        let lanes = dst_row
+            .iter_mut()
+            .zip(acc_row)
+            .zip(zp_corr)
+            .zip(s_out)
+            .zip(b_out);
         for ((((d, &a), &zc), &s), &b) in lanes {
             *d = requant_one(a, zc, s, b, fuse_relu, zp_out);
         }
@@ -1851,8 +1859,14 @@ unsafe fn requant_rows_u8_avx2(
                 j += 8;
             }
             for j in out_main..out {
-                *dst_row.add(j) =
-                    requant_one(*acc_row.add(j), zp_corr[j], s_out[j], b_out[j], fuse_relu, zp_out);
+                *dst_row.add(j) = requant_one(
+                    *acc_row.add(j),
+                    zp_corr[j],
+                    s_out[j],
+                    b_out[j],
+                    fuse_relu,
+                    zp_out,
+                );
             }
         }
     }
@@ -1943,7 +1957,9 @@ mod tests {
     use super::*;
 
     fn wavy(len: usize, scale: f32) -> Vec<f32> {
-        (0..len).map(|i| ((i * 7 + 3) as f32 * scale).sin()).collect()
+        (0..len)
+            .map(|i| ((i * 7 + 3) as f32 * scale).sin())
+            .collect()
     }
 
     fn assert_close(a: &[f32], b: &[f32], what: &str) {
@@ -2082,7 +2098,13 @@ mod tests {
     #[test]
     fn int8_backends_agree_bitwise() {
         // awkward shapes: k not a multiple of 32, n not a multiple of 4
-        for (m, k, n) in [(1, 27, 8), (5, 72, 16), (3, 160, 21), (8, 512, 128), (2, 33, 5)] {
+        for (m, k, n) in [
+            (1, 27, 8),
+            (5, 72, 16),
+            (3, 160, 21),
+            (8, 512, 128),
+            (2, 33, 5),
+        ] {
             let (a, b) = quant_inputs(m, k, n);
             let mut scalar = vec![0i32; m * n];
             with_backend(KernelBackend::Scalar, || {
@@ -2110,7 +2132,15 @@ mod tests {
                 for zp_out in [0.0f32, 64.0] {
                     let mut scalar = vec![0u8; rows * out];
                     with_backend(KernelBackend::Scalar, || {
-                        requant_rows_u8(&acc, &zp_corr, &s_out, &b_out, fuse_relu, zp_out, &mut scalar)
+                        requant_rows_u8(
+                            &acc,
+                            &zp_corr,
+                            &s_out,
+                            &b_out,
+                            fuse_relu,
+                            zp_out,
+                            &mut scalar,
+                        )
                     });
                     for backend in supported_backends() {
                         let mut simd = vec![0u8; rows * out];
@@ -2180,7 +2210,9 @@ mod tests {
         // the worst legal pair: a = 127 everywhere against ±127 weights
         let (m, k, n) = (2, 64, 3);
         let a = vec![127u8; m * k];
-        let b: Vec<i8> = (0..n * k).map(|i| if i % 2 == 0 { 127 } else { -127 }).collect();
+        let b: Vec<i8> = (0..n * k)
+            .map(|i| if i % 2 == 0 { 127 } else { -127 })
+            .collect();
         let mut scalar = vec![0i32; m * n];
         with_backend(KernelBackend::Scalar, || {
             gemm_nt_i8(&a, m, k, &b, n, &mut scalar)

@@ -402,11 +402,15 @@ mod tests {
         // irrational-ish values so accumulation-order bugs show up in bits
         let a = t(
             vec![3, 4],
-            (0..12).map(|i| ((i * 7 + 3) as f32 * 0.137).sin()).collect(),
+            (0..12)
+                .map(|i| ((i * 7 + 3) as f32 * 0.137).sin())
+                .collect(),
         );
         let b = t(
             vec![4, 5],
-            (0..20).map(|i| ((i * 5 + 1) as f32 * 0.219).cos()).collect(),
+            (0..20)
+                .map(|i| ((i * 5 + 1) as f32 * 0.219).cos())
+                .collect(),
         );
         let expected = a.matmul(&b);
         // wrong-shaped buffer full of garbage must be fully overwritten

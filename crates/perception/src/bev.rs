@@ -674,8 +674,7 @@ mod tests {
         let (r, s) = setup();
         // ego close to the left wall, facing it: the out-of-bounds region
         // beyond the wall fills the front of the image
-        let ego =
-            icoil_vehicle::VehicleState::at_rest(Pose2::new(3.0, 10.0, std::f64::consts::PI));
+        let ego = icoil_vehicle::VehicleState::at_rest(Pose2::new(3.0, 10.0, std::f64::consts::PI));
         let mut rng = SmallRng::seed_from_u64(0);
         let img = r.render(&ego, &[], &s.map, &NoiseConfig::none(), &mut rng);
         // front at distance 5 m is outside the lot (x = -2)
@@ -738,7 +737,13 @@ mod tests {
         let c = r.render(&ego, &obs, &s.map, &noise, &mut SmallRng::seed_from_u64(8));
         assert_eq!(a, b, "same seed, same noise");
         assert_ne!(a, c, "different seed, different noise");
-        let clean = r.render(&ego, &obs, &s.map, &NoiseConfig::none(), &mut SmallRng::seed_from_u64(7));
+        let clean = r.render(
+            &ego,
+            &obs,
+            &s.map,
+            &NoiseConfig::none(),
+            &mut SmallRng::seed_from_u64(7),
+        );
         assert_ne!(a, clean);
         // values stay in range
         assert!(a.data.iter().all(|&v| (0.0..=1.0).contains(&v)));
@@ -748,8 +753,7 @@ mod tests {
     fn density_increases_near_clutter() {
         let (r, s) = setup();
         let mut rng = SmallRng::seed_from_u64(0);
-        let near_wall =
-            icoil_vehicle::VehicleState::at_rest(Pose2::new(3.0, 3.0, 0.0));
+        let near_wall = icoil_vehicle::VehicleState::at_rest(Pose2::new(3.0, 3.0, 0.0));
         let mid_lot = icoil_vehicle::VehicleState::at_rest(Pose2::new(15.0, 10.0, 0.0));
         let img_wall = r.render(&near_wall, &[], &s.map, &NoiseConfig::none(), &mut rng);
         let img_mid = r.render(&mid_lot, &[], &s.map, &NoiseConfig::none(), &mut rng);
@@ -759,6 +763,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "multiple of 8")]
     fn bad_size_panics() {
-        let _ = BevRenderer::new(BevConfig { size: 30, range: 10.0 });
+        let _ = BevRenderer::new(BevConfig {
+            size: 30,
+            range: 10.0,
+        });
     }
 }

@@ -167,7 +167,9 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let mut dropped = 0;
         for _ in 0..100 {
-            if d.detect(&ego_at(0.0, 0.0), &boxes(), &noise, &mut rng).is_empty() {
+            if d.detect(&ego_at(0.0, 0.0), &boxes(), &noise, &mut rng)
+                .is_empty()
+            {
                 dropped += 1;
             }
         }
@@ -194,8 +196,18 @@ mod tests {
     fn deterministic_under_seed() {
         let d = ObjectDetector::default();
         let noise = NoiseConfig::hard();
-        let a = d.detect(&ego_at(0.0, 0.0), &boxes(), &noise, &mut SmallRng::seed_from_u64(9));
-        let b = d.detect(&ego_at(0.0, 0.0), &boxes(), &noise, &mut SmallRng::seed_from_u64(9));
+        let a = d.detect(
+            &ego_at(0.0, 0.0),
+            &boxes(),
+            &noise,
+            &mut SmallRng::seed_from_u64(9),
+        );
+        let b = d.detect(
+            &ego_at(0.0, 0.0),
+            &boxes(),
+            &noise,
+            &mut SmallRng::seed_from_u64(9),
+        );
         assert_eq!(a, b);
     }
 

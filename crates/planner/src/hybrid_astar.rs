@@ -122,10 +122,7 @@ impl PlannedPath {
 
     /// Number of gear changes along the path.
     pub fn direction_switches(&self) -> usize {
-        self.directions
-            .windows(2)
-            .filter(|w| w[0] != w[1])
-            .count()
+        self.directions.windows(2).filter(|w| w[0] != w[1]).count()
     }
 
     /// Index of the pose closest to `p`.
@@ -265,7 +262,13 @@ pub fn plan(problem: &PlanningProblem, config: &PlannerConfig) -> Result<Planned
             (n.pose, n.direction, n.cost)
         };
         // stale heap entry?
-        if cost > best_cost.get(&key_of(pose, dir)).copied().unwrap_or(f64::INFINITY) + 1e-9 {
+        if cost
+            > best_cost
+                .get(&key_of(pose, dir))
+                .copied()
+                .unwrap_or(f64::INFINITY)
+                + 1e-9
+        {
             continue;
         }
         expansions += 1;
@@ -329,7 +332,13 @@ pub fn plan(problem: &PlanningProblem, config: &PlannerConfig) -> Result<Planned
 }
 
 /// Integrates one motion primitive (constant steer, fixed arc length).
-fn primitive(pose: Pose2, direction: f64, steer: f64, arc_len: f64, vehicle: &VehicleParams) -> Pose2 {
+fn primitive(
+    pose: Pose2,
+    direction: f64,
+    steer: f64,
+    arc_len: f64,
+    vehicle: &VehicleParams,
+) -> Pose2 {
     let n = 4; // sub-steps for smooth integration
     let ds = direction * arc_len / n as f64;
     let mut p = pose;
@@ -358,7 +367,10 @@ fn rs_collision_free(
 }
 
 /// Obstacle-aware holonomic distance map seeded at the goal.
-fn build_heuristic_map(problem: &PlanningProblem, config: &PlannerConfig) -> icoil_geom::grid::DistanceMap {
+fn build_heuristic_map(
+    problem: &PlanningProblem,
+    config: &PlannerConfig,
+) -> icoil_geom::grid::DistanceMap {
     let mut grid = OccupancyGrid::covering(&problem.bounds, config.xy_resolution);
     for o in problem.obstacles {
         grid.fill_obb(o, 255);
@@ -427,11 +439,8 @@ fn extract(
         // collision-free one exists (an abrupt snap leaves a kink the
         // tracker cannot follow in tight quarters)
         let from = *poses.last().expect("chain is never empty");
-        let rs = reeds_shepp::shortest_path(
-            from,
-            problem.goal,
-            problem.vehicle.min_turning_radius(),
-        );
+        let rs =
+            reeds_shepp::shortest_path(from, problem.goal, problem.vehicle.min_turning_radius());
         if rs.length() < 3.0 && rs_collision_free(problem, &rs, from, config) {
             for (pose, dir) in rs
                 .sample(from, (config.xy_resolution * 0.5).max(0.1))
@@ -479,10 +488,18 @@ mod tests {
         plan(&problem, &PlannerConfig::default())
     }
 
-    fn assert_path_valid(path: &PlannedPath, problem_obstacles: &[Obb], bounds: &Aabb, v: &VehicleParams) {
+    fn assert_path_valid(
+        path: &PlannedPath,
+        problem_obstacles: &[Obb],
+        bounds: &Aabb,
+        v: &VehicleParams,
+    ) {
         for pose in &path.poses {
             let fp = icoil_vehicle::VehicleState::at_rest(*pose).footprint(v);
-            assert!(fp.corners().iter().all(|c| bounds.contains(*c)), "pose {pose} leaves bounds");
+            assert!(
+                fp.corners().iter().all(|c| bounds.contains(*c)),
+                "pose {pose} leaves bounds"
+            );
             for o in problem_obstacles {
                 assert!(!o.intersects(&fp), "pose {pose} collides");
             }
@@ -495,7 +512,11 @@ mod tests {
         let start = Pose2::new(4.0, 10.0, 0.0);
         let goal = Pose2::new(24.0, 10.0, 0.0);
         let path = solve(start, goal, bounds, &obs, &v).unwrap();
-        assert!(path.length() >= 19.0 && path.length() < 26.0, "len {}", path.length());
+        assert!(
+            path.length() >= 19.0 && path.length() < 26.0,
+            "len {}",
+            path.length()
+        );
         assert_path_valid(&path, &obs, &bounds, &v);
         let last = path.poses.last().unwrap();
         assert!(last.distance(&goal) < 0.5);
@@ -506,9 +527,7 @@ mod tests {
     fn plans_around_obstacle() {
         let (bounds, _, v) = empty_lot();
         // a wall with a gap forces a detour
-        let obs = vec![
-            Obb::from_pose(Pose2::new(15.0, 7.0, 0.0), 1.0, 14.0),
-        ];
+        let obs = vec![Obb::from_pose(Pose2::new(15.0, 7.0, 0.0), 1.0, 14.0)];
         let start = Pose2::new(4.0, 10.0, 0.0);
         let goal = Pose2::new(25.5, 10.0, 0.0);
         let path = solve(start, goal, bounds, &obs, &v).unwrap();

@@ -53,9 +53,11 @@ impl RsPath {
     pub fn direction_switches(&self) -> usize {
         self.segments
             .windows(2)
-            .filter(|w| w[0].length.signum() != w[1].length.signum()
-                && w[0].length != 0.0
-                && w[1].length != 0.0)
+            .filter(|w| {
+                w[0].length.signum() != w[1].length.signum()
+                    && w[0].length != 0.0
+                    && w[1].length != 0.0
+            })
             .count()
     }
 
@@ -68,7 +70,10 @@ impl RsPath {
     /// Panics for a non-positive step.
     pub fn sample(&self, start: Pose2, step: f64) -> Vec<(Pose2, f64)> {
         assert!(step > 0.0, "sample step must be positive");
-        let mut out = vec![(start, self.segments.first().map_or(1.0, |s| s.length.signum()))];
+        let mut out = vec![(
+            start,
+            self.segments.first().map_or(1.0, |s| s.length.signum()),
+        )];
         let mut pose = start;
         for seg in &self.segments {
             if seg.length.abs() < 1e-12 {
@@ -283,9 +288,18 @@ fn lsl(x: f64, y: f64, phi: f64) -> Option<Vec<RsSegment>> {
     let t = mod2pi(t);
     let v = mod2pi(phi - t);
     Some(vec![
-        RsSegment { kind: SegmentKind::Left, length: t },
-        RsSegment { kind: SegmentKind::Straight, length: u },
-        RsSegment { kind: SegmentKind::Left, length: v },
+        RsSegment {
+            kind: SegmentKind::Left,
+            length: t,
+        },
+        RsSegment {
+            kind: SegmentKind::Straight,
+            length: u,
+        },
+        RsSegment {
+            kind: SegmentKind::Left,
+            length: v,
+        },
     ])
 }
 
@@ -301,9 +315,18 @@ fn lsr(x: f64, y: f64, phi: f64) -> Option<Vec<RsSegment>> {
     let t = mod2pi(t1 + theta);
     let v = mod2pi(t - phi);
     Some(vec![
-        RsSegment { kind: SegmentKind::Left, length: t },
-        RsSegment { kind: SegmentKind::Straight, length: u },
-        RsSegment { kind: SegmentKind::Right, length: v },
+        RsSegment {
+            kind: SegmentKind::Left,
+            length: t,
+        },
+        RsSegment {
+            kind: SegmentKind::Straight,
+            length: u,
+        },
+        RsSegment {
+            kind: SegmentKind::Right,
+            length: v,
+        },
     ])
 }
 
@@ -318,9 +341,18 @@ fn lrl(x: f64, y: f64, phi: f64) -> Option<Vec<RsSegment>> {
     let t = mod2pi(t1 + 0.5 * u + PI);
     let v = mod2pi(phi - t + u);
     Some(vec![
-        RsSegment { kind: SegmentKind::Left, length: t },
-        RsSegment { kind: SegmentKind::Right, length: u },
-        RsSegment { kind: SegmentKind::Left, length: v },
+        RsSegment {
+            kind: SegmentKind::Left,
+            length: t,
+        },
+        RsSegment {
+            kind: SegmentKind::Right,
+            length: u,
+        },
+        RsSegment {
+            kind: SegmentKind::Left,
+            length: v,
+        },
     ])
 }
 
@@ -449,11 +481,23 @@ mod tests {
     #[test]
     fn direction_switch_count() {
         let segs = vec![
-            RsSegment { kind: SegmentKind::Left, length: 1.0 },
-            RsSegment { kind: SegmentKind::Right, length: -1.0 },
-            RsSegment { kind: SegmentKind::Left, length: 1.0 },
+            RsSegment {
+                kind: SegmentKind::Left,
+                length: 1.0,
+            },
+            RsSegment {
+                kind: SegmentKind::Right,
+                length: -1.0,
+            },
+            RsSegment {
+                kind: SegmentKind::Left,
+                length: 1.0,
+            },
         ];
-        let p = RsPath { segments: segs, radius: 1.0 };
+        let p = RsPath {
+            segments: segs,
+            radius: 1.0,
+        };
         assert_eq!(p.direction_switches(), 2);
     }
 

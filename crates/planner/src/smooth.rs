@@ -125,12 +125,7 @@ mod tests {
     /// A zig-zag forward path that should smooth toward a straight line.
     fn zigzag() -> PlannedPath {
         let pts: Vec<Vec2> = (0..21)
-            .map(|i| {
-                Vec2::new(
-                    i as f64 * 0.5,
-                    if i % 2 == 0 { 0.0 } else { 0.3 },
-                )
-            })
+            .map(|i| Vec2::new(i as f64 * 0.5, if i % 2 == 0 { 0.0 } else { 0.3 }))
             .collect();
         let poses: Vec<Pose2> = (0..21)
             .map(|i| {
@@ -166,7 +161,12 @@ mod tests {
     fn endpoints_are_pinned() {
         let raw = zigzag();
         let smoothed = smooth_path(&raw, &[], &SmoothConfig::default());
-        assert!(smoothed.poses[0].position().distance(raw.poses[0].position()) < 1e-12);
+        assert!(
+            smoothed.poses[0]
+                .position()
+                .distance(raw.poses[0].position())
+                < 1e-12
+        );
         assert!(
             smoothed
                 .poses

@@ -25,8 +25,7 @@ use icoil_vehicle::ActionCodec;
 use std::net::TcpListener;
 
 fn main() -> std::io::Result<()> {
-    let addr =
-        std::env::var("ICOIL_SERVE_ADDR").unwrap_or_else(|_| "127.0.0.1:7333".to_string());
+    let addr = std::env::var("ICOIL_SERVE_ADDR").unwrap_or_else(|_| "127.0.0.1:7333".to_string());
     let mut config = ServeConfig::default();
     if let Ok(workers) = std::env::var("ICOIL_CO_WORKERS") {
         config.co_workers = workers

@@ -864,11 +864,7 @@ impl ServeHandle {
         &self.txs[self.router.route(id)]
     }
 
-    fn request<T>(
-        &self,
-        id: u64,
-        make: impl FnOnce(Reply<T>) -> Command,
-    ) -> Result<T, ServeError> {
+    fn request<T>(&self, id: u64, make: impl FnOnce(Reply<T>) -> Command) -> Result<T, ServeError> {
         let (reply, rx) = channel();
         self.tx_for(id)
             .send(make(reply))

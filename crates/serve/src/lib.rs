@@ -70,9 +70,7 @@ pub use engine::{Serve, ServeHandle};
 pub use net::{run_server, MAX_REQUEST_LINE};
 pub use proto::{Request, Response};
 pub use queue::DeadlineQueue;
-pub use session::{
-    ServeError, SessionConfig, SessionSnapshot, SessionSpec, StepResponse,
-};
+pub use session::{ServeError, SessionConfig, SessionSnapshot, SessionSpec, StepResponse};
 pub use shard::ShardRouter;
 pub use snapshot::{decode_snapshot, encode_snapshot};
 

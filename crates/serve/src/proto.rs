@@ -219,11 +219,7 @@ impl Response {
     /// A successful `"metrics"` response, stamped with the serving
     /// precision and the active SIMD kernel backend so a remote client
     /// can tell which inference lane its numbers came from.
-    pub fn with_metrics(
-        metrics: Metrics,
-        il_precision: &str,
-        kernel_backend: &str,
-    ) -> Self {
+    pub fn with_metrics(metrics: Metrics, il_precision: &str, kernel_backend: &str) -> Self {
         Response {
             metrics: Some(metrics),
             il_precision: Some(il_precision.to_string()),
@@ -317,10 +313,7 @@ mod tests {
                 seed: 9
             })
         );
-        let partial = Request {
-            seed: None,
-            ..req
-        };
+        let partial = Request { seed: None, ..req };
         assert_eq!(partial.session_config(), None);
     }
 

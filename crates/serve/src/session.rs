@@ -293,8 +293,7 @@ impl Session {
     /// migrating to a server whose default is f32, and vice versa.
     pub(crate) fn restore(config: &ServeConfig, snap: &SessionSnapshot) -> Self {
         let perception = Perception::new(config.icoil.bev, snap.world.scenario());
-        let mut co =
-            CoController::new(config.icoil.co, snap.world.scenario().vehicle_params);
+        let mut co = CoController::new(config.icoil.co, snap.world.scenario().vehicle_params);
         co.restore(&snap.co);
         Session {
             id: snap.id,
@@ -355,7 +354,8 @@ impl Session {
     /// The CO leg, run on a lane worker: hybrid-A* path + warm-started
     /// SCP MPC against the detected boxes. Session-local state only.
     pub(crate) fn solve_co(&mut self, sensing: &Sensing) -> CoOutput {
-        self.co.control(&Observation::new(&self.world), &sensing.boxes)
+        self.co
+            .control(&Observation::new(&self.world), &sensing.boxes)
     }
 
     /// Applies `action`, advancing the world one frame and settling the

@@ -114,7 +114,9 @@ mod tests {
         let four = ShardRouter::new(4);
         let five = ShardRouter::new(5);
         let total = 20_000u64;
-        let moved = (0..total).filter(|&id| four.route(id) != five.route(id)).count();
+        let moved = (0..total)
+            .filter(|&id| four.route(id) != five.route(id))
+            .count();
         let frac = moved as f64 / total as f64;
         assert!(frac < 0.35, "moved fraction {frac}");
     }

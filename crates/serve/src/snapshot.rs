@@ -63,7 +63,10 @@ mod tests {
             340400000000000000800300000000000000663332050000c03f03000000000000007374720604\
             000000000000004943534e030000000000000073657107020000000000000004efbeadde0000f8\
             7f030100000000000000";
-        let hex: String = encode_snapshot(&value).iter().map(|b| format!("{b:02x}")).collect();
+        let hex: String = encode_snapshot(&value)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
         assert_eq!(hex, PINNED);
         let back: Value = decode_snapshot(&encode_snapshot(&value)).expect("decode");
         assert_eq!(encode_snapshot(&back), encode_snapshot(&value));
@@ -77,12 +80,18 @@ mod tests {
         bytes.extend_from_slice(&VERSION.to_le_bytes());
         bytes.extend_from_slice(&u64::MAX.to_le_bytes());
         bytes.extend_from_slice(&0u64.to_le_bytes());
-        assert_eq!(decode_snapshot::<Value>(&bytes), Err(ContainerError::Truncated));
+        assert_eq!(
+            decode_snapshot::<Value>(&bytes),
+            Err(ContainerError::Truncated)
+        );
     }
 
     #[test]
     fn other_magics_are_refused() {
         let bytes = encode_container(*b"ICDS", VERSION, &7u64);
-        assert_eq!(decode_snapshot::<u64>(&bytes), Err(ContainerError::BadMagic));
+        assert_eq!(
+            decode_snapshot::<u64>(&bytes),
+            Err(ContainerError::BadMagic)
+        );
     }
 }

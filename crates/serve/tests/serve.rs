@@ -60,10 +60,7 @@ fn run_sharded(
             streams[i].push(result.expect("step"));
         }
     }
-    let shed = handle
-        .metrics()
-        .expect("metrics")
-        .counter(Counter::CoShed);
+    let shed = handle.metrics().expect("metrics").counter(Counter::CoShed);
     server.shutdown();
     (streams, shed)
 }
@@ -114,17 +111,13 @@ fn restored_session_replays_bit_identically() {
         seed: 314,
     };
     let id = handle.create(spec).expect("create");
-    let reference: Vec<StepResponse> =
-        (0..30).map(|_| handle.step(id).expect("step")).collect();
+    let reference: Vec<StepResponse> = (0..30).map(|_| handle.step(id).expect("step")).collect();
 
     // checkpointed twin: same spec, snapshot mid-episode…
     let id2 = handle.create(spec).expect("create twin");
     let mut twin: Vec<StepResponse> = (0..12).map(|_| handle.step(id2).expect("step")).collect();
     let bytes = handle.evict(id2).expect("evict");
-    assert!(
-        handle.step(id2).is_err(),
-        "an evicted session must be gone"
-    );
+    assert!(handle.step(id2).is_err(), "an evicted session must be gone");
 
     // …restored into a FRESH server at a DIFFERENT shard count
     let server2 = Serve::start(snapshot_config(4), test_model());
@@ -355,13 +348,13 @@ fn int8_snapshot_keeps_its_lane_on_an_f32_server() {
         seed: 606,
     };
     let id = handle.create(spec).expect("create");
-    let reference: Vec<StepResponse> =
-        (0..24).map(|_| handle.step(id).expect("step")).collect();
+    let reference: Vec<StepResponse> = (0..24).map(|_| handle.step(id).expect("step")).collect();
 
     // twin: snapshot mid-episode, restore into an f32-DEFAULT server
     let id2 = handle.create(spec).expect("create twin");
-    let mut twin: Vec<StepResponse> =
-        (0..9).map(|_| handle.step(id2).expect("step twin")).collect();
+    let mut twin: Vec<StepResponse> = (0..9)
+        .map(|_| handle.step(id2).expect("step twin"))
+        .collect();
     let bytes = handle.evict(id2).expect("evict twin");
     server.shutdown();
 
@@ -517,7 +510,10 @@ fn tcp_front_end_round_trips() {
         Some(icoil_nn::simd::dispatch_target())
     );
     assert_eq!(
-        metrics.metrics.expect("metrics payload").counter(Counter::ServeSessions),
+        metrics
+            .metrics
+            .expect("metrics payload")
+            .counter(Counter::ServeSessions),
         1
     );
 
@@ -525,7 +521,10 @@ fn tcp_front_end_round_trips() {
     assert!(closed.ok);
     let gone = exchange(&Request::step(id));
     assert!(!gone.ok);
-    assert_eq!(gone.error.as_deref(), Some(&*format!("unknown session {id}")));
+    assert_eq!(
+        gone.error.as_deref(),
+        Some(&*format!("unknown session {id}"))
+    );
 
     let malformed_reply = exchange(&Request {
         op: "reboot".to_string(),
@@ -534,7 +533,10 @@ fn tcp_front_end_round_trips() {
         session: None,
         snapshot: None,
     });
-    assert!(!malformed_reply.ok, "unknown op must fail, not kill the connection");
+    assert!(
+        !malformed_reply.ok,
+        "unknown op must fail, not kill the connection"
+    );
 
     server.shutdown();
 }
@@ -698,12 +700,12 @@ fn snapshots_carry_the_weight_version_and_refuse_unknown_generations() {
     };
     // created after the publish → pinned to generation 1
     let id = handle.create(spec).expect("create");
-    let reference: Vec<StepResponse> =
-        (0..24).map(|_| handle.step(id).expect("step")).collect();
+    let reference: Vec<StepResponse> = (0..24).map(|_| handle.step(id).expect("step")).collect();
 
     let twin = handle.create(spec).expect("create twin");
-    let mut stream: Vec<StepResponse> =
-        (0..9).map(|_| handle.step(twin).expect("step twin")).collect();
+    let mut stream: Vec<StepResponse> = (0..9)
+        .map(|_| handle.step(twin).expect("step twin"))
+        .collect();
     let bytes = handle.evict(twin).expect("evict");
 
     // a server without generation 1 must refuse the snapshot outright
@@ -725,7 +727,10 @@ fn snapshots_carry_the_weight_version_and_refuse_unknown_generations() {
         let mut b = b.clone();
         b.session = a.session;
         assert_eq!(*a, b, "restored replay must be bit-identical");
-        assert_eq!(a.weight_version, 1, "snapshot must carry the pinned generation");
+        assert_eq!(
+            a.weight_version, 1,
+            "snapshot must carry the pinned generation"
+        );
     }
     server2.shutdown();
     server.shutdown();

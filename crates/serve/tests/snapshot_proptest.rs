@@ -25,7 +25,11 @@ struct ValueTreeStrategy;
 
 fn gen_value(rng: &mut TestRng, depth: u64) -> Value {
     // below depth 4, containers stay on the menu; past it, leaves only
-    let pick = if depth < 4 { rng.index(9) } else { rng.index(7) };
+    let pick = if depth < 4 {
+        rng.index(9)
+    } else {
+        rng.index(7)
+    };
     match pick {
         0 => Value::Null,
         1 => Value::Bool(rng.next_u64() & 1 == 1),

@@ -333,7 +333,9 @@ fn refactor_core(
             d[row] -= yc * lkc;
         }
         if d[row] == 0.0 {
-            return Err(LdlError { column: sym.perm[row] });
+            return Err(LdlError {
+                column: sym.perm[row],
+            });
         }
         dinv[row] = 1.0 / d[row];
     }
@@ -487,7 +489,10 @@ impl SparseLdl {
     ///
     /// Panics when `k`'s pattern differs from the analyzed one.
     pub fn refactor(&mut self, k: &SparseMatrix) -> Result<(), LdlError> {
-        assert!(self.sym.matches(k), "matrix pattern differs from the symbolic analysis");
+        assert!(
+            self.sym.matches(k),
+            "matrix pattern differs from the symbolic analysis"
+        );
         refactor_core(
             &self.sym,
             k.values(),
@@ -575,7 +580,9 @@ mod tests {
     use crate::sparse::TripletBuilder;
 
     fn lcg(seed: &mut u64) -> f64 {
-        *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        *seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         ((*seed >> 33) as f64 / (1u64 << 31) as f64) - 0.5
     }
 
@@ -594,7 +601,11 @@ mod tests {
         // add αI on the full pattern (gram may miss diagonal entries for
         // empty columns, so go through a fresh builder)
         let mut out = TripletBuilder::new(n, n);
-        let (cp, ri, vs) = (g.col_ptr().to_vec(), g.row_ind().to_vec(), g.values().to_vec());
+        let (cp, ri, vs) = (
+            g.col_ptr().to_vec(),
+            g.row_ind().to_vec(),
+            g.values().to_vec(),
+        );
         for c in 0..n {
             for k in cp[c]..cp[c + 1] {
                 out.push(ri[k], c, vs[k]);

@@ -367,7 +367,9 @@ mod tests {
         let mut data = Vec::with_capacity(n * n);
         let mut s = 1u64;
         for _ in 0..n * n {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             data.push(((s >> 33) as f64 / (1u64 << 31) as f64) - 0.5);
         }
         let a = Mat::from_vec(n, n, data);

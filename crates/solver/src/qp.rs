@@ -84,7 +84,13 @@ impl QpProblem {
     ///
     /// Returns a [`QpError`] describing the first inconsistency.
     pub fn new(p: Mat, q: Vec<f64>, a: Mat, l: Vec<f64>, u: Vec<f64>) -> Result<Self, QpError> {
-        Self::from_sparse(SparseMatrix::from_dense(&p), q, SparseMatrix::from_dense(&a), l, u)
+        Self::from_sparse(
+            SparseMatrix::from_dense(&p),
+            q,
+            SparseMatrix::from_dense(&a),
+            l,
+            u,
+        )
     }
 
     /// Validates and assembles a QP from sparse matrices, preserving
@@ -708,7 +714,12 @@ fn solve_qp_scaled(
     let rho = settings.rho.clamp(RHO_MIN, RHO_MAX);
     // equality rows (l = u) get the stiffer penalty; scaling multiplies
     // both bounds by the same row scale, so the pattern is scale-invariant
-    let eq: Vec<bool> = problem.l.iter().zip(&problem.u).map(|(lo, hi)| lo == hi).collect();
+    let eq: Vec<bool> = problem
+        .l
+        .iter()
+        .zip(&problem.u)
+        .map(|(lo, hi)| lo == hi)
+        .collect();
 
     // KKT matrix M = P + σI + AᵀRA with R = diag(ρ_i), factorized once
     // per ρ value
@@ -1246,7 +1257,14 @@ mod tests {
     fn nan_cost_qp() -> QpProblem {
         let mut p = Mat::diag(&[2.0; 4]);
         *p.at_mut(1, 1) = f64::NAN;
-        QpProblem::new(p, vec![0.0; 4], Mat::identity(4), vec![-1.0; 4], vec![1.0; 4]).unwrap()
+        QpProblem::new(
+            p,
+            vec![0.0; 4],
+            Mat::identity(4),
+            vec![-1.0; 4],
+            vec![1.0; 4],
+        )
+        .unwrap()
     }
 
     #[test]

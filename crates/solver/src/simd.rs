@@ -639,7 +639,9 @@ mod tests {
     use super::*;
 
     fn wavy(len: usize) -> Vec<f64> {
-        (0..len).map(|i| ((i * 13 + 5) as f64 * 0.173).sin()).collect()
+        (0..len)
+            .map(|i| ((i * 13 + 5) as f64 * 0.173).sin())
+            .collect()
     }
 
     /// Every kernel must agree with the scalar backend *bitwise* — the

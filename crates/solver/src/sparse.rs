@@ -454,7 +454,10 @@ impl SparseKkt {
     /// Panics when `p` and `gram` are not square matrices of equal size.
     pub fn new(p: &SparseMatrix, gram: &SparseMatrix) -> Self {
         let n = p.cols();
-        assert!(p.rows() == n && gram.rows() == n && gram.cols() == n, "KKT terms must be n × n");
+        assert!(
+            p.rows() == n && gram.rows() == n && gram.cols() == n,
+            "KKT terms must be n × n"
+        );
         let mut col_ptr = vec![0usize; n + 1];
         let mut row_ind: Vec<usize> = Vec::new();
         let mut p_map = vec![0usize; p.nnz()];
@@ -467,7 +470,11 @@ impl SparseKkt {
             let mut diag_pending = true;
             loop {
                 let rp = if ip < pe { p.row_ind[ip] } else { usize::MAX };
-                let rg = if ig < ge { gram.row_ind[ig] } else { usize::MAX };
+                let rg = if ig < ge {
+                    gram.row_ind[ig]
+                } else {
+                    usize::MAX
+                };
                 let rd = if diag_pending { j } else { usize::MAX };
                 let r = rp.min(rg).min(rd);
                 if r == usize::MAX {
@@ -518,8 +525,16 @@ impl SparseKkt {
         sigma: f64,
         rho: f64,
     ) -> &SparseMatrix {
-        assert_eq!(p.nnz(), self.p_map.len(), "P pattern changed under the assembly");
-        assert_eq!(gram.nnz(), self.gram_map.len(), "Gram pattern changed under the assembly");
+        assert_eq!(
+            p.nnz(),
+            self.p_map.len(),
+            "P pattern changed under the assembly"
+        );
+        assert_eq!(
+            gram.nnz(),
+            self.gram_map.len(),
+            "Gram pattern changed under the assembly"
+        );
         self.kkt.values.fill(0.0);
         for (&slot, &v) in self.p_map.iter().zip(&p.values) {
             self.kkt.values[slot] += v;
@@ -539,7 +554,9 @@ mod tests {
     use super::*;
 
     fn lcg(seed: &mut u64) -> f64 {
-        *seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        *seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         ((*seed >> 33) as f64 / (1u64 << 31) as f64) - 0.5
     }
 

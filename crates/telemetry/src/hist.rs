@@ -74,7 +74,11 @@ impl Histogram {
     /// Records one observation. Non-finite values are counted into the
     /// boundary buckets without poisoning `sum`.
     pub fn record(&mut self, v: f64) {
-        let v = if v.is_finite() { v } else { crate::finite_or_clamp(v) };
+        let v = if v.is_finite() {
+            v
+        } else {
+            crate::finite_or_clamp(v)
+        };
         self.counts[Self::bucket(v)] += 1;
         self.count += 1;
         self.sum += v;

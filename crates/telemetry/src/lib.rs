@@ -36,7 +36,9 @@ mod recorder;
 
 pub use hist::Histogram;
 pub use metrics::{Counter, Metrics, Series, NUM_COUNTERS, NUM_SERIES};
-pub use recorder::{EpisodeEvent, FrameEvent, MemorySink, NdjsonSink, NullSink, Recorder, Sink, SolveEvent};
+pub use recorder::{
+    EpisodeEvent, FrameEvent, MemorySink, NdjsonSink, NullSink, Recorder, Sink, SolveEvent,
+};
 
 /// Returns a finite stand-in for `v`: `NaN` maps to `0.0`, `±∞` to
 /// `±f64::MAX`. Finite values pass through unchanged.

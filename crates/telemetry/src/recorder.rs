@@ -474,7 +474,10 @@ mod tests {
         assert_eq!(field(solve, "symbolic_cache_hits").as_u64(), Some(2));
         assert!(field(&first, "total_us").as_f64().unwrap() > 0.0);
         let second: serde_json::Value = serde_json::from_str(&lines[1]).unwrap();
-        assert!(second.get("solve").is_none(), "no solve block without a solve");
+        assert!(
+            second.get("solve").is_none(),
+            "no solve block without a solve"
+        );
         let third: serde_json::Value = serde_json::from_str(&lines[2]).unwrap();
         assert_eq!(field(&third, "t").as_str(), Some("episode"));
         assert_eq!(field(&third, "outcome").as_str(), Some("success"));

@@ -88,7 +88,10 @@ impl ActionCodec {
     /// Returns [`InvalidCodecError`] when `steer_bins` is even or below 3,
     /// or `throttle` is outside `(0, 1]`.
     pub fn new(steer_bins: usize, throttle: f64) -> Result<Self, InvalidCodecError> {
-        if steer_bins < 3 || steer_bins.is_multiple_of(2) || !(0.0..=1.0).contains(&throttle) || throttle == 0.0
+        if steer_bins < 3
+            || steer_bins.is_multiple_of(2)
+            || !(0.0..=1.0).contains(&throttle)
+            || throttle == 0.0
         {
             return Err(InvalidCodecError);
         }
@@ -147,7 +150,10 @@ impl ActionCodec {
     /// Panics when `class` ≥ [`ActionCodec::num_classes`].
     pub fn parts_of(&self, class: usize) -> (SpeedMode, usize) {
         assert!(class < self.num_classes(), "class out of range");
-        (SpeedMode::ALL[class / self.steer_bins], class % self.steer_bins)
+        (
+            SpeedMode::ALL[class / self.steer_bins],
+            class % self.steer_bins,
+        )
     }
 
     /// Encodes a continuous action into the nearest class.

@@ -21,7 +21,12 @@ use icoil_geom::Pose2;
 ///
 /// The returned speed is clamped to
 /// `[-max_reverse_speed, max_speed]`.
-pub fn step(state: &VehicleState, action: &Action, params: &VehicleParams, dt: f64) -> VehicleState {
+pub fn step(
+    state: &VehicleState,
+    action: &Action,
+    params: &VehicleParams,
+    dt: f64,
+) -> VehicleState {
     let a = action.clamped();
     let dir = if a.reverse { -1.0 } else { 1.0 };
     let v = state.velocity;

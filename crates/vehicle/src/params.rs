@@ -167,9 +167,9 @@ mod tests {
             for j in 0..=20 {
                 let x = x0 + (x1 - x0) * i as f64 / 40.0;
                 let y = -p.width * 0.5 + p.width * j as f64 / 20.0;
-                let covered = circles.iter().any(|&(off, r)| {
-                    Vec2::new(x - off, y).norm() <= r + 1e-9
-                });
+                let covered = circles
+                    .iter()
+                    .any(|&(off, r)| Vec2::new(x - off, y).norm() <= r + 1e-9);
                 assert!(covered, "body point ({x:.2}, {y:.2}) uncovered");
             }
         }

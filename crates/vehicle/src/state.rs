@@ -45,8 +45,7 @@ impl VehicleState {
     /// World position of the body center (between the axles, offset from
     /// the rear axle by [`VehicleParams::center_offset`]).
     pub fn body_center(&self, params: &VehicleParams) -> Vec2 {
-        self.pose
-            .to_world(Vec2::new(params.center_offset(), 0.0))
+        self.pose.to_world(Vec2::new(params.center_offset(), 0.0))
     }
 
     /// The body footprint as an oriented box.

@@ -57,14 +57,14 @@ pub mod world;
 
 pub use episode::{run_episode, EpisodeConfig, EpisodeResult, ModeTag, Outcome};
 pub use maneuver::{classify_maneuver, gear_reversals, Maneuver};
-pub use persist::EpisodeRecord;
-pub use render::{render_trace, AsciiCanvas};
 pub use map::ParkingMap;
 pub use metrics::{success_rate, ParkingStats};
 pub use obstacle::{DynamicRoute, Obstacle, ObstacleKind};
+pub use persist::EpisodeRecord;
 pub use procedural::{
     shrink, CrowdedParams, EchelonParams, GarageParams, InvalidScenario, MapFamily, MapFamilyKind,
     ProcGen, ProcGenConfig, ProcScenario, RouteSpec, StaticSpec, StubParams,
 };
+pub use render::{render_trace, AsciiCanvas};
 pub use scenario::{Difficulty, MapKind, NoiseConfig, Scenario, ScenarioConfig, StartRegion};
 pub use world::{CollisionCause, World};

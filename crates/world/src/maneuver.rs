@@ -86,7 +86,11 @@ mod tests {
     }
 
     fn trace_of(gears: &[bool]) -> Trace {
-        gears.iter().enumerate().map(|(i, &r)| frame(i, r)).collect()
+        gears
+            .iter()
+            .enumerate()
+            .map(|(i, &r)| frame(i, r))
+            .collect()
     }
 
     #[test]

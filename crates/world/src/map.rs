@@ -246,8 +246,10 @@ mod tests {
         }
         // close region is nearer to the bay than the remote one
         let bay = m.bay().center;
-        assert!(m.close_start_region().center().distance(bay)
-            < m.remote_start_region().center().distance(bay));
+        assert!(
+            m.close_start_region().center().distance(bay)
+                < m.remote_start_region().center().distance(bay)
+        );
     }
 
     #[test]

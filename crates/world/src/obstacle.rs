@@ -230,7 +230,7 @@ mod tests {
     }
 
     #[test]
-    fn route_never_leaves_path_bounds(){
+    fn route_never_leaves_path_bounds() {
         let r = route();
         for i in 0..200 {
             let p = r.pose_at(i as f64 * 0.173);

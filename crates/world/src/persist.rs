@@ -34,7 +34,10 @@ impl EpisodeRecord {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
-        std::fs::write(path, serde_json::to_string(self).expect("record serializes"))
+        std::fs::write(
+            path,
+            serde_json::to_string(self).expect("record serializes"),
+        )
     }
 
     /// Reads a record back.
@@ -121,7 +124,10 @@ mod tests {
         r.result.trace[mid].action.steer = -r.result.trace[mid].action.steer;
         let divergence = r.verify_replay(1e-6);
         assert!(divergence.is_some());
-        assert!(divergence.unwrap() > mid, "divergence appears after the tamper");
+        assert!(
+            divergence.unwrap() > mid,
+            "divergence appears after the tamper"
+        );
     }
 
     #[test]

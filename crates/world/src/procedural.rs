@@ -55,9 +55,7 @@
 //! assert_eq!(gen.generate(7), spec);
 //! ```
 
-use crate::{
-    DynamicRoute, NoiseConfig, Obstacle, ParkingMap, Scenario,
-};
+use crate::{DynamicRoute, NoiseConfig, Obstacle, ParkingMap, Scenario};
 use icoil_geom::{Aabb, Obb, OccupancyGrid, Pose2, Vec2};
 use icoil_vehicle::{VehicleParams, VehicleState};
 use rand::rngs::SmallRng;
@@ -405,11 +403,7 @@ impl ProcScenario {
                 let bay = Obb::from_pose(Pose2::new(x, y, angle), BAY_DEPTH, BAY_WIDTH);
                 // deeper-into-bay direction, mirroring the reverse-in
                 // goal offset at angle 0
-                let goal = Pose2::new(
-                    x + 1.3 * c,
-                    y + 1.3 * s,
-                    angle + std::f64::consts::PI,
-                );
+                let goal = Pose2::new(x + 1.3 * c, y + 1.3 * s, angle + std::f64::consts::PI);
                 ParkingMap::new(bounds, spawn, goal, bay)
             }
             MapFamily::ReverseIn
@@ -490,10 +484,7 @@ impl ProcScenario {
                         let aabb = Obb::from_pose(spec.pose, pillar, pillar)
                             .inflated(0.4)
                             .aabb();
-                        if fits(&spec)
-                            && !corridor.intersects(&aabb)
-                            && !spawn.intersects(&aabb)
-                        {
+                        if fits(&spec) && !corridor.intersects(&aabb) && !spawn.intersects(&aabb) {
                             out.push(spec);
                         }
                         y += pitch;
@@ -655,7 +646,11 @@ impl ProcScenario {
         // structural obstacles (framing cars, stub walls, …) legitimately
         // touch it by construction
         let corridor = slot_corridor(&map, self.family);
-        let n_fixed = scenario.obstacles.iter().filter(|o| !o.is_dynamic()).count();
+        let n_fixed = scenario
+            .obstacles
+            .iter()
+            .filter(|o| !o.is_dynamic())
+            .count();
         for o in footprints.iter().take(self.statics.len().min(n_fixed)) {
             if corridor.intersects(&o.aabb()) {
                 return Err(InvalidScenario::CorridorBlocked);
@@ -679,11 +674,7 @@ impl ProcScenario {
 
         // coarse reachability: BFS over a grid with statics inflated by
         // the vehicle half-width; dynamics are ignored (they move away)
-        let statics: Vec<Obb> = footprints
-            .iter()
-            .take(n_fixed)
-            .copied()
-            .collect();
+        let statics: Vec<Obb> = footprints.iter().take(n_fixed).copied().collect();
         let approach = approach_point(&map, self.family, &corridor);
         if !grid_reachable(&map, &statics, self.start.position(), approach, &params) {
             return Err(InvalidScenario::SlotUnreachable);
@@ -769,9 +760,7 @@ fn grid_reachable(
                 row: r as i64,
             };
             let p = grid.cell_to_world(cell);
-            let blocked = statics
-                .iter()
-                .any(|o| o.distance_to_point(p) < inflation)
+            let blocked = statics.iter().any(|o| o.distance_to_point(p) < inflation)
                 || p.x < map.bounds().min.x + inflation
                 || p.y < map.bounds().min.y + inflation
                 || p.x > map.bounds().max.x - inflation
@@ -959,7 +948,11 @@ impl ProcGen {
             {
                 continue;
             }
-            statics.push(StaticSpec { pose, length, width });
+            statics.push(StaticSpec {
+                pose,
+                length,
+                width,
+            });
         }
 
         // dynamic patrols: straight two-point routes in the interior;
@@ -1163,10 +1156,7 @@ mod tests {
         assert!(widths.len() > 5, "lot widths barely vary: {widths:?}");
         let kinds: std::collections::BTreeSet<&str> =
             specs.iter().map(|s| s.family.kind().name()).collect();
-        assert!(
-            kinds.len() >= 5,
-            "the family mix barely varies: {kinds:?}"
-        );
+        assert!(kinds.len() >= 5, "the family mix barely varies: {kinds:?}");
         assert!(specs.iter().any(|s| !s.routes.is_empty()));
         assert!(specs.iter().any(|s| s.noise_scale > 0.0));
         assert!(specs.iter().any(|s| s.statics.len() >= 3));

@@ -44,12 +44,7 @@ impl AsciiCanvas {
         }
         // bay
         let bay = scenario.map.bay();
-        canvas.fill_region(
-            |p| bay.contains(p),
-            '=',
-            bay.aabb().min,
-            bay.aabb().max,
-        );
+        canvas.fill_region(|p| bay.contains(p), '=', bay.aabb().min, bay.aabb().max);
         // obstacles at t = 0
         for o in &scenario.obstacles {
             let fp = o.footprint_at(0.0);
@@ -85,9 +80,7 @@ impl AsciiCanvas {
     /// Plots a single point with a glyph (ignored when off-canvas).
     pub fn plot(&mut self, p: Vec2, glyph: char) {
         let c = ((p.x - self.origin.x) / self.scale) as isize;
-        let r = self.rows as isize
-            - 1
-            - ((p.y - self.origin.y) / (self.scale * 2.0)) as isize;
+        let r = self.rows as isize - 1 - ((p.y - self.origin.y) / (self.scale * 2.0)) as isize;
         if c >= 0 && r >= 0 && (c as usize) < self.cols && (r as usize) < self.rows {
             self.cells[r as usize * self.cols + c as usize] = glyph;
         }

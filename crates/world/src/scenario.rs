@@ -215,9 +215,7 @@ impl ScenarioConfig {
             }
         }
 
-        let dynamic = self
-            .dynamic
-            .unwrap_or(self.difficulty != Difficulty::Easy);
+        let dynamic = self.dynamic.unwrap_or(self.difficulty != Difficulty::Easy);
         if dynamic {
             // patrol routes expressed as fractions of the lot so every
             // map layout gets equivalent crossing traffic
@@ -329,12 +327,7 @@ fn goal_corridor(map: &ParkingMap) -> Aabb {
     )
 }
 
-fn place_random_statics(
-    map: &ParkingMap,
-    n: usize,
-    rng: &mut SmallRng,
-    out: &mut Vec<Obstacle>,
-) {
+fn place_random_statics(map: &ParkingMap, n: usize, rng: &mut SmallRng, out: &mut Vec<Obstacle>) {
     let corridor = goal_corridor(map);
     let b = map.bounds();
     let region = Aabb::new(

@@ -1,6 +1,6 @@
 //! Frame-by-frame world simulation.
 
-use crate::{Scenario, ParkingMap};
+use crate::{ParkingMap, Scenario};
 use icoil_geom::Obb;
 use icoil_vehicle::{kinematics, Action, VehicleParams, VehicleState};
 use serde::{Deserialize, Serialize};
@@ -143,7 +143,12 @@ impl World {
 
     /// Advances one frame under `action`; returns the new ego state.
     pub fn step(&mut self, action: &Action) -> VehicleState {
-        self.ego = kinematics::step(&self.ego, action, &self.scenario.vehicle_params, self.scenario.dt);
+        self.ego = kinematics::step(
+            &self.ego,
+            action,
+            &self.scenario.vehicle_params,
+            self.scenario.dt,
+        );
         self.time += self.scenario.dt;
         self.frame += 1;
         self.ego

@@ -33,7 +33,10 @@ fn main() {
         },
     );
 
-    println!("outcome: {} after {:.1} s", result.outcome, result.parking_time);
+    println!(
+        "outcome: {} after {:.1} s",
+        result.outcome, result.parking_time
+    );
     println!("frame   time   mode  uncertainty   complexity");
     for f in result.trace.iter().step_by(50) {
         println!(

@@ -14,9 +14,7 @@ use icoil::core::{artifacts, eval, ICoilConfig, Method};
 use icoil::il::IlModel;
 use icoil::planner::{plan as hybrid_plan, PlannerConfig, PlanningProblem};
 use icoil::world::episode::EpisodeConfig;
-use icoil::world::{
-    render_trace, Difficulty, MapKind, ParkingStats, ScenarioConfig, World,
-};
+use icoil::world::{render_trace, Difficulty, MapKind, ParkingStats, ScenarioConfig, World};
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -101,7 +99,9 @@ fn get_method(options: &HashMap<String, String>) -> Result<Method, String> {
 fn get_u64(options: &HashMap<String, String>, key: &str, default: u64) -> Result<u64, String> {
     match options.get(key) {
         None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("`--{key}` expects an integer")),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("`--{key}` expects an integer")),
     }
 }
 
@@ -113,10 +113,7 @@ fn get_f64(options: &HashMap<String, String>, key: &str, default: f64) -> Result
 }
 
 /// Loads the model for IL-dependent methods; CO runs without one.
-fn load_model(
-    options: &HashMap<String, String>,
-    method: Method,
-) -> Result<IlModel, String> {
+fn load_model(options: &HashMap<String, String>, method: Method) -> Result<IlModel, String> {
     let path = options
         .get("model")
         .map(String::as_str)
@@ -129,9 +126,8 @@ fn load_model(
             0,
         ));
     }
-    let json = std::fs::read_to_string(path).map_err(|e| {
-        format!("cannot read model `{path}` ({e}); train one with `icoil train`")
-    })?;
+    let json = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read model `{path}` ({e}); train one with `icoil train`"))?;
     IlModel::from_json(&json).map_err(|e| format!("model `{path}` is corrupt: {e}"))
 }
 
@@ -233,8 +229,7 @@ fn cmd_plan(options: &HashMap<String, String>) -> Result<(), String> {
         vehicle: &scenario.vehicle_params,
         safety_margin: 0.3,
     };
-    let path =
-        hybrid_plan(&problem, &PlannerConfig::default()).map_err(|e| e.to_string())?;
+    let path = hybrid_plan(&problem, &PlannerConfig::default()).map_err(|e| e.to_string())?;
     println!(
         "planned {:.1} m with {} gear change(s) from {} to {}",
         path.length(),

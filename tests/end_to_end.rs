@@ -24,7 +24,11 @@ fn co_parks_on_easy_seed() {
             record_trace: true,
         },
     );
-    assert_eq!(result.outcome, Outcome::Success, "CO parks on the easy level");
+    assert_eq!(
+        result.outcome,
+        Outcome::Success,
+        "CO parks on the easy level"
+    );
     // trace sanity: monotone time, valid actions, final pose at the bay
     for pair in result.trace.windows(2) {
         assert!(pair[1].time > pair[0].time);
@@ -54,7 +58,12 @@ fn co_parks_on_the_compact_map() {
             record_trace: false,
         },
     );
-    assert_eq!(result.outcome, Outcome::Success, "outcome {:?}", result.outcome);
+    assert_eq!(
+        result.outcome,
+        Outcome::Success,
+        "outcome {:?}",
+        result.outcome
+    );
 }
 
 #[test]
@@ -81,7 +90,11 @@ fn co_enters_the_parallel_bay() {
             record_trace: true,
         },
     );
-    assert_ne!(result.outcome, Outcome::Collision, "must not hit the parked cars");
+    assert_ne!(
+        result.outcome,
+        Outcome::Collision,
+        "must not hit the parked cars"
+    );
     // the maneuver must contain reverse driving and reach the bay
     assert!(result.trace.iter().any(|f| f.action.reverse));
     let last = result.trace.last().expect("non-empty trace");
@@ -227,12 +240,24 @@ fn co_handles_every_map_and_difficulty_tier() {
             },
         );
         let label = format!("{kind:?}/{diff:?} seed {seed}");
-        assert_ne!(result.outcome, Outcome::Collision, "{label} must not collide");
+        assert_ne!(
+            result.outcome,
+            Outcome::Collision,
+            "{label} must not collide"
+        );
         if expect_success {
-            assert_eq!(result.outcome, Outcome::Success, "{label}: {:?}", result.outcome);
+            assert_eq!(
+                result.outcome,
+                Outcome::Success,
+                "{label}: {:?}",
+                result.outcome
+            );
         } else {
             let last = result.trace.last().expect("non-empty trace");
-            assert!(result.trace.iter().any(|f| f.action.reverse), "{label} must reverse");
+            assert!(
+                result.trace.iter().any(|f| f.action.reverse),
+                "{label} must reverse"
+            );
             assert!(
                 last.pose.distance(&goal) < 1.3,
                 "{label} must end within 1.3 m of the goal, was {:.2} m",
@@ -241,5 +266,3 @@ fn co_handles_every_map_and_difficulty_tier() {
         }
     }
 }
-
-

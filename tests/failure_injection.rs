@@ -3,8 +3,8 @@
 //! are dispatched across worker threads.
 
 use icoil_core::{run_scenarios_with, EvalConfig, ICoilConfig, PureCoPolicy};
-use icoil_world::episode::Policy;
 use icoil_perception::{BevConfig, Perception};
+use icoil_world::episode::Policy;
 use icoil_world::episode::{run_episode, EpisodeConfig, Observation};
 use icoil_world::{Difficulty, NoiseConfig, Scenario, ScenarioConfig, World};
 
@@ -122,16 +122,14 @@ fn injected_faults_behave_identically_under_parallel_dispatch() {
     // parallelism > 1 and reproduces the serial results bit-for-bit.
     let batch = faulty_batch();
     let config = ICoilConfig::default();
-    let policy_for = |scenario: &Scenario| -> Box<dyn Policy> {
-        Box::new(PureCoPolicy::new(&config, scenario))
-    };
+    let policy_for =
+        |scenario: &Scenario| -> Box<dyn Policy> { Box::new(PureCoPolicy::new(&config, scenario)) };
     let episode = EpisodeConfig {
         max_time: 10.0,
         record_trace: true,
     };
     let serial = run_scenarios_with(&batch, policy_for, &episode, &EvalConfig { parallelism: 1 });
-    let parallel =
-        run_scenarios_with(&batch, policy_for, &episode, &EvalConfig { parallelism: 4 });
+    let parallel = run_scenarios_with(&batch, policy_for, &episode, &EvalConfig { parallelism: 4 });
     assert_eq!(serial.len(), batch.len());
     assert_eq!(
         serial, parallel,

@@ -23,7 +23,11 @@ fn every_family_runs_a_full_stack_episode() {
             ..ProcGenConfig::default()
         });
         let spec = gen.generate(900 + i as u64);
-        assert_eq!(spec.family.kind(), kind, "generator honors the pinned family");
+        assert_eq!(
+            spec.family.kind(),
+            kind,
+            "generator honors the pinned family"
+        );
 
         let scenario = spec.build();
         let model = IlModel::untrained(ActionCodec::default(), config.bev, 1);
@@ -37,7 +41,11 @@ fn every_family_runs_a_full_stack_episode() {
                 record_trace: true,
             },
         );
-        assert!(!result.trace.is_empty(), "{}: episode produced no frames", kind.name());
+        assert!(
+            !result.trace.is_empty(),
+            "{}: episode produced no frames",
+            kind.name()
+        );
 
         let metrics = eval::drain_episode_metrics(&mut policy, &result);
         let traced = gear_reversals(&result.trace) as u64;

@@ -34,7 +34,10 @@ fn plan_and_validate(seed: u64) {
     }
     // the endgame reaches the bay
     let last = path.poses.last().unwrap();
-    assert!(last.distance(&scenario.map.goal_pose()) < 0.5, "seed {seed}");
+    assert!(
+        last.distance(&scenario.map.goal_pose()) < 0.5,
+        "seed {seed}"
+    );
 }
 
 #[test]
@@ -61,8 +64,7 @@ fn smoothing_keeps_scenario_paths_safe() {
     assert_eq!(smoothed.poses.len(), raw.poses.len());
     // smoothing must not shove the path into obstacles
     for pose in &smoothed.poses {
-        let fp = VehicleState::at_rest(*pose)
-            .footprint(&scenario.vehicle_params);
+        let fp = VehicleState::at_rest(*pose).footprint(&scenario.vehicle_params);
         for o in &obstacles {
             assert!(!o.intersects(&fp), "smoothed path collides at {pose}");
         }

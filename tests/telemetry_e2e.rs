@@ -61,7 +61,10 @@ fn merged_metrics_are_identical_at_any_parallelism() {
                 &episode,
                 &EvalConfig::with_parallelism(workers),
             );
-            assert_eq!(serial_results, results, "{method}: results diverged at {workers}");
+            assert_eq!(
+                serial_results, results,
+                "{method}: results diverged at {workers}"
+            );
             assert!(
                 serial_metrics.deterministic_eq(&metrics),
                 "{method}: merged telemetry diverged at parallelism {workers}"
@@ -104,13 +107,19 @@ fn traced_episode_ndjson_reparses_and_matches_counters() {
             Some("frame") => {
                 frame_events += 1;
                 assert!(v.get("mode").and_then(serde_json::Value::as_str).is_some());
-                assert!(v.get("total_us").and_then(serde_json::Value::as_f64).is_some());
+                assert!(v
+                    .get("total_us")
+                    .and_then(serde_json::Value::as_f64)
+                    .is_some());
                 if v.get("solve").is_some() {
                     solve_events += 1;
                 }
             }
             Some("episode") => {
-                assert!(v.get("outcome").and_then(serde_json::Value::as_str).is_some());
+                assert!(v
+                    .get("outcome")
+                    .and_then(serde_json::Value::as_str)
+                    .is_some());
             }
             other => panic!("unexpected event tag {other:?}: {line}"),
         }
