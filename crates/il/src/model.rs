@@ -91,14 +91,23 @@ impl std::str::FromStr for IlPrecision {
     }
 }
 
-/// The calibrated int8 lane: compiled network plus its reusable scratch
-/// and logits tensor (allocation-free after the first frame, like the
-/// f32 lane's buffers).
-#[derive(Debug, Clone)]
-struct QuantState {
-    net: QuantizedNetwork,
-    scratch: QuantScratch,
+/// Everything [`IlModel::infer_batch_with`] writes: activation buffers,
+/// the batched-logits tensor and the int8 lane's byte buffers. A model
+/// shared read-only between threads needs one per thread. Sized on
+/// first use and reused verbatim afterwards, so steady-state batches
+/// allocate only their results.
+#[derive(Debug, Clone, Default)]
+pub struct IlScratch {
+    buffers: InferBuffers,
     out: Tensor,
+    quant: QuantScratch,
+}
+
+impl IlScratch {
+    /// Empty scratch; the buffers are sized lazily on first use.
+    pub fn new() -> Self {
+        IlScratch::default()
+    }
 }
 
 /// A trained IL model: network weights plus the action codec and the BEV
@@ -128,10 +137,9 @@ pub struct IlModel {
     /// performs no heap allocation (not persisted).
     #[serde(skip)]
     buffers: InferBuffers,
-    /// Reusable batched-logits tensor for [`IlModel::infer_batch`] (not
-    /// persisted).
+    /// Reusable buffers for [`IlModel::infer_batch`] (not persisted).
     #[serde(skip)]
-    batch_out: Tensor,
+    scratch: IlScratch,
     /// Active inference precision (not persisted; serving pins one per
     /// session and re-selects it after snapshot restore).
     #[serde(skip)]
@@ -141,7 +149,79 @@ pub struct IlModel {
     /// deterministic function of the weights and the calibration frames,
     /// so restores re-run it).
     #[serde(skip)]
-    quant: Option<Box<QuantState>>,
+    quant: Option<Box<QuantizedNetwork>>,
+}
+
+/// The read-only parts of an [`IlModel`] that batched inference uses,
+/// borrowed apart from the model's own scratch so one body serves
+/// [`IlModel::infer_batch`] and [`IlModel::infer_batch_with`].
+struct ModelRef<'a> {
+    network: &'a Network,
+    quant: Option<&'a QuantizedNetwork>,
+    codec: &'a ActionCodec,
+    size: usize,
+}
+
+impl ModelRef<'_> {
+    /// The stacked batch through the `precision` lane into `scratch`,
+    /// then a row-wise softmax and argmax decode. The int8 lane processes
+    /// samples independently, as the f32 lane does, so on either lane
+    /// row `i` is bit-identical to a single-image call.
+    fn infer_batch(
+        &self,
+        precision: IlPrecision,
+        images: &[&BevImage],
+        scratch: &mut IlScratch,
+    ) -> Vec<InferResult> {
+        assert!(!images.is_empty(), "infer_batch needs at least one image");
+        let size = self.size;
+        let samples: Vec<&[f32]> = images
+            .iter()
+            .map(|image| {
+                assert_eq!(image.size, size, "BEV image size does not match the model");
+                image.data.as_slice()
+            })
+            .collect();
+        let shape = [BevImage::CHANNELS, size, size];
+        match precision {
+            IlPrecision::F32 => self.network.forward_batch_into(
+                &samples,
+                &shape,
+                &mut scratch.buffers,
+                &mut scratch.out,
+            ),
+            IlPrecision::Int8 => self
+                .quant
+                .expect("int8 precision requires calibrate_int8")
+                .forward_batch_into(
+                    &samples,
+                    &shape,
+                    &mut scratch.buffers,
+                    &mut scratch.quant,
+                    &mut scratch.out,
+                ),
+        }
+        softmax_in_place(&mut scratch.out);
+        let classes = self.codec.num_classes();
+        scratch.out.data()[..images.len() * classes]
+            .chunks_exact(classes)
+            .map(|row| {
+                let probs: Vec<f64> = row.iter().map(|&v| v as f64).collect();
+                // Last maximal index, matching `Tensor::argmax_rows` tie-breaking.
+                let mut class = 0;
+                for (j, &p) in row.iter().enumerate() {
+                    if p >= row[class] {
+                        class = j;
+                    }
+                }
+                InferResult {
+                    action: self.codec.decode(class),
+                    class,
+                    probs,
+                }
+            })
+            .collect()
+    }
 }
 
 impl IlModel {
@@ -153,7 +233,7 @@ impl IlModel {
             bev,
             input: Tensor::default(),
             buffers: InferBuffers::new(),
-            batch_out: Tensor::default(),
+            scratch: IlScratch::new(),
             precision: IlPrecision::F32,
             quant: None,
         }
@@ -214,12 +294,10 @@ impl IlModel {
                     .expect("BEV frame reshapes")
             })
             .collect();
-        let net = QuantizedNetwork::calibrate(&self.network, &tensors);
-        self.quant = Some(Box::new(QuantState {
-            net,
-            scratch: QuantScratch::new(),
-            out: Tensor::default(),
-        }));
+        self.quant = Some(Box::new(QuantizedNetwork::calibrate(
+            &self.network,
+            &tensors,
+        )));
     }
 
     /// Whether the int8 lane has been calibrated.
@@ -251,13 +329,13 @@ impl IlModel {
     /// The calibrated per-logit absolute error tolerance of the int8
     /// lane, when calibrated.
     pub fn quant_error_bound(&self) -> Option<f32> {
-        self.quant.as_ref().map(|q| q.net.logit_error_bound())
+        self.quant.as_ref().map(|q| q.logit_error_bound())
     }
 
     /// Per-logit absolute errors observed during int8 calibration
     /// (ascending), when calibrated.
     pub fn quant_calibration_errors(&self) -> Option<&[f32]> {
-        self.quant.as_ref().map(|q| q.net.calibration_errors())
+        self.quant.as_ref().map(|q| q.calibration_errors())
     }
 
     /// Runs inference on one BEV image through the active precision lane
@@ -274,7 +352,7 @@ impl IlModel {
     pub fn infer(&mut self, image: &BevImage) -> InferResult {
         if self.precision == IlPrecision::Int8 {
             return self
-                .infer_batch_int8(&[image])
+                .infer_batch(&[image])
                 .pop()
                 .expect("one result per image");
         }
@@ -312,96 +390,46 @@ impl IlModel {
     /// alone, and the conformance harness (`batched_single_il`) holds
     /// the two paths to exactly that standard.
     ///
+    /// Runs [`IlModel::infer_batch_with`] at the active precision on the
+    /// model's own scratch.
+    ///
     /// # Panics
     ///
     /// Panics on an empty batch or when any image's geometry differs
     /// from the model's [`BevConfig`].
     pub fn infer_batch(&mut self, images: &[&BevImage]) -> Vec<InferResult> {
-        assert!(!images.is_empty(), "infer_batch needs at least one image");
-        if self.precision == IlPrecision::Int8 {
-            return self.infer_batch_int8(images);
-        }
-        let size = self.bev.size;
-        let samples: Vec<&[f32]> = images
-            .iter()
-            .map(|image| {
-                assert_eq!(image.size, size, "BEV image size does not match the model");
-                image.data.as_slice()
-            })
-            .collect();
-        self.network.forward_batch_into(
-            &samples,
-            &[BevImage::CHANNELS, size, size],
-            &mut self.buffers,
-            &mut self.batch_out,
-        );
-        softmax_in_place(&mut self.batch_out);
-        let classes = self.codec.num_classes();
-        let mut results = Vec::with_capacity(images.len());
-        for i in 0..images.len() {
-            let row = &self.batch_out.data()[i * classes..(i + 1) * classes];
-            let probs: Vec<f64> = row.iter().map(|&v| v as f64).collect();
-            // Last maximal index, matching `Tensor::argmax_rows` tie-breaking.
-            let mut class = 0;
-            for (j, &p) in row.iter().enumerate() {
-                if p >= row[class] {
-                    class = j;
-                }
-            }
-            results.push(InferResult {
-                action: self.codec.decode(class),
-                class,
-                probs,
-            });
-        }
-        results
+        let model = ModelRef {
+            network: &self.network,
+            quant: self.quant.as_deref(),
+            codec: &self.codec,
+            size: self.bev.size,
+        };
+        model.infer_batch(self.precision, images, &mut self.scratch)
     }
 
-    /// The int8 lane: quantized batched logits, then the same softmax +
-    /// argmax decode as the f32 lane. Row `i` of a batch is bit-identical
-    /// to a single-image int8 call — the quantized pipeline processes
-    /// samples independently, so the batching contract carries over.
-    fn infer_batch_int8(&mut self, images: &[&BevImage]) -> Vec<InferResult> {
-        assert!(!images.is_empty(), "infer_batch needs at least one image");
-        let q = self
-            .quant
-            .as_mut()
-            .expect("int8 precision requires calibrate_int8");
-        let size = self.bev.size;
-        let samples: Vec<&[f32]> = images
-            .iter()
-            .map(|image| {
-                assert_eq!(image.size, size, "BEV image size does not match the model");
-                image.data.as_slice()
-            })
-            .collect();
-        q.net.forward_batch_into(
-            &samples,
-            &[BevImage::CHANNELS, size, size],
-            &mut self.buffers,
-            &mut q.scratch,
-            &mut q.out,
-        );
-        softmax_in_place(&mut q.out);
-        let classes = self.codec.num_classes();
-        let mut results = Vec::with_capacity(images.len());
-        for i in 0..images.len() {
-            let row = &q.out.data()[i * classes..(i + 1) * classes];
-            let probs: Vec<f64> = row.iter().map(|&v| v as f64).collect();
-            // Last maximal index, matching `Tensor::argmax_rows` tie-breaking.
-            let mut class = 0;
-            for (j, &p) in row.iter().enumerate() {
-                if p >= row[class] {
-                    class = j;
-                }
-            }
-            results.push(InferResult {
-                action: self.codec.decode(class),
-                class,
-                probs,
-            });
-        }
-        results
+    /// [`IlModel::infer_batch`] on a model shared read-only: `precision`
+    /// picks the lane and `scratch` takes every write, so threads that
+    /// each bring their own scratch can run one model at once. Rows are
+    /// bit-identical to [`IlModel::infer_batch`] at that precision.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty batch, when any image's geometry differs from
+    /// the model's [`BevConfig`], or on [`IlPrecision::Int8`] before
+    /// [`IlModel::calibrate_int8`].
+    pub fn infer_batch_with(
+        &self,
+        precision: IlPrecision,
+        images: &[&BevImage],
+        scratch: &mut IlScratch,
+    ) -> Vec<InferResult> {
+        let model = ModelRef {
+            network: &self.network,
+            quant: self.quant.as_deref(),
+            codec: &self.codec,
+            size: self.bev.size,
+        };
+        model.infer_batch(precision, images, scratch)
     }
 
     /// Runs inference through the reference (allocating) forward pass.
@@ -594,6 +622,25 @@ mod tests {
         let batched = m.infer_batch(&refs);
         for (i, b) in batched.iter().enumerate() {
             assert_eq!(*b, m.infer(&images[i]), "int8 batch row {i}");
+        }
+    }
+
+    #[test]
+    fn shared_model_batches_match_the_owned_path_bitwise() {
+        let mut m = IlModel::untrained(ActionCodec::default(), BevConfig::default(), 13);
+        let images = noisy_images(5, 2);
+        let refs: Vec<&BevImage> = images.iter().collect();
+        m.calibrate_int8(&refs);
+        let mut scratch = IlScratch::new();
+        for precision in [IlPrecision::F32, IlPrecision::Int8] {
+            m.set_precision(precision);
+            let owned = m.infer_batch(&refs);
+            // twice, so the second call runs on grown buffers
+            for _ in 0..2 {
+                assert_eq!(m.infer_batch_with(precision, &refs, &mut scratch), owned);
+            }
+            let single = m.infer_batch_with(precision, &refs[3..4], &mut scratch);
+            assert_eq!(single[0], owned[3], "{precision:?} row 3 alone");
         }
     }
 

@@ -1,22 +1,31 @@
 //! The serving engine: N shard threads owning disjoint session sets,
-//! each micro-batching its own IL lane, all feeding one deadline-ordered
-//! CO worker pool.
+//! each ticking its IL frames on itself plus a few tick helpers, all
+//! feeding one deadline-ordered CO worker pool.
 //!
 //! Threading model: sessions are pinned to shards by consistent hashing
 //! on the session id ([`ShardRouter`]), and each shard thread owns its
 //! session table outright — commands arrive over a per-shard mpsc
-//! channel, so session state is never behind a lock. A session whose
-//! frame needs a CO solve is *moved* (world, HSA window, warm-start
-//! memory and all) into the lane job; the worker replies to the client
-//! directly and mails the session back to its home shard as a
-//! [`Command::CoDone`]. Requests that land while a session is in flight
-//! are deferred and replayed in arrival order when it returns.
+//! channel, so session state is never behind a lock. A tick drains the
+//! queued step requests and moves their sessions out of the table; the
+//! shard keeps one contiguous chunk of rows and hands each of its tick
+//! helpers another, and every thread runs its chunk's whole IL frame
+//! (sense, CNN, HSA, safety projection, world step, reply) on sessions
+//! it owns for the moment. Helpers are spawned once with their shard
+//! and park between ticks; a shard has `available_parallelism() /
+//! shards - 1` of them, so with as many shards as cores none. A session
+//! whose frame needs a CO solve is *moved* (world, HSA window,
+//! warm-start memory and all) into the lane job; the worker replies to
+//! the client directly and mails the session back to its home shard as
+//! a [`Command::CoDone`]. Requests that land while a session is out —
+//! in the current tick or on the lane — are deferred and replayed in
+//! arrival order when it returns.
 //!
-//! Shard assignment is invisible to the computation: shards share no
-//! per-session state, so trajectories are bit-identical at any shard
-//! count. Checkpoint/restore rides the same command loop — a snapshot
-//! is taken between frames on the owning shard, and a restore may land
-//! on any shard of any process.
+//! Shard and chunk assignment are invisible to the computation: sessions
+//! share no state and a CNN row is bit-identical at any batch width, so
+//! trajectories are bit-identical at any shard or thread count.
+//! Checkpoint/restore rides the same command loop — a snapshot is taken
+//! between frames on the owning shard, and a restore may land on any
+//! shard of any process.
 
 use crate::queue::DeadlineQueue;
 use crate::session::{ServeError, Session, SessionSnapshot, SessionSpec, StepResponse};
@@ -26,7 +35,7 @@ use crate::ServeConfig;
 use icoil_adapt::{SafetyProjector, WeightStore};
 use icoil_co::CoOutput;
 use icoil_hsa::{HsaDecision, Mode};
-use icoil_il::{IlModel, IlPrecision, InferResult};
+use icoil_il::{IlModel, IlPrecision, IlScratch, InferResult};
 use icoil_perception::{BevImage, Perception, Sensing};
 use icoil_telemetry::{Counter, Metrics, Series};
 use icoil_vehicle::Action;
@@ -76,34 +85,6 @@ enum Command {
         shed: bool,
     },
     Shutdown,
-}
-
-impl Command {
-    /// Answers a command's reply channel with an error — how deferred
-    /// commands are settled when their session vanishes mid-flight.
-    fn reject(self, err: ServeError) {
-        match self {
-            Command::Create { reply, .. } => {
-                let _ = reply.send(Err(err));
-            }
-            Command::Step { reply, .. } => {
-                let _ = reply.send(Err(err));
-            }
-            Command::Close { reply, .. } => {
-                let _ = reply.send(Err(err));
-            }
-            Command::Snapshot { reply, .. } => {
-                let _ = reply.send(Err(err));
-            }
-            Command::Evict { reply, .. } => {
-                let _ = reply.send(Err(err));
-            }
-            Command::Restore { reply, .. } => {
-                let _ = reply.send(Err(err));
-            }
-            Command::Metrics { .. } | Command::CoDone { .. } | Command::Shutdown => {}
-        }
-    }
 }
 
 /// A CO-lane work item: the session itself plus everything its solve
@@ -256,17 +237,238 @@ fn calibrate_model(config: &ServeConfig, model: &mut IlModel) {
     model.calibrate_int8(&refs);
 }
 
-/// A step request drained from the channel, sensed and awaiting the IL
-/// micro-batch.
-struct PendingStep {
+/// The safety projection for IL-mode actions, when
+/// `config.icoil.safety.enabled`.
+fn safety_projector(config: &ServeConfig) -> Option<SafetyProjector> {
+    config
+        .icoil
+        .safety
+        .enabled
+        .then(|| SafetyProjector::new(config.icoil.safety))
+}
+
+/// Threads one shard's tick runs on: the cores split evenly between the
+/// shards, at least one. With as many shards as cores, each shard ticks
+/// on its own thread alone.
+fn tick_threads(shards: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    (cores / shards).max(1)
+}
+
+/// A step request drained into the current tick. Its session is out of
+/// the table and counted in flight until the tick lands it, so a command
+/// for it that arrives meanwhile is deferred.
+struct Drained {
     session: Session,
-    sensing: Sensing,
     reply: Reply<StepResponse>,
     t0: Instant,
 }
 
+/// A drained step whose HSA decision is CO, handed back to the shard
+/// for the lane.
+struct CoRow {
+    session: Session,
+    sensing: Sensing,
+    hsa: HsaDecision,
+    reply: Reply<StepResponse>,
+    t0: Instant,
+}
+
+/// The weight generations a tick's rows pin, by version: materialized,
+/// and int8-calibrated where a row needs it, before the tick forks.
+type TickModels = Vec<(u32, Arc<IlModel>)>;
+
+/// A tick helper's share of a tick.
+struct Chunk {
+    rows: Vec<Drained>,
+    models: TickModels,
+}
+
+/// What a helper hands back for a chunk.
+struct ChunkDone {
+    /// Sessions whose frame finished on the IL lane, in row order.
+    landed: Vec<Session>,
+    /// CO-mode rows, in row order.
+    co: Vec<CoRow>,
+    /// What the chunk recorded.
+    metrics: Metrics,
+}
+
+/// The shard's ends of one tick helper's channels. Only the helper
+/// holds the sender of `done`, so a helper that dies hangs it up and
+/// the shard's wait on it returns instead of blocking.
+struct Helper {
+    jobs: Sender<Chunk>,
+    done: Receiver<ChunkDone>,
+}
+
+/// A tick helper: parks on its job channel and runs each chunk its shard
+/// hands it on its own scratch, until the shard hangs up. Returns how
+/// many chunks it ran.
+fn helper_loop(config: ServeConfig, jobs: Receiver<Chunk>, done: Sender<ChunkDone>) -> usize {
+    let projector = safety_projector(&config);
+    let mut scratch = IlScratch::new();
+    let mut ran = 0;
+    while let Ok(Chunk { rows, models }) = jobs.recv() {
+        let mut metrics = Metrics::new();
+        let (landed, co) = run_chunk(
+            rows,
+            &models,
+            projector.as_ref(),
+            &mut scratch,
+            &mut metrics,
+        );
+        // let go of the weights before the shard sees the chunk done, so
+        // it can calibrate a generation in place without copying it
+        drop(models);
+        ran += 1;
+        let chunk = ChunkDone {
+            landed,
+            co,
+            metrics,
+        };
+        if done.send(chunk).is_err() {
+            break;
+        }
+    }
+    ran
+}
+
+/// Splits `rows` into `parts` contiguous chunks whose sizes differ by at
+/// most one, the larger ones first.
+fn split_balanced<T>(mut rows: Vec<T>, parts: usize) -> Vec<Vec<T>> {
+    let (base, extra) = (rows.len() / parts, rows.len() % parts);
+    let mut chunks: Vec<Vec<T>> = (0..parts)
+        .rev()
+        .map(|k| rows.split_off(rows.len() - base - usize::from(k < extra)))
+        .collect();
+    chunks.reverse();
+    chunks
+}
+
+/// Runs one chunk of a tick's rows through the whole IL frame: sense,
+/// the memo check, one CNN pass per `(precision, version)` present among
+/// the fresh rows (the HSA needs the softmax on every frame regardless
+/// of mode), then the HSA decision. An IL-mode row also gets the safety
+/// projection, the world step and its reply here. Returns the sessions
+/// it finished and its CO-mode rows, both in row order.
+///
+/// A frame whose BEV image repeats its session's last inferred one bit
+/// for bit reuses that inference ([`Session::recalls_il`]) and stays out
+/// of the pass. A row's result depends on its own session alone:
+/// sessions share no state, a pass never mixes models, and a CNN row is
+/// bit-identical at any batch width. So neither the chunk a row lands
+/// in nor the rows beside it can change it.
+fn run_chunk(
+    mut rows: Vec<Drained>,
+    models: &TickModels,
+    projector: Option<&SafetyProjector>,
+    scratch: &mut IlScratch,
+    metrics: &mut Metrics,
+) -> (Vec<Session>, Vec<CoRow>) {
+    let sensings: Vec<Sensing> = rows.iter_mut().map(|r| r.session.sense()).collect();
+    let recalled: Vec<bool> = rows
+        .iter()
+        .zip(&sensings)
+        .map(|(r, s)| r.session.recalls_il(&s.bev))
+        .collect();
+    let hits = recalled.iter().filter(|&&r| r).count();
+    metrics.add(Counter::IlMemoHits, hits as u64);
+    let mut fresh: Vec<Option<InferResult>> = Vec::new();
+    fresh.resize_with(rows.len(), || None);
+    for precision in [IlPrecision::F32, IlPrecision::Int8] {
+        let mut versions: Vec<u32> = rows
+            .iter()
+            .filter(|r| r.session.precision == precision)
+            .map(|r| r.session.weight_version)
+            .collect();
+        versions.sort_unstable();
+        versions.dedup();
+        for version in versions {
+            let pinned: Vec<usize> = rows
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| {
+                    r.session.precision == precision && r.session.weight_version == version
+                })
+                .map(|(i, _)| i)
+                .collect();
+            if precision == IlPrecision::Int8 {
+                // every int8-pinned frame counts, recalled or inferred
+                metrics.add(Counter::IlFramesInt8, pinned.len() as u64);
+            }
+            let picked: Vec<usize> = pinned.into_iter().filter(|&i| !recalled[i]).collect();
+            if picked.is_empty() {
+                continue;
+            }
+            let model = models
+                .iter()
+                .find(|(v, _)| *v == version)
+                .map(|(_, m)| m)
+                .expect("the shard readies every generation its rows pin");
+            let bevs: Vec<&BevImage> = picked.iter().map(|&i| &sensings[i].bev).collect();
+            let il_results = model.infer_batch_with(precision, &bevs, scratch);
+            metrics.add(Counter::IlBatches, 1);
+            metrics.observe(Series::IlBatchSize, bevs.len() as f64);
+            for (&i, il) in picked.iter().zip(il_results) {
+                fresh[i] = Some(il);
+            }
+        }
+    }
+    let mut landed = Vec::with_capacity(rows.len());
+    let mut co = Vec::new();
+    for ((row, mut sensing), il) in rows.into_iter().zip(sensings).zip(fresh) {
+        let Drained {
+            mut session,
+            reply,
+            t0,
+        } = row;
+        if let Some(il) = il {
+            // the rest of the frame reads only the boxes, so the image
+            // moves into the memo rather than being copied
+            let bev = std::mem::take(&mut sensing.bev);
+            session.remember_il(bev, il);
+        }
+        let (hsa, il_action) = session.plan(&sensing);
+        match hsa.mode {
+            Mode::Il => {
+                let mut action = il_action;
+                if let Some(projector) = projector {
+                    let world = session.world();
+                    let proj = projector.project(
+                        world.ego(),
+                        &world.scenario().vehicle_params,
+                        &sensing.boxes,
+                        action,
+                    );
+                    if proj.clipped {
+                        metrics.add(Counter::SafetyProjections, 1);
+                        metrics.observe(Series::SafetyClipMag, proj.clip_magnitude);
+                    }
+                    action = proj.action;
+                }
+                let resp = session.advance(action, &hsa, None, false);
+                metrics.observe(Series::ServeIlLane, t0.elapsed().as_secs_f64());
+                // the shard lands the session before it reads another
+                // command, so replying first cannot reorder this client
+                landed.push(session);
+                let _ = reply.send(Ok(resp));
+            }
+            Mode::Co => co.push(CoRow {
+                session,
+                sensing,
+                hsa,
+                reply,
+                t0,
+            }),
+        }
+    }
+    (landed, co)
+}
+
 /// One engine shard: owns the sessions routed to it, runs their IL
-/// micro-batches, and submits their CO solves to the shared lane.
+/// frames on its own thread and its tick helpers, and submits their CO
+/// solves to the shared lane.
 struct Shard {
     config: ServeConfig,
     /// Backstop session cap (the global limit; the handle enforces it
@@ -277,24 +479,30 @@ struct Shard {
     store: Arc<WeightStore>,
     /// Generations this shard has materialized (cloned out of the
     /// store), keyed by version. A shard serving sessions pinned to
-    /// different generations holds one working copy per generation;
-    /// int8 calibration happens per copy, on the same deterministic
-    /// frame set everywhere.
-    models: HashMap<u32, IlModel>,
+    /// different generations holds one working copy per generation,
+    /// which its tick helpers share read-only; int8 calibration happens
+    /// per copy, on the same deterministic frame set everywhere.
+    models: HashMap<u32, Arc<IlModel>>,
     /// Safety projection for IL-mode actions, present only when
     /// `config.icoil.safety.enabled`.
     projector: Option<SafetyProjector>,
+    /// The shard thread's inference scratch (each helper has its own).
+    scratch: IlScratch,
+    /// The tick helpers a tick forks onto, besides the shard thread.
+    helpers: Vec<Helper>,
     rx: Receiver<Command>,
     /// This shard's own command sender — workers mail sessions home
     /// through a clone carried in each [`CoJob`].
     home: Sender<Command>,
     lane: Arc<Lane>,
     sessions: HashMap<u64, Session>,
+    /// Sessions out of the table: drained into the current tick or on
+    /// the CO lane.
     in_flight: HashSet<u64>,
     /// Commands against in-flight sessions, replayed in arrival order
     /// when the session lands.
     deferred: HashMap<u64, VecDeque<Command>>,
-    pending_close: HashMap<u64, Vec<Reply<()>>>,
+    /// Landed sessions' deferred commands, taken before the channel.
     backlog: VecDeque<Command>,
     metrics: Metrics,
     shutting_down: bool,
@@ -306,9 +514,12 @@ struct Shard {
 
 impl Shard {
     fn run(mut self) {
+        // up to `max_batch` rows per tick thread, so no chunk's CNN pass
+        // is wider than `max_batch`
+        let window = (self.helpers.len() + 1) * self.config.max_batch;
         loop {
             // one blocking command starts the tick; everything already
-            // queued behind it joins the same IL micro-batch
+            // queued behind it joins the same tick
             let first = match self.backlog.pop_front() {
                 Some(cmd) => cmd,
                 None => match self.rx.recv() {
@@ -316,16 +527,16 @@ impl Shard {
                     Err(_) => break,
                 },
             };
-            let mut steps: Vec<PendingStep> = Vec::new();
-            self.dispatch(first, &mut steps);
-            while steps.len() < self.config.max_batch {
-                match self.rx.try_recv() {
-                    Ok(cmd) => self.dispatch(cmd, &mut steps),
-                    Err(_) => break,
+            let mut rows: Vec<Drained> = Vec::new();
+            self.dispatch(first, &mut rows);
+            while rows.len() < window {
+                match self.backlog.pop_front().or_else(|| self.rx.try_recv().ok()) {
+                    Some(cmd) => self.dispatch(cmd, &mut rows),
+                    None => break,
                 }
             }
-            if !steps.is_empty() {
-                self.run_batch(steps);
+            if !rows.is_empty() {
+                self.run_tick(rows);
             }
             if self.shutting_down && self.in_flight.is_empty() {
                 break;
@@ -333,7 +544,7 @@ impl Shard {
         }
     }
 
-    fn dispatch(&mut self, cmd: Command, steps: &mut Vec<PendingStep>) {
+    fn dispatch(&mut self, cmd: Command, rows: &mut Vec<Drained>) {
         match cmd {
             Command::Create { id, spec, reply } => {
                 if self.shutting_down {
@@ -357,10 +568,10 @@ impl Shard {
                     return;
                 }
                 if self.in_flight.contains(&id) {
-                    self.defer(Command::Step { id, reply });
+                    self.defer(id, Command::Step { id, reply });
                     return;
                 }
-                let Some(mut session) = self.sessions.remove(&id) else {
+                let Some(session) = self.sessions.remove(&id) else {
                     let _ = reply.send(Err(ServeError::UnknownSession(id)));
                     return;
                 };
@@ -370,18 +581,16 @@ impl Shard {
                     let _ = reply.send(Ok(resp));
                     return;
                 }
-                let t0 = Instant::now();
-                let sensing = session.sense();
-                steps.push(PendingStep {
+                self.in_flight.insert(id);
+                rows.push(Drained {
                     session,
-                    sensing,
                     reply,
-                    t0,
+                    t0: Instant::now(),
                 });
             }
             Command::Close { id, reply } => {
                 if self.in_flight.contains(&id) {
-                    self.pending_close.entry(id).or_default().push(reply);
+                    self.defer(id, Command::Close { id, reply });
                 } else if self.sessions.remove(&id).is_some() {
                     let _ = reply.send(Ok(()));
                 } else {
@@ -390,7 +599,7 @@ impl Shard {
             }
             Command::Snapshot { id, reply } => {
                 if self.in_flight.contains(&id) {
-                    self.defer(Command::Snapshot { id, reply });
+                    self.defer(id, Command::Snapshot { id, reply });
                 } else if let Some(session) = self.sessions.get(&id) {
                     self.metrics.add(Counter::ServeSnapshots, 1);
                     let _ = reply.send(Ok(encode_snapshot(&session.snapshot())));
@@ -400,7 +609,7 @@ impl Shard {
             }
             Command::Evict { id, reply } => {
                 if self.in_flight.contains(&id) {
-                    self.defer(Command::Evict { id, reply });
+                    self.defer(id, Command::Evict { id, reply });
                 } else if let Some(session) = self.sessions.remove(&id) {
                     self.metrics.add(Counter::ServeSnapshots, 1);
                     self.metrics.add(Counter::ServeEvictions, 1);
@@ -445,8 +654,6 @@ impl Shard {
                 latency_s,
                 shed,
             } => {
-                let id = session.id;
-                self.in_flight.remove(&id);
                 self.metrics.observe(Series::ServeCoLane, latency_s);
                 if shed {
                     self.metrics.add(Counter::CoShed, 1);
@@ -454,24 +661,7 @@ impl Shard {
                         self.metrics.add(Counter::CO_SHED_BY_FAMILY[f], 1);
                     }
                 }
-                if let Some(replies) = self.pending_close.remove(&id) {
-                    // the client closed the session mid-flight: drop it
-                    for r in replies {
-                        let _ = r.send(Ok(()));
-                    }
-                    if let Some(queue) = self.deferred.remove(&id) {
-                        for cmd in queue {
-                            cmd.reject(ServeError::UnknownSession(id));
-                        }
-                    }
-                    return;
-                }
-                self.sessions.insert(id, *session);
-                if let Some(mut queue) = self.deferred.remove(&id) {
-                    while let Some(cmd) = queue.pop_front() {
-                        self.backlog.push_back(cmd);
-                    }
-                }
+                self.land(*session);
             }
             Command::Shutdown => {
                 self.shutting_down = true;
@@ -479,14 +669,21 @@ impl Shard {
         }
     }
 
-    fn defer(&mut self, cmd: Command) {
-        let id = match &cmd {
-            Command::Step { id, .. } | Command::Snapshot { id, .. } | Command::Evict { id, .. } => {
-                *id
-            }
-            _ => unreachable!("only id-keyed commands are deferred"),
-        };
+    /// Holds a command for an in-flight session until it lands.
+    fn defer(&mut self, id: u64, cmd: Command) {
         self.deferred.entry(id).or_default().push_back(cmd);
+    }
+
+    /// Puts a session whose frame is done (in a tick or on the CO lane)
+    /// back in the table, and queues the commands that waited for it, in
+    /// arrival order, ahead of the channel.
+    fn land(&mut self, session: Session) {
+        let id = session.id;
+        self.in_flight.remove(&id);
+        self.sessions.insert(id, session);
+        if let Some(queue) = self.deferred.remove(&id) {
+            self.backlog.extend(queue);
+        }
     }
 
     /// Materializes a weight generation into this shard's working set.
@@ -503,7 +700,8 @@ impl Shard {
         if !self.models.is_empty() {
             self.metrics.add(Counter::WeightSwaps, 1);
         }
-        self.models.insert(version, generation.model.clone());
+        self.models
+            .insert(version, Arc::new(generation.model.clone()));
     }
 
     /// Readies generation `version` for the int8 lane on this shard.
@@ -517,7 +715,9 @@ impl Shard {
         self.ensure_model(version);
         let model = self.models.get_mut(&version).expect("materialized above");
         if !model.is_calibrated() {
-            calibrate_model(&self.config, model);
+            // between ticks no helper holds the generation, so this
+            // calibrates the shard's one copy in place
+            calibrate_model(&self.config, Arc::make_mut(model));
         }
         if !self.quant_err_recorded {
             self.quant_err_recorded = true;
@@ -529,164 +729,157 @@ impl Shard {
         }
     }
 
-    /// One shard tick over the drained step requests: a single blocked
-    /// IL pass over the pending frames (the HSA needs the softmax on
-    /// every frame regardless of mode), then per-session HSA decisions —
-    /// IL-mode frames finish inline, CO-mode frames go to the lane.
-    ///
-    /// A frame whose BEV image repeats its session's last inferred one
-    /// bit for bit reuses that inference ([`Session::recalls_il`]) and
-    /// stays out of the pass. The rest split into one sub-batch per
-    /// `(precision, version)` pair present, since sessions pin both
-    /// (each sub-batch counted as its own `IlBatches` entry); a tick of
-    /// all-f32 sessions on one generation runs at most one pass.
-    /// Batching stays bit-identical per row because rows never cross
-    /// models.
-    fn run_batch(&mut self, steps: Vec<PendingStep>) {
-        let recalled: Vec<bool> = steps
+    /// Materializes every generation the rows pin, int8-calibrated where
+    /// an int8 row pins it, and hands out shared references to them.
+    /// A row that will reuse its memo pins a generation this shard has
+    /// already readied (the memo came from an inference here), so
+    /// readying every pinned one does exactly what readying only the
+    /// inferred rows' ones would.
+    fn ready_models(&mut self, rows: &[Drained]) -> TickModels {
+        let mut pins: Vec<(u32, bool)> = rows
             .iter()
-            .map(|s| s.session.recalls_il(&s.sensing.bev))
+            .map(|r| {
+                (
+                    r.session.weight_version,
+                    r.session.precision == IlPrecision::Int8,
+                )
+            })
             .collect();
-        let hits = recalled.iter().filter(|&&r| r).count();
-        self.metrics.add(Counter::IlMemoHits, hits as u64);
-        let mut fresh: Vec<Option<InferResult>> = Vec::new();
-        fresh.resize_with(steps.len(), || None);
-        for precision in [IlPrecision::F32, IlPrecision::Int8] {
-            let mut versions: Vec<u32> = steps
-                .iter()
-                .filter(|s| s.session.precision == precision)
-                .map(|s| s.session.weight_version)
-                .collect();
-            versions.sort_unstable();
-            versions.dedup();
-            for version in versions {
-                let rows: Vec<usize> = steps
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| {
-                        s.session.precision == precision && s.session.weight_version == version
-                    })
-                    .map(|(i, _)| i)
-                    .collect();
-                if precision == IlPrecision::Int8 {
-                    // every int8-pinned frame counts, recalled or inferred
-                    self.metrics.add(Counter::IlFramesInt8, rows.len() as u64);
-                }
-                let picked: Vec<usize> = rows.into_iter().filter(|&i| !recalled[i]).collect();
-                if picked.is_empty() {
-                    continue;
-                }
-                if precision == IlPrecision::Int8 {
-                    self.ensure_calibrated(version);
-                } else {
-                    self.ensure_model(version);
-                }
-                let model = self.models.get_mut(&version).expect("materialized above");
-                model.set_precision(precision);
-                let bevs: Vec<&BevImage> = picked.iter().map(|&i| &steps[i].sensing.bev).collect();
-                let il_results = model.infer_batch(&bevs);
-                self.metrics.add(Counter::IlBatches, 1);
-                self.metrics.observe(Series::IlBatchSize, bevs.len() as f64);
-                for (&i, il) in picked.iter().zip(il_results) {
-                    fresh[i] = Some(il);
-                }
+        pins.sort_unstable();
+        pins.dedup();
+        for &(version, int8) in &pins {
+            if int8 {
+                self.ensure_calibrated(version);
+            } else {
+                self.ensure_model(version);
             }
         }
-        for (mut step, il) in steps.into_iter().zip(fresh) {
-            if let Some(il) = il {
-                // the rest of the frame reads only the boxes, so the
-                // image moves into the memo rather than being copied
-                let bev = std::mem::take(&mut step.sensing.bev);
-                step.session.remember_il(bev, il);
+        pins.dedup_by_key(|&mut (version, _)| version);
+        pins.into_iter()
+            .map(|(version, _)| (version, Arc::clone(&self.models[&version])))
+            .collect()
+    }
+
+    /// One shard tick over the drained step requests. The shard readies
+    /// the rows' generations, hands each helper a balanced, contiguous
+    /// chunk and runs the first chunk itself ([`run_chunk`]); with fewer
+    /// rows than threads, each row is a chunk. Once every chunk is back
+    /// it merges their metrics, lands the IL-mode sessions and submits
+    /// the CO-mode rows to the lane, in row order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a helper has died. Its hung-up channel ends the wait,
+    /// so the shard goes down as a panic in its own chunk takes it down,
+    /// and every client it still owes a reply sees `Disconnected`.
+    fn run_tick(&mut self, rows: Vec<Drained>) {
+        let models = self.ready_models(&rows);
+        let threads = (self.helpers.len() + 1).min(rows.len());
+        let mut chunks = split_balanced(rows, threads).into_iter();
+        let own = chunks.next().expect("a tick has at least one row");
+        let forked = chunks.len();
+        for (helper, rows) in self.helpers.iter().zip(chunks) {
+            let chunk = Chunk {
+                rows,
+                models: models.clone(),
+            };
+            if helper.jobs.send(chunk).is_err() {
+                panic!("a tick helper died");
             }
-            let (hsa, il_action) = step.session.plan(&step.sensing);
-            match hsa.mode {
-                Mode::Il => {
-                    let mut action = il_action;
-                    if let Some(projector) = &self.projector {
-                        let world = step.session.world();
-                        let proj = projector.project(
-                            world.ego(),
-                            &world.scenario().vehicle_params,
-                            &step.sensing.boxes,
-                            action,
-                        );
-                        if proj.clipped {
-                            self.metrics.add(Counter::SafetyProjections, 1);
-                            self.metrics
-                                .observe(Series::SafetyClipMag, proj.clip_magnitude);
-                        }
-                        action = proj.action;
-                    }
-                    let resp = step.session.advance(action, &hsa, None, false);
-                    self.metrics
-                        .observe(Series::ServeIlLane, step.t0.elapsed().as_secs_f64());
-                    self.sessions.insert(step.session.id, step.session);
-                    let _ = step.reply.send(Ok(resp));
+        }
+        let mut done = Vec::with_capacity(threads);
+        done.push(run_chunk(
+            own,
+            &models,
+            self.projector.as_ref(),
+            &mut self.scratch,
+            &mut self.metrics,
+        ));
+        for helper in &self.helpers[..forked] {
+            let chunk = helper.done.recv().expect("a tick helper died mid-chunk");
+            self.metrics.merge(&chunk.metrics);
+            done.push((chunk.landed, chunk.co));
+        }
+        for (landed, co) in done {
+            for session in landed {
+                self.land(session);
+            }
+            for row in co {
+                self.submit_co(row);
+            }
+        }
+    }
+
+    /// Submits a CO-mode row to the lane; its session stays in flight
+    /// until the worker mails it home. When the queue is full the frame
+    /// sheds here instead, and the session lands at once.
+    fn submit_co(&mut self, row: CoRow) {
+        let CoRow {
+            session,
+            sensing,
+            hsa,
+            reply,
+            t0,
+        } = row;
+        let family = session.family_index();
+        self.metrics
+            .observe(Series::CoQueueDepth, self.lane.len() as f64);
+        let job = Box::new(CoJob {
+            session: Box::new(session),
+            sensing,
+            hsa,
+            reply,
+            t0,
+            deadline: Instant::now() + self.config.co_deadline,
+            home: self.home.clone(),
+        });
+        match self.lane.submit(job) {
+            Ok(()) => {
+                self.metrics.add(Counter::CoAdmitted, 1);
+                if let Some(f) = family {
+                    self.metrics.add(Counter::CO_ADMITTED_BY_FAMILY[f], 1);
                 }
-                Mode::Co => {
-                    let id = step.session.id;
-                    let family = step.session.family_index();
-                    self.metrics
-                        .observe(Series::CoQueueDepth, self.lane.len() as f64);
-                    let job = Box::new(CoJob {
-                        session: Box::new(step.session),
-                        sensing: step.sensing,
-                        hsa,
-                        reply: step.reply,
-                        t0: step.t0,
-                        deadline: Instant::now() + self.config.co_deadline,
-                        home: self.home.clone(),
-                    });
-                    match self.lane.submit(job) {
-                        Ok(()) => {
-                            self.metrics.add(Counter::CoAdmitted, 1);
-                            if let Some(f) = family {
-                                self.metrics.add(Counter::CO_ADMITTED_BY_FAMILY[f], 1);
-                            }
-                            self.in_flight.insert(id);
-                        }
-                        Err(job) => {
-                            // admission control: the queue is full, shed
-                            // now rather than block the shard
-                            let CoJob {
-                                mut session,
-                                hsa,
-                                reply,
-                                t0,
-                                ..
-                            } = *job;
-                            let out = CoOutput::degraded_brake();
-                            let resp = session.advance(out.action, &hsa, Some(&out), true);
-                            self.metrics.add(Counter::CoShed, 1);
-                            if let Some(f) = family {
-                                self.metrics.add(Counter::CO_SHED_BY_FAMILY[f], 1);
-                            }
-                            self.metrics
-                                .observe(Series::ServeCoLane, t0.elapsed().as_secs_f64());
-                            self.sessions.insert(id, *session);
-                            let _ = reply.send(Ok(resp));
-                        }
-                    }
+            }
+            Err(job) => {
+                // admission control: the queue is full, shed now rather
+                // than block the shard
+                let CoJob {
+                    mut session,
+                    hsa,
+                    reply,
+                    t0,
+                    ..
+                } = *job;
+                let out = CoOutput::degraded_brake();
+                let resp = session.advance(out.action, &hsa, Some(&out), true);
+                self.metrics.add(Counter::CoShed, 1);
+                if let Some(f) = family {
+                    self.metrics.add(Counter::CO_SHED_BY_FAMILY[f], 1);
                 }
+                self.metrics
+                    .observe(Series::ServeCoLane, t0.elapsed().as_secs_f64());
+                self.land(*session);
+                let _ = reply.send(Ok(resp));
             }
         }
     }
 }
 
-/// A running policy server: owns the shard and worker threads. Dropping
-/// (or calling [`Serve::shutdown`]) drains in-flight solves, stops the
-/// workers and joins everything.
+/// A running policy server: owns the shard, tick-helper and worker
+/// threads. Dropping (or calling [`Serve::shutdown`]) drains in-flight
+/// solves, stops the workers and joins everything.
 pub struct Serve {
     handle: ServeHandle,
     shards: Vec<JoinHandle<()>>,
+    /// Tick helpers; each returns how many chunks it ran.
+    helpers: Vec<JoinHandle<usize>>,
     workers: Vec<JoinHandle<()>>,
     lane: Arc<Lane>,
 }
 
 impl Serve {
-    /// Starts the shard and CO worker threads with `model` as the sole
-    /// (generation-0) entry of a fresh weight store.
+    /// Starts the shard, tick-helper and CO worker threads with `model`
+    /// as the sole (generation-0) entry of a fresh weight store.
     ///
     /// # Panics
     ///
@@ -701,8 +894,9 @@ impl Serve {
         Serve::start_with_store(config, Arc::new(WeightStore::new(model)))
     }
 
-    /// Starts the shard and CO worker threads against an existing
-    /// versioned weight store — the online-adaptation entry point.
+    /// Starts the shard, tick-helper and CO worker threads against an
+    /// existing versioned weight store — the online-adaptation entry
+    /// point.
     ///
     /// Each session pins [`WeightStore::published`] at creation for its
     /// whole episode; publishing a retrained generation to `store`
@@ -710,10 +904,24 @@ impl Serve {
     /// Shards materialize (and, for the int8 lane, calibrate) each
     /// generation lazily the first time one of their sessions needs it.
     ///
+    /// Each shard ticks on `available_parallelism() / shards` threads,
+    /// at least one: its own plus that many less one tick helpers.
+    ///
     /// # Panics
     ///
     /// Panics when a thread cannot be spawned.
     pub fn start_with_store(config: ServeConfig, store: Arc<WeightStore>) -> Serve {
+        let threads = tick_threads(config.shards.max(1));
+        Serve::start_ticking_on(config, store, threads)
+    }
+
+    /// [`Serve::start_with_store`] with each shard ticking on `threads`
+    /// threads (at least one).
+    pub(crate) fn start_ticking_on(
+        config: ServeConfig,
+        store: Arc<WeightStore>,
+        threads: usize,
+    ) -> Serve {
         let lane = Arc::new(Lane::new(config.queue_capacity));
         let workers = (0..config.co_workers.max(1))
             .map(|i| {
@@ -731,25 +939,36 @@ impl Serve {
         let limit = config.max_sessions;
         let mut txs = Vec::with_capacity(shard_count);
         let mut shards = Vec::with_capacity(shard_count);
+        let mut helper_threads = Vec::new();
         for i in 0..shard_count {
+            let helpers = (1..threads)
+                .map(|j| {
+                    let (jobs, job_rx) = channel();
+                    let (done_tx, done) = channel();
+                    helper_threads.push(
+                        std::thread::Builder::new()
+                            .name(format!("icoil-serve-{i}-tick-{j}"))
+                            .spawn(move || helper_loop(config, job_rx, done_tx))
+                            .expect("spawn tick helper"),
+                    );
+                    Helper { jobs, done }
+                })
+                .collect();
             let (tx, rx) = channel();
             let shard = Shard {
                 config,
                 limit,
                 store: Arc::clone(&store),
                 models: HashMap::new(),
-                projector: config
-                    .icoil
-                    .safety
-                    .enabled
-                    .then(|| SafetyProjector::new(config.icoil.safety)),
+                projector: safety_projector(&config),
+                scratch: IlScratch::new(),
+                helpers,
                 rx,
                 home: tx.clone(),
                 lane: Arc::clone(&lane),
                 sessions: HashMap::new(),
                 in_flight: HashSet::new(),
                 deferred: HashMap::new(),
-                pending_close: HashMap::new(),
                 backlog: VecDeque::new(),
                 metrics: Metrics::new(),
                 shutting_down: false,
@@ -774,6 +993,7 @@ impl Serve {
                 store,
             },
             shards,
+            helpers: helper_threads,
             workers,
             lane,
         }
@@ -785,14 +1005,23 @@ impl Serve {
     }
 
     /// Stops accepting work, drains in-flight CO solves, and joins the
-    /// shard and worker threads.
+    /// shard, tick-helper and worker threads.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
-    fn stop(&mut self) {
+    /// [`Serve::shutdown`], returning how many tick chunks the helpers
+    /// ran.
+    #[cfg(test)]
+    pub(crate) fn shutdown_counting_helper_chunks(mut self) -> usize {
+        self.stop()
+    }
+
+    /// Stops and joins everything; returns how many chunks the tick
+    /// helpers ran.
+    fn stop(&mut self) -> usize {
         if self.shards.is_empty() {
-            return;
+            return 0;
         }
         for tx in self.handle.txs.iter() {
             let _ = tx.send(Command::Shutdown);
@@ -800,14 +1029,21 @@ impl Serve {
         // a shard exits only once its in-flight set is empty, i.e. every
         // one of its lane jobs has come home — so after joining all
         // shards the lane is drained and the workers park on the
-        // (now-closed) condvar
+        // (now-closed) condvar. A shard that exits, or dies, hangs up
+        // its helpers' job channels, which ends them.
         for shard in self.shards.drain(..) {
             let _ = shard.join();
         }
+        let chunks = self
+            .helpers
+            .drain(..)
+            .map(|helper| helper.join().unwrap_or(0))
+            .sum();
         self.lane.close();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
+        chunks
     }
 }
 
@@ -904,8 +1140,9 @@ impl ServeHandle {
 
     /// Steps many sessions "concurrently" from one caller: all requests
     /// are enqueued before any reply is awaited, so same-shard sessions
-    /// land in the same engine tick and share one IL micro-batch.
-    /// Results are in input order.
+    /// land in the same engine tick, whose threads split them into IL
+    /// micro-batches. Results are in input order; an id listed twice is
+    /// stepped twice, in that order.
     pub fn step_many(&self, ids: &[u64]) -> Vec<Result<StepResponse, ServeError>> {
         let receivers: Vec<_> = ids
             .iter()
@@ -929,8 +1166,9 @@ impl ServeHandle {
             .collect()
     }
 
-    /// Closes a session, releasing its state. A session in flight on
-    /// the CO lane is released as soon as its solve lands.
+    /// Closes a session, releasing its state. A session that is out of
+    /// its shard's table — in the current tick or on the CO lane — is
+    /// released when it lands, after the commands sent before the close.
     ///
     /// # Errors
     ///
@@ -1050,5 +1288,175 @@ impl ServeHandle {
                     .map_err(|_| ServeError::Disconnected)
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SessionConfig;
+    use icoil_hsa::HsaConfig;
+    use icoil_perception::BevConfig;
+    use icoil_vehicle::ActionCodec;
+    use std::time::Duration;
+
+    /// An untrained model: its near-uniform softmax keeps the HSA
+    /// uncertainty high, so sessions go to CO once the guard lets them.
+    fn untrained(seed: u64) -> IlModel {
+        IlModel::untrained(ActionCodec::default(), BevConfig::default(), seed)
+    }
+
+    fn seeded(seed: u64) -> SessionSpec {
+        SessionSpec::Seeded(SessionConfig {
+            difficulty: Difficulty::Easy,
+            seed,
+        })
+    }
+
+    /// Sessions start on IL and switch to CO after an 8-frame guard, so
+    /// a run serves both lanes; safety projection is on, deadlines
+    /// never shed, and batches of 2 make every tick thread's window
+    /// count.
+    fn mixed_config() -> ServeConfig {
+        let mut config = ServeConfig {
+            co_deadline: Duration::from_secs(60),
+            max_batch: 2,
+            ..ServeConfig::default()
+        };
+        config.icoil.hsa = HsaConfig {
+            initial_mode: Mode::Il,
+            guard_time: 8,
+            ..HsaConfig::default()
+        };
+        config.icoil.safety.enabled = true;
+        config
+    }
+
+    /// Serves one fleet on one shard ticking on `threads` threads: f32
+    /// and int8 sessions on two published generations (the int8 ones
+    /// restored from snapshots into this f32-default server), 14 frames
+    /// each, with one session evicted and restored halfway. Returns
+    /// every session's response stream and how many chunks the helpers
+    /// ran.
+    fn serve_mixed_fleet(threads: usize) -> (Vec<Vec<StepResponse>>, usize) {
+        let config = mixed_config();
+        let int8 = ServeConfig {
+            il_precision: IlPrecision::Int8,
+            ..config
+        };
+        let store = Arc::new(WeightStore::new(untrained(1)));
+        let server = Serve::start_ticking_on(config, Arc::clone(&store), threads);
+        let handle = server.handle();
+        let mut ids = Vec::new();
+        for seed in [11, 12] {
+            ids.push(handle.create(seeded(seed)).expect("create on generation 0"));
+        }
+        assert_eq!(store.publish(untrained(2), 0), 1);
+        for seed in [13, 14] {
+            ids.push(handle.create(seeded(seed)).expect("create on generation 1"));
+        }
+        for (id, seed, version) in [(100, 15, 0), (101, 16, 1)] {
+            let snapshot = Session::new(id, &int8, &seeded(seed), version).snapshot();
+            ids.push(
+                handle
+                    .restore(&encode_snapshot(&snapshot))
+                    .expect("restore an int8 session"),
+            );
+        }
+        let mut streams = vec![Vec::new(); ids.len()];
+        for frame in 0..14 {
+            if frame == 7 {
+                let bytes = handle.evict(ids[4]).expect("evict");
+                assert_eq!(handle.restore(&bytes), Ok(ids[4]));
+            }
+            for (stream, result) in streams.iter_mut().zip(handle.step_many(&ids)) {
+                stream.push(result.expect("step"));
+            }
+        }
+        (streams, server.shutdown_counting_helper_chunks())
+    }
+
+    #[test]
+    fn split_ticks_serve_the_same_streams_at_any_thread_count() {
+        let (one, chunks_one) = serve_mixed_fleet(1);
+        let modes: HashSet<&str> = one.iter().flatten().map(|r| r.mode.as_str()).collect();
+        assert!(
+            modes.contains("IL") && modes.contains("CO"),
+            "the fleet must serve both lanes, got {modes:?}"
+        );
+        assert!(one.iter().flatten().all(|r| !r.shed));
+        assert_eq!(chunks_one, 0, "one tick thread has no helpers");
+        for threads in [2, 3] {
+            let (split, chunks) = serve_mixed_fleet(threads);
+            assert_eq!(one, split, "{threads} tick threads");
+            assert!(
+                chunks > 0,
+                "the helpers of {threads} tick threads ran no chunk"
+            );
+        }
+    }
+
+    #[test]
+    fn commands_behind_a_drained_step_wait_their_turn() {
+        for threads in [1, 2] {
+            let store = Arc::new(WeightStore::new(untrained(1)));
+            let server = Serve::start_ticking_on(mixed_config(), store, threads);
+            let handle = server.handle();
+            let id = handle.create(seeded(21)).expect("create");
+            let first = handle.step(id).expect("step");
+            // queued back to back, so the shard usually drains them all
+            // into one tick; every order of arrival must reply the same
+            let tx = handle.tx_for(id);
+            let (reply, step_a) = channel();
+            tx.send(Command::Step { id, reply }).unwrap();
+            let (reply, snapshot) = channel();
+            tx.send(Command::Snapshot { id, reply }).unwrap();
+            let (reply, step_b) = channel();
+            tx.send(Command::Step { id, reply }).unwrap();
+            let (reply, close) = channel();
+            tx.send(Command::Close { id, reply }).unwrap();
+            let (reply, step_c) = channel();
+            tx.send(Command::Step { id, reply }).unwrap();
+            let a = step_a.recv().unwrap().expect("the first queued step");
+            let bytes = snapshot.recv().unwrap().expect("the snapshot");
+            let b = step_b.recv().unwrap().expect("the second queued step");
+            assert_eq!(close.recv().unwrap(), Ok(()));
+            assert_eq!(step_c.recv().unwrap(), Err(ServeError::UnknownSession(id)));
+            assert_eq!((a.frame, b.frame), (first.frame + 1, first.frame + 2));
+            let snapshot: SessionSnapshot = decode_snapshot(&bytes).expect("snapshot decodes");
+            assert_eq!(snapshot.world.frame(), a.frame, "{threads} tick threads");
+            server.shutdown();
+        }
+    }
+
+    #[test]
+    fn a_panicking_chunk_disconnects_its_clients_without_a_hang() {
+        for threads in [1, 2] {
+            let mut config = ServeConfig::default();
+            // the model expects 32 × 32 images: every CNN pass asserts
+            config.icoil.bev.size = 40;
+            let store = Arc::new(WeightStore::new(untrained(1)));
+            let server = Serve::start_ticking_on(config, store, threads);
+            let handle = server.handle();
+            let ids: Vec<u64> = (0..4)
+                .map(|k| handle.create(seeded(30 + k)).expect("create"))
+                .collect();
+            for result in handle.step_many(&ids) {
+                assert_eq!(
+                    result,
+                    Err(ServeError::Disconnected),
+                    "{threads} tick threads"
+                );
+            }
+            server.shutdown();
+        }
+    }
+
+    #[test]
+    fn split_balanced_keeps_rows_in_order_in_near_equal_chunks() {
+        let chunks = split_balanced((0..8).collect::<Vec<u32>>(), 3);
+        assert_eq!(chunks, vec![vec![0, 1, 2], vec![3, 4, 5], vec![6, 7]]);
+        assert_eq!(split_balanced(vec![1u32, 2], 2), vec![vec![1], vec![2]]);
+        assert_eq!(split_balanced(vec![5u32], 1), vec![vec![5]]);
     }
 }

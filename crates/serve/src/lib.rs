@@ -19,14 +19,20 @@
 //!   see [`icoil_adapt::ContainerError`] for the typed rejection set), and
 //!   [`ServeHandle::restore`] resumes it — on any shard, at any shard
 //!   count, in any process — with a bit-identical remaining trajectory.
-//! * **Micro-batched IL lane** — each engine tick drains all pending
-//!   step requests, stacks their BEV images and runs one blocked
-//!   [`icoil_nn::Network::forward_batch_into`] pass. Batching is
-//!   bit-identical per row to single-sample inference, so per-session
-//!   trajectories do not depend on who else is being served. With
+//! * **Micro-batched IL lane** — each engine tick drains the pending
+//!   step requests and splits them into contiguous chunks across the
+//!   shard thread and its tick helpers, so a shard no longer runs every
+//!   frame on its own thread: with `available_parallelism() / shards`
+//!   tick threads, the cores a shard would leave idle run frames too.
+//!   Each thread senses its rows, stacks their BEV images and runs one
+//!   blocked [`icoil_nn::Network::forward_batch_into`] pass, then the
+//!   rest of each IL frame. Batching is bit-identical per row to
+//!   single-sample inference and sessions share no state, so
+//!   per-session trajectories depend neither on who else is being
+//!   served nor on which thread served them. With
 //!   [`ServeConfig::il_precision`] set to `Int8` the lane runs the
 //!   calibrated quantized network instead; sessions pin their precision
-//!   at creation (snapshots carry it), and a tick serving both kinds
+//!   at creation (snapshots carry it), and a chunk serving both kinds
 //!   splits into one sub-batch per precision. A frame whose image
 //!   repeats, bit for bit, the one its session last inferred reuses
 //!   that result and stays out of the batch.
@@ -47,8 +53,9 @@
 //! its own `(difficulty, seed)` as long as none of its frames are shed
 //! — batch composition cannot change IL rows (bit-identical batching),
 //! and each CO solve runs alone on session-local state wherever the
-//! worker happens to be scheduled. Sharding adds nothing to this list —
-//! shards share no per-session state — and checkpoint/restore removes
+//! worker happens to be scheduled. Sharding and the split tick add
+//! nothing to this list — shards and tick threads share no per-session
+//! state — and checkpoint/restore removes
 //! nothing: a snapshot carries every bit of episode state the next
 //! frame reads (the IL memo is a cache whose reuse equals re-inference,
 //! so a restored session just infers again). `scripts/check.sh` holds
@@ -91,7 +98,9 @@ pub struct ServeConfig {
     /// every shard serves the identical quantized network.
     pub il_precision: IlPrecision,
     /// Engine shard threads; sessions are consistent-hashed across them
-    /// by id. `1` reproduces the single-engine behaviour exactly.
+    /// by id. `1` reproduces the single-engine behaviour exactly. Each
+    /// shard's tick runs on `available_parallelism() / shards` threads
+    /// (at least one): its own and that many less one tick helpers.
     pub shards: usize,
     /// Worker threads draining the CO lane (shared by all shards).
     pub co_workers: usize,
@@ -100,7 +109,9 @@ pub struct ServeConfig {
     /// Per-request CO deadline: a queued request still unserved past it
     /// is shed by the worker that pops it.
     pub co_deadline: Duration,
-    /// Most step requests drained into one IL micro-batch.
+    /// Most rows in one IL micro-batch (one CNN pass). A shard tick
+    /// drains up to `max_batch` step requests per tick thread and hands
+    /// each thread a contiguous chunk of them, so no chunk is wider.
     pub max_batch: usize,
     /// Most concurrently live sessions; creation beyond it is refused.
     /// Enforced globally at the handle *before* routing, so the limit

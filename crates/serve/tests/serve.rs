@@ -102,6 +102,31 @@ fn snapshot_config(shards: usize) -> ServeConfig {
 }
 
 #[test]
+fn a_session_stepped_twice_in_one_call_advances_twice() {
+    let server = Serve::start(snapshot_config(1), test_model());
+    let handle = server.handle();
+    let spec = SessionConfig {
+        difficulty: Difficulty::Easy,
+        seed: 808,
+    };
+    let id = handle.create(spec).expect("create");
+    let twin = handle.create(spec).expect("create twin");
+    // both requests reach the shard before it replies to either, so
+    // the second usually lands in the tick that drained the first
+    for round in 0..5 {
+        let pair = handle.step_many(&[id, id]);
+        let singles = [handle.step(twin), handle.step(twin)];
+        for (k, (paired, single)) in pair.into_iter().zip(singles).enumerate() {
+            let mut paired = paired.unwrap_or_else(|e| panic!("round {round} step {k}: {e}"));
+            let single = single.expect("single step");
+            paired.session = single.session;
+            assert_eq!(paired, single, "round {round} step {k}");
+        }
+    }
+    server.shutdown();
+}
+
+#[test]
 fn restored_session_replays_bit_identically() {
     // reference: one uninterrupted session
     let server = Serve::start(snapshot_config(1), test_model());

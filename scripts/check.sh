@@ -63,6 +63,8 @@
 # ICOIL_FORCE_SCALAR=1 so retraining on the scalar kernels meets the
 # same contract. Override the fuzz case count with ICOIL_FUZZ_CASES,
 # e.g. `ICOIL_FUZZ_CASES=200 scripts/check.sh` for the full local sweep.
+# The rustfmt step checks every package under crates/ and the umbrella
+# package (vendor/ and perfbench/ keep their own layout).
 # The `cargo test` steps count the suites they run (one `test result:`
 # line each, doc tests included) and the gate fails when fewer than
 # MIN_TEST_SUITES ran, so a crate or test target that silently drops out
@@ -78,6 +80,9 @@ count_suites() {
     suites=$((suites + $(grep -c '^test result:' "$log" || true)))
 }
 
+cargo fmt -p icoil -p icoil-adapt -p icoil-bench -p icoil-co -p icoil-conformance -p icoil-core \
+    -p icoil-geom -p icoil-hsa -p icoil-il -p icoil-nn -p icoil-perception -p icoil-planner \
+    -p icoil-serve -p icoil-solver -p icoil-telemetry -p icoil-vehicle -p icoil-world -- --check
 cargo build --release
 count_suites cargo test -q
 count_suites cargo test -q -p icoil-solver -p icoil-co -p icoil-nn -p icoil-perception -p icoil-telemetry -p icoil-adapt -p icoil-serve \
