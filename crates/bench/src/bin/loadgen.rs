@@ -22,7 +22,11 @@
 //!    engine shards with the *offered load scaled by the shard count*
 //!    (a flat load would leave added shards idle and remeasure the
 //!    1-shard rate), recording sessions/sec and the mean per-shard IL
-//!    micro-batch width at each point;
+//!    micro-batch width at each point. One point's stepping loop lasts
+//!    well under a second, so each point is timed on
+//!    [`SWEEP_REPEATS`] fresh servers serving the same sessions; the
+//!    report keeps the medians and the console line prints each rate's
+//!    min and max beside it;
 //! 6. **Adapt phase** — the online-adaptation flywheel on the hard
 //!    family tail (`parallel_curb`, `dead_end_stub`, `crowded_lot`):
 //!    a fixed evaluation scenario set served three times against a
@@ -63,6 +67,33 @@ use icoil_vehicle::ActionCodec;
 use icoil_world::{Difficulty, MapFamilyKind, ProcGen, ProcGenConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Fresh servers each shard-sweep point is timed on.
+const SWEEP_REPEATS: usize = 5;
+
+/// The median, min and max of a few samples.
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(mut samples: Vec<f64>) -> Spread {
+        samples.sort_by(f64::total_cmp);
+        let n = samples.len();
+        let median = if n % 2 == 1 {
+            samples[n / 2]
+        } else {
+            (samples[n / 2 - 1] + samples[n / 2]) / 2.0
+        };
+        Spread {
+            median,
+            min: samples[0],
+            max: samples[n - 1],
+        }
+    }
+}
 
 fn env_size(key: &str, default: u64) -> u64 {
     std::env::var(key)
@@ -196,8 +227,8 @@ fn main() {
     // same number of ticks, and the sweep flatlines at the 1-shard rate.
     let sweep_sessions = env_size("ICOIL_SERVE_SWEEP_SESSIONS", 2000);
     let sweep_frames = env_size("ICOIL_SERVE_SWEEP_FRAMES", 8);
-    let mut sweep_rates = [0.0_f64; 4];
-    let mut sweep_batch_means = [0.0_f64; 4];
+    let mut sweep_rates = Vec::with_capacity(4);
+    let mut sweep_batch_means = Vec::with_capacity(4);
     for (slot, shards) in [1usize, 2, 4, 8].into_iter().enumerate() {
         let offered = sweep_sessions * shards as u64;
         // the cap is enforced globally at the handle, so offered load
@@ -207,21 +238,27 @@ fn main() {
             max_sessions: offered as usize,
             ..il_config
         };
-        let (sweep_metrics, sweep_secs) = run_phase(
-            sweep_config,
-            offered,
-            sweep_frames,
-            9300 + slot as u64 * 10_000,
-        );
-        sweep_rates[slot] = offered as f64 / sweep_secs;
-        // each shard records the width of its own micro-batches, so the
-        // merged histogram's mean is the per-shard mean batch width
-        sweep_batch_means[slot] = sweep_metrics.series(Series::IlBatchSize).mean();
-        assert_eq!(
-            sweep_metrics.counter(Counter::ServeSessions),
-            offered,
-            "sweep at {shards} shard(s) lost sessions"
-        );
+        let mut rates = Vec::with_capacity(SWEEP_REPEATS);
+        let mut batch_means = Vec::with_capacity(SWEEP_REPEATS);
+        for _ in 0..SWEEP_REPEATS {
+            let (sweep_metrics, sweep_secs) = run_phase(
+                sweep_config,
+                offered,
+                sweep_frames,
+                9300 + slot as u64 * 10_000,
+            );
+            rates.push(offered as f64 / sweep_secs);
+            // each shard records the width of its own micro-batches, so
+            // the merged histogram's mean is the per-shard mean batch width
+            batch_means.push(sweep_metrics.series(Series::IlBatchSize).mean());
+            assert_eq!(
+                sweep_metrics.counter(Counter::ServeSessions),
+                offered,
+                "sweep at {shards} shard(s) lost sessions"
+            );
+        }
+        sweep_rates.push(Spread::of(rates));
+        sweep_batch_means.push(Spread::of(batch_means).median);
     }
 
     // phase 6: online adaptation — the DAgger flywheel on the hard
@@ -296,10 +333,10 @@ fn main() {
         batch_size_max: batches.max(),
         shed_rate_low: shed_rate(&co_metrics),
         shed_rate_overload: shed_rate(&overload_metrics),
-        sweep_sessions_per_sec_s1: sweep_rates[0],
-        sweep_sessions_per_sec_s2: sweep_rates[1],
-        sweep_sessions_per_sec_s4: sweep_rates[2],
-        sweep_sessions_per_sec_s8: sweep_rates[3],
+        sweep_sessions_per_sec_s1: sweep_rates[0].median,
+        sweep_sessions_per_sec_s2: sweep_rates[1].median,
+        sweep_sessions_per_sec_s4: sweep_rates[2].median,
+        sweep_sessions_per_sec_s8: sweep_rates[3].median,
         sweep_batch_mean_s1: sweep_batch_means[0],
         sweep_batch_mean_s2: sweep_batch_means[1],
         sweep_batch_mean_s4: sweep_batch_means[2],
@@ -407,16 +444,17 @@ fn main() {
         report.adapt_safety_projections,
         report.adapt_collisions,
     );
+    let rates: Vec<String> = sweep_rates
+        .iter()
+        .map(|r| format!("{:.0} [{:.0}, {:.0}]", r.median, r.min, r.max))
+        .collect();
     println!(
         "shard sweep: {} sessions/shard x {} frames (IL lane, load scaled by shard count) | \
-         sessions/s at 1/2/4/8 shards: {:.0}/{:.0}/{:.0}/{:.0} | \
-         mean per-shard batch width: {:.1}/{:.1}/{:.1}/{:.1}",
+         sessions/s at 1/2/4/8 shards, median [min, max] of {SWEEP_REPEATS} servers: {} | \
+         median mean per-shard batch width: {:.1}/{:.1}/{:.1}/{:.1}",
         report.sweep_sessions,
         report.sweep_frames,
-        report.sweep_sessions_per_sec_s1,
-        report.sweep_sessions_per_sec_s2,
-        report.sweep_sessions_per_sec_s4,
-        report.sweep_sessions_per_sec_s8,
+        rates.join(" / "),
         report.sweep_batch_mean_s1,
         report.sweep_batch_mean_s2,
         report.sweep_batch_mean_s4,

@@ -2,9 +2,12 @@
 //!
 //! Holds the serving engine to its determinism contract end to end:
 //!
-//! * 8 concurrent sessions × 50 frames through the in-process
-//!   [`icoil_serve::ServeHandle`], comfortably provisioned — zero sheds
-//!   allowed;
+//! * 8 concurrent sessions × 50 `step_many` calls through the
+//!   in-process [`icoil_serve::ServeHandle`], comfortably provisioned —
+//!   zero sheds allowed. Every call lists one session twice (a
+//!   different one each call), so a call's second step of a session
+//!   waits for its first and every comparison below covers that
+//!   deferral too;
 //! * the full response streams (every pose, action, HSA value, bit for
 //!   bit) must be identical between a 1-worker and a 4-worker server,
 //!   and between a 1-shard and a 4-shard engine: neither worker
@@ -29,12 +32,15 @@ use icoil_serve::{Serve, ServeConfig, SessionConfig, StepResponse};
 use icoil_telemetry::Counter;
 use icoil_vehicle::ActionCodec;
 use icoil_world::Difficulty;
+use std::ops::Range;
 use std::process::ExitCode;
 use std::time::Duration;
 
 const SESSIONS: usize = 8;
-const FRAMES: usize = 50;
-/// Frame at which the kill-snapshot-restore cycle interrupts every
+/// `step_many` calls per run; a session listed twice in a call steps
+/// two frames in it.
+const CALLS: usize = 50;
+/// Call at which the kill-snapshot-restore cycle interrupts every
 /// session: late enough that warm starts and HSA windows carry real
 /// state, early enough to leave a meaningful remainder to replay.
 const KILL_AT: usize = 20;
@@ -69,17 +75,22 @@ fn create_all(handle: &icoil_serve::ServeHandle) -> Result<Vec<u64>, String> {
         .collect()
 }
 
+/// Makes one `step_many` call over every session per index `c` in
+/// `calls`, listing session `c mod SESSIONS` a second time at its end,
+/// and appends each session's responses to its stream in order.
 fn step_all(
     handle: &icoil_serve::ServeHandle,
     ids: &[u64],
     streams: &mut [Vec<StepResponse>],
-    frames: usize,
+    calls: Range<usize>,
     what: &str,
 ) -> Result<(), String> {
-    for frame in 0..frames {
-        for (i, result) in handle.step_many(ids).into_iter().enumerate() {
-            let resp =
-                result.map_err(|e| format!("{what}: step frame {frame} session {i}: {e}"))?;
+    for call in calls {
+        let twice = call % ids.len();
+        let listed = (0..ids.len()).chain([twice]);
+        let stepped: Vec<u64> = listed.clone().map(|i| ids[i]).collect();
+        for (i, result) in listed.zip(handle.step_many(&stepped)) {
+            let resp = result.map_err(|e| format!("{what}: step call {call} session {i}: {e}"))?;
             streams[i].push(resp);
         }
     }
@@ -104,7 +115,7 @@ fn run_once(shards: usize, co_workers: usize) -> Result<Vec<Vec<StepResponse>>, 
     let handle = server.handle();
     let ids = create_all(&handle)?;
     let mut streams: Vec<Vec<StepResponse>> = vec![Vec::new(); SESSIONS];
-    step_all(&handle, &ids, &mut streams, FRAMES, "uninterrupted run")?;
+    step_all(&handle, &ids, &mut streams, 0..CALLS, "uninterrupted run")?;
     no_sheds(&handle, "uninterrupted run")?;
     server.shutdown();
     Ok(streams)
@@ -119,7 +130,7 @@ fn run_interrupted() -> Result<Vec<Vec<StepResponse>>, String> {
     let handle = server.handle();
     let ids = create_all(&handle)?;
     let mut streams: Vec<Vec<StepResponse>> = vec![Vec::new(); SESSIONS];
-    step_all(&handle, &ids, &mut streams, KILL_AT, "pre-kill run")?;
+    step_all(&handle, &ids, &mut streams, 0..KILL_AT, "pre-kill run")?;
     let snapshots: Vec<Vec<u8>> = ids
         .iter()
         .enumerate()
@@ -146,7 +157,7 @@ fn run_interrupted() -> Result<Vec<Vec<StepResponse>>, String> {
         &handle,
         &ids,
         &mut streams,
-        FRAMES - KILL_AT,
+        KILL_AT..CALLS,
         "post-restore run",
     )?;
     no_sheds(&handle, "post-restore run")?;
@@ -183,9 +194,9 @@ fn run() -> Result<(), String> {
         }
     }
     println!(
-        "serve smoke ({} IL lane): {SESSIONS} sessions x {FRAMES} frames bit-identical \
-         across 1 vs 4 CO workers, 1 vs 4 shards, and a \
-         kill-snapshot-restore cycle at frame {KILL_AT}; zero sheds",
+        "serve smoke ({} IL lane): {SESSIONS} sessions x {CALLS} calls (one session \
+         listed twice per call) bit-identical across 1 vs 4 CO workers, 1 vs 4 shards, \
+         and a kill-snapshot-restore cycle at call {KILL_AT}; zero sheds",
         IlPrecision::from_env().label()
     );
     Ok(())

@@ -275,7 +275,9 @@ pub struct ServeReport {
     /// Shed fraction of CO requests in the overload phase (must be > 0 —
     /// the lane degraded instead of blocking).
     pub shed_rate_overload: f64,
-    /// Sessions/sec of the shard-scaling sweep at 1 engine shard.
+    /// Sessions/sec of the shard-scaling sweep at 1 engine shard: the
+    /// median over the fresh servers each sweep point is timed on (as
+    /// are the other sweep fields).
     #[serde(default)]
     pub sweep_sessions_per_sec_s1: f64,
     /// Sessions/sec of the shard-scaling sweep at 2 engine shards.

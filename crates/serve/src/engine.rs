@@ -5,13 +5,15 @@
 //! Threading model: sessions are pinned to shards by consistent hashing
 //! on the session id ([`ShardRouter`]), and each shard thread owns its
 //! session table outright — commands arrive over a per-shard mpsc
-//! channel, so session state is never behind a lock. A tick drains the
-//! queued step requests and moves their sessions out of the table; the
-//! shard keeps one contiguous chunk of rows and hands each of its tick
-//! helpers another, and every thread runs its chunk's whole IL frame
-//! (sense, CNN, HSA, safety projection, world step, reply) on sessions
-//! it owns for the moment. Helpers are spawned once with their shard
-//! and park between ticks; a shard has `available_parallelism() /
+//! channel, so session state is never behind a lock. A `step_many` call
+//! sends each shard one command holding all of the call's steps for it,
+//! so they join one tick. A tick drains the queued step requests, moves
+//! their sessions out of the table and cuts the rows into contiguous
+//! guided units ([`guided_units`]); the shard and its tick helpers claim
+//! units in order from a shared cursor, and each runs a unit's whole IL
+//! frame (sense, CNN, HSA, safety projection, world step, reply) on
+//! sessions it owns for the moment. Helpers are spawned once with their
+//! shard and park between ticks; a shard has `available_parallelism() /
 //! shards - 1` of them, so with as many shards as cores none. A session
 //! whose frame needs a CO solve is *moved* (world, HSA window,
 //! warm-start memory and all) into the lane job; the worker replies to
@@ -20,9 +22,9 @@
 //! in the current tick or on the lane — are deferred and replayed in
 //! arrival order when it returns.
 //!
-//! Shard and chunk assignment are invisible to the computation: sessions
-//! share no state and a CNN row is bit-identical at any batch width, so
-//! trajectories are bit-identical at any shard or thread count.
+//! Shard, unit and thread assignment are invisible to the computation:
+//! sessions share no state and a CNN row is bit-identical at any batch
+//! width, so trajectories are bit-identical at any shard or thread count.
 //! Checkpoint/restore rides the same command loop — a snapshot is taken
 //! between frames on the owning shard, and a restore may land on any
 //! shard of any process.
@@ -59,6 +61,11 @@ enum Command {
     Step {
         id: u64,
         reply: Reply<StepResponse>,
+    },
+    /// One `step_many` call's steps for this shard, in call order. The
+    /// drain dispatches them as consecutive `Step`s.
+    StepMany {
+        steps: Vec<(u64, Reply<StepResponse>)>,
     },
     Close {
         id: u64,
@@ -278,19 +285,78 @@ struct CoRow {
 /// and int8-calibrated where a row needs it, before the tick forks.
 type TickModels = Vec<(u32, Arc<IlModel>)>;
 
-/// A tick helper's share of a tick.
-struct Chunk {
-    rows: Vec<Drained>,
+/// Cuts a tick's `rows` into contiguous guided units, in row order:
+/// each unit takes the rows not yet in a unit divided by the tick's
+/// `threads`, at least one and at most `max_batch` (0 counts as 1).
+/// Early units are wide, so few claims cover most rows; the narrow tail
+/// lets whichever thread runs out first take the last rows instead of
+/// waiting on the others.
+fn guided_units<T>(rows: Vec<T>, threads: usize, max_batch: usize) -> Vec<Vec<T>> {
+    let mut left = rows.len();
+    let mut rows = rows.into_iter();
+    let mut units = Vec::new();
+    while left > 0 {
+        let width = (left / threads).clamp(1, max_batch.max(1));
+        units.push(rows.by_ref().take(width).collect());
+        left -= width;
+    }
+    units
+}
+
+/// One tick's work, shared by the shard and the helpers it forks: the
+/// guided units, a cursor they claim them from in order, and the
+/// weights the rows run on.
+struct Tick {
+    /// Each unit's rows until a thread claims it. A lock is held only to
+    /// take a unit out, never while it runs.
+    units: Vec<Mutex<Option<Vec<Drained>>>>,
+    /// The next unit to claim; at or past `units.len()` none is left.
+    cursor: AtomicUsize,
     models: TickModels,
 }
 
-/// What a helper hands back for a chunk.
-struct ChunkDone {
+/// What one guided unit finished, tagged with its place in the tick.
+struct UnitDone {
+    unit: usize,
     /// Sessions whose frame finished on the IL lane, in row order.
     landed: Vec<Session>,
     /// CO-mode rows, in row order.
     co: Vec<CoRow>,
-    /// What the chunk recorded.
+}
+
+impl Tick {
+    /// Claims units in order until none is left and runs each through
+    /// [`run_chunk`]; returns what each finished.
+    fn run_claims(
+        &self,
+        projector: Option<&SafetyProjector>,
+        scratch: &mut IlScratch,
+        metrics: &mut Metrics,
+    ) -> Vec<UnitDone> {
+        let mut done = Vec::new();
+        loop {
+            // Relaxed: the cursor publishes no data. The rows behind a
+            // unit reach other threads through the channel send that
+            // forks the tick and the lock on the unit's slot.
+            let unit = self.cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = self.units.get(unit) else {
+                return done;
+            };
+            let rows = slot
+                .lock()
+                .expect("unit lock")
+                .take()
+                .expect("the cursor hands each unit out once");
+            let (landed, co) = run_chunk(rows, &self.models, projector, scratch, metrics);
+            done.push(UnitDone { unit, landed, co });
+        }
+    }
+}
+
+/// What a helper hands back for a tick.
+struct HelperDone {
+    units: Vec<UnitDone>,
+    /// What its units recorded.
     metrics: Metrics,
 }
 
@@ -298,67 +364,47 @@ struct ChunkDone {
 /// holds the sender of `done`, so a helper that dies hangs it up and
 /// the shard's wait on it returns instead of blocking.
 struct Helper {
-    jobs: Sender<Chunk>,
-    done: Receiver<ChunkDone>,
+    jobs: Sender<Arc<Tick>>,
+    done: Receiver<HelperDone>,
 }
 
-/// A tick helper: parks on its job channel and runs each chunk its shard
-/// hands it on its own scratch, until the shard hangs up. Returns how
-/// many chunks it ran.
-fn helper_loop(config: ServeConfig, jobs: Receiver<Chunk>, done: Sender<ChunkDone>) -> usize {
+/// A tick helper: parks on its job channel and claims units of each tick
+/// its shard forks onto it, on its own scratch, until the shard hangs
+/// up. Returns how many units it ran.
+fn helper_loop(config: ServeConfig, jobs: Receiver<Arc<Tick>>, done: Sender<HelperDone>) -> usize {
     let projector = safety_projector(&config);
     let mut scratch = IlScratch::new();
     let mut ran = 0;
-    while let Ok(Chunk { rows, models }) = jobs.recv() {
+    while let Ok(tick) = jobs.recv() {
         let mut metrics = Metrics::new();
-        let (landed, co) = run_chunk(
-            rows,
-            &models,
-            projector.as_ref(),
-            &mut scratch,
-            &mut metrics,
-        );
-        // let go of the weights before the shard sees the chunk done, so
-        // it can calibrate a generation in place without copying it
-        drop(models);
-        ran += 1;
-        let chunk = ChunkDone {
-            landed,
-            co,
-            metrics,
-        };
-        if done.send(chunk).is_err() {
+        let units = tick.run_claims(projector.as_ref(), &mut scratch, &mut metrics);
+        // let go of the tick and its weights before the shard sees this
+        // helper done, so it can calibrate a generation in place
+        // without copying it
+        drop(tick);
+        ran += units.len();
+        if done.send(HelperDone { units, metrics }).is_err() {
             break;
         }
     }
     ran
 }
 
-/// Splits `rows` into `parts` contiguous chunks whose sizes differ by at
-/// most one, the larger ones first.
-fn split_balanced<T>(mut rows: Vec<T>, parts: usize) -> Vec<Vec<T>> {
-    let (base, extra) = (rows.len() / parts, rows.len() % parts);
-    let mut chunks: Vec<Vec<T>> = (0..parts)
-        .rev()
-        .map(|k| rows.split_off(rows.len() - base - usize::from(k < extra)))
-        .collect();
-    chunks.reverse();
-    chunks
-}
-
-/// Runs one chunk of a tick's rows through the whole IL frame: sense,
-/// the memo check, one CNN pass per `(precision, version)` present among
-/// the fresh rows (the HSA needs the softmax on every frame regardless
-/// of mode), then the HSA decision. An IL-mode row also gets the safety
-/// projection, the world step and its reply here. Returns the sessions
-/// it finished and its CO-mode rows, both in row order.
+/// Runs one chunk of a tick's rows (a guided unit) through the whole IL
+/// frame: sense, the memo check, one CNN pass per `(precision, version)`
+/// present among the fresh rows (the HSA needs the softmax on every
+/// frame regardless of mode), then the HSA decision. An IL-mode row
+/// also gets the safety projection, the world step and its reply here.
+/// Returns the sessions it finished and its CO-mode rows, both in row
+/// order.
 ///
 /// A frame whose BEV image repeats its session's last inferred one bit
 /// for bit reuses that inference ([`Session::recalls_il`]) and stays out
 /// of the pass. A row's result depends on its own session alone:
 /// sessions share no state, a pass never mixes models, and a CNN row is
-/// bit-identical at any batch width. So neither the chunk a row lands
-/// in nor the rows beside it can change it.
+/// bit-identical at any batch width. So neither the unit a row lands
+/// in, nor the thread that claims it, nor the rows beside it can change
+/// it.
 fn run_chunk(
     mut rows: Vec<Drained>,
     models: &TickModels,
@@ -513,10 +559,12 @@ struct Shard {
 }
 
 impl Shard {
-    fn run(mut self) {
-        // up to `max_batch` rows per tick thread, so no chunk's CNN pass
-        // is wider than `max_batch`
-        let window = (self.helpers.len() + 1) * self.config.max_batch;
+    /// Serves commands until shutdown; returns how many ticks it ran.
+    fn run(mut self) -> usize {
+        // stop draining at `max_batch` rows per tick thread; a
+        // `step_many` call taken before then joins whole
+        let window = (self.helpers.len() + 1) * self.config.max_batch.max(1);
+        let mut ticks = 0;
         loop {
             // one blocking command starts the tick; everything already
             // queued behind it joins the same tick
@@ -537,11 +585,13 @@ impl Shard {
             }
             if !rows.is_empty() {
                 self.run_tick(rows);
+                ticks += 1;
             }
             if self.shutting_down && self.in_flight.is_empty() {
                 break;
             }
         }
+        ticks
     }
 
     fn dispatch(&mut self, cmd: Command, rows: &mut Vec<Drained>) {
@@ -587,6 +637,13 @@ impl Shard {
                     reply,
                     t0: Instant::now(),
                 });
+            }
+            Command::StepMany { steps } => {
+                // an id listed twice is in flight by its second step,
+                // which is deferred until the first lands
+                for (id, reply) in steps {
+                    self.dispatch(Command::Step { id, reply }, rows);
+                }
             }
             Command::Close { id, reply } => {
                 if self.in_flight.contains(&id) {
@@ -761,50 +818,60 @@ impl Shard {
     }
 
     /// One shard tick over the drained step requests. The shard readies
-    /// the rows' generations, hands each helper a balanced, contiguous
-    /// chunk and runs the first chunk itself ([`run_chunk`]); with fewer
-    /// rows than threads, each row is a chunk. Once every chunk is back
+    /// the rows' generations and cuts the rows into [`guided_units`];
+    /// then it forks the tick onto as many helpers as there are units
+    /// beyond the first, and it and they claim units in order until none
+    /// is left, each unit one [`run_chunk`]. Once every helper is back
     /// it merges their metrics, lands the IL-mode sessions and submits
     /// the CO-mode rows to the lane, in row order.
     ///
     /// # Panics
     ///
     /// Panics when a helper has died. Its hung-up channel ends the wait,
-    /// so the shard goes down as a panic in its own chunk takes it down,
+    /// so the shard goes down as a panic in its own unit takes it down,
     /// and every client it still owes a reply sees `Disconnected`.
     fn run_tick(&mut self, rows: Vec<Drained>) {
-        let models = self.ready_models(&rows);
-        let threads = (self.helpers.len() + 1).min(rows.len());
-        let mut chunks = split_balanced(rows, threads).into_iter();
-        let own = chunks.next().expect("a tick has at least one row");
-        let forked = chunks.len();
-        for (helper, rows) in self.helpers.iter().zip(chunks) {
-            let chunk = Chunk {
-                rows,
-                models: models.clone(),
-            };
-            if helper.jobs.send(chunk).is_err() {
+        self.metrics
+            .observe(Series::ServeTickRows, rows.len() as f64);
+        let threads = self.helpers.len() + 1;
+        let tick = Arc::new(Tick {
+            models: self.ready_models(&rows),
+            units: guided_units(rows, threads, self.config.max_batch)
+                .into_iter()
+                .map(|unit| Mutex::new(Some(unit)))
+                .collect(),
+            cursor: AtomicUsize::new(0),
+        });
+        let forked = self.helpers.len().min(tick.units.len() - 1);
+        for helper in &self.helpers[..forked] {
+            if helper.jobs.send(Arc::clone(&tick)).is_err() {
                 panic!("a tick helper died");
             }
         }
-        let mut done = Vec::with_capacity(threads);
-        done.push(run_chunk(
-            own,
-            &models,
+        let mut done = tick.run_claims(
             self.projector.as_ref(),
             &mut self.scratch,
             &mut self.metrics,
-        ));
+        );
+        // the shard's own reference goes first: once every helper has
+        // reported, no thread holds this tick's weights
+        drop(tick);
+        let joined = Instant::now();
         for helper in &self.helpers[..forked] {
-            let chunk = helper.done.recv().expect("a tick helper died mid-chunk");
-            self.metrics.merge(&chunk.metrics);
-            done.push((chunk.landed, chunk.co));
+            let helper = helper.done.recv().expect("a tick helper died mid-tick");
+            self.metrics.merge(&helper.metrics);
+            done.extend(helper.units);
         }
-        for (landed, co) in done {
-            for session in landed {
+        self.metrics.observe(
+            Series::ServeTickJoinWait,
+            joined.elapsed().as_secs_f64() * 1e6,
+        );
+        done.sort_unstable_by_key(|unit| unit.unit);
+        for unit in done {
+            for session in unit.landed {
                 self.land(session);
             }
-            for row in co {
+            for row in unit.co {
                 self.submit_co(row);
             }
         }
@@ -870,8 +937,9 @@ impl Shard {
 /// solves, stops the workers and joins everything.
 pub struct Serve {
     handle: ServeHandle,
-    shards: Vec<JoinHandle<()>>,
-    /// Tick helpers; each returns how many chunks it ran.
+    /// Shards; each returns how many ticks it ran.
+    shards: Vec<JoinHandle<usize>>,
+    /// Tick helpers; each returns how many guided units it ran.
     helpers: Vec<JoinHandle<usize>>,
     workers: Vec<JoinHandle<()>>,
     lane: Arc<Lane>,
@@ -1010,18 +1078,18 @@ impl Serve {
         self.stop();
     }
 
-    /// [`Serve::shutdown`], returning how many tick chunks the helpers
-    /// ran.
+    /// [`Serve::shutdown`], returning how many ticks the shards ran and
+    /// how many guided units their helpers ran.
     #[cfg(test)]
-    pub(crate) fn shutdown_counting_helper_chunks(mut self) -> usize {
+    pub(crate) fn shutdown_counting_ticks(mut self) -> (usize, usize) {
         self.stop()
     }
 
-    /// Stops and joins everything; returns how many chunks the tick
-    /// helpers ran.
-    fn stop(&mut self) -> usize {
+    /// Stops and joins everything; returns how many ticks the shards ran
+    /// and how many guided units their helpers ran.
+    fn stop(&mut self) -> (usize, usize) {
         if self.shards.is_empty() {
-            return 0;
+            return (0, 0);
         }
         for tx in self.handle.txs.iter() {
             let _ = tx.send(Command::Shutdown);
@@ -1031,10 +1099,12 @@ impl Serve {
         // shards the lane is drained and the workers park on the
         // (now-closed) condvar. A shard that exits, or dies, hangs up
         // its helpers' job channels, which ends them.
-        for shard in self.shards.drain(..) {
-            let _ = shard.join();
-        }
-        let chunks = self
+        let ticks = self
+            .shards
+            .drain(..)
+            .map(|shard| shard.join().unwrap_or(0))
+            .sum();
+        let units = self
             .helpers
             .drain(..)
             .map(|helper| helper.join().unwrap_or(0))
@@ -1043,7 +1113,7 @@ impl Serve {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        chunks
+        (ticks, units)
     }
 }
 
@@ -1138,30 +1208,35 @@ impl ServeHandle {
         self.request(id, |reply| Command::Step { id, reply })
     }
 
-    /// Steps many sessions "concurrently" from one caller: all requests
-    /// are enqueued before any reply is awaited, so same-shard sessions
-    /// land in the same engine tick, whose threads split them into IL
-    /// micro-batches. Results are in input order; an id listed twice is
-    /// stepped twice, in that order.
+    /// Steps many sessions "concurrently" from one caller: the ids are
+    /// grouped by shard in call order, and each shard gets one command
+    /// for its group before any reply is awaited, so all of a call's
+    /// sessions on one shard join the same engine tick, whose threads
+    /// claim them in IL micro-batches. Results are in input order; an id
+    /// listed twice is stepped twice, in that order.
     pub fn step_many(&self, ids: &[u64]) -> Vec<Result<StepResponse, ServeError>> {
+        let mut groups: Vec<Vec<(u64, Reply<StepResponse>)>> = vec![Vec::new(); self.txs.len()];
         let receivers: Vec<_> = ids
             .iter()
             .map(|&id| {
                 let (reply, rx) = channel();
-                self.tx_for(id)
-                    .send(Command::Step { id, reply })
-                    .ok()
-                    .map(|_| rx)
+                groups[self.router.route(id)].push((id, reply));
+                rx
             })
             .collect();
+        for (tx, steps) in self.txs.iter().zip(groups) {
+            if !steps.is_empty() {
+                // a shard that is gone drops the command and its reply
+                // senders with it, so those receivers read Disconnected
+                let _ = tx.send(Command::StepMany { steps });
+            }
+        }
         receivers
             .into_iter()
-            .map(|rx| match rx {
-                None => Err(ServeError::Disconnected),
-                Some(rx) => rx
-                    .recv()
+            .map(|rx| {
+                rx.recv()
                     .map_err(|_| ServeError::Disconnected)
-                    .and_then(|r| r),
+                    .and_then(|r| r)
             })
             .collect()
     }
@@ -1336,8 +1411,8 @@ mod tests {
     /// and int8 sessions on two published generations (the int8 ones
     /// restored from snapshots into this f32-default server), 14 frames
     /// each, with one session evicted and restored halfway. Returns
-    /// every session's response stream and how many chunks the helpers
-    /// ran.
+    /// every session's response stream and how many guided units the
+    /// helpers ran.
     fn serve_mixed_fleet(threads: usize) -> (Vec<Vec<StepResponse>>, usize) {
         let config = mixed_config();
         let int8 = ServeConfig {
@@ -1373,26 +1448,102 @@ mod tests {
                 stream.push(result.expect("step"));
             }
         }
-        (streams, server.shutdown_counting_helper_chunks())
+        (streams, server.shutdown_counting_ticks().1)
     }
 
     #[test]
     fn split_ticks_serve_the_same_streams_at_any_thread_count() {
-        let (one, chunks_one) = serve_mixed_fleet(1);
+        let (one, units_one) = serve_mixed_fleet(1);
         let modes: HashSet<&str> = one.iter().flatten().map(|r| r.mode.as_str()).collect();
         assert!(
             modes.contains("IL") && modes.contains("CO"),
             "the fleet must serve both lanes, got {modes:?}"
         );
         assert!(one.iter().flatten().all(|r| !r.shed));
-        assert_eq!(chunks_one, 0, "one tick thread has no helpers");
+        assert_eq!(units_one, 0, "one tick thread has no helpers");
         for threads in [2, 3] {
-            let (split, chunks) = serve_mixed_fleet(threads);
+            let (split, units) = serve_mixed_fleet(threads);
             assert_eq!(one, split, "{threads} tick threads");
             assert!(
-                chunks > 0,
-                "the helpers of {threads} tick threads ran no chunk"
+                units > 0,
+                "the helpers of {threads} tick threads ran no unit"
             );
+        }
+    }
+
+    #[test]
+    fn one_step_many_call_is_one_tick_per_shard() {
+        for threads in [1, 2] {
+            let store = Arc::new(WeightStore::new(untrained(1)));
+            // 12 rows against a drain window of 2 or 4: a call joins whole
+            let server = Serve::start_ticking_on(mixed_config(), store, threads);
+            let handle = server.handle();
+            let ids: Vec<u64> = (0..12)
+                .map(|k| handle.create(seeded(40 + k)).expect("create"))
+                .collect();
+            for _ in 0..3 {
+                for result in handle.step_many(&ids) {
+                    result.expect("step");
+                }
+            }
+            let metrics = handle.metrics().expect("metrics");
+            let rows = metrics.series(Series::ServeTickRows);
+            assert_eq!((rows.count(), rows.max()), (3, 12.0), "{threads} threads");
+            assert_eq!(metrics.series(Series::ServeTickJoinWait).count(), 3);
+            let (ticks, _) = server.shutdown_counting_ticks();
+            assert_eq!(ticks, 3, "{threads} tick threads");
+        }
+    }
+
+    /// Steps six sessions on a 2-shard server whose shards tick on
+    /// `threads` threads each, 12 calls that span both shards and list
+    /// one id twice. Returns every call's responses, in call order.
+    fn serve_two_shards(threads: usize) -> Vec<Vec<StepResponse>> {
+        let config = ServeConfig {
+            shards: 2,
+            ..mixed_config()
+        };
+        let store = Arc::new(WeightStore::new(untrained(1)));
+        let server = Serve::start_ticking_on(config, store, threads);
+        let handle = server.handle();
+        // restored at ids the router spreads over both shards
+        let ids: Vec<u64> = (200..206)
+            .map(|id| {
+                let snapshot = Session::new(id, &config, &seeded(id), 0).snapshot();
+                handle
+                    .restore(&encode_snapshot(&snapshot))
+                    .expect("restore")
+            })
+            .collect();
+        let homes: HashSet<usize> = ids.iter().map(|&id| handle.router.route(id)).collect();
+        assert_eq!(homes.len(), 2, "the sessions must span both shards");
+        let mut call = ids.clone();
+        call.insert(3, ids[1]);
+        let calls: Vec<Vec<StepResponse>> = (0..12)
+            .map(|_| {
+                let responses: Vec<StepResponse> = handle
+                    .step_many(&call)
+                    .into_iter()
+                    .map(|r| r.expect("step"))
+                    .collect();
+                assert_eq!(responses[3].frame, responses[1].frame + 1);
+                responses
+            })
+            .collect();
+        server.shutdown();
+        calls
+    }
+
+    #[test]
+    fn calls_across_two_shards_serve_the_same_streams_at_any_thread_count() {
+        let one = serve_two_shards(1);
+        let modes: HashSet<&str> = one.iter().flatten().map(|r| r.mode.as_str()).collect();
+        assert!(
+            modes.contains("IL") && modes.contains("CO"),
+            "the calls must serve both lanes, got {modes:?}"
+        );
+        for threads in [2, 3] {
+            assert_eq!(one, serve_two_shards(threads), "{threads} tick threads");
         }
     }
 
@@ -1453,10 +1604,28 @@ mod tests {
     }
 
     #[test]
-    fn split_balanced_keeps_rows_in_order_in_near_equal_chunks() {
-        let chunks = split_balanced((0..8).collect::<Vec<u32>>(), 3);
-        assert_eq!(chunks, vec![vec![0, 1, 2], vec![3, 4, 5], vec![6, 7]]);
-        assert_eq!(split_balanced(vec![1u32, 2], 2), vec![vec![1], vec![2]]);
-        assert_eq!(split_balanced(vec![5u32], 1), vec![vec![5]]);
+    fn guided_units_cover_every_row_in_order_within_max_batch() {
+        let widths = |rows: u32, threads, max_batch| -> Vec<usize> {
+            let units = guided_units((0..rows).collect::<Vec<u32>>(), threads, max_batch);
+            units.iter().map(Vec::len).collect()
+        };
+        assert_eq!(widths(32, 2, 8), [8, 8, 8, 4, 2, 1, 1]);
+        assert_eq!(widths(32, 1, 8), [8, 8, 8, 8]);
+        assert_eq!(widths(12, 3, 4), [4, 2, 2, 1, 1, 1, 1]);
+        assert_eq!(widths(3, 2, 0), [1, 1, 1]);
+        assert_eq!(widths(1, 2, 8), [1]);
+        assert!(widths(0, 2, 8).is_empty());
+        for rows in 0..70u32 {
+            for threads in 1..5 {
+                for max_batch in 0..10 {
+                    let units = guided_units((0..rows).collect::<Vec<u32>>(), threads, max_batch);
+                    assert!(units
+                        .iter()
+                        .all(|unit| (1..=max_batch.max(1)).contains(&unit.len())));
+                    let rejoined: Vec<u32> = units.into_iter().flatten().collect();
+                    assert_eq!(rejoined, (0..rows).collect::<Vec<u32>>());
+                }
+            }
+        }
     }
 }

@@ -19,20 +19,25 @@
 //!   see [`icoil_adapt::ContainerError`] for the typed rejection set), and
 //!   [`ServeHandle::restore`] resumes it — on any shard, at any shard
 //!   count, in any process — with a bit-identical remaining trajectory.
-//! * **Micro-batched IL lane** — each engine tick drains the pending
-//!   step requests and splits them into contiguous chunks across the
-//!   shard thread and its tick helpers, so a shard no longer runs every
-//!   frame on its own thread: with `available_parallelism() / shards`
-//!   tick threads, the cores a shard would leave idle run frames too.
-//!   Each thread senses its rows, stacks their BEV images and runs one
-//!   blocked [`icoil_nn::Network::forward_batch_into`] pass, then the
-//!   rest of each IL frame. Batching is bit-identical per row to
+//! * **Micro-batched IL lane** — [`ServeHandle::step_many`] sends each
+//!   shard one command with all of a call's steps for it, so they join
+//!   one engine tick. Each tick drains the pending step requests and
+//!   cuts them into contiguous *guided units* (the rows left divided by
+//!   the tick threads, at least one and at most
+//!   [`ServeConfig::max_batch`]), which the shard thread and its tick
+//!   helpers claim in order until none is left: with
+//!   `available_parallelism() / shards` tick threads, the cores a shard
+//!   would leave idle run frames too, and a thread that runs out first
+//!   takes the narrow last units instead of waiting. Each unit senses
+//!   its rows, stacks their BEV images and runs one blocked
+//!   [`icoil_nn::Network::forward_batch_into`] pass, then the rest of
+//!   each IL frame. Batching is bit-identical per row to
 //!   single-sample inference and sessions share no state, so
 //!   per-session trajectories depend neither on who else is being
-//!   served nor on which thread served them. With
+//!   served nor on which unit or thread served them. With
 //!   [`ServeConfig::il_precision`] set to `Int8` the lane runs the
 //!   calibrated quantized network instead; sessions pin their precision
-//!   at creation (snapshots carry it), and a chunk serving both kinds
+//!   at creation (snapshots carry it), and a unit serving both kinds
 //!   splits into one sub-batch per precision. A frame whose image
 //!   repeats, bit for bit, the one its session last inferred reuses
 //!   that result and stays out of the batch.
@@ -110,8 +115,11 @@ pub struct ServeConfig {
     /// is shed by the worker that pops it.
     pub co_deadline: Duration,
     /// Most rows in one IL micro-batch (one CNN pass). A shard tick
-    /// drains up to `max_batch` step requests per tick thread and hands
-    /// each thread a contiguous chunk of them, so no chunk is wider.
+    /// stops draining commands once it holds `max_batch` step requests
+    /// per tick thread (a `step_many` call's steps for the shard arrive
+    /// as one command and join whole, so a tick may hold more), then
+    /// cuts its rows into guided units of at most `max_batch` rows that
+    /// its threads claim in order. `0` behaves as `1`.
     pub max_batch: usize,
     /// Most concurrently live sessions; creation beyond it is refused.
     /// Enforced globally at the handle *before* routing, so the limit

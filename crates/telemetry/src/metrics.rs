@@ -226,10 +226,17 @@ pub enum Series {
     /// set, recorded only on frames the projection actually clipped.
     /// A pure function of the seeded computation — deterministic.
     SafetyClipMag,
+    /// Rows in one serving-engine shard tick, observed once per tick.
+    /// Load-dependent (arrival timing decides what a tick drains).
+    ServeTickRows,
+    /// Microseconds a shard waits on its tick helpers after its own
+    /// claims on a tick's units run out, observed once per tick (about
+    /// 0 on a shard without helpers). Wall-clock.
+    ServeTickJoinWait,
 }
 
 /// Number of [`Series`] variants (the fixed histogram-array length).
-pub const NUM_SERIES: usize = 13;
+pub const NUM_SERIES: usize = 15;
 
 impl Series {
     /// Whether the series holds wall-clock timings or load-dependent
@@ -249,6 +256,8 @@ impl Series {
                 | Series::ServeIlLane
                 | Series::ServeCoLane
                 | Series::IlQuantAbsErr
+                | Series::ServeTickRows
+                | Series::ServeTickJoinWait
         )
     }
 
@@ -267,6 +276,8 @@ impl Series {
             Series::ServeCoLane,
             Series::IlQuantAbsErr,
             Series::SafetyClipMag,
+            Series::ServeTickRows,
+            Series::ServeTickJoinWait,
         ]
     }
 }
@@ -411,6 +422,8 @@ mod tests {
         a.observe(Series::ServeIlLane, 1e-4);
         a.observe(Series::ServeCoLane, 2e-3);
         a.observe(Series::IlQuantAbsErr, 0.02);
+        a.observe(Series::ServeTickRows, 32.0);
+        a.observe(Series::ServeTickJoinWait, 40.0);
         assert!(a.deterministic_eq(&b), "load-dependent content is exempt");
         a.observe(Series::SafetyClipMag, 0.25);
         assert!(

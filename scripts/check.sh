@@ -11,10 +11,11 @@
 # smoke runs one traced episode, re-parses the NDJSON trace against the
 # aggregated counters, and validates the
 # BENCH_perf.json / BENCH_serve.json schemas. The serve smoke steps 8
-# concurrent sessions 50 frames through the in-process serving engine and
-# demands bit-identical trajectories across worker counts (1 vs 4) and
-# engine shard counts (1 vs 4), plus a kill-snapshot-restore cycle (every
-# session evicted at frame 20, the server torn down, every snapshot
+# concurrent sessions through 50 step_many calls of the in-process serving
+# engine, each call listing one session twice, and demands bit-identical
+# trajectories across worker counts (1 vs 4) and engine shard counts
+# (1 vs 4), plus a kill-snapshot-restore cycle (every
+# session evicted at call 20, the server torn down, every snapshot
 # restored into a fresh server at a different shard count) with zero
 # sheds — and runs again with ICOIL_FORCE_SCALAR=1 so the scalar kernel
 # fallback is held to the same contract, and a third time with
