@@ -1,24 +1,20 @@
 //! Serving load generator — emits `BENCH_serve.json`.
 //!
-//! Drives the `icoil-serve` engine through three phases and reports
+//! Drives the `icoil-serve` engine through five phases and reports
 //! sessions/sec, per-lane frame-latency percentiles, IL micro-batch
 //! statistics, and the shed rate at two offered loads:
 //!
 //! 1. **IL phase** — the HSA threshold is forced to `+∞` so every frame
 //!    stays on the IL lane: clean micro-batch latency and batch-width
 //!    numbers with zero CO contention;
-//! 2. **IL int8 phase** — the same IL-only load with every session
-//!    pinned to the calibrated int8 lane; `frames_per_sec_int8` times
-//!    only the stepping loop, so the one-off startup calibration does
-//!    not pollute the throughput number;
-//! 3. **CO phase (provisioned)** — an untrained model keeps every
+//! 2. **CO phase (provisioned)** — an untrained model keeps every
 //!    session on the CO lane with a generous deadline and queue: CO-lane
 //!    latency under a load the lane can carry, `shed_rate_low` must be 0;
-//! 4. **Overload phase** — one worker, a queue of 2 and a 1 ms deadline
+//! 3. **Overload phase** — one worker, a queue of 2 and a 1 ms deadline
 //!    against twice the sessions: the lane must shed (degraded
 //!    full-brake responses) instead of blocking, `shed_rate_overload`
 //!    must be positive;
-//! 5. **Shard sweep** — IL-only sessions replayed at 1, 2, 4 and 8
+//! 4. **Shard sweep** — IL-only sessions replayed at 1, 2, 4 and 8
 //!    engine shards with the *offered load scaled by the shard count*
 //!    (a flat load would leave added shards idle and remeasure the
 //!    1-shard rate), recording sessions/sec and the mean per-shard IL
@@ -27,7 +23,7 @@
 //!    [`SWEEP_REPEATS`] fresh servers serving the same sessions; the
 //!    report keeps the medians and the console line prints each rate's
 //!    min and max beside it;
-//! 6. **Adapt phase** — the online-adaptation flywheel on the hard
+//! 5. **Adapt phase** — the online-adaptation flywheel on the hard
 //!    family tail (`parallel_curb`, `dead_end_stub`, `crowded_lot`):
 //!    a fixed evaluation scenario set served three times against a
 //!    shared weight store, with a DAgger-style retraining round (warm-
@@ -59,7 +55,7 @@ use icoil_bench::adapt::{run_adapt_phase, AdaptOptions};
 use icoil_bench::ServeReport;
 use icoil_core::ICoilConfig;
 use icoil_hsa::HsaConfig;
-use icoil_il::{IlModel, IlPrecision};
+use icoil_il::IlModel;
 use icoil_perception::BevConfig;
 use icoil_serve::{Serve, ServeConfig, SessionConfig, SessionSpec};
 use icoil_telemetry::{Counter, Metrics, Series};
@@ -104,8 +100,8 @@ fn env_size(key: &str, default: u64) -> u64 {
 
 /// Runs `sessions` episodes of `frames` frames each against a fresh
 /// server; returns the server's final telemetry snapshot and the
-/// wall-clock seconds of the stepping loop alone (startup, session
-/// creation and any int8 calibration excluded).
+/// wall-clock seconds of the stepping loop alone (startup and session
+/// creation excluded).
 fn run_phase(config: ServeConfig, sessions: u64, frames: u64, seed0: u64) -> (Metrics, f64) {
     let specs = (0..sessions)
         .map(|i| {
@@ -175,25 +171,10 @@ fn main() {
     };
     let (il_metrics, _) = run_phase(il_config, sessions, frames, 9000);
 
-    // phase 2: the same IL-only load with every session pinned to the
-    // calibrated int8 lane; only the stepping loop is timed, so the
-    // startup calibration stays out of the throughput number
-    let int8_config = ServeConfig {
-        il_precision: IlPrecision::Int8,
-        ..il_config
-    };
-    let (int8_metrics, int8_secs) = run_phase(int8_config, sessions, frames, 9050);
-    let frames_per_sec_int8 = (sessions * frames) as f64 / int8_secs;
-    assert_eq!(
-        int8_metrics.counter(Counter::IlFramesInt8),
-        sessions * frames,
-        "every int8-phase frame must go through the quantized lane"
-    );
-
-    // phase 3: pure CO lane (untrained model → high uncertainty), carried
+    // phase 2: pure CO lane (untrained model → high uncertainty), carried
     let (co_metrics, _) = run_phase(base, sessions, frames, 9100);
 
-    // phase 4: deliberate overload — must shed, never block. Sessions
+    // phase 3: deliberate overload — must shed, never block. Sessions
     // cycle the procedural map families so the per-family admit/shed
     // counters attribute the pressure (seeded scenarios carry no family).
     let overload_config = ServeConfig {
@@ -216,10 +197,10 @@ fn main() {
     let (overload_metrics, _) = run_phase_specs(overload_config, overload_specs, overload_frames);
 
     let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
-    let total_sessions = sessions * 3 + sessions * 2;
-    let total_frames = sessions * frames * 3 + sessions * 2 * overload_frames;
+    let total_sessions = sessions * 2 + sessions * 2;
+    let total_frames = sessions * frames * 2 + sessions * 2 * overload_frames;
 
-    // phase 5: shard-scaling sweep — thousands of sessions, IL lane only
+    // phase 4: shard-scaling sweep — thousands of sessions, IL lane only
     // (λ = +∞ keeps the CO pool idle), so the measured curve is the
     // sharded engine's own session-handling throughput. The offered load
     // scales with the shard count: at a fixed load the per-shard session
@@ -261,7 +242,7 @@ fn main() {
         sweep_batch_means.push(Spread::of(batch_means).median);
     }
 
-    // phase 6: online adaptation — the DAgger flywheel on the hard
+    // phase 5: online adaptation — the DAgger flywheel on the hard
     // family tail (parallel_curb, dead_end_stub, crowded_lot). A fixed
     // evaluation scenario set is served three times against a shared
     // weight store: generation 0 rides untrained seed weights, then each
@@ -322,7 +303,6 @@ fn main() {
     let mut report = ServeReport {
         sessions_per_sec: total_sessions as f64 / elapsed,
         frames_per_sec: total_frames as f64 / elapsed,
-        frames_per_sec_int8,
         il_p50_us: il_lane.quantile(0.50) * 1e6,
         il_p95_us: il_lane.quantile(0.95) * 1e6,
         il_p99_us: il_lane.quantile(0.99) * 1e6,
@@ -422,10 +402,6 @@ fn main() {
         report.shed_rate_low,
         report.shed_rate_overload,
         report.frames_per_sec,
-    );
-    println!(
-        "int8 IL phase: {:.1} frames/s through the quantized lane (stepping loop only)",
-        report.frames_per_sec_int8,
     );
     println!(
         "adapt phase: {} generations x {} sessions x {} frames (hard families, safety on) | \

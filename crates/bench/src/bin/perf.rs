@@ -6,12 +6,7 @@
 //! * `episodes_per_sec` — closed-loop CO evaluation throughput through
 //!   `icoil-core::eval::run_batch_with` at the configured parallelism;
 //! * `il_hz` — IL CNN inference rate on a live BEV image (the paper's
-//!   §V-E reports 75 Hz);
-//! * `il_hz_int8` — the same inference through the calibrated int8
-//!   lane; both lanes are timed in interleaved rounds and reported as
-//!   per-lane best so the ratio compares kernels, not scheduler luck;
-//! * `gemm_gops_int8` — int8 GEMM throughput of the quantized kernel
-//!   at the same network-shaped problem size as the f32 GEMM numbers;
+//!   §V-E reports 75 Hz), the best of several timed rounds;
 //! * `co_hz` / `co_hz_cold` — CO solve rate along an actual drive with
 //!   the deployed warm-start memory vs. with the memory cleared every
 //!   frame (paper: 18 Hz);
@@ -40,11 +35,11 @@
 use icoil_bench::{PerfReport, RunSize};
 use icoil_co::{build_mpc_qp, CoConfig, CoController};
 use icoil_core::{eval, ICoilConfig, Method};
-use icoil_il::{IlModel, IlPrecision};
+use icoil_il::IlModel;
 use icoil_perception::Perception;
 use icoil_solver::{SparseKkt, SparseLdl, SparseMatrix, SymbolicLdl};
 use icoil_telemetry::{Recorder, Series};
-use icoil_vehicle::{Action, ActionCodec};
+use icoil_vehicle::ActionCodec;
 use icoil_world::episode::{EpisodeConfig, Observation};
 use icoil_world::{Difficulty, ScenarioConfig};
 use std::time::Instant;
@@ -173,32 +168,6 @@ fn matmul_gflops(backend: icoil_nn::KernelBackend) -> f64 {
     flops / best / 1e9
 }
 
-/// int8 GEMM throughput (giga-ops/s) through the nn kernel layer at the
-/// same network-shaped problem size as [`matmul_gflops`]; one
-/// multiply-add counts as two ops. Best of [`KERNEL_BEST_OF`] timed
-/// repetitions.
-fn int8_gemm_gops() -> f64 {
-    let (m, k, n) = (64usize, 288usize, 256usize);
-    // activation codes stay in [0, 127] — the lane's quantizer contract
-    let a: Vec<u8> = (0..m * k).map(|i| ((i * 37 + 11) % 128) as u8).collect();
-    let b: Vec<i8> = (0..n * k)
-        .map(|i| (((i * 53 + 7) % 255) as i32 - 127) as i8)
-        .collect();
-    let mut out = vec![0i32; m * n];
-    let ops = 2.0 * m as f64 * k as f64 * n as f64;
-    let inner = 40;
-    let mut best = f64::INFINITY;
-    for _ in 0..KERNEL_BEST_OF {
-        let t0 = Instant::now();
-        for _ in 0..inner {
-            icoil_nn::simd::gemm_nt_i8(&a, m, k, &b, n, &mut out);
-            std::hint::black_box(&out);
-        }
-        best = best.min(t0.elapsed().as_secs_f64() / inner as f64);
-    }
-    ops / best / 1e9
-}
-
 fn main() {
     let size = RunSize::from_env();
     let config = ICoilConfig::default();
@@ -223,43 +192,23 @@ fn main() {
     );
     let episodes_per_sec = results.len() as f64 / t0.elapsed().as_secs_f64();
 
-    // 2) IL inference rate on a live BEV image, f32 vs the calibrated
-    //    int8 lane. The two lanes are timed in interleaved rounds and
-    //    each reported as its best round, so the recorded ratio compares
-    //    the kernels rather than whichever lane the scheduler disturbed.
+    // 2) IL inference rate on a live BEV image, reported as the best of
+    //    several timed rounds so scheduler noise does not set it
     let scenario = ScenarioConfig::new(Difficulty::Normal, 3).build();
     let mut perception = Perception::new(config.bev, &scenario);
-    let mut world = icoil_world::World::new(scenario);
-    let mut calib = Vec::new();
-    for _ in 0..12 {
-        let sensing = perception.observe(&Observation::new(&world));
-        calib.push(sensing.bev);
-        world.step(&Action::forward(0.3, 0.05));
-    }
-    {
-        let frames: Vec<&_> = calib.iter().collect();
-        model.calibrate_int8(&frames);
-    }
-    let bev = &calib[0];
+    let world = icoil_world::World::new(scenario);
+    let bev = perception.observe(&Observation::new(&world)).bev;
     let il_iters = 400;
     let il_rounds = 8;
-    let mut lane_best = [f64::INFINITY; 2];
+    let mut il_best = f64::INFINITY;
     for _ in 0..il_rounds {
-        for (slot, precision) in [IlPrecision::F32, IlPrecision::Int8]
-            .into_iter()
-            .enumerate()
-        {
-            model.set_precision(precision);
-            let t0 = Instant::now();
-            for _ in 0..il_iters {
-                std::hint::black_box(model.infer(bev));
-            }
-            lane_best[slot] = lane_best[slot].min(t0.elapsed().as_secs_f64() / il_iters as f64);
+        let t0 = Instant::now();
+        for _ in 0..il_iters {
+            std::hint::black_box(model.infer(&bev));
         }
+        il_best = il_best.min(t0.elapsed().as_secs_f64() / il_iters as f64);
     }
-    model.set_precision(IlPrecision::F32);
-    let il_hz = 1.0 / lane_best[0];
-    let il_hz_int8 = 1.0 / lane_best[1];
+    let il_hz = 1.0 / il_best;
 
     // 3) CO solve rate and ADMM iteration counts, warm vs. cold; latency
     //    percentiles come from the warm drive's telemetry histograms
@@ -285,18 +234,14 @@ fn main() {
     let kkt_matrix = mpc_kkt_matrix();
     let (kkt_factor_us_sparse, kkt_nnz_ratio) = kkt_microbench(&kkt_matrix);
 
-    // 5) kernel-layer microbenchmarks: scalar-vs-SIMD f32 GEMM and the
-    //    int8 GEMM
+    // 5) kernel-layer microbenchmark: scalar-vs-SIMD f32 GEMM
     let matmul_gflops_scalar = matmul_gflops(icoil_nn::KernelBackend::Scalar);
     let matmul_gflops_simd = matmul_gflops(icoil_nn::simd::detected());
-    let gemm_gops_int8 = int8_gemm_gops();
     let simd_dispatch = icoil_nn::simd::dispatch_target().to_string();
 
     let mut report = PerfReport {
         episodes_per_sec,
         il_hz,
-        il_hz_int8,
-        gemm_gops_int8,
         co_hz,
         co_hz_cold,
         mean_admm_iters_warm,
@@ -329,12 +274,7 @@ fn main() {
         "episodes/sec ({} workers): {episodes_per_sec:8.2}",
         size.parallelism
     );
-    println!("IL inference:  {il_hz:8.1} Hz f32");
-    println!(
-        "IL int8:       {il_hz_int8:8.1} Hz ({:.2}x f32, calibrated lane, best of {il_rounds} \
-         interleaved rounds)",
-        il_hz_int8 / il_hz
-    );
+    println!("IL inference:  {il_hz:8.1} Hz f32 (best of {il_rounds} rounds)");
     println!(
         "CO solve:      {co_hz:8.1} Hz warm ({mean_admm_iters_warm:.0} ADMM iters) \
          vs {co_hz_cold:.1} Hz cold ({mean_admm_iters_cold:.0} iters)"
@@ -356,8 +296,5 @@ fn main() {
          {matmul_gflops_simd:.2} GFLOP/s {simd_dispatch} \
          ({:.1}x, best of {KERNEL_BEST_OF})",
         matmul_gflops_simd / matmul_gflops_scalar
-    );
-    println!(
-        "gemm int8:     {gemm_gops_int8:8.2} GOP/s {simd_dispatch} (best of {KERNEL_BEST_OF})"
     );
 }

@@ -12,7 +12,8 @@
 //!   bit) must be identical between a 1-worker and a 4-worker server,
 //!   and between a 1-shard and a 4-shard engine: neither worker
 //!   scheduling nor shard assignment may leak into any session's
-//!   trajectory;
+//!   trajectory, and the multi-shard runs must really tick on more
+//!   than one shard;
 //! * a kill-snapshot-restore cycle — every session evicted mid-episode,
 //!   the whole server torn down, and every snapshot restored into a
 //!   fresh server at a different shard count — must replay the
@@ -21,15 +22,12 @@
 //!   (distinct seeds ⇒ distinct episodes — a stuck engine replaying one
 //!   session 8 times would otherwise pass).
 //!
-//! The whole contract runs at the IL precision named by
-//! `ICOIL_IL_PRECISION` (`f32` default, `int8` for the quantized lane),
-//! so `scripts/check.sh` can hold both lanes to the same determinism
-//! bar. Exits non-zero on the first violation, printing what broke.
+//! Exits non-zero on the first violation, printing what broke.
 
-use icoil_il::{IlModel, IlPrecision};
+use icoil_il::IlModel;
 use icoil_perception::BevConfig;
-use icoil_serve::{Serve, ServeConfig, SessionConfig, StepResponse};
-use icoil_telemetry::Counter;
+use icoil_serve::{Serve, ServeConfig, ServeHandle, SessionConfig, StepResponse};
+use icoil_telemetry::{Counter, Series};
 use icoil_vehicle::ActionCodec;
 use icoil_world::Difficulty;
 use std::ops::Range;
@@ -51,7 +49,6 @@ fn config(shards: usize, co_workers: usize) -> ServeConfig {
         co_workers,
         co_deadline: Duration::from_secs(60),
         queue_capacity: 64,
-        il_precision: IlPrecision::from_env(),
         ..ServeConfig::default()
     }
 }
@@ -62,7 +59,7 @@ fn model() -> IlModel {
     IlModel::untrained(ActionCodec::default(), BevConfig::default(), 1)
 }
 
-fn create_all(handle: &icoil_serve::ServeHandle) -> Result<Vec<u64>, String> {
+fn create_all(handle: &ServeHandle) -> Result<Vec<u64>, String> {
     (0..SESSIONS)
         .map(|i| {
             handle
@@ -79,7 +76,7 @@ fn create_all(handle: &icoil_serve::ServeHandle) -> Result<Vec<u64>, String> {
 /// `calls`, listing session `c mod SESSIONS` a second time at its end,
 /// and appends each session's responses to its stream in order.
 fn step_all(
-    handle: &icoil_serve::ServeHandle,
+    handle: &ServeHandle,
     ids: &[u64],
     streams: &mut [Vec<StepResponse>],
     calls: Range<usize>,
@@ -97,7 +94,7 @@ fn step_all(
     Ok(())
 }
 
-fn no_sheds(handle: &icoil_serve::ServeHandle, what: &str) -> Result<(), String> {
+fn no_sheds(handle: &ServeHandle, what: &str) -> Result<(), String> {
     let metrics = handle
         .metrics()
         .map_err(|e| format!("{what}: metrics: {e}"))?;
@@ -110,6 +107,28 @@ fn no_sheds(handle: &icoil_serve::ServeHandle, what: &str) -> Result<(), String>
     Ok(())
 }
 
+/// On a multi-shard server the sessions must spread: at least two
+/// shards ticked, or the shard-count comparison compares one shard with
+/// one shard.
+fn spans_shards(handle: &ServeHandle, what: &str) -> Result<(), String> {
+    if handle.shards() < 2 {
+        return Ok(());
+    }
+    let ticked = handle
+        .shard_metrics()
+        .map_err(|e| format!("{what}: shard metrics: {e}"))?
+        .iter()
+        .filter(|m| m.series(Series::ServeTickRows).count() > 0)
+        .count();
+    if ticked < 2 {
+        return Err(format!(
+            "{what}: the sessions ticked on {ticked} of {} shards",
+            handle.shards()
+        ));
+    }
+    Ok(())
+}
+
 fn run_once(shards: usize, co_workers: usize) -> Result<Vec<Vec<StepResponse>>, String> {
     let server = Serve::start(config(shards, co_workers), model());
     let handle = server.handle();
@@ -117,6 +136,7 @@ fn run_once(shards: usize, co_workers: usize) -> Result<Vec<Vec<StepResponse>>, 
     let mut streams: Vec<Vec<StepResponse>> = vec![Vec::new(); SESSIONS];
     step_all(&handle, &ids, &mut streams, 0..CALLS, "uninterrupted run")?;
     no_sheds(&handle, "uninterrupted run")?;
+    spans_shards(&handle, "uninterrupted run")?;
     server.shutdown();
     Ok(streams)
 }
@@ -161,6 +181,7 @@ fn run_interrupted() -> Result<Vec<Vec<StepResponse>>, String> {
         "post-restore run",
     )?;
     no_sheds(&handle, "post-restore run")?;
+    spans_shards(&handle, "post-restore run")?;
     server.shutdown();
     Ok(streams)
 }
@@ -194,10 +215,9 @@ fn run() -> Result<(), String> {
         }
     }
     println!(
-        "serve smoke ({} IL lane): {SESSIONS} sessions x {CALLS} calls (one session \
-         listed twice per call) bit-identical across 1 vs 4 CO workers, 1 vs 4 shards, \
-         and a kill-snapshot-restore cycle at call {KILL_AT}; zero sheds",
-        IlPrecision::from_env().label()
+        "serve smoke: {SESSIONS} sessions x {CALLS} calls (one session listed twice per \
+         call) bit-identical across 1 vs 4 CO workers, 1 vs 4 shards, and a \
+         kill-snapshot-restore cycle at call {KILL_AT}; zero sheds"
     );
     Ok(())
 }

@@ -77,15 +77,6 @@ pub struct PerfReport {
     pub episodes_per_sec: f64,
     /// IL CNN inference rate on a live BEV image (Hz).
     pub il_hz: f64,
-    /// IL CNN inference rate through the calibrated int8 lane on the
-    /// same frames (Hz). Measured interleaved with `il_hz` and reported
-    /// as best-of to keep the ratio meaningful on noisy boxes.
-    #[serde(default)]
-    pub il_hz_int8: f64,
-    /// int8 GEMM micro-kernel throughput at an IL-shaped problem size
-    /// (giga-ops/s; one multiply-add counts as two ops).
-    #[serde(default)]
-    pub gemm_gops_int8: f64,
     /// Warm-started CO solve rate along a real drive (Hz).
     pub co_hz: f64,
     /// CO solve rate with the warm-start memory cleared every frame (Hz).
@@ -146,8 +137,6 @@ impl PerfReport {
     pub const NUMERIC_FIELDS: &'static [&'static str] = &[
         "episodes_per_sec",
         "il_hz",
-        "il_hz_int8",
-        "gemm_gops_int8",
         "co_hz",
         "co_hz_cold",
         "mean_admm_iters_warm",
@@ -173,8 +162,6 @@ impl PerfReport {
         for v in [
             &mut self.episodes_per_sec,
             &mut self.il_hz,
-            &mut self.il_hz_int8,
-            &mut self.gemm_gops_int8,
             &mut self.co_hz,
             &mut self.co_hz_cold,
             &mut self.mean_admm_iters_warm,
@@ -250,10 +237,6 @@ pub struct ServeReport {
     pub sessions_per_sec: f64,
     /// Frames served per wall-clock second (all phases).
     pub frames_per_sec: f64,
-    /// Frames served per wall-clock second with every session pinned to
-    /// the int8 IL lane (same load shape as the provisioned phase).
-    #[serde(default)]
-    pub frames_per_sec_int8: f64,
     /// Median IL-lane frame latency (µs, request arrival → response).
     pub il_p50_us: f64,
     /// 95th-percentile IL-lane frame latency (µs).
@@ -405,7 +388,6 @@ impl ServeReport {
     pub const NUMERIC_FIELDS: &'static [&'static str] = &[
         "sessions_per_sec",
         "frames_per_sec",
-        "frames_per_sec_int8",
         "il_p50_us",
         "il_p95_us",
         "il_p99_us",
@@ -455,7 +437,6 @@ impl ServeReport {
         for v in [
             &mut self.sessions_per_sec,
             &mut self.frames_per_sec,
-            &mut self.frames_per_sec_int8,
             &mut self.il_p50_us,
             &mut self.il_p95_us,
             &mut self.il_p99_us,
@@ -780,8 +761,6 @@ mod tests {
         PerfReport {
             episodes_per_sec: 1.5,
             il_hz: 4000.0,
-            il_hz_int8: 9000.0,
-            gemm_gops_int8: 20.0,
             co_hz: 3000.0,
             co_hz_cold: 2000.0,
             mean_admm_iters_warm: 40.0,
@@ -861,7 +840,6 @@ mod tests {
         ServeReport {
             sessions_per_sec: 2.0,
             frames_per_sec: 120.0,
-            frames_per_sec_int8: 180.0,
             il_p50_us: 400.0,
             il_p95_us: 900.0,
             il_p99_us: 1500.0,

@@ -47,11 +47,6 @@ pub enum CheckKind {
     /// restored — in-process and into fresh engines at different shard
     /// counts — must replay the remaining trajectory bitwise.
     CheckpointRestoreReplay,
-    /// Int8-quantized IL inference vs the f32 lane: every held-out logit
-    /// within the calibrated error bound, argmax flips only at genuine
-    /// near-ties, and a served int8 episode reaching the same outcome as
-    /// its f32 twin.
-    QuantizedIl,
     /// Per-family episode determinism: the full iCOIL stack run twice on
     /// the generated scenario (the fuzz loop pins every map family in
     /// turn) must be bit-identical — episode, trace, telemetry counters —
@@ -72,7 +67,7 @@ pub enum CheckKind {
 
 impl CheckKind {
     /// Every real check (the canary is opt-in via `--inject`).
-    pub const ALL: [CheckKind; 13] = [
+    pub const ALL: [CheckKind; 12] = [
         CheckKind::WarmColdMpc,
         CheckKind::QpWarmCold,
         CheckKind::Parallelism,
@@ -83,7 +78,6 @@ impl CheckKind {
         CheckKind::BatchedSingleIl,
         CheckKind::SimdScalarKernels,
         CheckKind::CheckpointRestoreReplay,
-        CheckKind::QuantizedIl,
         CheckKind::FamilyDeterminism,
         CheckKind::WeightVersionPinning,
     ];
@@ -101,7 +95,6 @@ impl CheckKind {
             CheckKind::BatchedSingleIl => "batched_single_il",
             CheckKind::SimdScalarKernels => "simd_scalar_kernels",
             CheckKind::CheckpointRestoreReplay => "checkpoint_restore_replay",
-            CheckKind::QuantizedIl => "quantized_il",
             CheckKind::FamilyDeterminism => "family_determinism",
             CheckKind::WeightVersionPinning => "weight_version_pinning",
             CheckKind::InjectedCanary => "injected_canary",
@@ -192,7 +185,6 @@ pub fn run_check(
         CheckKind::BatchedSingleIl => check_batched_single_il(spec),
         CheckKind::SimdScalarKernels => check_simd_scalar_kernels(spec, settings),
         CheckKind::CheckpointRestoreReplay => check_checkpoint_restore_replay(spec, settings),
-        CheckKind::QuantizedIl => check_quantized_il(spec, settings),
         CheckKind::FamilyDeterminism => check_family_determinism(spec, settings),
         CheckKind::WeightVersionPinning => check_weight_version_pinning(spec, settings),
         CheckKind::InjectedCanary => check_injected_canary(spec),
@@ -454,11 +446,12 @@ fn check_inference(spec: &ProcScenario) -> Result<(), String> {
         *v = rng.gen_range(-1.0_f64..1.0) as f32;
     }
     let mut buffers = icoil_nn::InferBuffers::new();
+    let mut buffered = Tensor::default();
     let network = model.network_mut();
-    let buffered = network.infer_logits(&x, &mut buffers).data().to_vec();
+    network.forward_batch_into(&[x.data()], &x.shape()[1..], &mut buffers, &mut buffered);
     let forward = network.forward(&x, false);
-    if buffered.as_slice() != forward.data() {
-        return Err("network-level infer_logits differs from forward()".to_string());
+    if buffered.data() != forward.data() {
+        return Err("network-level forward_batch_into differs from forward()".to_string());
     }
     Ok(())
 }
@@ -924,151 +917,6 @@ fn check_checkpoint_restore_replay(
     Ok(())
 }
 
-/// Calibrates the int8 IL lane on the first BEV frames of the generated
-/// scenario and holds it to its own contract on the held-out rest:
-///
-/// * every quantized logit within the *calibrated* absolute-error bound
-///   of the f32 logit of the same frame (the bound the quantizer itself
-///   published, not an arbitrary tolerance);
-/// * the decoded argmax flipping only at a genuine near-tie — a flip
-///   across an f32 logit gap wider than twice the bound cannot be
-///   rounding and is reported as a divergence;
-/// * end to end, a served episode pinned to the int8 lane reaching the
-///   same outcome (success / collision / timeout / still running) as its
-///   f32 twin on the same scenario.
-fn check_quantized_il(spec: &ProcScenario, settings: &CheckSettings) -> Result<(), String> {
-    use icoil_il::IlPrecision;
-    use icoil_nn::{InferBuffers, QuantScratch, QuantizedNetwork};
-    use icoil_perception::BevImage;
-    use icoil_serve::{Serve, ServeConfig, SessionSpec};
-    use std::time::Duration;
-
-    let scenario = spec.build();
-    let config = ICoilConfig::default();
-    let mut model = IlModel::untrained(ActionCodec::default(), config.bev, spec.seed ^ 0x2178);
-    let mut perception = Perception::new(config.bev, &scenario);
-    let mut world = World::new(scenario);
-    let frames: Vec<BevImage> = (0..24)
-        .map(|_| {
-            let bev = perception.observe(&Observation::new(&world)).bev;
-            for _ in 0..3 {
-                world.step(&icoil_vehicle::Action::forward(0.3, 0.05));
-            }
-            bev
-        })
-        .collect();
-    // even frames calibrate, odd frames are held out: the calibrated
-    // bound is a promise about the calibration *distribution*, so the
-    // held-out set must sample the same trajectory, not its far tail
-    let calib: Vec<&BevImage> = frames.iter().step_by(2).collect();
-    let held_out: Vec<&BevImage> = frames.iter().skip(1).step_by(2).collect();
-
-    // --- logit leg, at the network level: the exact calibrated bound ---
-    let size = config.bev.size;
-    let network = model.network_mut().clone();
-    let tensors: Vec<Tensor> = calib
-        .iter()
-        .map(|&img| {
-            Tensor::from_vec(vec![BevImage::CHANNELS, size, size], img.data.clone())
-                .expect("BEV frame reshapes")
-        })
-        .collect();
-    let qnet = QuantizedNetwork::calibrate(&network, &tensors);
-    let bound = qnet.logit_error_bound();
-    let mut buffers = InferBuffers::new();
-    let mut scratch = QuantScratch::new();
-    let mut qout = Tensor::default();
-    let mut x = Tensor::zeros(vec![1, BevImage::CHANNELS, size, size]);
-    // last-maximal index, the decode rule shared by every inference path
-    let argmax = |row: &[f32]| {
-        let mut c = 0;
-        for (j, &v) in row.iter().enumerate() {
-            if v >= row[c] {
-                c = j;
-            }
-        }
-        c
-    };
-    for (i, img) in held_out.iter().enumerate() {
-        x.data_mut().copy_from_slice(&img.data);
-        let f_logits = network.infer_logits(&x, &mut buffers).data().to_vec();
-        qnet.forward_batch_into(
-            &[img.data.as_slice()],
-            &[BevImage::CHANNELS, size, size],
-            &mut buffers,
-            &mut scratch,
-            &mut qout,
-        );
-        let q_logits = qout.data();
-        let worst = f_logits
-            .iter()
-            .zip(q_logits)
-            .map(|(f, q)| (f - q).abs())
-            .fold(0.0_f32, f32::max);
-        if worst > bound {
-            return Err(format!(
-                "held-out frame {i}: quantized logit error {worst:.6} exceeds the \
-                 calibrated bound {bound:.6}"
-            ));
-        }
-        let fc = argmax(&f_logits);
-        let qc = argmax(q_logits);
-        if fc != qc {
-            let gap = (f_logits[fc] - f_logits[qc]).abs();
-            if gap > 2.0 * bound {
-                return Err(format!(
-                    "held-out frame {i}: argmax flipped {fc} -> {qc} across a non-tied \
-                     f32 logit gap {gap:.6} (bound {bound:.6})"
-                ));
-            }
-        }
-    }
-
-    // --- outcome-parity leg: one served episode per precision ---
-    let total: usize = if settings.episode_time >= 12.0 {
-        40
-    } else {
-        24
-    };
-    let run_served = |precision: IlPrecision| -> Result<(usize, Option<String>), String> {
-        let serve_config = ServeConfig {
-            il_precision: precision,
-            co_deadline: Duration::from_secs(30),
-            queue_capacity: 64,
-            ..ServeConfig::default()
-        };
-        let model = IlModel::untrained(ActionCodec::default(), config.bev, spec.seed ^ 0x2178);
-        let server = Serve::start(serve_config, model);
-        let handle = server.handle();
-        let id = handle
-            .create(SessionSpec::Scenario(Box::new(spec.build())))
-            .map_err(|e| format!("create {} session: {e}", precision.label()))?;
-        let mut outcome = None;
-        let mut served = 0usize;
-        for frame in 0..total {
-            let resp = handle
-                .step(id)
-                .map_err(|e| format!("{} frame {frame}: {e}", precision.label()))?;
-            served = frame + 1;
-            outcome = resp.outcome;
-            if outcome.is_some() {
-                break;
-            }
-        }
-        server.shutdown();
-        Ok((served, outcome))
-    };
-    let (frames_f32, outcome_f32) = run_served(IlPrecision::F32)?;
-    let (frames_int8, outcome_int8) = run_served(IlPrecision::Int8)?;
-    if outcome_f32 != outcome_int8 {
-        return Err(format!(
-            "episode outcome parity broken: f32 ended {outcome_f32:?} after {frames_f32} \
-             frame(s), int8 ended {outcome_int8:?} after {frames_int8} frame(s)"
-        ));
-    }
-    Ok(())
-}
-
 /// Runs the full iCOIL stack (IL + HSA + CO) twice on the generated
 /// scenario — whichever map family it belongs to — and demands
 /// bit-identical episodes and telemetry counters, plus agreement between
@@ -1339,19 +1187,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_il_check_passes_on_generated_scenarios() {
-        let gen = ProcGen::default();
-        for seed in [0u64, 11] {
-            let spec = gen.generate(seed);
-            assert_eq!(
-                run_check(CheckKind::QuantizedIl, &spec, &CheckSettings::smoke()),
-                Ok(()),
-                "seed {seed}"
-            );
-        }
-    }
-
-    #[test]
     fn canary_fires_only_with_dynamics() {
         let gen = ProcGen::default();
         let with = (0..100)
@@ -1421,7 +1256,6 @@ mod tests {
                 "batched_single_il",
                 "simd_scalar_kernels",
                 "checkpoint_restore_replay",
-                "quantized_il",
                 "family_determinism",
                 "weight_version_pinning"
             ]

@@ -51,9 +51,6 @@ fn stride(kind: CheckKind, smoke: bool) -> usize {
         CheckKind::Determinism => 5,
         CheckKind::Parallelism => 5,
         CheckKind::CheckpointRestoreReplay => 5,
-        // two served episodes per case: stride like the other
-        // serving-engine check
-        CheckKind::QuantizedIl => 5,
         // two full-stack episodes per case
         CheckKind::FamilyDeterminism => 5,
         // two served episodes plus a stale-restore round trip per case

@@ -45,5 +45,5 @@ pub mod train;
 pub use collect::collect_demonstrations;
 pub use dagger::{dagger_train, DaggerConfig, DaggerReport};
 pub use expert::ExpertPolicy;
-pub use model::{IlModel, IlPrecision, IlScratch, InferResult};
+pub use model::{IlModel, IlScratch, InferResult};
 pub use train::{train, train_incremental, TrainConfig, TrainReport};

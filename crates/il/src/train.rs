@@ -84,11 +84,6 @@ pub fn train(
 /// `config.seed` exactly as in [`train`], so a retraining generation is
 /// a pure function of `(previous weights, dataset, config)`.
 ///
-/// Note that touching the network drops any int8 calibration the model
-/// carried (`IlModel::network_mut` resets the precision to f32) — the
-/// serving side re-calibrates each published generation on its
-/// deterministic frame set before the quantized lane serves it.
-///
 /// # Panics
 ///
 /// Panics for an empty dataset or a dataset whose sample shape does not

@@ -155,17 +155,6 @@ impl Tensor {
 }
 
 impl Dense {
-    /// The `[out_dim, in_dim]` weight matrix (read-only; the quantizer
-    /// snapshots it).
-    pub(crate) fn weight(&self) -> &Tensor {
-        &self.weight
-    }
-
-    /// The `[out_dim]` bias vector.
-    pub(crate) fn bias(&self) -> &Tensor {
-        &self.bias
-    }
-
     /// Creates a He-initialized dense layer.
     pub fn new(in_dim: usize, out_dim: usize, seed: u64) -> Self {
         Dense {
@@ -293,32 +282,6 @@ impl Conv2d {
 
     pub(crate) fn out_dim(&self, d: usize) -> usize {
         (d + 2 * self.padding - self.kernel) / self.stride + 1
-    }
-
-    /// The `[out_ch, in_ch·k·k]` weight matrix.
-    pub(crate) fn weight(&self) -> &Tensor {
-        &self.weight
-    }
-
-    /// The `[out_ch]` bias vector.
-    pub(crate) fn bias(&self) -> &Tensor {
-        &self.bias
-    }
-
-    pub(crate) fn in_ch(&self) -> usize {
-        self.in_ch
-    }
-
-    pub(crate) fn kernel(&self) -> usize {
-        self.kernel
-    }
-
-    pub(crate) fn stride(&self) -> usize {
-        self.stride
-    }
-
-    pub(crate) fn padding(&self) -> usize {
-        self.padding
     }
 
     fn ensure_grads(&mut self) {

@@ -55,12 +55,10 @@ pub mod loss;
 pub mod metrics;
 pub mod network;
 pub mod optim;
-pub mod quant;
 pub mod simd;
 pub mod tensor;
 
 pub use data::Dataset;
 pub use network::{InferBuffers, Network};
-pub use quant::{ActQuant, QuantScratch, QuantizedNetwork};
 pub use simd::KernelBackend;
 pub use tensor::Tensor;

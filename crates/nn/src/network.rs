@@ -1,13 +1,13 @@
 //! Sequential network container.
 
 use crate::layer::{InferScratch, LayerKind};
-use crate::loss::{softmax, softmax_in_place};
+use crate::loss::softmax;
 use crate::simd::ConvEpilogue;
 use crate::Tensor;
 use serde::{Deserialize, Serialize};
 
 /// Reusable activation buffers for the allocation-free inference path
-/// ([`Network::infer_logits`] / [`Network::infer_proba`]).
+/// ([`Network::forward_batch_into`]).
 ///
 /// Holds two ping-pong activation tensors plus per-layer scratch. The
 /// buffers grow to the largest activation the network produces during the
@@ -15,8 +15,8 @@ use serde::{Deserialize, Serialize};
 /// inference performs no heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct InferBuffers {
-    pub(crate) ping: Tensor,
-    pub(crate) pong: Tensor,
+    ping: Tensor,
+    pong: Tensor,
     scratch: InferScratch,
 }
 
@@ -116,11 +116,6 @@ impl Network {
         &mut self.layers
     }
 
-    /// Read-only view of the layer stack (the quantizer walks it).
-    pub(crate) fn layers(&self) -> &[LayerKind] {
-        &self.layers
-    }
-
     /// Forward pass producing logits. `train = true` caches activations
     /// for [`Network::backward`].
     pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
@@ -137,17 +132,8 @@ impl Network {
         softmax(&logits)
     }
 
-    /// Runs the inference-only pipeline; returns `true` when the result
-    /// landed in `buf.ping`, `false` for `buf.pong`.
-    fn run_infer(&self, x: &Tensor, buf: &mut InferBuffers) -> bool {
-        buf.ping.copy_from(x);
-        self.run_layers(buf, |_| {})
-    }
-
     /// Ping-pongs the already-staged `buf.ping` input through the layer
-    /// stack, calling `at_gemm` with the input of every conv and dense
-    /// layer (the quantizer's calibration taps); returns `true` when the
-    /// result landed in `buf.ping`.
+    /// stack; returns `true` when the result landed in `buf.ping`.
     ///
     /// A conv layer runs as one block with the ReLU and the 2×2 max pool
     /// that follow it, when they do ([`crate::layer::Conv2d`]'s fused
@@ -156,7 +142,7 @@ impl Network {
     /// dense layers and unabsorbed pools move data between the buffers.
     /// Every element sees the same operations in the same order as in
     /// [`Network::forward`] with `train = false`.
-    fn run_layers(&self, buf: &mut InferBuffers, mut at_gemm: impl FnMut(&Tensor)) -> bool {
+    fn run_layers(&self, buf: &mut InferBuffers) -> bool {
         let InferBuffers {
             ping,
             pong,
@@ -169,7 +155,6 @@ impl Network {
             rest = tail;
             match layer {
                 LayerKind::Conv2d(conv) => {
-                    at_gemm(cur);
                     let relu = take_next(&mut rest, |l| matches!(l, LayerKind::ReLU(_)));
                     let pool = take_next(
                         &mut rest,
@@ -177,10 +162,7 @@ impl Network {
                     );
                     conv.infer_block(cur, ConvEpilogue { relu, pool }, next, scratch);
                 }
-                LayerKind::Dense(dense) => {
-                    at_gemm(cur);
-                    dense.infer_into(cur, next);
-                }
+                LayerKind::Dense(dense) => dense.infer_into(cur, next),
                 LayerKind::MaxPool2d(pool) => pool.infer_into(cur, next),
                 LayerKind::ReLU(_) => {
                     for v in cur.data_mut() {
@@ -202,32 +184,18 @@ impl Network {
         in_ping
     }
 
-    /// Runs inference on `x` (`[1, …]` or a batch) and hands the input of
-    /// every conv and dense layer to `at_gemm`, in layer order — the
-    /// activations the int8 calibration folds its ranges over.
-    pub(crate) fn visit_gemm_inputs(
-        &self,
-        x: &Tensor,
-        buf: &mut InferBuffers,
-        at_gemm: impl FnMut(&Tensor),
-    ) {
-        buf.ping.copy_from(x);
-        self.run_layers(buf, at_gemm);
-    }
-
     /// Inference over a stacked micro-batch: `samples` are `n` flattened
     /// inputs of identical shape `sample_shape` (e.g. `[channels, h, w]`
     /// BEV images); they are staged into the internal ping buffer as one
-    /// `[n, ...sample_shape]` batch, run through the same layer loop as
-    /// [`Network::infer_logits`], and the `[n, classes]` logits are
-    /// written into `out`.
+    /// `[n, ...sample_shape]` batch and run through the inference layer
+    /// loop, and the `[n, classes]` logits are written into `out`.
     ///
     /// Every layer in the inference path treats batch rows independently
     /// with a fixed per-row accumulation order — conv blocks loop per
     /// sample, dense outputs are independent dot products, dropout is the
-    /// identity at inference — so row `i` of `out` is
-    /// bit-identical to `infer_logits` on sample `i` alone. The
-    /// conformance harness (`batched_single_il`) holds the two paths to
+    /// identity at inference — so row `i` of `out` is bit-identical to a
+    /// batch of sample `i` alone, and to `forward(x, false)` on it. The
+    /// conformance harness (`batched_single_il`) holds the paths to
     /// exactly that standard.
     ///
     /// Allocation-free after warm-up: activations live in `buf` and `out`
@@ -263,41 +231,11 @@ impl Network {
             );
             buf.ping.data_mut()[i * sample_len..(i + 1) * sample_len].copy_from_slice(sample);
         }
-        if self.run_layers(buf, |_| {}) {
+        if self.run_layers(buf) {
             out.copy_from(&buf.ping);
         } else {
             out.copy_from(&buf.pong);
         }
-    }
-
-    /// Inference-only forward pass producing logits into reusable
-    /// buffers: bit-identical to `forward(x, false)` but performs no heap
-    /// allocation once `buf` has warmed up (and caches nothing, so it
-    /// takes `&self`).
-    pub fn infer_logits<'a>(&self, x: &Tensor, buf: &'a mut InferBuffers) -> &'a Tensor {
-        if self.run_infer(x, buf) {
-            &buf.ping
-        } else {
-            &buf.pong
-        }
-    }
-
-    /// [`Network::infer_logits`] followed by an in-place row-wise
-    /// softmax — the allocation-free counterpart of
-    /// [`Network::predict_proba`].
-    pub fn infer_proba<'a>(&self, x: &Tensor, buf: &'a mut InferBuffers) -> &'a Tensor {
-        if self.run_infer(x, buf) {
-            softmax_in_place(&mut buf.ping);
-            &buf.ping
-        } else {
-            softmax_in_place(&mut buf.pong);
-            &buf.pong
-        }
-    }
-
-    /// Predicted class per batch row.
-    pub fn predict(&mut self, x: &Tensor) -> Vec<usize> {
-        self.forward(x, false).argmax_rows()
     }
 
     /// Backward pass from a loss gradient; accumulates parameter
@@ -353,7 +291,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss;
+    use crate::loss::{self, softmax_in_place};
     use crate::optim::{Optimizer, Sgd};
 
     #[test]
@@ -416,21 +354,36 @@ mod tests {
         assert_eq!(loss::accuracy(&net.forward(&x, false), &ys), 1.0);
     }
 
+    /// `forward_batch_into` over the rows of a stacked `[n, …]` input.
+    fn infer_stacked(net: &Network, x: &Tensor, buf: &mut InferBuffers, out: &mut Tensor) {
+        let sample_shape = &x.shape()[1..];
+        let sample_len: usize = sample_shape.iter().product();
+        let samples: Vec<&[f32]> = x.data().chunks_exact(sample_len).collect();
+        net.forward_batch_into(&samples, sample_shape, buf, out);
+    }
+
     #[test]
     fn infer_path_matches_forward_bitwise() {
         let mut net = Network::il_architecture((2, 16, 16), 21, 4);
         let x = crate::init::uniform(vec![2, 2, 16, 16], 0.0, 1.0, 5);
         let logits = net.forward(&x, false);
         let mut buf = InferBuffers::new();
-        assert_eq!(logits.data(), net.infer_logits(&x, &mut buf).data());
+        let mut out = Tensor::default();
+        infer_stacked(&net, &x, &mut buf, &mut out);
+        assert_eq!(logits.data(), out.data());
         let probs = net.predict_proba(&x);
-        assert_eq!(probs.data(), net.infer_proba(&x, &mut buf).data());
+        softmax_in_place(&mut out);
+        assert_eq!(probs.data(), out.data());
         // warm buffers must not change the result
-        assert_eq!(probs.data(), net.infer_proba(&x, &mut buf).data());
+        infer_stacked(&net, &x, &mut buf, &mut out);
+        softmax_in_place(&mut out);
+        assert_eq!(probs.data(), out.data());
         // and a different input through the same buffers stays correct
         let x2 = crate::init::uniform(vec![1, 2, 16, 16], -1.0, 1.0, 6);
         let probs2 = net.predict_proba(&x2);
-        assert_eq!(probs2.data(), net.infer_proba(&x2, &mut buf).data());
+        infer_stacked(&net, &x2, &mut buf, &mut out);
+        softmax_in_place(&mut out);
+        assert_eq!(probs2.data(), out.data());
     }
 
     #[test]
@@ -442,6 +395,7 @@ mod tests {
         let mut batch_buf = InferBuffers::new();
         let mut single_buf = InferBuffers::new();
         let mut out = Tensor::default();
+        let mut single = Tensor::default();
         for n in [1usize, 2, 7, 16] {
             let samples: Vec<&[f32]> = (0..n)
                 .map(|i| &stacked.data()[i * sample_len..(i + 1) * sample_len])
@@ -452,9 +406,10 @@ mod tests {
                 let mut x = Tensor::zeros(vec![1, 2, 16, 16]);
                 x.data_mut().copy_from_slice(sample);
                 let row = &out.data()[i * 21..(i + 1) * 21];
+                net.forward_batch_into(&[sample], &sample_shape, &mut single_buf, &mut single);
                 assert_eq!(
                     row,
-                    net.infer_logits(&x, &mut single_buf).data(),
+                    single.data(),
                     "batch {n} row {i} diverged from single-sample inference"
                 );
                 assert_eq!(

@@ -1,5 +1,4 @@
-//! Runtime-dispatched SIMD kernels for the crate's `f32` hot paths and
-//! the quantized int8 inference lane.
+//! Runtime-dispatched SIMD kernels for the crate's `f32` hot paths.
 //!
 //! Three backends implement the kernels:
 //!
@@ -8,8 +7,8 @@
 //! * **avx2** — x86-64 AVX2/FMA `f32x8` lanes, selected at runtime when
 //!   the CPU reports both `avx2` and `fma`;
 //! * **avx512** — selected when the CPU also reports `avx512f`. The fused
-//!   conv blocks run on 512-bit tiles, every other kernel (GEMM, the
-//!   Dense GEMM-NT, the int8 lane) keeps its AVX2 body. The conv tiles
+//!   conv blocks run on 512-bit tiles, every other kernel (GEMM and the
+//!   Dense GEMM-NT) keeps its AVX2 body. The conv tiles
 //!   replay the AVX2 sequence of every output element, so this backend's
 //!   results equal the AVX2 backend's bit for bit.
 //!
@@ -174,9 +173,6 @@ pub fn kernel_modes() -> &'static [(&'static str, &'static str)] {
         ("matmul_f32", "ulp"),
         ("matmul_nt_f32", "ulp"),
         ("conv2d_f32", "ulp"),
-        ("gemm_nt_i8", "bitwise"),
-        ("requant_u8", "bitwise"),
-        ("quantize_u8", "bitwise"),
     ]
 }
 
@@ -1542,416 +1538,6 @@ unsafe fn pool2x2_avx512(
     _mm256_max_ps(_mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(bottom)), best)
 }
 
-/// `out[m×n] = a[m×k] · b[n×k]ᵀ` over quantized integers: `a` holds
-/// unsigned activation codes, `b` signed int8 weights, and every output
-/// element is an exact i32 dot product — the quantized counterpart of
-/// [`matmul_nt`].
-///
-/// # Determinism contract
-///
-/// This kernel is `"bitwise"`: i32 addition is associative mod 2³², so
-/// the AVX2 lane tiling cannot reorder a result, *provided* the
-/// `maddubs` pair sums never saturate in i16. The quantizer guarantees
-/// that by keeping activation codes in `0..=127` (so a pair is at most
-/// `2·127·127 = 32258 < 32767`); callers handing this kernel activation
-/// bytes above 127 forfeit the bitwise guarantee on AVX2.
-///
-/// The caller also guarantees the i32 accumulator cannot overflow:
-/// `k·127·127` must stay below `i32::MAX` (true for any `k` below
-/// ~132 000; the iCOIL CNN's largest reduction is 512).
-///
-/// # Panics
-///
-/// Panics when the slice lengths disagree with the dimensions (and, in
-/// debug builds only, on an activation code above 127: that O(m·k) scan
-/// guards the numeric contract, not memory).
-pub fn gemm_nt_i8(a: &[u8], m: usize, k: usize, b: &[i8], n: usize, out: &mut [i32]) {
-    assert_eq!(a.len(), elems(m, k), "gemm_nt_i8: a is not m×k");
-    assert_eq!(b.len(), elems(n, k), "gemm_nt_i8: b is not n×k");
-    assert_eq!(out.len(), elems(m, n), "gemm_nt_i8: out is not m×n");
-    debug_assert!(
-        a.iter().all(|&v| v <= 127),
-        "activation codes above 127 break the maddubs bitwise contract"
-    );
-    match active() {
-        KernelBackend::Scalar => gemm_nt_i8_scalar(a, m, k, b, n, out),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `matmul`, the active backend is supported and
-        // includes avx2; the asserts above bound every pointer the kernel
-        // forms.
-        KernelBackend::Avx2 | KernelBackend::Avx512 => unsafe {
-            gemm_nt_i8_avx2(a, m, k, b, n, out)
-        },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => gemm_nt_i8_scalar(a, m, k, b, n, out),
-    }
-}
-
-/// The portable int8 reference: plain i32 dot products, the exact value
-/// the AVX2 path must reproduce bit-for-bit.
-fn gemm_nt_i8_scalar(a: &[u8], m: usize, k: usize, b: &[i8], n: usize, out: &mut [i32]) {
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        for j in 0..n {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = 0i32;
-            for (&av, &bv) in a_row.iter().zip(b_row) {
-                acc += i32::from(av) * i32::from(bv);
-            }
-            out[i * n + j] = acc;
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn gemm_nt_i8_avx2(a: &[u8], m: usize, k: usize, b: &[i8], n: usize, out: &mut [i32]) {
-    use std::arch::x86_64::*;
-    let lanes = k - k % 32;
-    let n_main = n - n % 8;
-    // SAFETY (whole function): every pointer below indexes a[..m*k],
-    // b[..n*k] or out[..m*n], the lengths `gemm_nt_i8` asserts; vector loads read 32 bytes at offsets < lanes <= k, and
-    // the 256-bit result store covers out[i*n+j .. +8] with j+8 <= n.
-    unsafe {
-        let ones = _mm256_set1_epi16(1);
-        // Eight-column panels, panel-outer so the eight weight-row
-        // pointers stay pinned in registers across the whole activation
-        // sweep: per row, eight weight rows share each 32-byte activation
-        // load (one maddubs u8×i8 → i16 pairs, one madd pair sum → i32
-        // lanes, one add per row), and the eight accumulators collapse
-        // through a single hadd/permute tree into one ymm of ordered
-        // column sums, stored with one 256-bit write. Amortizing the
-        // horizontal reduction to ~1 instruction per output is what makes
-        // the skinny conv GEMMs (k as small as 32) worthwhile. Exact i32
-        // sums make the tiling invisible in the result.
-        let mut j = 0;
-        while j < n_main {
-            let bp: [*const i8; 8] = std::array::from_fn(|s| b.as_ptr().add((j + s) * k));
-            for i in 0..m {
-                let a_row = a.as_ptr().add(i * k);
-                let mut acc = [_mm256_setzero_si256(); 8];
-                let mut kk = 0;
-                while kk < lanes {
-                    let va = _mm256_loadu_si256(a_row.add(kk) as *const __m256i);
-                    for (accs, bs) in acc.iter_mut().zip(&bp) {
-                        let vb = _mm256_loadu_si256(bs.add(kk) as *const __m256i);
-                        *accs = _mm256_add_epi32(
-                            *accs,
-                            _mm256_madd_epi16(_mm256_maddubs_epi16(va, vb), ones),
-                        );
-                    }
-                    kk += 32;
-                }
-                // [Σ0..Σ7] in column order: hadd pairs lanes within
-                // 128-bit halves, the permute2x128 pair realigns them
-                let t0 = _mm256_hadd_epi32(acc[0], acc[1]);
-                let t1 = _mm256_hadd_epi32(acc[2], acc[3]);
-                let t2 = _mm256_hadd_epi32(acc[4], acc[5]);
-                let t3 = _mm256_hadd_epi32(acc[6], acc[7]);
-                let u0 = _mm256_hadd_epi32(t0, t1);
-                let u1 = _mm256_hadd_epi32(t2, t3);
-                let mut v = _mm256_add_epi32(
-                    _mm256_permute2x128_si256(u0, u1, 0x20),
-                    _mm256_permute2x128_si256(u0, u1, 0x31),
-                );
-                if lanes < k {
-                    let mut tails = [0i32; 8];
-                    for (ts, bs) in tails.iter_mut().zip(&bp) {
-                        for kk in lanes..k {
-                            *ts += i32::from(*a_row.add(kk)) * i32::from(*bs.add(kk));
-                        }
-                    }
-                    let vt = _mm256_loadu_si256(tails.as_ptr() as *const __m256i);
-                    v = _mm256_add_epi32(v, vt);
-                }
-                _mm256_storeu_si256(out.as_mut_ptr().add(i * n + j) as *mut __m256i, v);
-            }
-            j += 8;
-        }
-        // column tail (n % 8): one weight row at a time
-        for j in n_main..n {
-            let b_row = b.as_ptr().add(j * k);
-            for i in 0..m {
-                out[i * n + j] = dot_i8_avx2(a.as_ptr().add(i * k), b_row, k, lanes);
-            }
-        }
-    }
-}
-
-/// One u8·i8 dot product over `k` entries (`lanes` of them vectorized).
-///
-/// # Safety
-///
-/// `a` and `b` must be readable for `k` bytes, and avx2 must be
-/// available; `lanes` must be `k - k % 32`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_i8_avx2(a: *const u8, b: *const i8, k: usize, lanes: usize) -> i32 {
-    use std::arch::x86_64::*;
-    // SAFETY: callers pass pointers valid for k bytes; loads stop at
-    // lanes <= k.
-    unsafe {
-        let ones = _mm256_set1_epi16(1);
-        let mut accv = _mm256_setzero_si256();
-        let mut kk = 0;
-        while kk < lanes {
-            let va = _mm256_loadu_si256(a.add(kk) as *const __m256i);
-            let vb = _mm256_loadu_si256(b.add(kk) as *const __m256i);
-            accv = _mm256_add_epi32(accv, _mm256_madd_epi16(_mm256_maddubs_epi16(va, vb), ones));
-            kk += 32;
-        }
-        let s = _mm_add_epi32(
-            _mm256_castsi256_si128(accv),
-            _mm256_extracti128_si256(accv, 1),
-        );
-        let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b_01_00_11_10));
-        let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b_00_00_00_01));
-        let mut acc = _mm_cvtsi128_si32(s);
-        for kk in lanes..k {
-            acc += i32::from(*a.add(kk)) * i32::from(*b.add(kk));
-        }
-        acc
-    }
-}
-
-/// One requantization element: the exact op sequence both backends
-/// perform — i32→f32 convert, scale, offset, optional ReLU, round ties
-/// to even, zero-point shift, clamp to the `[0, 127]` code range.
-#[inline]
-fn requant_one(a: i32, zc: i32, s: f32, b: f32, fuse_relu: bool, zp_out: f32) -> u8 {
-    let mut v = (a - zc) as f32 * s + b;
-    if fuse_relu {
-        v = v.max(0.0);
-    }
-    (v.round_ties_even() + zp_out).clamp(0.0, 127.0) as u8
-}
-
-/// Fused requantization of a `[rows, out]` i32 accumulator plane into u8
-/// activation codes: per column `j`,
-/// `code = clamp(round((acc − zp_corr[j])·s_out[j] + b_out[j]) + zp_out)`,
-/// with an optional fused ReLU before rounding.
-///
-/// # Determinism contract
-///
-/// `"bitwise"`: the pipeline is elementwise over IEEE f32 ops performed
-/// in the same order on both backends (no FMA contraction, ties-to-even
-/// rounding), so lane width cannot change a single code.
-///
-/// # Panics
-///
-/// Panics when the column arrays disagree in length or the plane sizes
-/// are not `rows × zp_corr.len()`.
-pub fn requant_rows_u8(
-    acc: &[i32],
-    zp_corr: &[i32],
-    s_out: &[f32],
-    b_out: &[f32],
-    fuse_relu: bool,
-    zp_out: f32,
-    dst: &mut [u8],
-) {
-    let out = zp_corr.len();
-    assert_eq!(s_out.len(), out, "requant_rows_u8: one scale per column");
-    assert_eq!(b_out.len(), out, "requant_rows_u8: one offset per column");
-    assert_eq!(
-        acc.len(),
-        dst.len(),
-        "requant_rows_u8: planes differ in size"
-    );
-    assert!(
-        out == 0 || acc.len().is_multiple_of(out),
-        "requant_rows_u8: plane is not rows × columns"
-    );
-    match active() {
-        KernelBackend::Scalar => {
-            requant_rows_u8_scalar(acc, zp_corr, s_out, b_out, fuse_relu, zp_out, dst)
-        }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `matmul`, the active backend is supported and
-        // includes avx2; the asserts above bound every pointer the kernel
-        // forms.
-        KernelBackend::Avx2 | KernelBackend::Avx512 => unsafe {
-            requant_rows_u8_avx2(acc, zp_corr, s_out, b_out, fuse_relu, zp_out, dst)
-        },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => requant_rows_u8_scalar(acc, zp_corr, s_out, b_out, fuse_relu, zp_out, dst),
-    }
-}
-
-fn requant_rows_u8_scalar(
-    acc: &[i32],
-    zp_corr: &[i32],
-    s_out: &[f32],
-    b_out: &[f32],
-    fuse_relu: bool,
-    zp_out: f32,
-    dst: &mut [u8],
-) {
-    let out = zp_corr.len();
-    if out == 0 {
-        return;
-    }
-    for (acc_row, dst_row) in acc.chunks_exact(out).zip(dst.chunks_exact_mut(out)) {
-        let lanes = dst_row
-            .iter_mut()
-            .zip(acc_row)
-            .zip(zp_corr)
-            .zip(s_out)
-            .zip(b_out);
-        for ((((d, &a), &zc), &s), &b) in lanes {
-            *d = requant_one(a, zc, s, b, fuse_relu, zp_out);
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn requant_rows_u8_avx2(
-    acc: &[i32],
-    zp_corr: &[i32],
-    s_out: &[f32],
-    b_out: &[f32],
-    fuse_relu: bool,
-    zp_out: f32,
-    dst: &mut [u8],
-) {
-    use std::arch::x86_64::*;
-    let out = zp_corr.len();
-    if out == 0 {
-        return;
-    }
-    let rows = acc.len() / out;
-    let out_main = out - out % 8;
-    // SAFETY (whole function): row pointers index acc[..rows*out] and
-    // dst[..rows*out], and column loads zp_corr/s_out/b_out[..out] (the
-    // lengths `requant_rows_u8` asserts); vector loads/stores cover 8
-    // elements at offsets j <= out_main - 8; x86-64 is little-endian, so the packed low
-    // 4-byte halves land in dst in column order.
-    unsafe {
-        let zero = _mm256_setzero_ps();
-        let v127 = _mm256_set1_ps(127.0);
-        let vzp = _mm256_set1_ps(zp_out);
-        for r in 0..rows {
-            let acc_row = acc.as_ptr().add(r * out);
-            let dst_row = dst.as_mut_ptr().add(r * out);
-            let mut j = 0;
-            while j < out_main {
-                let va = _mm256_loadu_si256(acc_row.add(j) as *const __m256i);
-                let vzc = _mm256_loadu_si256(zp_corr.as_ptr().add(j) as *const __m256i);
-                let f = _mm256_cvtepi32_ps(_mm256_sub_epi32(va, vzc));
-                let vs = _mm256_loadu_ps(s_out.as_ptr().add(j));
-                let vb = _mm256_loadu_ps(b_out.as_ptr().add(j));
-                // mul then add (not fmadd): the scalar path rounds twice
-                let mut v = _mm256_add_ps(_mm256_mul_ps(f, vs), vb);
-                if fuse_relu {
-                    v = _mm256_max_ps(v, zero);
-                }
-                v = _mm256_round_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(v);
-                v = _mm256_min_ps(_mm256_max_ps(_mm256_add_ps(v, vzp), zero), v127);
-                let q = _mm256_cvtps_epi32(v);
-                // pack 8 i32 codes (0..=127) into 8 bytes
-                let p16 = _mm256_packs_epi32(q, q);
-                let p8 = _mm256_packus_epi16(p16, p16);
-                let lo = _mm_cvtsi128_si32(_mm256_castsi256_si128(p8)) as u32;
-                let hi = _mm_cvtsi128_si32(_mm256_extracti128_si256(p8, 1)) as u32;
-                (dst_row.add(j) as *mut u32).write_unaligned(lo);
-                (dst_row.add(j + 4) as *mut u32).write_unaligned(hi);
-                j += 8;
-            }
-            for j in out_main..out {
-                *dst_row.add(j) = requant_one(
-                    *acc_row.add(j),
-                    zp_corr[j],
-                    s_out[j],
-                    b_out[j],
-                    fuse_relu,
-                    zp_out,
-                );
-            }
-        }
-    }
-}
-
-/// Quantizes a contiguous f32 slice to `[0, 127]` u8 codes:
-/// `code = clamp(round(v·inv_scale) + zero_point)`, rounding ties to
-/// even.
-///
-/// # Determinism contract
-///
-/// `"bitwise"`: elementwise IEEE f32 ops in the same order on both
-/// backends.
-///
-/// # Panics
-///
-/// Panics when the slices disagree in length.
-pub fn quantize_f32_u8(src: &[f32], inv_scale: f32, zero_point: f32, dst: &mut [u8]) {
-    assert_eq!(
-        src.len(),
-        dst.len(),
-        "quantize_f32_u8: slices differ in length"
-    );
-    match active() {
-        KernelBackend::Scalar => quantize_f32_u8_scalar(src, inv_scale, zero_point, dst),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `matmul`, the active backend is supported and
-        // includes avx2; the kernel writes dst only below src.len(), which
-        // the assert above makes dst's length.
-        KernelBackend::Avx2 | KernelBackend::Avx512 => unsafe {
-            quantize_f32_u8_avx2(src, inv_scale, zero_point, dst)
-        },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => quantize_f32_u8_scalar(src, inv_scale, zero_point, dst),
-    }
-}
-
-#[inline]
-fn quantize_one(v: f32, inv_scale: f32, zero_point: f32) -> u8 {
-    ((v * inv_scale).round_ties_even() + zero_point).clamp(0.0, 127.0) as u8
-}
-
-fn quantize_f32_u8_scalar(src: &[f32], inv_scale: f32, zero_point: f32, dst: &mut [u8]) {
-    for (d, &v) in dst.iter_mut().zip(src) {
-        *d = quantize_one(v, inv_scale, zero_point);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn quantize_f32_u8_avx2(src: &[f32], inv_scale: f32, zero_point: f32, dst: &mut [u8]) {
-    use std::arch::x86_64::*;
-    let n = src.len();
-    let main = n - n % 8;
-    // SAFETY (whole function): vector loads/stores cover 8 elements at
-    // offsets j <= main - 8, and the tail writes dst[j] for j < n, within
-    // src and dst of equal length n (asserted by `quantize_f32_u8`);
-    // x86-64 is little-endian for the packed 4-byte halves.
-    unsafe {
-        let zero = _mm256_setzero_ps();
-        let v127 = _mm256_set1_ps(127.0);
-        let vinv = _mm256_set1_ps(inv_scale);
-        let vzp = _mm256_set1_ps(zero_point);
-        let mut j = 0;
-        while j < main {
-            let v = _mm256_loadu_ps(src.as_ptr().add(j));
-            let v = _mm256_round_ps::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(
-                _mm256_mul_ps(v, vinv),
-            );
-            let v = _mm256_min_ps(_mm256_max_ps(_mm256_add_ps(v, vzp), zero), v127);
-            let q = _mm256_cvtps_epi32(v);
-            let p16 = _mm256_packs_epi32(q, q);
-            let p8 = _mm256_packus_epi16(p16, p16);
-            let lo = _mm_cvtsi128_si32(_mm256_castsi256_si128(p8)) as u32;
-            let hi = _mm_cvtsi128_si32(_mm256_extracti128_si256(p8, 1)) as u32;
-            (dst.as_mut_ptr().add(j) as *mut u32).write_unaligned(lo);
-            (dst.as_mut_ptr().add(j + 4) as *mut u32).write_unaligned(hi);
-            j += 8;
-        }
-        for (j, &v) in src.iter().enumerate().skip(main) {
-            *dst.get_unchecked_mut(j) = quantize_one(v, inv_scale, zero_point);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2078,149 +1664,12 @@ mod tests {
     #[test]
     fn kernel_mode_table_is_complete() {
         let modes = kernel_modes();
-        assert_eq!(modes.len(), 6);
+        assert_eq!(modes.len(), 3);
         for (kernel, mode) in modes {
             assert!(
                 *mode == "bitwise" || *mode == "ulp",
                 "{kernel}: unknown mode {mode}"
             );
-        }
-    }
-
-    fn quant_inputs(m: usize, k: usize, n: usize) -> (Vec<u8>, Vec<i8>) {
-        let a: Vec<u8> = (0..m * k).map(|i| ((i * 37 + 11) % 128) as u8).collect();
-        let b: Vec<i8> = (0..n * k)
-            .map(|i| (((i * 53 + 7) % 255) as i32 - 127) as i8)
-            .collect();
-        (a, b)
-    }
-
-    #[test]
-    fn int8_backends_agree_bitwise() {
-        // awkward shapes: k not a multiple of 32, n not a multiple of 4
-        for (m, k, n) in [
-            (1, 27, 8),
-            (5, 72, 16),
-            (3, 160, 21),
-            (8, 512, 128),
-            (2, 33, 5),
-        ] {
-            let (a, b) = quant_inputs(m, k, n);
-            let mut scalar = vec![0i32; m * n];
-            with_backend(KernelBackend::Scalar, || {
-                gemm_nt_i8(&a, m, k, &b, n, &mut scalar)
-            });
-            for backend in supported_backends() {
-                let mut simd = vec![0i32; m * n];
-                with_backend(backend, || gemm_nt_i8(&a, m, k, &b, n, &mut simd));
-                assert_eq!(scalar, simd, "{backend:?} gemm_nt_i8 {m}x{k}x{n} diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn requant_backends_agree_bitwise() {
-        // column counts on and off the 8-lane grid, both relu/zp variants
-        for (rows, out) in [(7usize, 8usize), (5, 16), (3, 21), (2, 3), (4, 32)] {
-            let acc: Vec<i32> = (0..rows * out)
-                .map(|i| (i as i32 * 917) % 20001 - 10000)
-                .collect();
-            let zp_corr: Vec<i32> = (0..out).map(|i| (i as i32 * 13) - 40).collect();
-            let s_out: Vec<f32> = (0..out).map(|i| 0.0003 + i as f32 * 1.7e-5).collect();
-            let b_out: Vec<f32> = (0..out).map(|i| (i as f32 - 4.0) * 0.02).collect();
-            for fuse_relu in [false, true] {
-                for zp_out in [0.0f32, 64.0] {
-                    let mut scalar = vec![0u8; rows * out];
-                    with_backend(KernelBackend::Scalar, || {
-                        requant_rows_u8(
-                            &acc,
-                            &zp_corr,
-                            &s_out,
-                            &b_out,
-                            fuse_relu,
-                            zp_out,
-                            &mut scalar,
-                        )
-                    });
-                    for backend in supported_backends() {
-                        let mut simd = vec![0u8; rows * out];
-                        with_backend(backend, || {
-                            requant_rows_u8(
-                                &acc, &zp_corr, &s_out, &b_out, fuse_relu, zp_out, &mut simd,
-                            )
-                        });
-                        assert_eq!(
-                            scalar, simd,
-                            "{backend:?} requant {rows}x{out} relu={fuse_relu}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn quantize_backends_agree_bitwise() {
-        let src: Vec<f32> = (0..1003)
-            .map(|i| ((i * 7 + 3) as f32 * 0.037).sin() * 3.0)
-            .collect();
-        for (inv, zp) in [(127.0f32 / 3.0, 0.0f32), (63.0 / 3.0, 64.0)] {
-            let mut scalar = vec![0u8; src.len()];
-            with_backend(KernelBackend::Scalar, || {
-                quantize_f32_u8(&src, inv, zp, &mut scalar)
-            });
-            for backend in supported_backends() {
-                let mut simd = vec![0u8; src.len()];
-                with_backend(backend, || quantize_f32_u8(&src, inv, zp, &mut simd));
-                assert_eq!(scalar, simd, "{backend:?} quantize zp={zp} diverged");
-            }
-            // every code stays in range and saturates sanely
-            assert!(scalar.iter().all(|&c| c <= 127));
-        }
-    }
-
-    #[test]
-    fn int8_matches_exact_reference() {
-        let (m, k, n) = (3, 40, 6);
-        let (a, b) = quant_inputs(m, k, n);
-        let mut out = vec![0i32; m * n];
-        gemm_nt_i8(&a, m, k, &b, n, &mut out);
-        for i in 0..m {
-            for j in 0..n {
-                let exact: i64 = (0..k)
-                    .map(|kk| i64::from(a[i * k + kk]) * i64::from(b[j * k + kk]))
-                    .sum();
-                assert_eq!(i64::from(out[i * n + j]), exact, "element ({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    fn int8_zero_dimensions_are_safe() {
-        let mut out = vec![0i32; 0];
-        gemm_nt_i8(&[], 0, 3, &[0i8; 9], 3, &mut out);
-        let mut out1 = vec![7i32; 2];
-        // k = 0: every element is an empty sum
-        gemm_nt_i8(&[], 1, 0, &[], 2, &mut out1);
-        assert_eq!(out1, [0, 0]);
-    }
-
-    #[test]
-    fn int8_saturating_extremes_stay_exact() {
-        // the worst legal pair: a = 127 everywhere against ±127 weights
-        let (m, k, n) = (2, 64, 3);
-        let a = vec![127u8; m * k];
-        let b: Vec<i8> = (0..n * k)
-            .map(|i| if i % 2 == 0 { 127 } else { -127 })
-            .collect();
-        let mut scalar = vec![0i32; m * n];
-        with_backend(KernelBackend::Scalar, || {
-            gemm_nt_i8(&a, m, k, &b, n, &mut scalar)
-        });
-        for backend in supported_backends() {
-            let mut simd = vec![0i32; m * n];
-            with_backend(backend, || gemm_nt_i8(&a, m, k, &b, n, &mut simd));
-            assert_eq!(scalar, simd, "{backend:?}");
         }
     }
 
@@ -2234,29 +1683,5 @@ mod tests {
         let (m, k, n) = (4, 8, 16);
         let mut out = vec![0.0; m * n];
         matmul(&wavy(m * k - 1, 0.1), m, k, &wavy(k * n, 0.2), n, &mut out);
-    }
-
-    #[test]
-    #[should_panic(expected = "gemm_nt_i8: b is not n×k")]
-    fn gemm_nt_i8_rejects_a_short_slice() {
-        let (m, k, n) = (1, 32, 8);
-        let (a, b) = quant_inputs(m, k, n);
-        let mut out = vec![0i32; m * n];
-        gemm_nt_i8(&a, m, k, &b[..n * k - 1], n, &mut out);
-    }
-
-    #[test]
-    #[should_panic(expected = "requant_rows_u8: one scale per column")]
-    fn requant_rows_u8_rejects_a_short_slice() {
-        let acc = vec![100i32; 8];
-        let mut dst = vec![0u8; 8];
-        requant_rows_u8(&acc, &[0; 8], &[0.01; 7], &[0.0; 8], true, 0.0, &mut dst);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantize_f32_u8: slices differ in length")]
-    fn quantize_f32_u8_rejects_a_short_slice() {
-        let mut dst = vec![0u8; 8];
-        quantize_f32_u8(&wavy(9, 0.3), 40.0, 0.0, &mut dst);
     }
 }

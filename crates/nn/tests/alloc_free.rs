@@ -1,10 +1,12 @@
 //! Proves the inference hot path is allocation-free after warm-up.
 //!
 //! A counting global allocator wraps the system allocator; after two
-//! warm-up calls size the [`InferBuffers`], repeated inference through
-//! the full IL architecture must perform zero heap allocations.
+//! warm-up calls size the [`InferBuffers`] and the logits tensor,
+//! repeated inference through the full IL architecture (batched forward
+//! pass, then an in-place softmax) must perform zero heap allocations.
 
-use icoil_nn::{init, InferBuffers, Network};
+use icoil_nn::loss::softmax_in_place;
+use icoil_nn::{init, InferBuffers, Network, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -36,12 +38,18 @@ fn il_inference_is_allocation_free_after_warmup() {
     // The paper's IL architecture at the BEV input size used in-sim.
     let net = Network::il_architecture((2, 32, 32), 21, 0);
     let x = init::uniform(vec![1, 2, 32, 32], 0.0, 1.0, 1);
+    let samples = [x.data()];
     let mut buf = InferBuffers::new();
+    let mut out = Tensor::default();
+    let infer_proba = |buf: &mut InferBuffers, out: &mut Tensor| {
+        net.forward_batch_into(&samples, &[2, 32, 32], buf, out);
+        softmax_in_place(out);
+    };
 
     // Warm-up: first call sizes every buffer, second call confirms the
     // sizes are stable before counting starts.
-    let _ = net.infer_proba(&x, &mut buf);
-    let _ = net.infer_proba(&x, &mut buf);
+    infer_proba(&mut buf, &mut out);
+    infer_proba(&mut buf, &mut out);
 
     // The counter is process-wide and the libtest controller thread can
     // allocate concurrently (e.g. its slow-test watchdog under CPU
@@ -53,8 +61,8 @@ fn il_inference_is_allocation_free_after_warmup() {
     for _ in 0..5 {
         let before = ALLOCATIONS.load(Ordering::SeqCst);
         for _ in 0..10 {
-            let p = net.infer_proba(&x, &mut buf);
-            checksum += p.data()[0];
+            infer_proba(&mut buf, &mut out);
+            checksum += out.data()[0];
         }
         let after = ALLOCATIONS.load(Ordering::SeqCst);
         cleanest = cleanest.min(after - before);

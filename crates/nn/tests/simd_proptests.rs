@@ -65,9 +65,9 @@ fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// `forward_batch_into` and `infer_logits` against `forward(x, false)`
-/// on the first `n` samples of `stacked`, for each batch width, on the
-/// current thread's backend.
+/// `forward_batch_into` against `forward(x, false)` on the first `n`
+/// samples of `stacked`, for each batch width, batched and one sample at
+/// a time, on the current thread's backend.
 fn check_fused_against_forward(
     net: &mut Network,
     stacked: &Tensor,
@@ -77,6 +77,7 @@ fn check_fused_against_forward(
     let len: usize = sample_shape.iter().product();
     let mut buf = InferBuffers::new();
     let mut out = Tensor::default();
+    let mut single = Tensor::default();
     for &n in widths {
         let mut shape = vec![n];
         shape.extend_from_slice(sample_shape);
@@ -91,13 +92,17 @@ fn check_fused_against_forward(
             "batch width {}",
             n
         );
-        let logits = net.infer_logits(&x, &mut buf);
-        prop_assert_eq!(
-            bits(logits.data()),
-            bits(reference.data()),
-            "infer_logits width {}",
-            n
-        );
+        let classes = reference.shape()[1];
+        for (i, sample) in samples.iter().enumerate() {
+            net.forward_batch_into(&[sample], sample_shape, &mut buf, &mut single);
+            prop_assert_eq!(
+                bits(single.data()),
+                bits(&reference.data()[i * classes..(i + 1) * classes]),
+                "width {} sample {} alone",
+                n,
+                i
+            );
+        }
     }
     Ok(())
 }

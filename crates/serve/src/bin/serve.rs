@@ -13,12 +13,9 @@
 //!   lane, which is the interesting load anyway);
 //! * `ICOIL_CO_WORKERS` — CO lane worker threads (default 2);
 //! * `ICOIL_SHARDS` — engine shard threads (default 1); sessions are
-//!   consistent-hashed across shards by id;
-//! * `ICOIL_IL_PRECISION` — IL-lane precision, `f32` (default) or
-//!   `int8`; `int8` calibrates the model at startup and pins every
-//!   session created by this server to the quantized lane.
+//!   consistent-hashed across shards by id.
 
-use icoil_il::{IlModel, IlPrecision};
+use icoil_il::IlModel;
 use icoil_perception::BevConfig;
 use icoil_serve::{run_server, Serve, ServeConfig};
 use icoil_vehicle::ActionCodec;
@@ -37,7 +34,6 @@ fn main() -> std::io::Result<()> {
             .parse()
             .expect("ICOIL_SHARDS must be a positive integer");
     }
-    config.il_precision = IlPrecision::from_env();
     let model = match std::env::var("ICOIL_MODEL") {
         Ok(path) => {
             let json = std::fs::read_to_string(&path)?;
@@ -48,11 +44,10 @@ fn main() -> std::io::Result<()> {
     };
     let listener = TcpListener::bind(&addr)?;
     eprintln!(
-        "icoil-serve listening on {addr} ({} shards, {} CO workers, queue {}, il {})",
+        "icoil-serve listening on {addr} ({} shards, {} CO workers, queue {})",
         config.shards.max(1),
         config.co_workers,
-        config.queue_capacity,
-        config.il_precision.label()
+        config.queue_capacity
     );
     let server = Serve::start(config, model);
     let result = run_server(listener, server.handle());

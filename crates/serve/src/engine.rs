@@ -32,17 +32,14 @@
 use crate::queue::DeadlineQueue;
 use crate::session::{ServeError, Session, SessionSnapshot, SessionSpec, StepResponse};
 use crate::shard::ShardRouter;
-use crate::snapshot::{decode_snapshot, encode_snapshot};
+use crate::snapshot::encode_snapshot;
 use crate::ServeConfig;
-use icoil_adapt::{SafetyProjector, WeightStore};
+use icoil_adapt::{SafetyProjector, WeightGeneration, WeightStore};
 use icoil_co::CoOutput;
 use icoil_hsa::{HsaDecision, Mode};
-use icoil_il::{IlModel, IlPrecision, IlScratch, InferResult};
-use icoil_perception::{BevImage, Perception, Sensing};
+use icoil_il::{IlModel, IlScratch, InferResult};
+use icoil_perception::{BevImage, Sensing};
 use icoil_telemetry::{Counter, Metrics, Series};
-use icoil_vehicle::Action;
-use icoil_world::episode::Observation;
-use icoil_world::{Difficulty, ScenarioConfig, World};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -213,37 +210,6 @@ fn worker_loop(lane: Arc<Lane>) {
     }
 }
 
-/// The fixed BEV frame set the server calibrates int8 quantization on:
-/// a few stepped frames from seeded scenarios cycling every difficulty
-/// tier, rendered through the config's own perception pipeline. Purely
-/// a function of `config.icoil`, so every shard of every process
-/// derives the identical activation scales — a session migrated across
-/// servers meets the same quantized network on both sides.
-pub(crate) fn calibration_frames(config: &ServeConfig) -> Vec<BevImage> {
-    let mut frames = Vec::new();
-    for (tier, difficulty) in Difficulty::ALL.into_iter().enumerate() {
-        for seed in 0..3u64 {
-            let scenario = ScenarioConfig::new(difficulty, 100 + 10 * tier as u64 + seed).build();
-            let mut perception = Perception::new(config.icoil.bev, &scenario);
-            let mut world = World::new(scenario);
-            for _ in 0..4 {
-                let sensing = perception.observe(&Observation::new(&world));
-                frames.push(sensing.bev);
-                world.step(&Action::forward(0.3, 0.05));
-            }
-        }
-    }
-    frames
-}
-
-/// Calibrates `model` for the int8 lane on the deterministic
-/// [`calibration_frames`] set.
-fn calibrate_model(config: &ServeConfig, model: &mut IlModel) {
-    let frames = calibration_frames(config);
-    let refs: Vec<&BevImage> = frames.iter().collect();
-    model.calibrate_int8(&refs);
-}
-
 /// The safety projection for IL-mode actions, when
 /// `config.icoil.safety.enabled`.
 fn safety_projector(config: &ServeConfig) -> Option<SafetyProjector> {
@@ -281,9 +247,9 @@ struct CoRow {
     t0: Instant,
 }
 
-/// The weight generations a tick's rows pin, by version: materialized,
-/// and int8-calibrated where a row needs it, before the tick forks.
-type TickModels = Vec<(u32, Arc<IlModel>)>;
+/// The weight generations a tick's rows pin, in version order, fetched
+/// before the tick forks.
+type TickModels = Vec<Arc<WeightGeneration>>;
 
 /// Cuts a tick's `rows` into contiguous guided units, in row order:
 /// each unit takes the rows not yet in a unit divided by the tick's
@@ -378,10 +344,6 @@ fn helper_loop(config: ServeConfig, jobs: Receiver<Arc<Tick>>, done: Sender<Help
     while let Ok(tick) = jobs.recv() {
         let mut metrics = Metrics::new();
         let units = tick.run_claims(projector.as_ref(), &mut scratch, &mut metrics);
-        // let go of the tick and its weights before the shard sees this
-        // helper done, so it can calibrate a generation in place
-        // without copying it
-        drop(tick);
         ran += units.len();
         if done.send(HelperDone { units, metrics }).is_err() {
             break;
@@ -391,7 +353,7 @@ fn helper_loop(config: ServeConfig, jobs: Receiver<Arc<Tick>>, done: Sender<Help
 }
 
 /// Runs one chunk of a tick's rows (a guided unit) through the whole IL
-/// frame: sense, the memo check, one CNN pass per `(precision, version)`
+/// frame: sense, the memo check, one CNN pass per weight generation
 /// present among the fresh rows (the HSA needs the softmax on every
 /// frame regardless of mode), then the HSA decision. An IL-mode row
 /// also gets the safety projection, the world step and its reply here.
@@ -422,43 +384,19 @@ fn run_chunk(
     metrics.add(Counter::IlMemoHits, hits as u64);
     let mut fresh: Vec<Option<InferResult>> = Vec::new();
     fresh.resize_with(rows.len(), || None);
-    for precision in [IlPrecision::F32, IlPrecision::Int8] {
-        let mut versions: Vec<u32> = rows
-            .iter()
-            .filter(|r| r.session.precision == precision)
-            .map(|r| r.session.weight_version)
+    for generation in models {
+        let picked: Vec<usize> = (0..rows.len())
+            .filter(|&i| rows[i].session.weight_version == generation.version && !recalled[i])
             .collect();
-        versions.sort_unstable();
-        versions.dedup();
-        for version in versions {
-            let pinned: Vec<usize> = rows
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| {
-                    r.session.precision == precision && r.session.weight_version == version
-                })
-                .map(|(i, _)| i)
-                .collect();
-            if precision == IlPrecision::Int8 {
-                // every int8-pinned frame counts, recalled or inferred
-                metrics.add(Counter::IlFramesInt8, pinned.len() as u64);
-            }
-            let picked: Vec<usize> = pinned.into_iter().filter(|&i| !recalled[i]).collect();
-            if picked.is_empty() {
-                continue;
-            }
-            let model = models
-                .iter()
-                .find(|(v, _)| *v == version)
-                .map(|(_, m)| m)
-                .expect("the shard readies every generation its rows pin");
-            let bevs: Vec<&BevImage> = picked.iter().map(|&i| &sensings[i].bev).collect();
-            let il_results = model.infer_batch_with(precision, &bevs, scratch);
-            metrics.add(Counter::IlBatches, 1);
-            metrics.observe(Series::IlBatchSize, bevs.len() as f64);
-            for (&i, il) in picked.iter().zip(il_results) {
-                fresh[i] = Some(il);
-            }
+        if picked.is_empty() {
+            continue;
+        }
+        let bevs: Vec<&BevImage> = picked.iter().map(|&i| &sensings[i].bev).collect();
+        let il_results = generation.model.infer_batch_with(&bevs, scratch);
+        metrics.add(Counter::IlBatches, 1);
+        metrics.observe(Series::IlBatchSize, bevs.len() as f64);
+        for (&i, il) in picked.iter().zip(il_results) {
+            fresh[i] = Some(il);
         }
     }
     let mut landed = Vec::with_capacity(rows.len());
@@ -523,12 +461,10 @@ struct Shard {
     limit: usize,
     /// The shared versioned weight store new sessions pin from.
     store: Arc<WeightStore>,
-    /// Generations this shard has materialized (cloned out of the
-    /// store), keyed by version. A shard serving sessions pinned to
-    /// different generations holds one working copy per generation,
-    /// which its tick helpers share read-only; int8 calibration happens
-    /// per copy, on the same deterministic frame set everywhere.
-    models: HashMap<u32, Arc<IlModel>>,
+    /// Generations this shard has fetched from the store, keyed by
+    /// version. Generations are immutable, so the shard, its tick
+    /// helpers and every other shard share the store's own copy.
+    models: HashMap<u32, Arc<WeightGeneration>>,
     /// Safety projection for IL-mode actions, present only when
     /// `config.icoil.safety.enabled`.
     projector: Option<SafetyProjector>,
@@ -552,10 +488,6 @@ struct Shard {
     backlog: VecDeque<Command>,
     metrics: Metrics,
     shutting_down: bool,
-    /// Whether this shard has published its model's quantization
-    /// abs-error profile into [`Series::IlQuantAbsErr`] yet — recorded
-    /// once per shard, the first time the int8 lane actually runs here.
-    quant_err_recorded: bool,
 }
 
 impl Shard {
@@ -690,13 +622,6 @@ impl Shard {
                         snapshot.weight_version,
                     )));
                 } else {
-                    if snapshot.il_precision == IlPrecision::Int8 {
-                        // an int8-pinned episode may migrate into an
-                        // f32-default server: make the lane ready now so
-                        // its first step isn't a calibration stall inside
-                        // a latency-measured batch
-                        self.ensure_calibrated(snapshot.weight_version);
-                    }
                     self.sessions
                         .insert(id, Session::restore(&self.config, &snapshot));
                     self.metrics.add(Counter::ServeRestores, 1);
@@ -743,8 +668,8 @@ impl Shard {
         }
     }
 
-    /// Materializes a weight generation into this shard's working set.
-    /// The first copy beyond the shard's initial one counts as a hot
+    /// Fetches a weight generation into this shard's working set. The
+    /// first generation beyond the shard's initial one counts as a hot
     /// swap — the shard is now serving weights it was not started with.
     fn ensure_model(&mut self, version: u32) {
         if self.models.contains_key(&version) {
@@ -757,63 +682,21 @@ impl Shard {
         if !self.models.is_empty() {
             self.metrics.add(Counter::WeightSwaps, 1);
         }
-        self.models
-            .insert(version, Arc::new(generation.model.clone()));
+        self.models.insert(version, generation);
     }
 
-    /// Readies generation `version` for the int8 lane on this shard.
-    /// Calibration runs per materialized generation, on the same
-    /// deterministic [`calibration_frames`] set everywhere, so every
-    /// shard of every process derives identical scales for a given
-    /// generation. The first time a shard is int8-ready it also
-    /// publishes the calibration's per-logit abs-error profile into
-    /// [`Series::IlQuantAbsErr`].
-    fn ensure_calibrated(&mut self, version: u32) {
-        self.ensure_model(version);
-        let model = self.models.get_mut(&version).expect("materialized above");
-        if !model.is_calibrated() {
-            // between ticks no helper holds the generation, so this
-            // calibrates the shard's one copy in place
-            calibrate_model(&self.config, Arc::make_mut(model));
-        }
-        if !self.quant_err_recorded {
-            self.quant_err_recorded = true;
-            if let Some(errs) = model.quant_calibration_errors() {
-                for &e in errs {
-                    self.metrics.observe(Series::IlQuantAbsErr, f64::from(e));
-                }
-            }
-        }
-    }
-
-    /// Materializes every generation the rows pin, int8-calibrated where
-    /// an int8 row pins it, and hands out shared references to them.
-    /// A row that will reuse its memo pins a generation this shard has
-    /// already readied (the memo came from an inference here), so
-    /// readying every pinned one does exactly what readying only the
-    /// inferred rows' ones would.
+    /// Fetches every generation the rows pin and hands out shared
+    /// references to them, in version order.
     fn ready_models(&mut self, rows: &[Drained]) -> TickModels {
-        let mut pins: Vec<(u32, bool)> = rows
-            .iter()
-            .map(|r| {
-                (
-                    r.session.weight_version,
-                    r.session.precision == IlPrecision::Int8,
-                )
-            })
-            .collect();
-        pins.sort_unstable();
-        pins.dedup();
-        for &(version, int8) in &pins {
-            if int8 {
-                self.ensure_calibrated(version);
-            } else {
+        let mut versions: Vec<u32> = rows.iter().map(|r| r.session.weight_version).collect();
+        versions.sort_unstable();
+        versions.dedup();
+        versions
+            .into_iter()
+            .map(|version| {
                 self.ensure_model(version);
-            }
-        }
-        pins.dedup_by_key(|&mut (version, _)| version);
-        pins.into_iter()
-            .map(|(version, _)| (version, Arc::clone(&self.models[&version])))
+                Arc::clone(&self.models[&version])
+            })
             .collect()
     }
 
@@ -853,9 +736,6 @@ impl Shard {
             &mut self.scratch,
             &mut self.metrics,
         );
-        // the shard's own reference goes first: once every helper has
-        // reported, no thread holds this tick's weights
-        drop(tick);
         let joined = Instant::now();
         for helper in &self.helpers[..forked] {
             let helper = helper.done.recv().expect("a tick helper died mid-tick");
@@ -952,13 +832,7 @@ impl Serve {
     /// # Panics
     ///
     /// Panics when a thread cannot be spawned.
-    pub fn start(config: ServeConfig, mut model: IlModel) -> Serve {
-        if config.il_precision == IlPrecision::Int8 {
-            // calibrate the prototype once, before it enters the store:
-            // every shard materializes the identical quantized network
-            // and scales for generation 0
-            calibrate_model(&config, &mut model);
-        }
+    pub fn start(config: ServeConfig, model: IlModel) -> Serve {
         Serve::start_with_store(config, Arc::new(WeightStore::new(model)))
     }
 
@@ -969,8 +843,8 @@ impl Serve {
     /// Each session pins [`WeightStore::published`] at creation for its
     /// whole episode; publishing a retrained generation to `store`
     /// hot-swaps the weights **between** episodes, never within one.
-    /// Shards materialize (and, for the int8 lane, calibrate) each
-    /// generation lazily the first time one of their sessions needs it.
+    /// Shards fetch each generation the first time one of their
+    /// sessions needs it.
     ///
     /// Each shard ticks on `available_parallelism() / shards` threads,
     /// at least one: its own plus that many less one tick helpers.
@@ -1040,7 +914,6 @@ impl Serve {
                 backlog: VecDeque::new(),
                 metrics: Metrics::new(),
                 shutting_down: false,
-                quant_err_recorded: false,
             };
             txs.push(tx);
             shards.push(
@@ -1057,7 +930,6 @@ impl Serve {
                 next_id: Arc::new(AtomicU64::new(1)),
                 live: Arc::new(AtomicUsize::new(0)),
                 max_sessions: config.max_sessions,
-                il_precision: config.il_precision,
                 store,
             },
             shards,
@@ -1141,7 +1013,6 @@ pub struct ServeHandle {
     /// id → shard hash distributes sessions.
     live: Arc<AtomicUsize>,
     max_sessions: usize,
-    il_precision: IlPrecision,
     store: Arc<WeightStore>,
 }
 
@@ -1157,13 +1028,6 @@ impl ServeHandle {
     /// the one they started with.
     pub fn weight_store(&self) -> &Arc<WeightStore> {
         &self.store
-    }
-
-    /// The IL-lane precision sessions created through this handle pin
-    /// (the server config's [`ServeConfig::il_precision`]). Restored
-    /// sessions keep whatever precision their snapshot carries instead.
-    pub fn il_precision(&self) -> IlPrecision {
-        self.il_precision
     }
 
     fn tx_for(&self, id: u64) -> &Sender<Command> {
@@ -1291,11 +1155,12 @@ impl ServeHandle {
     /// # Errors
     ///
     /// [`ServeError::Snapshot`] for malformed bytes,
+    /// [`ServeError::UnsupportedPrecision`] for a snapshot that pins an
+    /// IL precision other than f32,
     /// [`ServeError::SessionExists`] when the id is already live,
     /// [`ServeError::SessionLimit`] at capacity.
     pub fn restore(&self, bytes: &[u8]) -> Result<u64, ServeError> {
-        let snapshot: SessionSnapshot =
-            decode_snapshot(bytes).map_err(|e| ServeError::Snapshot(e.to_string()))?;
+        let snapshot = SessionSnapshot::decode(bytes)?;
         let id = snapshot.id;
         self.reserve_slot()?;
         // keep the allocator ahead of every restored id so future
@@ -1369,10 +1234,12 @@ impl ServeHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::decode_snapshot;
     use crate::SessionConfig;
     use icoil_hsa::HsaConfig;
     use icoil_perception::BevConfig;
     use icoil_vehicle::ActionCodec;
+    use icoil_world::Difficulty;
     use std::time::Duration;
 
     /// An untrained model: its near-uniform softmax keeps the HSA
@@ -1407,18 +1274,13 @@ mod tests {
         config
     }
 
-    /// Serves one fleet on one shard ticking on `threads` threads: f32
-    /// and int8 sessions on two published generations (the int8 ones
-    /// restored from snapshots into this f32-default server), 14 frames
-    /// each, with one session evicted and restored halfway. Returns
-    /// every session's response stream and how many guided units the
-    /// helpers ran.
+    /// Serves one fleet on one shard ticking on `threads` threads:
+    /// sessions created on and restored from snapshots onto two
+    /// published generations, 14 frames each, with one session evicted
+    /// and restored halfway. Returns every session's response stream
+    /// and how many guided units the helpers ran.
     fn serve_mixed_fleet(threads: usize) -> (Vec<Vec<StepResponse>>, usize) {
         let config = mixed_config();
-        let int8 = ServeConfig {
-            il_precision: IlPrecision::Int8,
-            ..config
-        };
         let store = Arc::new(WeightStore::new(untrained(1)));
         let server = Serve::start_ticking_on(config, Arc::clone(&store), threads);
         let handle = server.handle();
@@ -1431,11 +1293,11 @@ mod tests {
             ids.push(handle.create(seeded(seed)).expect("create on generation 1"));
         }
         for (id, seed, version) in [(100, 15, 0), (101, 16, 1)] {
-            let snapshot = Session::new(id, &int8, &seeded(seed), version).snapshot();
+            let snapshot = Session::new(id, &config, &seeded(seed), version).snapshot();
             ids.push(
                 handle
                     .restore(&encode_snapshot(&snapshot))
-                    .expect("restore an int8 session"),
+                    .expect("restore a session"),
             );
         }
         let mut streams = vec![Vec::new(); ids.len()];
@@ -1506,17 +1368,9 @@ mod tests {
         let store = Arc::new(WeightStore::new(untrained(1)));
         let server = Serve::start_ticking_on(config, store, threads);
         let handle = server.handle();
-        // restored at ids the router spreads over both shards
         let ids: Vec<u64> = (200..206)
-            .map(|id| {
-                let snapshot = Session::new(id, &config, &seeded(id), 0).snapshot();
-                handle
-                    .restore(&encode_snapshot(&snapshot))
-                    .expect("restore")
-            })
+            .map(|seed| handle.create(seeded(seed)).expect("create"))
             .collect();
-        let homes: HashSet<usize> = ids.iter().map(|&id| handle.router.route(id)).collect();
-        assert_eq!(homes.len(), 2, "the sessions must span both shards");
         let mut call = ids.clone();
         call.insert(3, ids[1]);
         let calls: Vec<Vec<StepResponse>> = (0..12)
@@ -1530,6 +1384,11 @@ mod tests {
                 responses
             })
             .collect();
+        // every call's rows ticked on both shards
+        for (shard, metrics) in handle.shard_metrics().expect("metrics").iter().enumerate() {
+            let ticks = metrics.series(Series::ServeTickRows).count();
+            assert!(ticks >= 12, "shard {shard} ticked {ticks} times");
+        }
         server.shutdown();
         calls
     }

@@ -34,12 +34,8 @@
 //!   each IL frame. Batching is bit-identical per row to
 //!   single-sample inference and sessions share no state, so
 //!   per-session trajectories depend neither on who else is being
-//!   served nor on which unit or thread served them. With
-//!   [`ServeConfig::il_precision`] set to `Int8` the lane runs the
-//!   calibrated quantized network instead; sessions pin their precision
-//!   at creation (snapshots carry it), and a unit serving both kinds
-//!   splits into one sub-batch per precision. A frame whose image
-//!   repeats, bit for bit, the one its session last inferred reuses
+//!   served nor on which unit or thread served them. A frame whose
+//!   image repeats, bit for bit, the one its session last inferred reuses
 //!   that result and stays out of the batch.
 //! * **Deadline-aware CO lane** — sessions whose HSA decision is CO
 //!   mode are handed (state and all) to a worker pool draining a
@@ -87,7 +83,6 @@ pub use shard::ShardRouter;
 pub use snapshot::{decode_snapshot, encode_snapshot};
 
 use icoil_core::ICoilConfig;
-use icoil_il::IlPrecision;
 use std::time::Duration;
 
 /// Server-wide tunables.
@@ -95,13 +90,6 @@ use std::time::Duration;
 pub struct ServeConfig {
     /// The policy configuration every session runs with.
     pub icoil: ICoilConfig,
-    /// Numeric precision of the IL lane for sessions created under this
-    /// config. Each session pins the precision it was created with for
-    /// its whole episode (snapshots carry it), so mixed-precision
-    /// serving is per-session, never per-frame. `Int8` calibrates the
-    /// model once at startup from a fixed, deterministic frame set —
-    /// every shard serves the identical quantized network.
-    pub il_precision: IlPrecision,
     /// Engine shard threads; sessions are consistent-hashed across them
     /// by id. `1` reproduces the single-engine behaviour exactly. Each
     /// shard's tick runs on `available_parallelism() / shards` threads
@@ -134,7 +122,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             icoil: ICoilConfig::default(),
-            il_precision: IlPrecision::F32,
             shards: 1,
             co_workers: 2,
             queue_capacity: 64,

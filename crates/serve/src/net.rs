@@ -138,11 +138,7 @@ pub(crate) fn handle_line(line: &str, handle: &ServeHandle) -> Response {
             None => Response::failure("restore needs hex snapshot bytes"),
         },
         "metrics" => match handle.metrics() {
-            Ok(metrics) => Response::with_metrics(
-                metrics,
-                handle.il_precision().label(),
-                icoil_nn::simd::dispatch_target(),
-            ),
+            Ok(metrics) => Response::with_metrics(metrics, icoil_nn::simd::dispatch_target()),
             Err(err) => err.into(),
         },
         other => Response::failure(format!("unknown op {other:?}")),

@@ -171,10 +171,6 @@ pub struct Response {
     /// responses).
     #[serde(default)]
     pub snapshot: Option<String>,
-    /// The server's active IL-lane precision, `"f32"` or `"int8"`
-    /// (`"metrics"` responses).
-    #[serde(default)]
-    pub il_precision: Option<String>,
     /// The SIMD kernel backend the IL lane dispatches to: `"avx512"`,
     /// `"avx2"` or `"scalar"` (`"metrics"` responses).
     #[serde(default)]
@@ -190,7 +186,6 @@ impl Response {
             frame: None,
             metrics: None,
             snapshot: None,
-            il_precision: None,
             kernel_backend: None,
         }
     }
@@ -216,13 +211,12 @@ impl Response {
         Response::empty_ok()
     }
 
-    /// A successful `"metrics"` response, stamped with the serving
-    /// precision and the active SIMD kernel backend so a remote client
-    /// can tell which inference lane its numbers came from.
-    pub fn with_metrics(metrics: Metrics, il_precision: &str, kernel_backend: &str) -> Self {
+    /// A successful `"metrics"` response, stamped with the active SIMD
+    /// kernel backend so a remote client can tell which kernels its
+    /// numbers came from.
+    pub fn with_metrics(metrics: Metrics, kernel_backend: &str) -> Self {
         Response {
             metrics: Some(metrics),
-            il_precision: Some(il_precision.to_string()),
             kernel_backend: Some(kernel_backend.to_string()),
             ..Response::empty_ok()
         }

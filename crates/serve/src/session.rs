@@ -1,9 +1,11 @@
 //! Per-client episode state and its frame lifecycle.
 
+use crate::snapshot::decode_snapshot;
 use crate::ServeConfig;
+use icoil_adapt::ContainerError;
 use icoil_co::{CoController, CoOutput, CoSnapshot};
 use icoil_hsa::{Hsa, HsaDecision, Mode};
-use icoil_il::{IlPrecision, InferResult};
+use icoil_il::InferResult;
 use icoil_perception::{BevImage, Perception, Sensing};
 use icoil_vehicle::Action;
 use icoil_world::episode::{Observation, Outcome};
@@ -69,6 +71,11 @@ pub enum ServeError {
     /// has not published — restoring it here would silently change the
     /// policy mid-episode.
     UnknownWeightVersion(u32),
+    /// A restored snapshot pinned an IL precision other than f32, the
+    /// one this server runs (the label, or the entry's value when it is
+    /// not a string) — replaying it here would silently change the
+    /// policy mid-episode.
+    UnsupportedPrecision(String),
 }
 
 impl std::fmt::Display for ServeError {
@@ -82,6 +89,9 @@ impl std::fmt::Display for ServeError {
             ServeError::Snapshot(msg) => write!(f, "snapshot error: {msg}"),
             ServeError::UnknownWeightVersion(v) => {
                 write!(f, "weight generation {v} is not published on this server")
+            }
+            ServeError::UnsupportedPrecision(p) => {
+                write!(f, "IL precision {p:?} is not served here (f32 only)")
             }
         }
     }
@@ -161,11 +171,6 @@ pub struct SessionSnapshot {
     pub max_time: f64,
     /// Terminal outcome, when the episode has already ended.
     pub outcome: Option<Outcome>,
-    /// The IL-lane precision the session was created under. Absent in
-    /// snapshots taken before the int8 lane existed; those decode as
-    /// [`IlPrecision::F32`], which is what produced them.
-    #[serde(default)]
-    pub il_precision: IlPrecision,
     /// The weight-store generation the session pinned at creation.
     /// Restore refuses snapshots whose generation the target server has
     /// not published ([`ServeError::UnknownWeightVersion`]) — replaying
@@ -173,6 +178,32 @@ pub struct SessionSnapshot {
     /// before the weight store existed decode as 0, the startup model.
     #[serde(default)]
     pub weight_version: u32,
+}
+
+impl SessionSnapshot {
+    /// Decodes snapshot bytes ([`decode_snapshot`]) for a restore.
+    ///
+    /// Snapshots written by servers that ran a second, int8 IL lane carry
+    /// an `il_precision` entry. One that names `"f32"` decodes as if it
+    /// were absent; any other value is refused, as a snapshot pinning an
+    /// unpublished weight generation is.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Snapshot`] for malformed bytes,
+    /// [`ServeError::UnsupportedPrecision`] for a precision other than
+    /// f32.
+    pub(crate) fn decode(bytes: &[u8]) -> Result<SessionSnapshot, ServeError> {
+        let value: serde::Value =
+            decode_snapshot(bytes).map_err(|e| ServeError::Snapshot(e.to_string()))?;
+        let precision = value.get("il_precision");
+        if let Some(p) = precision.filter(|p| p.as_str() != Some("f32")) {
+            let label = p.as_str().map_or_else(|| format!("{p:?}"), str::to_string);
+            return Err(ServeError::UnsupportedPrecision(label));
+        }
+        SessionSnapshot::from_value(&value)
+            .map_err(|e| ServeError::Snapshot(ContainerError::Decode(e.to_string()).to_string()))
+    }
 }
 
 /// A live episode owned by the serving engine: the world, the sensing
@@ -188,11 +219,6 @@ pub(crate) struct Session {
     co: CoController,
     max_time: f64,
     outcome: Option<Outcome>,
-    /// IL-lane precision, pinned for the whole episode at creation (or
-    /// carried over by restore): the serving engine groups a tick's
-    /// step requests by this field, so one episode never mixes f32 and
-    /// int8 frames even if the server config changes around it.
-    pub(crate) precision: IlPrecision,
     /// Weight-store generation, pinned for the whole episode at
     /// creation (or carried over by restore): mid-episode publishes
     /// change which generation *new* sessions get, never this one's.
@@ -247,7 +273,6 @@ impl Session {
             co,
             max_time: config.max_time,
             outcome,
-            precision: config.il_precision,
             weight_version,
             il_memo: None,
         }
@@ -275,7 +300,6 @@ impl Session {
             co: self.co.snapshot(),
             max_time: self.max_time,
             outcome: self.outcome,
-            il_precision: self.precision,
             weight_version: self.weight_version,
         }
     }
@@ -288,9 +312,7 @@ impl Session {
     /// and the CO controller from the config plus the snapshot's episode
     /// state. The restored session replays bit-identically to the
     /// uninterrupted one as long as `config.icoil` matches the serving
-    /// config the snapshot was taken under. The IL precision comes from
-    /// the snapshot, not the config: an int8 episode stays int8 after
-    /// migrating to a server whose default is f32, and vice versa.
+    /// config the snapshot was taken under.
     pub(crate) fn restore(config: &ServeConfig, snap: &SessionSnapshot) -> Self {
         let perception = Perception::new(config.icoil.bev, snap.world.scenario());
         let mut co = CoController::new(config.icoil.co, snap.world.scenario().vehicle_params);
@@ -303,7 +325,6 @@ impl Session {
             co,
             max_time: snap.max_time,
             outcome: snap.outcome,
-            precision: snap.il_precision,
             weight_version: snap.weight_version,
             il_memo: None,
         }
@@ -320,9 +341,9 @@ impl Session {
 
     /// Whether `bev` repeats, bit for bit, the image this session last
     /// sent through the CNN — in which case that inference is this
-    /// frame's too. The session pins its weight generation and IL
-    /// precision for the whole episode, under both inference is a pure
-    /// function of the image, and a row's result does not depend on the
+    /// frame's too. The session pins its weight generation for the
+    /// whole episode, under which inference is a pure function of the
+    /// image, and a row's result does not depend on the
     /// batch it ran in; so the stored result is exactly what running the
     /// CNN again would return.
     pub(crate) fn recalls_il(&self, bev: &BevImage) -> bool {

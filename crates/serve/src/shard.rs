@@ -19,6 +19,13 @@
 /// the proptests) at negligible ring-build cost.
 const VNODES: usize = 128;
 
+/// Set in every session id's hash input and clear in every ring point's
+/// (`shard << 32 | vnode` with `vnode < VNODES`), so the two hash
+/// domains are disjoint: splitmix64 is a bijection, so no id hashes
+/// exactly onto a ring point. Without it id `v` in `1..VNODES` would hash
+/// to shard 0's point `v` and land on shard 0 at every shard count.
+const ID_DOMAIN: u64 = 1 << 31;
+
 /// Consistent-hash ring mapping session ids to shard indices.
 #[derive(Debug, Clone)]
 pub struct ShardRouter {
@@ -59,7 +66,7 @@ impl ShardRouter {
     /// The shard a session id routes to: the first ring point at or
     /// clockwise of the id's hash.
     pub fn route(&self, session: u64) -> usize {
-        let h = splitmix64(session);
+        let h = splitmix64(splitmix64(session) | ID_DOMAIN);
         let idx = self.ring.partition_point(|&(point, _)| point < h);
         let (_, shard) = self.ring[idx % self.ring.len()];
         shard
@@ -96,6 +103,28 @@ mod tests {
             seen[s] = true;
         }
         assert!(seen.iter().all(|&s| s), "all shards take traffic");
+    }
+
+    #[test]
+    fn small_sequential_ids_spread_over_shards() {
+        // a server hands out ids from 1; its first sessions must not all
+        // share a shard, and no shard may take more than twice its share
+        for shards in [2, 4] {
+            let r = ShardRouter::new(shards);
+            for ids in [1..9u64, 1..128] {
+                let mut counts = vec![0usize; shards];
+                for id in ids.clone() {
+                    counts[r.route(id)] += 1;
+                }
+                let ideal = ids.clone().count() / shards;
+                let busy = counts.iter().filter(|&&c| c > 0).count();
+                assert!(busy > 1, "ids {ids:?} on {shards} shards: {counts:?}");
+                assert!(
+                    counts.iter().all(|&c| c <= 2 * ideal),
+                    "ids {ids:?} on {shards} shards: {counts:?} (ideal {ideal})"
+                );
+            }
+        }
     }
 
     #[test]

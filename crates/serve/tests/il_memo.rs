@@ -8,7 +8,7 @@
 use icoil_adapt::{SafetyConfig, SafetyProjector};
 use icoil_core::ICoilConfig;
 use icoil_hsa::{Hsa, HsaConfig, Mode};
-use icoil_il::{IlModel, IlPrecision};
+use icoil_il::IlModel;
 use icoil_perception::Perception;
 use icoil_serve::{Serve, ServeConfig, ServeHandle, SessionSpec, StepResponse};
 use icoil_telemetry::Counter;
@@ -25,7 +25,7 @@ const EVICT_FROM: usize = 40;
 
 /// Every frame on the IL lane (λ = +∞), safety projection on, nothing
 /// shed.
-fn config(il_precision: IlPrecision) -> ServeConfig {
+fn config() -> ServeConfig {
     ServeConfig {
         icoil: ICoilConfig {
             hsa: HsaConfig {
@@ -39,7 +39,6 @@ fn config(il_precision: IlPrecision) -> ServeConfig {
             },
             ..ICoilConfig::default()
         },
-        il_precision,
         co_deadline: Duration::from_secs(30),
         ..ServeConfig::default()
     }
@@ -150,21 +149,12 @@ fn memo_hits(handle: &ServeHandle) -> u64 {
 /// Serves the fleet in lockstep for [`TICKS`] ticks, holding every
 /// response to its reference; from [`EVICT_FROM`] on, steps stalled
 /// sessions alone until one reuses its memo, then evicts and restores
-/// that one. Returns the frames that ran the IL pass, the memo hits and
-/// the int8-lane frame count.
-fn serve_against_reference(precision: IlPrecision) -> (u64, u64, u64) {
-    let config = config(precision);
-    let server = Serve::start(config, committed_model());
+/// that one. Returns the frames that ran the IL pass and the memo hits.
+fn serve_against_reference() -> (u64, u64) {
+    let config = config();
+    let mut model = committed_model();
+    let server = Serve::start(config, model.clone());
     let handle = server.handle();
-    // generation 0 of the store is the server's own model, int8-calibrated
-    // when the server is
-    let mut model = handle
-        .weight_store()
-        .get(0)
-        .expect("generation 0")
-        .model
-        .clone();
-    model.set_precision(precision);
     let projector = SafetyProjector::new(config.icoil.safety);
     let scenarios = scenarios();
     let ids: Vec<u64> = scenarios
@@ -229,41 +219,18 @@ fn serve_against_reference(precision: IlPrecision) -> (u64, u64, u64) {
         migrated,
         "some session must stall with a live memo to be migrated"
     );
-    let metrics = handle.metrics().expect("metrics");
+    let hits = memo_hits(&handle);
     server.shutdown();
-    (
-        frames,
-        metrics.counter(Counter::IlMemoHits),
-        metrics.counter(Counter::IlFramesInt8),
-    )
+    (frames, hits)
 }
 
-/// Both paths ran, and the int8 counter saw every int8-pinned frame.
-fn assert_memo_counts(precision: IlPrecision) {
-    let (frames, hits, int8) = serve_against_reference(precision);
-    eprintln!("{precision:?}: {hits} of {frames} frames reused the memo");
+#[test]
+fn f32_memo_reuses_repeated_frames_bit_for_bit() {
+    let (frames, hits) = serve_against_reference();
+    eprintln!("{hits} of {frames} frames reused the memo");
     assert!(
         hits > 0,
         "stalled noise-free sessions must repeat their image"
     );
     assert!(hits < frames, "moving sessions must still run the CNN");
-    let expected_int8 = if precision == IlPrecision::Int8 {
-        frames
-    } else {
-        0
-    };
-    assert_eq!(
-        int8, expected_int8,
-        "every int8-pinned frame counts on the int8 lane, recalled or inferred"
-    );
-}
-
-#[test]
-fn f32_memo_reuses_repeated_frames_bit_for_bit() {
-    assert_memo_counts(IlPrecision::F32);
-}
-
-#[test]
-fn int8_memo_reuses_repeated_frames_bit_for_bit() {
-    assert_memo_counts(IlPrecision::Int8);
 }

@@ -1,15 +1,16 @@
 //! End-to-end server tests: determinism across worker counts, overload
 //! shedding, and the TCP NDJSON front end.
 
-use icoil_il::{IlModel, IlPrecision};
+use icoil_il::IlModel;
 use icoil_perception::BevConfig;
 use icoil_serve::{
-    Request, Response, Serve, ServeConfig, ServeError, SessionConfig, ShardRouter, StepResponse,
-    MAX_REQUEST_LINE,
+    decode_snapshot, encode_snapshot, Request, Response, Serve, ServeConfig, ServeError,
+    SessionConfig, ShardRouter, StepResponse, MAX_REQUEST_LINE,
 };
-use icoil_telemetry::{Counter, Series};
+use icoil_telemetry::Counter;
 use icoil_vehicle::ActionCodec;
 use icoil_world::Difficulty;
+use serde::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
@@ -259,73 +260,36 @@ fn overload_sheds_degraded_full_brake_instead_of_blocking() {
     server.shutdown();
 }
 
-/// A deadline-generous config serving the given IL precision.
-fn precision_config(il_precision: IlPrecision) -> ServeConfig {
+/// A deadline-generous config: nothing sheds.
+fn generous_config() -> ServeConfig {
     ServeConfig {
-        il_precision,
         co_deadline: Duration::from_secs(30),
         ..ServeConfig::default()
     }
 }
 
 #[test]
-fn int8_server_serves_and_reports_the_quantized_lane() {
-    let server = Serve::start(precision_config(IlPrecision::Int8), test_model());
-    let handle = server.handle();
-    assert_eq!(handle.il_precision(), IlPrecision::Int8);
-    let ids: Vec<u64> = (0..3)
-        .map(|i| {
-            handle
-                .create(SessionConfig {
-                    difficulty: Difficulty::Easy,
-                    seed: 900 + i,
-                })
-                .expect("create int8 session")
-        })
-        .collect();
-    let mut frames = 0u64;
-    for _ in 0..10 {
-        for result in handle.step_many(&ids) {
-            result.expect("int8 step");
-            frames += 1;
-        }
-    }
-    let metrics = handle.metrics().expect("metrics");
-    assert_eq!(
-        metrics.counter(Counter::IlFramesInt8),
-        frames,
-        "every frame of an int8-pinned session runs the quantized lane"
-    );
-    let errs = metrics.series(Series::IlQuantAbsErr);
-    assert!(
-        errs.count() > 0,
-        "a shard that ran the int8 lane publishes its calibration error profile"
-    );
-    server.shutdown();
-}
-
-#[test]
-fn int8_trajectories_are_unchanged_by_f32_batchmates() {
-    // an f32-pinned snapshot, frozen at frame 0 on a default server
-    let f32_server = Serve::start(precision_config(IlPrecision::F32), test_model());
-    let f32_handle = f32_server.handle();
+fn trajectories_are_unchanged_by_restored_batchmates() {
+    // a snapshot frozen at frame 0 on another server
+    let donor_server = Serve::start(generous_config(), test_model());
+    let donor_handle = donor_server.handle();
     let spec42 = SessionConfig {
         difficulty: Difficulty::Easy,
         seed: 42,
     };
     // burn id 1 so the donor's preserved id can't collide with the
     // mixed server's first create
-    f32_handle.create(spec42).expect("create id burner");
-    let donor = f32_handle.create(spec42).expect("create donor");
-    let f32_bytes = f32_handle.evict(donor).expect("evict donor");
-    f32_server.shutdown();
+    donor_handle.create(spec42).expect("create id burner");
+    let donor = donor_handle.create(spec42).expect("create donor");
+    let donor_bytes = donor_handle.evict(donor).expect("evict donor");
+    donor_server.shutdown();
 
-    // reference: the int8 session alone on an int8 server
+    // reference: the session alone on its server
     let spec = SessionConfig {
         difficulty: Difficulty::Easy,
         seed: 777,
     };
-    let solo_server = Serve::start(precision_config(IlPrecision::Int8), test_model());
+    let solo_server = Serve::start(generous_config(), test_model());
     let solo_handle = solo_server.handle();
     let solo_id = solo_handle.create(spec).expect("create solo");
     let solo: Vec<StepResponse> = (0..15)
@@ -333,40 +297,46 @@ fn int8_trajectories_are_unchanged_by_f32_batchmates() {
         .collect();
     solo_server.shutdown();
 
-    // same int8 session sharing every tick with a restored f32 session
-    let mixed_server = Serve::start(precision_config(IlPrecision::Int8), test_model());
+    // the same session sharing every tick with the restored donor
+    let mixed_server = Serve::start(generous_config(), test_model());
     let mixed_handle = mixed_server.handle();
-    let int8_id = mixed_handle.create(spec).expect("create mixed");
-    let f32_id = mixed_handle.restore(&f32_bytes).expect("restore f32 donor");
+    let id = mixed_handle.create(spec).expect("create mixed");
+    let donor_id = mixed_handle.restore(&donor_bytes).expect("restore donor");
     let mut mixed: Vec<StepResponse> = Vec::new();
     for _ in 0..15 {
-        let mut results = mixed_handle.step_many(&[int8_id, f32_id]).into_iter();
-        mixed.push(results.next().unwrap().expect("step int8"));
-        results.next().unwrap().expect("step f32");
+        let mut results = mixed_handle.step_many(&[id, donor_id]).into_iter();
+        mixed.push(results.next().unwrap().expect("step session"));
+        results.next().unwrap().expect("step donor");
     }
-    let frames_int8 = mixed_handle
-        .metrics()
-        .expect("metrics")
-        .counter(Counter::IlFramesInt8);
-    assert_eq!(
-        frames_int8, 15,
-        "only the int8-pinned session counts toward il_frames_int8"
-    );
     mixed_server.shutdown();
 
-    // precision is per-session and batching per-row: who shares the
-    // tick must not change the int8 session's trajectory
+    // batching is per-row: who shares the tick must not change the
+    // session's trajectory
     for (a, b) in solo.iter().zip(&mixed) {
         let mut b = b.clone();
         b.session = a.session;
-        assert_eq!(*a, b, "f32 batchmates must not perturb an int8 session");
+        assert_eq!(*a, b, "a restored batchmate must not perturb a session");
     }
 }
 
+/// `bytes` re-encoded with an `il_precision` entry ahead of
+/// `weight_version`, where servers that ran an int8 IL lane wrote it.
+fn with_precision_entry(bytes: &[u8], precision: Value) -> Vec<u8> {
+    let Value::Map(mut entries) = decode_snapshot(bytes).expect("decode") else {
+        panic!("a snapshot encodes a map");
+    };
+    let at = entries
+        .iter()
+        .position(|(key, _)| key == "weight_version")
+        .expect("a weight_version entry");
+    entries.insert(at, ("il_precision".to_string(), precision));
+    encode_snapshot(&Value::Map(entries))
+}
+
 #[test]
-fn int8_snapshot_keeps_its_lane_on_an_f32_server() {
-    // reference: uninterrupted int8 episode
-    let server = Serve::start(precision_config(IlPrecision::Int8), test_model());
+fn f32_pinned_snapshots_restore_and_int8_pinned_ones_are_refused() {
+    // reference: one uninterrupted episode
+    let server = Serve::start(generous_config(), test_model());
     let handle = server.handle();
     let spec = SessionConfig {
         difficulty: Difficulty::Normal,
@@ -375,7 +345,7 @@ fn int8_snapshot_keeps_its_lane_on_an_f32_server() {
     let id = handle.create(spec).expect("create");
     let reference: Vec<StepResponse> = (0..24).map(|_| handle.step(id).expect("step")).collect();
 
-    // twin: snapshot mid-episode, restore into an f32-DEFAULT server
+    // twin: snapshot mid-episode
     let id2 = handle.create(spec).expect("create twin");
     let mut twin: Vec<StepResponse> = (0..9)
         .map(|_| handle.step(id2).expect("step twin"))
@@ -383,28 +353,37 @@ fn int8_snapshot_keeps_its_lane_on_an_f32_server() {
     let bytes = handle.evict(id2).expect("evict twin");
     server.shutdown();
 
-    let f32_server = Serve::start(precision_config(IlPrecision::F32), test_model());
-    let f32_handle = f32_server.handle();
-    let restored = f32_handle.restore(&bytes).expect("restore onto f32 server");
-    assert_eq!(restored, id2);
-    twin.extend((0..15).map(|_| f32_handle.step(id2).expect("step restored")));
-    let metrics = f32_handle.metrics().expect("metrics");
+    let server2 = Serve::start(generous_config(), test_model());
+    let handle2 = server2.handle();
+    let int8 = with_precision_entry(&bytes, Value::Str("int8".to_string()));
     assert_eq!(
-        metrics.counter(Counter::IlFramesInt8),
-        15,
-        "the restored session stays pinned to the int8 lane"
+        handle2.restore(&int8),
+        Err(ServeError::UnsupportedPrecision("int8".to_string()))
+    );
+    assert!(matches!(
+        handle2.restore(&with_precision_entry(&bytes, Value::U64(8))),
+        Err(ServeError::UnsupportedPrecision(_))
+    ));
+    assert_eq!(handle2.step(id2), Err(ServeError::UnknownSession(id2)));
+    let f32_bytes = with_precision_entry(&bytes, Value::Str("f32".to_string()));
+    assert_eq!(handle2.restore(&f32_bytes), Ok(id2));
+    twin.extend((0..15).map(|_| handle2.step(id2).expect("step restored")));
+    assert_eq!(
+        handle2
+            .metrics()
+            .expect("metrics")
+            .counter(Counter::ServeRestores),
+        1,
+        "refused restores restore nothing"
     );
 
     assert_eq!(reference.len(), twin.len());
     for (a, b) in reference.iter().zip(&twin) {
         let mut b = b.clone();
         b.session = a.session;
-        assert_eq!(
-            *a, b,
-            "an int8 episode must replay bit-identically across an f32-server restore"
-        );
+        assert_eq!(*a, b, "an f32-pinned snapshot must replay bit-identically");
     }
-    f32_server.shutdown();
+    server2.shutdown();
 }
 
 #[test]
@@ -529,7 +508,6 @@ fn tcp_front_end_round_trips() {
 
     let metrics = exchange(&Request::metrics());
     assert!(metrics.ok);
-    assert_eq!(metrics.il_precision.as_deref(), Some("f32"));
     assert_eq!(
         metrics.kernel_backend.as_deref(),
         Some(icoil_nn::simd::dispatch_target())

@@ -63,8 +63,6 @@ pub enum Counter {
     ServeRestores,
     /// Sessions evicted (snapshotted and removed) by the serving engine.
     ServeEvictions,
-    /// Frames answered by the quantized int8 IL lane.
-    IlFramesInt8,
     /// Gear reversals executed (the served action flipping `reverse`
     /// relative to the previous frame) — the maneuver-taxonomy signal.
     GearReversals,
@@ -107,7 +105,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] variants (the fixed counter-array length).
-pub const NUM_COUNTERS: usize = 42;
+pub const NUM_COUNTERS: usize = 41;
 
 const COUNTER_NAMES: [&str; NUM_COUNTERS] = [
     "frames",
@@ -135,7 +133,6 @@ const COUNTER_NAMES: [&str; NUM_COUNTERS] = [
     "serve_snapshots",
     "serve_restores",
     "serve_evictions",
-    "il_frames_int8",
     "gear_reversals",
     "co_admitted_reverse_in",
     "co_admitted_parallel_curb",
@@ -216,11 +213,6 @@ pub enum Series {
     /// CO-lane frame latency, request receipt to reply after the worker
     /// solve or shed (seconds). Wall-clock.
     ServeCoLane,
-    /// Per-logit absolute error of the int8 IL lane observed at
-    /// calibration time (recorded once per calibrated engine shard).
-    /// Load-dependent (which shards calibrate depends on session
-    /// placement), so exempt from `deterministic_eq`.
-    IlQuantAbsErr,
     /// Magnitude of a safety-projection clip: the command-space distance
     /// between the raw IL action and its projection onto the feasible
     /// set, recorded only on frames the projection actually clipped.
@@ -236,7 +228,7 @@ pub enum Series {
 }
 
 /// Number of [`Series`] variants (the fixed histogram-array length).
-pub const NUM_SERIES: usize = 15;
+pub const NUM_SERIES: usize = 14;
 
 impl Series {
     /// Whether the series holds wall-clock timings or load-dependent
@@ -255,7 +247,6 @@ impl Series {
                 | Series::CoQueueDepth
                 | Series::ServeIlLane
                 | Series::ServeCoLane
-                | Series::IlQuantAbsErr
                 | Series::ServeTickRows
                 | Series::ServeTickJoinWait
         )
@@ -274,7 +265,6 @@ impl Series {
             Series::CoQueueDepth,
             Series::ServeIlLane,
             Series::ServeCoLane,
-            Series::IlQuantAbsErr,
             Series::SafetyClipMag,
             Series::ServeTickRows,
             Series::ServeTickJoinWait,
@@ -405,7 +395,7 @@ mod tests {
             let s = shed.name().strip_prefix("co_shed_").unwrap();
             assert_eq!(a, s, "family arrays must stay aligned");
         }
-        assert_eq!(Counter::IlFramesInt8.name(), "il_frames_int8");
+        assert_eq!(Counter::GearReversals.name(), "gear_reversals");
         assert_eq!(Counter::ServeEvictions.name(), "serve_evictions");
         assert_eq!(Counter::ServeSnapshots.name(), "serve_snapshots");
         assert_eq!(Counter::CoShed.name(), "co_shed");
@@ -421,7 +411,6 @@ mod tests {
         a.observe(Series::CoQueueDepth, 3.0);
         a.observe(Series::ServeIlLane, 1e-4);
         a.observe(Series::ServeCoLane, 2e-3);
-        a.observe(Series::IlQuantAbsErr, 0.02);
         a.observe(Series::ServeTickRows, 32.0);
         a.observe(Series::ServeTickJoinWait, 40.0);
         assert!(a.deterministic_eq(&b), "load-dependent content is exempt");

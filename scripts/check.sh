@@ -14,13 +14,13 @@
 # concurrent sessions through 50 step_many calls of the in-process serving
 # engine, each call listing one session twice, and demands bit-identical
 # trajectories across worker counts (1 vs 4) and engine shard counts
-# (1 vs 4), plus a kill-snapshot-restore cycle (every
+# (1 vs 4, the 4-shard runs ticking on more than one shard), plus a
+# kill-snapshot-restore cycle (every
 # session evicted at call 20, the server torn down, every snapshot
 # restored into a fresh server at a different shard count) with zero
 # sheds — and runs again with ICOIL_FORCE_SCALAR=1 so the scalar kernel
-# fallback is held to the same contract, and a third time with
-# ICOIL_IL_PRECISION=int8 so the quantized IL lane meets the same
-# determinism bar. Every workspace crate's own suites except the
+# fallback is held to the same contract. Every workspace crate's own
+# suites except the
 # conformance crate's (geom, vehicle, world, perception, nn, il, hsa,
 # solver, co, planner, core, telemetry, adapt, serve and bench, plus the
 # vendored criterion harness's) run on
@@ -43,15 +43,14 @@
 # once under ICOIL_FORCE_SCALAR=1: every test that uses the default
 # dispatch then runs the scalar kernels, which proves the escape hatch
 # leaves the numerics bit-identical (the nn run includes the
-# quantization proptests and the fused-inference equivalence proptests,
-# so the int8 quantizer/accumulator and f32 conv-block contracts are
-# proved on the scalar backend too); the solver and co backend
+# fused-inference equivalence proptests, so the f32 conv-block contract
+# is proved on the scalar backend too); the solver and co backend
 # comparisons then compare scalar with scalar, while the nn kernel tests
 # still compare every backend the CPU supports. The conformance
 # smoke (which includes the simd_scalar_kernels check, with its
 # AVX-512-against-AVX2 bitwise IL leg on AVX-512 hosts, and the
-# checkpoint_restore_replay, quantized_il and family_determinism
-# differential checks) fuzzes procedurally generated scenarios through
+# checkpoint_restore_replay and family_determinism differential
+# checks) fuzzes procedurally generated scenarios through
 # the full harness, cycling every map family; a per-family pass then pins
 # each family for at least 5 cases so no family can hide behind the
 # cycling.
@@ -73,7 +72,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MIN_TEST_SUITES=98
+MIN_TEST_SUITES=96
 suites=0
 count_suites() {
     local log=target/check-test-suites.log
@@ -102,7 +101,6 @@ ICOIL_EPISODES=2 \
 cargo run --release -q -p icoil-bench --bin telemetry_smoke
 cargo run --release -q -p icoil-bench --bin serve_smoke
 ICOIL_FORCE_SCALAR=1 cargo run --release -q -p icoil-bench --bin serve_smoke
-ICOIL_IL_PRECISION=int8 cargo run --release -q -p icoil-bench --bin serve_smoke
 cargo run --release -q -p icoil-bench --bin adapt_smoke
 ICOIL_FORCE_SCALAR=1 cargo run --release -q -p icoil-bench --bin adapt_smoke
 ICOIL_FUZZ_CASES="${ICOIL_FUZZ_CASES:-25}" \
