@@ -17,6 +17,7 @@
 //! published to the shared [`WeightStore`], which new sessions pin on
 //! their next episode.
 
+use crate::FamilyCoCounts;
 use icoil_adapt::{AdaptDataset, LabelAggregator, WeightStore};
 use icoil_co::CoController;
 use icoil_il::TrainConfig;
@@ -116,10 +117,9 @@ pub struct GenerationStats {
     pub weight_version: u32,
     /// Frames answered by the IL lane.
     pub il_frames: u64,
-    /// Frames answered by an admitted CO solve.
-    pub co_frames: u64,
-    /// Frames shed by the CO deadline lane (degraded full brake).
-    pub shed_frames: u64,
+    /// Frames answered by the CO lane, solved or shed, per map family
+    /// ([`FamilyCoCounts::zeroed`] layout).
+    pub co_by_family: Vec<FamilyCoCounts>,
     /// Episodes that ended in a collision (the acceptance bar is zero).
     pub collisions: u64,
     /// Episodes that parked successfully within the stepped frames.
@@ -131,9 +131,19 @@ pub struct GenerationStats {
 }
 
 impl GenerationStats {
+    /// Frames answered by a CO solve.
+    pub fn co_frames(&self) -> u64 {
+        self.co_by_family.iter().map(|row| row.co_solved).sum()
+    }
+
+    /// Frames shed by the CO deadline lane (degraded full brake).
+    pub fn shed_frames(&self) -> u64 {
+        FamilyCoCounts::total_shed(&self.co_by_family)
+    }
+
     /// Mode-tagged frames this generation served.
     pub fn tagged_frames(&self) -> u64 {
-        self.il_frames + self.co_frames + self.shed_frames
+        self.il_frames + self.co_frames() + self.shed_frames()
     }
 
     /// Fraction of mode-tagged frames served by the IL lane.
@@ -144,7 +154,7 @@ impl GenerationStats {
     /// Fraction of mode-tagged frames that cost a CO solve or a shed —
     /// the expert load the adaptation loop is meant to shrink.
     pub fn co_shed_share(&self) -> f64 {
-        (self.co_frames + self.shed_frames) as f64 / (self.tagged_frames() as f64).max(1.0)
+        (self.co_frames() + self.shed_frames()) as f64 / (self.tagged_frames() as f64).max(1.0)
     }
 }
 
@@ -199,8 +209,7 @@ pub fn run_generation(
     let mut stats = GenerationStats {
         weight_version: store.published(),
         il_frames: 0,
-        co_frames: 0,
-        shed_frames: 0,
+        co_by_family: FamilyCoCounts::zeroed(),
         collisions: 0,
         successes: 0,
         harvested: 0,
@@ -221,10 +230,10 @@ pub fn run_generation(
                 mirror.done = true;
                 continue;
             }
+            FamilyCoCounts::record(&mut stats.co_by_family, mirror.family, &resp);
             match (resp.mode.as_str(), resp.shed) {
                 ("IL", _) => stats.il_frames += 1,
                 ("CO", true) => {
-                    stats.shed_frames += 1;
                     // the served action is a degraded brake, not a label —
                     // relabel offline with the mirror's own CO expert
                     let out = mirror
@@ -233,7 +242,6 @@ pub fn run_generation(
                     aggregator.record_shed_frame(mirror.family, &sensing.bev, &out.action);
                 }
                 ("CO", false) => {
-                    stats.co_frames += 1;
                     // the served CO action IS the expert label for this BEV
                     aggregator.record_co_frame(mirror.family, &sensing.bev, &resp.action);
                 }
@@ -326,8 +334,7 @@ pub struct AdaptPhaseOutcome {
 }
 
 impl AdaptPhaseOutcome {
-    /// Server telemetry merged across every generation (per-family
-    /// CO-admit/shed counters accumulate here).
+    /// Server telemetry merged across every generation.
     pub fn merged_metrics(&self) -> Metrics {
         let mut merged = Metrics::new();
         for g in &self.generations {

@@ -1,29 +1,16 @@
 //! Serving load generator — emits `BENCH_serve.json`.
 //!
-//! Drives the `icoil-serve` engine through five phases and reports
-//! sessions/sec, per-lane frame-latency percentiles, IL micro-batch
-//! statistics, and the shed rate at two offered loads:
+//! Drives the `icoil-serve` engine through the three phases that no
+//! other tool measures, and asserts what each must show:
 //!
-//! 1. **IL phase** — the HSA threshold is forced to `+∞` so every frame
-//!    stays on the IL lane: clean micro-batch latency and batch-width
-//!    numbers with zero CO contention;
-//! 2. **CO phase (provisioned)** — an untrained model keeps every
-//!    session on the CO lane with a generous deadline and queue: CO-lane
-//!    latency under a load the lane can carry, `shed_rate_low` must be 0;
-//! 3. **Overload phase** — one worker, a queue of 2 and a 1 ms deadline
+//! 1. **CO phase (provisioned)** — an untrained model keeps every
+//!    session on the CO lane with a generous deadline and queue:
+//!    `shed_rate_low` must be 0;
+//! 2. **Overload phase** — one worker, a queue of 2 and a 1 ms deadline
 //!    against twice the sessions: the lane must shed (degraded
 //!    full-brake responses) instead of blocking, `shed_rate_overload`
 //!    must be positive;
-//! 4. **Shard sweep** — IL-only sessions replayed at 1, 2, 4 and 8
-//!    engine shards with the *offered load scaled by the shard count*
-//!    (a flat load would leave added shards idle and remeasure the
-//!    1-shard rate), recording sessions/sec and the mean per-shard IL
-//!    micro-batch width at each point. One point's stepping loop lasts
-//!    well under a second, so each point is timed on
-//!    [`SWEEP_REPEATS`] fresh servers serving the same sessions; the
-//!    report keeps the medians and the console line prints each rate's
-//!    min and max beside it;
-//! 5. **Adapt phase** — the online-adaptation flywheel on the hard
+//! 3. **Adapt phase** — the online-adaptation flywheel on the hard
 //!    family tail (`parallel_curb`, `dead_end_stub`, `crowded_lot`):
 //!    a fixed evaluation scenario set served three times against a
 //!    shared weight store, with a DAgger-style retraining round (warm-
@@ -31,17 +18,21 @@
 //!    labels) hot-swapped in between. Safety projection is enabled
 //!    throughout. The report must show the IL mode share strictly
 //!    rising and the CO + shed load strictly falling generation over
-//!    generation at zero collisions, plus per-family CO admit/shed
-//!    counters (attributed here and in the overload phase — seeded
-//!    scenarios carry no family).
+//!    generation at zero collisions.
+//!
+//! The overload and adapt sessions run procedural scenarios of known
+//! map families, and the client counts each family's solved and shed
+//! CO replies from the responses it reads (`co_by_family`); the shed
+//! counts must sum to the server's own `co_shed` counter in each of
+//! those phases. IL-lane latency, batch width and served frame rate
+//! belong to the repository benchmark's `fleet_il` workload.
 //!
 //! The file lands in the working directory (the repo root under
 //! `cargo run`). Run sizes honor `ICOIL_SERVE_SESSIONS` (default 8),
-//! `ICOIL_SERVE_FRAMES` (default 50), `ICOIL_SERVE_SWEEP_SESSIONS`
-//! (default 2000), `ICOIL_SERVE_SWEEP_FRAMES` (default 8),
-//! `ICOIL_ADAPT_SESSIONS` (episodes per family per generation, default
-//! 2), `ICOIL_ADAPT_FRAMES` (default 40) and `ICOIL_ADAPT_EPOCHS`
-//! (retraining passes per round, default 8):
+//! `ICOIL_SERVE_FRAMES` (default 50), `ICOIL_ADAPT_SESSIONS` (episodes
+//! per family per generation, default 2), `ICOIL_ADAPT_FRAMES` (default
+//! 40) and `ICOIL_ADAPT_EPOCHS` (retraining passes per round, default
+//! 8):
 //!
 //! ```text
 //! cargo run --release -p icoil-bench --bin loadgen
@@ -52,44 +43,16 @@
 
 use icoil_adapt::WeightStore;
 use icoil_bench::adapt::{run_adapt_phase, AdaptOptions};
-use icoil_bench::ServeReport;
+use icoil_bench::{FamilyCoCounts, ServeReport};
 use icoil_core::ICoilConfig;
-use icoil_hsa::HsaConfig;
 use icoil_il::IlModel;
 use icoil_perception::BevConfig;
 use icoil_serve::{Serve, ServeConfig, SessionConfig, SessionSpec};
-use icoil_telemetry::{Counter, Metrics, Series};
+use icoil_telemetry::{Counter, Metrics};
 use icoil_vehicle::ActionCodec;
 use icoil_world::{Difficulty, MapFamilyKind, ProcGen, ProcGenConfig};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Fresh servers each shard-sweep point is timed on.
-const SWEEP_REPEATS: usize = 5;
-
-/// The median, min and max of a few samples.
-struct Spread {
-    median: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Spread {
-    fn of(mut samples: Vec<f64>) -> Spread {
-        samples.sort_by(f64::total_cmp);
-        let n = samples.len();
-        let median = if n % 2 == 1 {
-            samples[n / 2]
-        } else {
-            (samples[n / 2 - 1] + samples[n / 2]) / 2.0
-        };
-        Spread {
-            median,
-            min: samples[0],
-            max: samples[n - 1],
-        }
-    }
-}
+use std::time::Duration;
 
 fn env_size(key: &str, default: u64) -> u64 {
     std::env::var(key)
@@ -98,42 +61,39 @@ fn env_size(key: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// Runs `sessions` episodes of `frames` frames each against a fresh
-/// server; returns the server's final telemetry snapshot and the
-/// wall-clock seconds of the stepping loop alone (startup and session
-/// creation excluded).
-fn run_phase(config: ServeConfig, sessions: u64, frames: u64, seed0: u64) -> (Metrics, f64) {
-    let specs = (0..sessions)
-        .map(|i| {
-            SessionSpec::Seeded(SessionConfig {
-                difficulty: Difficulty::Normal,
-                seed: seed0 + i,
-            })
-        })
-        .collect();
-    run_phase_specs(config, specs, frames)
-}
-
-/// [`run_phase`] with explicit session specs (the overload phase pins
-/// procedural map families so the per-family shed counters attribute).
-fn run_phase_specs(config: ServeConfig, specs: Vec<SessionSpec>, frames: u64) -> (Metrics, f64) {
+/// Steps every session of `specs` through `frames` `step_many` calls on
+/// a fresh server; returns the server's final telemetry snapshot and
+/// the CO-lane replies of the sessions whose scenario carries a map
+/// family, counted per family from the responses.
+fn run_phase(
+    config: ServeConfig,
+    specs: Vec<SessionSpec>,
+    frames: u64,
+) -> (Metrics, Vec<FamilyCoCounts>) {
     let model = IlModel::untrained(ActionCodec::default(), BevConfig::default(), 1);
     let server = Serve::start(config, model);
     let handle = server.handle();
-    let ids: Vec<u64> = specs
-        .into_iter()
-        .map(|spec| handle.create(spec).expect("create session"))
-        .collect();
-    let t0 = Instant::now();
+    let mut ids = Vec::with_capacity(specs.len());
+    let mut families = Vec::with_capacity(specs.len());
+    for spec in specs {
+        families.push(match &spec {
+            SessionSpec::Scenario(scenario) => scenario.family,
+            SessionSpec::Seeded(_) => None,
+        });
+        ids.push(handle.create(spec).expect("create session"));
+    }
+    let mut co_by_family = FamilyCoCounts::zeroed();
     for _ in 0..frames {
-        for result in handle.step_many(&ids) {
-            result.expect("serving must answer every step");
+        for (result, family) in handle.step_many(&ids).into_iter().zip(&families) {
+            let resp = result.expect("serving must answer every step");
+            if let Some(family) = family {
+                FamilyCoCounts::record(&mut co_by_family, *family, &resp);
+            }
         }
     }
-    let stepping_secs = t0.elapsed().as_secs_f64().max(1e-9);
     let metrics = handle.metrics().expect("metrics snapshot");
     server.shutdown();
-    (metrics, stepping_secs)
+    (metrics, co_by_family)
 }
 
 fn shed_rate(metrics: &Metrics) -> f64 {
@@ -146,6 +106,17 @@ fn shed_rate(metrics: &Metrics) -> f64 {
     }
 }
 
+/// Asserts that the client's per-family shed counts of one phase sum to
+/// the server's `co_shed` counter: every session of the phase carries a
+/// family, so no shed may go uncounted or be counted twice.
+fn assert_sheds_match(phase: &str, co_by_family: &[FamilyCoCounts], metrics: &Metrics) {
+    assert_eq!(
+        FamilyCoCounts::total_shed(co_by_family),
+        metrics.counter(Counter::CoShed),
+        "{phase}: the per-family shed counts must sum to the server's co_shed counter"
+    );
+}
+
 fn main() {
     let sessions = env_size("ICOIL_SERVE_SESSIONS", 8);
     let frames = env_size("ICOIL_SERVE_FRAMES", 50);
@@ -155,28 +126,20 @@ fn main() {
         ..ServeConfig::default()
     };
 
-    let t0 = Instant::now();
+    // phase 1: pure CO lane (untrained model → high uncertainty), carried
+    let seeded = (0..sessions)
+        .map(|i| {
+            SessionSpec::Seeded(SessionConfig {
+                difficulty: Difficulty::Normal,
+                seed: 9100 + i,
+            })
+        })
+        .collect();
+    let (co_metrics, _) = run_phase(base, seeded, frames);
 
-    // phase 1: pure IL lane (ratio ≤ λ always holds at λ = +∞)
-    let il_config = ServeConfig {
-        icoil: ICoilConfig {
-            hsa: HsaConfig {
-                lambda: f64::INFINITY,
-                initial_mode: icoil_hsa::Mode::Il,
-                ..HsaConfig::default()
-            },
-            ..ICoilConfig::default()
-        },
-        ..base
-    };
-    let (il_metrics, _) = run_phase(il_config, sessions, frames, 9000);
-
-    // phase 2: pure CO lane (untrained model → high uncertainty), carried
-    let (co_metrics, _) = run_phase(base, sessions, frames, 9100);
-
-    // phase 3: deliberate overload — must shed, never block. Sessions
-    // cycle the procedural map families so the per-family admit/shed
-    // counters attribute the pressure (seeded scenarios carry no family).
+    // phase 2: deliberate overload — must shed, never block. Sessions
+    // cycle the procedural map families so the client's per-family
+    // counts cover every family.
     let overload_config = ServeConfig {
         co_workers: 1,
         queue_capacity: 2,
@@ -194,55 +157,11 @@ fn main() {
             SessionSpec::Scenario(Box::new(gen.generate(9200 + i).build()))
         })
         .collect();
-    let (overload_metrics, _) = run_phase_specs(overload_config, overload_specs, overload_frames);
+    let (overload_metrics, mut co_by_family) =
+        run_phase(overload_config, overload_specs, overload_frames);
+    assert_sheds_match("overload phase", &co_by_family, &overload_metrics);
 
-    let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
-    let total_sessions = sessions * 2 + sessions * 2;
-    let total_frames = sessions * frames * 2 + sessions * 2 * overload_frames;
-
-    // phase 4: shard-scaling sweep — thousands of sessions, IL lane only
-    // (λ = +∞ keeps the CO pool idle), so the measured curve is the
-    // sharded engine's own session-handling throughput. The offered load
-    // scales with the shard count: at a fixed load the per-shard session
-    // slice shrinks as shards are added, added shards idle between the
-    // same number of ticks, and the sweep flatlines at the 1-shard rate.
-    let sweep_sessions = env_size("ICOIL_SERVE_SWEEP_SESSIONS", 2000);
-    let sweep_frames = env_size("ICOIL_SERVE_SWEEP_FRAMES", 8);
-    let mut sweep_rates = Vec::with_capacity(4);
-    let mut sweep_batch_means = Vec::with_capacity(4);
-    for (slot, shards) in [1usize, 2, 4, 8].into_iter().enumerate() {
-        let offered = sweep_sessions * shards as u64;
-        // the cap is enforced globally at the handle, so offered load
-        // can size it exactly — hash skew never rejects early
-        let sweep_config = ServeConfig {
-            shards,
-            max_sessions: offered as usize,
-            ..il_config
-        };
-        let mut rates = Vec::with_capacity(SWEEP_REPEATS);
-        let mut batch_means = Vec::with_capacity(SWEEP_REPEATS);
-        for _ in 0..SWEEP_REPEATS {
-            let (sweep_metrics, sweep_secs) = run_phase(
-                sweep_config,
-                offered,
-                sweep_frames,
-                9300 + slot as u64 * 10_000,
-            );
-            rates.push(offered as f64 / sweep_secs);
-            // each shard records the width of its own micro-batches, so
-            // the merged histogram's mean is the per-shard mean batch width
-            batch_means.push(sweep_metrics.series(Series::IlBatchSize).mean());
-            assert_eq!(
-                sweep_metrics.counter(Counter::ServeSessions),
-                offered,
-                "sweep at {shards} shard(s) lost sessions"
-            );
-        }
-        sweep_rates.push(Spread::of(rates));
-        sweep_batch_means.push(Spread::of(batch_means).median);
-    }
-
-    // phase 5: online adaptation — the DAgger flywheel on the hard
+    // phase 3: online adaptation — the DAgger flywheel on the hard
     // family tail (parallel_curb, dead_end_stub, crowded_lot). A fixed
     // evaluation scenario set is served three times against a shared
     // weight store: generation 0 rides untrained seed weights, then each
@@ -285,42 +204,18 @@ fn main() {
     );
     let adapt_metrics = adapt.merged_metrics();
     let adapt_collisions: u64 = adapt.generations.iter().map(|g| g.collisions).sum();
-    let family_counter = |metrics: &Metrics, table: &[Counter; 6], kind: MapFamilyKind| {
-        metrics.counter(table[kind.index()]) as f64
-    };
-    let admits = |kind| {
-        family_counter(&adapt_metrics, &Counter::CO_ADMITTED_BY_FAMILY, kind)
-            + family_counter(&overload_metrics, &Counter::CO_ADMITTED_BY_FAMILY, kind)
-    };
-    let sheds = |kind| {
-        family_counter(&adapt_metrics, &Counter::CO_SHED_BY_FAMILY, kind)
-            + family_counter(&overload_metrics, &Counter::CO_SHED_BY_FAMILY, kind)
-    };
+    for (g, stats) in adapt.generations.iter().enumerate() {
+        assert_sheds_match(
+            &format!("adapt generation {g}"),
+            &stats.co_by_family,
+            &stats.metrics,
+        );
+        FamilyCoCounts::merge(&mut co_by_family, &stats.co_by_family);
+    }
 
-    let il_lane = il_metrics.series(Series::ServeIlLane);
-    let co_lane = co_metrics.series(Series::ServeCoLane);
-    let batches = il_metrics.series(Series::IlBatchSize);
     let mut report = ServeReport {
-        sessions_per_sec: total_sessions as f64 / elapsed,
-        frames_per_sec: total_frames as f64 / elapsed,
-        il_p50_us: il_lane.quantile(0.50) * 1e6,
-        il_p95_us: il_lane.quantile(0.95) * 1e6,
-        il_p99_us: il_lane.quantile(0.99) * 1e6,
-        co_p50_us: co_lane.quantile(0.50) * 1e6,
-        co_p95_us: co_lane.quantile(0.95) * 1e6,
-        co_p99_us: co_lane.quantile(0.99) * 1e6,
-        batch_size_mean: batches.mean(),
-        batch_size_max: batches.max(),
         shed_rate_low: shed_rate(&co_metrics),
         shed_rate_overload: shed_rate(&overload_metrics),
-        sweep_sessions_per_sec_s1: sweep_rates[0].median,
-        sweep_sessions_per_sec_s2: sweep_rates[1].median,
-        sweep_sessions_per_sec_s4: sweep_rates[2].median,
-        sweep_sessions_per_sec_s8: sweep_rates[3].median,
-        sweep_batch_mean_s1: sweep_batch_means[0],
-        sweep_batch_mean_s2: sweep_batch_means[1],
-        sweep_batch_mean_s4: sweep_batch_means[2],
-        sweep_batch_mean_s8: sweep_batch_means[3],
         adapt_il_share_g0: adapt.generations[0].il_share(),
         adapt_il_share_g1: adapt.generations[1].il_share(),
         adapt_il_share_g2: adapt.generations[2].il_share(),
@@ -330,24 +225,11 @@ fn main() {
         adapt_collisions: adapt_collisions as f64,
         adapt_dataset_frames: adapt.dataset_len as f64,
         adapt_safety_projections: adapt_metrics.counter(Counter::SafetyProjections) as f64,
-        co_admitted_reverse_in: admits(MapFamilyKind::ReverseIn),
-        co_admitted_parallel_curb: admits(MapFamilyKind::ParallelCurb),
-        co_admitted_angled_echelon: admits(MapFamilyKind::AngledEchelon),
-        co_admitted_pillared_garage: admits(MapFamilyKind::PillaredGarage),
-        co_admitted_dead_end_stub: admits(MapFamilyKind::DeadEndStub),
-        co_admitted_crowded_lot: admits(MapFamilyKind::CrowdedLot),
-        co_shed_reverse_in: sheds(MapFamilyKind::ReverseIn),
-        co_shed_parallel_curb: sheds(MapFamilyKind::ParallelCurb),
-        co_shed_angled_echelon: sheds(MapFamilyKind::AngledEchelon),
-        co_shed_pillared_garage: sheds(MapFamilyKind::PillaredGarage),
-        co_shed_dead_end_stub: sheds(MapFamilyKind::DeadEndStub),
-        co_shed_crowded_lot: sheds(MapFamilyKind::CrowdedLot),
+        co_by_family,
         had_nonfinite: false,
         sessions,
         frames_per_session: frames,
         co_workers: base.co_workers as u64,
-        sweep_sessions,
-        sweep_frames,
         adapt_sessions: adapt_opts.sessions_per_family * adapt_opts.families.len() as u64,
         adapt_frames_per_session: adapt_opts.frames_per_session,
         adapt_generations,
@@ -386,22 +268,8 @@ fn main() {
     );
 
     println!(
-        "serve load: {} sessions x {} frames | IL p50/p95/p99 {:.0}/{:.0}/{:.0} us \
-         (batch mean {:.1}, max {:.0}) | CO p50/p95/p99 {:.0}/{:.0}/{:.0} us | \
-         shed {:.3} low, {:.3} overload | {:.1} frames/s",
-        report.sessions,
-        report.frames_per_session,
-        report.il_p50_us,
-        report.il_p95_us,
-        report.il_p99_us,
-        report.batch_size_mean,
-        report.batch_size_max,
-        report.co_p50_us,
-        report.co_p95_us,
-        report.co_p99_us,
-        report.shed_rate_low,
-        report.shed_rate_overload,
-        report.frames_per_sec,
+        "serve load: {} sessions x {} frames | shed {:.3} provisioned, {:.3} overload",
+        report.sessions, report.frames_per_session, report.shed_rate_low, report.shed_rate_overload,
     );
     println!(
         "adapt phase: {} generations x {} sessions x {} frames (hard families, safety on) | \
@@ -420,21 +288,14 @@ fn main() {
         report.adapt_safety_projections,
         report.adapt_collisions,
     );
-    let rates: Vec<String> = sweep_rates
+    let rows: Vec<String> = report
+        .co_by_family
         .iter()
-        .map(|r| format!("{:.0} [{:.0}, {:.0}]", r.median, r.min, r.max))
+        .map(|row| format!("{} {}/{}", row.family, row.co_solved, row.co_shed))
         .collect();
     println!(
-        "shard sweep: {} sessions/shard x {} frames (IL lane, load scaled by shard count) | \
-         sessions/s at 1/2/4/8 shards, median [min, max] of {SWEEP_REPEATS} servers: {} | \
-         median mean per-shard batch width: {:.1}/{:.1}/{:.1}/{:.1}",
-        report.sweep_sessions,
-        report.sweep_frames,
-        rates.join(" / "),
-        report.sweep_batch_mean_s1,
-        report.sweep_batch_mean_s2,
-        report.sweep_batch_mean_s4,
-        report.sweep_batch_mean_s8,
+        "CO replies solved/shed by family (overload + adapt): {}",
+        rows.join(" | ")
     );
 
     let json = serde_json::to_string(&report).expect("report serializes");

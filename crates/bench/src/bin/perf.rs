@@ -1,17 +1,11 @@
-//! Emits `BENCH_perf.json` — the repo's performance trajectory tracker.
+//! Emits `BENCH_perf.json` — the numbers no other tool in the repo
+//! measures:
 //!
-//! Measures four throughput numbers so future changes can be compared
-//! against a recorded baseline:
-//!
-//! * `episodes_per_sec` — closed-loop CO evaluation throughput through
-//!   `icoil-core::eval::run_batch_with` at the configured parallelism;
-//! * `il_hz` — IL CNN inference rate on a live BEV image (the paper's
-//!   §V-E reports 75 Hz), the best of several timed rounds;
-//! * `co_hz` / `co_hz_cold` — CO solve rate along an actual drive with
-//!   the deployed warm-start memory vs. with the memory cleared every
-//!   frame (paper: 18 Hz);
 //! * `mean_admm_iters_warm` / `mean_admm_iters_cold` — mean ADMM
-//!   iterations per MPC step, the number the QP warm start exists to cut;
+//!   iterations per MPC step along one 60-frame drive, with the deployed
+//!   warm-start memory vs with the memory cleared every frame: the
+//!   number the QP warm start exists to cut. Iteration counts are a pure
+//!   function of the seeded drive, so they do not vary between runs;
 //! * `kkt_factor_us_sparse` / `kkt_nnz_ratio` — per-factorization
 //!   microseconds of the sparse LDLᵀ's numeric refactorization over the
 //!   cached symbolic analysis on the *actual* MPC KKT matrix of a
@@ -21,64 +15,52 @@
 //!   dispatch, at a network-shaped problem size (best-of-N timing,
 //!   `kernel_best_of` and `simd_dispatch` record the discipline).
 //!
-//! The file lands in the working directory (the repo root under
-//! `cargo run`). Run sizes honor `ICOIL_EPISODES` and
-//! `ICOIL_PARALLELISM`:
+//! IL and CO execution rates belong to the `freq` bin, decide latency
+//! and closed-loop throughput to the repository benchmark's
+//! `table2_icoil` workload. The file lands in the working directory
+//! (the repo root under `cargo run`):
 //!
 //! ```text
 //! cargo run --release -p icoil-bench --bin perf
 //! ```
-//!
-//! An untrained IL model is used throughout: inference cost does not
-//! depend on the weight values, and it keeps the bin self-contained.
 
-use icoil_bench::{PerfReport, RunSize};
+use icoil_bench::PerfReport;
 use icoil_co::{build_mpc_qp, CoConfig, CoController};
-use icoil_core::{eval, ICoilConfig, Method};
-use icoil_il::IlModel;
+use icoil_core::ICoilConfig;
 use icoil_perception::Perception;
 use icoil_solver::{SparseKkt, SparseLdl, SparseMatrix, SymbolicLdl};
-use icoil_telemetry::{Recorder, Series};
-use icoil_vehicle::ActionCodec;
-use icoil_world::episode::{EpisodeConfig, Observation};
+use icoil_world::episode::Observation;
 use icoil_world::{Difficulty, ScenarioConfig};
 use std::time::Instant;
 
-/// Drives `frames` control steps in a fresh world, recording per-frame
-/// and CO-stage latencies into `recorder`; returns `(frames/sec, mean
-/// ADMM iterations per solved frame)`.
-fn drive(seed: u64, frames: usize, cold: bool, recorder: &mut Recorder) -> (f64, f64) {
+/// Drives `frames` control steps in a fresh world and returns the mean
+/// ADMM iterations per solved frame; `cold` clears the warm-start
+/// memory before every frame.
+fn mean_admm_iters(seed: u64, frames: usize, cold: bool) -> f64 {
     let scenario = ScenarioConfig::new(Difficulty::Normal, seed).build();
     let params = scenario.vehicle_params;
     let mut perception = Perception::new(ICoilConfig::default().bev, &scenario);
     let mut world = icoil_world::World::new(scenario);
     let mut co = CoController::new(CoConfig::default(), params);
-    // Plan the global path outside the timed region.
+    // Plan the global path before the counted frames.
     let s = perception.observe(&Observation::new(&world));
     let _ = co.control(&Observation::new(&world), &s.boxes);
 
     let mut iters = 0usize;
     let mut solves = 0usize;
-    let t0 = Instant::now();
     for _ in 0..frames {
         if cold {
             co.reset_warm_start();
         }
-        let frame_start = Instant::now();
         let s = perception.observe(&Observation::new(&world));
-        let co_start = Instant::now();
         let out = co.control(&Observation::new(&world), &s.boxes);
-        let co_end = Instant::now();
-        recorder.observe(Series::CoSolve, (co_end - co_start).as_secs_f64());
-        recorder.observe(Series::FrameTotal, (co_end - frame_start).as_secs_f64());
         if let Some(mpc) = &out.mpc {
             iters += mpc.qp_iterations;
             solves += 1;
         }
         world.step(&out.action);
     }
-    let hz = frames as f64 / t0.elapsed().as_secs_f64();
-    (hz, iters as f64 / solves.max(1) as f64)
+    iters as f64 / solves.max(1) as f64
 }
 
 /// Rebuilds the MPC KKT matrix (`P + σI + ρAᵀA`) of a mid-episode frame
@@ -169,99 +151,31 @@ fn matmul_gflops(backend: icoil_nn::KernelBackend) -> f64 {
 }
 
 fn main() {
-    let size = RunSize::from_env();
-    let config = ICoilConfig::default();
-    let mut model = IlModel::untrained(ActionCodec::default(), config.bev, 1);
-
-    // 1) closed-loop evaluation throughput at the configured parallelism
-    let scenarios: Vec<ScenarioConfig> = (0..size.episodes)
-        .map(|s| ScenarioConfig::new(Difficulty::Easy, s))
-        .collect();
-    let episode = EpisodeConfig {
-        max_time: 30.0,
-        record_trace: false,
-    };
-    let t0 = Instant::now();
-    let results = eval::run_batch_with(
-        Method::Co,
-        &config,
-        &model,
-        &scenarios,
-        &episode,
-        &size.eval_config(),
-    );
-    let episodes_per_sec = results.len() as f64 / t0.elapsed().as_secs_f64();
-
-    // 2) IL inference rate on a live BEV image, reported as the best of
-    //    several timed rounds so scheduler noise does not set it
-    let scenario = ScenarioConfig::new(Difficulty::Normal, 3).build();
-    let mut perception = Perception::new(config.bev, &scenario);
-    let world = icoil_world::World::new(scenario);
-    let bev = perception.observe(&Observation::new(&world)).bev;
-    let il_iters = 400;
-    let il_rounds = 8;
-    let mut il_best = f64::INFINITY;
-    for _ in 0..il_rounds {
-        let t0 = Instant::now();
-        for _ in 0..il_iters {
-            std::hint::black_box(model.infer(&bev));
-        }
-        il_best = il_best.min(t0.elapsed().as_secs_f64() / il_iters as f64);
-    }
-    let il_hz = 1.0 / il_best;
-
-    // 3) CO solve rate and ADMM iteration counts, warm vs. cold; latency
-    //    percentiles come from the warm drive's telemetry histograms
+    // 1) ADMM iterations per MPC step, warm vs. cold, along one drive
     let frames = 60;
-    let mut warm_recorder = Recorder::new();
-    let (co_hz, mean_admm_iters_warm) = drive(3, frames, false, &mut warm_recorder);
-    let (co_hz_cold, mean_admm_iters_cold) = drive(3, frames, true, &mut Recorder::new());
-    let frame_hist = warm_recorder.metrics().series(Series::FrameTotal);
-    let solve_hist = warm_recorder.metrics().series(Series::CoSolve);
-    let (frame_p50_us, frame_p95_us, frame_p99_us) = (
-        frame_hist.quantile(0.50) * 1e6,
-        frame_hist.quantile(0.95) * 1e6,
-        frame_hist.quantile(0.99) * 1e6,
-    );
-    let (solve_p50_us, solve_p95_us, solve_p99_us) = (
-        solve_hist.quantile(0.50) * 1e6,
-        solve_hist.quantile(0.95) * 1e6,
-        solve_hist.quantile(0.99) * 1e6,
-    );
+    let mean_admm_iters_warm = mean_admm_iters(3, frames, false);
+    let mean_admm_iters_cold = mean_admm_iters(3, frames, true);
 
-    // 4) per-frame KKT factorization microbenchmark on the actual MPC
+    // 2) per-frame KKT factorization microbenchmark on the actual MPC
     //    KKT matrix of a mid-episode frame
     let kkt_matrix = mpc_kkt_matrix();
     let (kkt_factor_us_sparse, kkt_nnz_ratio) = kkt_microbench(&kkt_matrix);
 
-    // 5) kernel-layer microbenchmark: scalar-vs-SIMD f32 GEMM
+    // 3) kernel-layer microbenchmark: scalar-vs-SIMD f32 GEMM
     let matmul_gflops_scalar = matmul_gflops(icoil_nn::KernelBackend::Scalar);
     let matmul_gflops_simd = matmul_gflops(icoil_nn::simd::detected());
     let simd_dispatch = icoil_nn::simd::dispatch_target().to_string();
 
     let mut report = PerfReport {
-        episodes_per_sec,
-        il_hz,
-        co_hz,
-        co_hz_cold,
         mean_admm_iters_warm,
         mean_admm_iters_cold,
-        il_over_co_ratio: il_hz / co_hz,
         kkt_factor_us_sparse,
         kkt_nnz_ratio,
-        frame_p50_us,
-        frame_p95_us,
-        frame_p99_us,
-        solve_p50_us,
-        solve_p95_us,
-        solve_p99_us,
         matmul_gflops_scalar,
         matmul_gflops_simd,
         simd_dispatch: simd_dispatch.clone(),
         kernel_best_of: KERNEL_BEST_OF as u64,
         had_nonfinite: false,
-        parallelism: size.parallelism,
-        episodes: size.episodes,
     };
     if report.sanitize() {
         eprintln!("perf: some measured fields were non-finite; clamped (had_nonfinite=true)");
@@ -269,27 +183,13 @@ fn main() {
     let json = serde_json::to_string(&report).expect("report serializes");
     std::fs::write("BENCH_perf.json", &json).expect("write BENCH_perf.json");
 
-    println!("# performance trajectory (wrote BENCH_perf.json)");
+    println!("# kernel ceilings and solver work (wrote BENCH_perf.json)");
     println!(
-        "episodes/sec ({} workers): {episodes_per_sec:8.2}",
-        size.parallelism
+        "ADMM iters:    {mean_admm_iters_warm:8.1} per MPC step warm vs \
+         {mean_admm_iters_cold:.1} cold ({frames} frames)"
     );
-    println!("IL inference:  {il_hz:8.1} Hz f32 (best of {il_rounds} rounds)");
-    println!(
-        "CO solve:      {co_hz:8.1} Hz warm ({mean_admm_iters_warm:.0} ADMM iters) \
-         vs {co_hz_cold:.1} Hz cold ({mean_admm_iters_cold:.0} iters)"
-    );
-    println!("ratio IL/CO:   {:8.1}x (paper shape: >= 4x)", il_hz / co_hz);
     println!(
         "KKT factor:    {kkt_factor_us_sparse:8.1} us sparse refactor (fill {kkt_nnz_ratio:.3})"
-    );
-    println!(
-        "frame latency: {frame_p50_us:8.1} us p50 / {frame_p95_us:.1} us p95 / \
-         {frame_p99_us:.1} us p99"
-    );
-    println!(
-        "solve latency: {solve_p50_us:8.1} us p50 / {solve_p95_us:.1} us p95 / \
-         {solve_p99_us:.1} us p99"
     );
     println!(
         "matmul f32:    {matmul_gflops_scalar:8.2} GFLOP/s scalar vs \

@@ -7,17 +7,19 @@
 //!   tag plus the per-frame fields downstream tooling keys on;
 //! * the trace agrees with the aggregated metrics (frame counts, solve
 //!   counts, episode summary);
-//! * `BENCH_perf.json`, `BENCH_serve.json` and `BENCH_scenarios.json`
-//!   (when present in the working directory) pass the
-//!   [`icoil_bench::validate_perf_json`] /
+//! * `BENCH_perf.json` and `BENCH_serve.json` in the working directory
+//!   (the repo root under `scripts/check.sh`, where both are committed;
+//!   a missing one fails the smoke) and `BENCH_scenarios.json` when
+//!   present pass the [`icoil_bench::validate_perf_json`] /
 //!   [`icoil_bench::validate_serve_json`] /
 //!   [`icoil_bench::validate_scenarios_json`] schema checks and
-//!   round-trip through the JSON layer.
+//!   round-trip through their report types.
 //!
 //! Exits non-zero on the first violation, printing what broke.
 
 use icoil_bench::{
-    validate_perf_json, validate_scenarios_json, validate_serve_json, ScenariosReport, ServeReport,
+    validate_perf_json, validate_scenarios_json, validate_serve_json, PerfReport, ScenariosReport,
+    ServeReport,
 };
 use icoil_core::eval::drain_episode_metrics;
 use icoil_core::{ICoilConfig, ICoilPolicy};
@@ -26,6 +28,7 @@ use icoil_telemetry::{Counter, NdjsonSink, Series};
 use icoil_vehicle::ActionCodec;
 use icoil_world::episode::{run_episode, EpisodeConfig, Policy};
 use icoil_world::{Difficulty, ScenarioConfig, World};
+use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::process::ExitCode;
 
@@ -141,54 +144,43 @@ fn run() -> Result<(), String> {
     );
     let _ = std::fs::remove_file(&trace_path);
 
-    // 3) BENCH_perf.json schema, when the baseline is present
-    match std::fs::read_to_string("BENCH_perf.json") {
-        Ok(raw) => {
-            let v: Value = serde_json::from_str(&raw)
-                .map_err(|e| format!("BENCH_perf.json does not parse: {e:?}"))?;
-            validate_perf_json(&v)?;
-            println!("telemetry smoke: BENCH_perf.json schema OK");
-        }
-        Err(_) => println!("telemetry smoke: no BENCH_perf.json in cwd, schema check skipped"),
-    }
+    // 3) the committed BENCH files must be present; the scenario matrix
+    //    is checked when present
+    check_report::<PerfReport>("BENCH_perf.json", true, validate_perf_json)?;
+    check_report::<ServeReport>("BENCH_serve.json", true, validate_serve_json)?;
+    check_report::<ScenariosReport>("BENCH_scenarios.json", false, validate_scenarios_json)?;
+    Ok(())
+}
 
-    // 4) BENCH_serve.json schema + round-trip, when present
-    match std::fs::read_to_string("BENCH_serve.json") {
-        Ok(raw) => {
-            let v: Value = serde_json::from_str(&raw)
-                .map_err(|e| format!("BENCH_serve.json does not parse: {e:?}"))?;
-            validate_serve_json(&v)?;
-            let report: ServeReport = serde_json::from_str(&raw)
-                .map_err(|e| format!("BENCH_serve.json does not deserialize: {e:?}"))?;
-            let reencoded = serde_json::to_string(&report)
-                .map_err(|e| format!("BENCH_serve.json does not re-serialize: {e:?}"))?;
-            let v2: Value = serde_json::from_str(&reencoded)
-                .map_err(|e| format!("re-serialized BENCH_serve.json does not parse: {e:?}"))?;
-            validate_serve_json(&v2)?;
-            println!("telemetry smoke: BENCH_serve.json schema + round-trip OK");
-        }
-        Err(_) => println!("telemetry smoke: no BENCH_serve.json in cwd, schema check skipped"),
-    }
-
-    // 5) BENCH_scenarios.json schema + round-trip, when present
-    match std::fs::read_to_string("BENCH_scenarios.json") {
-        Ok(raw) => {
-            let v: Value = serde_json::from_str(&raw)
-                .map_err(|e| format!("BENCH_scenarios.json does not parse: {e:?}"))?;
-            validate_scenarios_json(&v)?;
-            let report: ScenariosReport = serde_json::from_str(&raw)
-                .map_err(|e| format!("BENCH_scenarios.json does not deserialize: {e:?}"))?;
-            let reencoded = serde_json::to_string(&report)
-                .map_err(|e| format!("BENCH_scenarios.json does not re-serialize: {e:?}"))?;
-            let v2: Value = serde_json::from_str(&reencoded)
-                .map_err(|e| format!("re-serialized BENCH_scenarios.json does not parse: {e:?}"))?;
-            validate_scenarios_json(&v2)?;
-            println!("telemetry smoke: BENCH_scenarios.json schema + round-trip OK");
+/// Validates `path` in the working directory, round-trips it through
+/// its report type `R` and validates the re-encoding. A missing file
+/// fails when `required`, and is skipped otherwise.
+fn check_report<R: Serialize + Deserialize>(
+    path: &str,
+    required: bool,
+    validate: fn(&Value) -> Result<(), String>,
+) -> Result<(), String> {
+    let raw = match std::fs::read_to_string(path) {
+        Ok(raw) => raw,
+        Err(_) if required => {
+            return Err(format!("{path} is missing from the working directory"));
         }
         Err(_) => {
-            println!("telemetry smoke: no BENCH_scenarios.json in cwd, schema check skipped")
+            println!("telemetry smoke: no {path} in cwd, schema check skipped");
+            return Ok(());
         }
-    }
+    };
+    let v: Value =
+        serde_json::from_str(&raw).map_err(|e| format!("{path} does not parse: {e:?}"))?;
+    validate(&v)?;
+    let report: R =
+        serde_json::from_str(&raw).map_err(|e| format!("{path} does not deserialize: {e:?}"))?;
+    let reencoded = serde_json::to_string(&report)
+        .map_err(|e| format!("{path} does not re-serialize: {e:?}"))?;
+    let v2: Value = serde_json::from_str(&reencoded)
+        .map_err(|e| format!("re-serialized {path} does not parse: {e:?}"))?;
+    validate(&v2)?;
+    println!("telemetry smoke: {path} schema + round-trip OK");
     Ok(())
 }
 

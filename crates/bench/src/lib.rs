@@ -63,93 +63,45 @@ impl RunSize {
     }
 }
 
-/// The performance-trajectory record emitted by the `perf` bin as
-/// `BENCH_perf.json`.
+/// The kernel-ceiling and solver-work record emitted by the `perf` bin
+/// as `BENCH_perf.json`.
 ///
-/// Latency percentiles come from the telemetry histograms of the warm
-/// CO drive (`frame_*` spans perception + control per frame, `solve_*`
-/// the CO control stage alone). All float fields are sanitized before
-/// serialization — the vendored JSON emitter renders non-finite floats
-/// as `null`, which would silently break downstream schema checks.
+/// It holds only what no other tool measures: the deterministic
+/// warm/cold ADMM iteration counts and two kernel microbenchmarks. All
+/// float fields are sanitized before serialization — the vendored JSON
+/// emitter renders non-finite floats as `null`, which would silently
+/// break downstream schema checks.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PerfReport {
-    /// Closed-loop CO evaluation throughput (episodes per second).
-    pub episodes_per_sec: f64,
-    /// IL CNN inference rate on a live BEV image (Hz).
-    pub il_hz: f64,
-    /// Warm-started CO solve rate along a real drive (Hz).
-    pub co_hz: f64,
-    /// CO solve rate with the warm-start memory cleared every frame (Hz).
-    pub co_hz_cold: f64,
     /// Mean ADMM iterations per warm MPC step.
     pub mean_admm_iters_warm: f64,
     /// Mean ADMM iterations per cold MPC step.
     pub mean_admm_iters_cold: f64,
-    /// IL rate over CO rate (the paper's headline speed gap).
-    pub il_over_co_ratio: f64,
     /// Sparse LDLᵀ numeric-refactor microseconds per KKT factorization.
     pub kkt_factor_us_sparse: f64,
     /// Fill ratio of the MPC KKT matrix.
     pub kkt_nnz_ratio: f64,
-    /// Median per-frame latency of the warm CO drive (µs).
-    #[serde(default)]
-    pub frame_p50_us: f64,
-    /// 95th-percentile per-frame latency of the warm CO drive (µs).
-    #[serde(default)]
-    pub frame_p95_us: f64,
-    /// 99th-percentile per-frame latency of the warm CO drive (µs).
-    #[serde(default)]
-    pub frame_p99_us: f64,
-    /// Median CO solve-stage latency of the warm drive (µs).
-    #[serde(default)]
-    pub solve_p50_us: f64,
-    /// 95th-percentile CO solve-stage latency of the warm drive (µs).
-    #[serde(default)]
-    pub solve_p95_us: f64,
-    /// 99th-percentile CO solve-stage latency of the warm drive (µs).
-    #[serde(default)]
-    pub solve_p99_us: f64,
     /// f32 matmul throughput with the scalar kernels forced (GFLOP/s).
-    #[serde(default)]
     pub matmul_gflops_scalar: f64,
     /// f32 matmul throughput with the detected SIMD kernels (GFLOP/s).
-    #[serde(default)]
     pub matmul_gflops_simd: f64,
     /// Kernel dispatch target the microbenchmarks ran on (`"avx512"`,
     /// `"avx2"` or `"scalar"`).
-    #[serde(default)]
     pub simd_dispatch: String,
-    /// Timing discipline of the kernel microbenchmarks: each number is
+    /// Timing discipline of the matmul microbenchmark: each number is
     /// the best of this many timed repetitions.
-    #[serde(default)]
     pub kernel_best_of: u64,
     /// Whether any measured field was non-finite before sanitization.
-    #[serde(default)]
     pub had_nonfinite: bool,
-    /// Worker threads the evaluation batch fanned across.
-    pub parallelism: usize,
-    /// Episodes in the evaluation batch.
-    pub episodes: u64,
 }
 
 impl PerfReport {
     /// The float fields every `BENCH_perf.json` must carry, by JSON key.
     pub const NUMERIC_FIELDS: &'static [&'static str] = &[
-        "episodes_per_sec",
-        "il_hz",
-        "co_hz",
-        "co_hz_cold",
         "mean_admm_iters_warm",
         "mean_admm_iters_cold",
-        "il_over_co_ratio",
         "kkt_factor_us_sparse",
         "kkt_nnz_ratio",
-        "frame_p50_us",
-        "frame_p95_us",
-        "frame_p99_us",
-        "solve_p50_us",
-        "solve_p95_us",
-        "solve_p99_us",
         "matmul_gflops_scalar",
         "matmul_gflops_simd",
     ];
@@ -160,21 +112,10 @@ impl PerfReport {
     pub fn sanitize(&mut self) -> bool {
         let mut flagged = false;
         for v in [
-            &mut self.episodes_per_sec,
-            &mut self.il_hz,
-            &mut self.co_hz,
-            &mut self.co_hz_cold,
             &mut self.mean_admm_iters_warm,
             &mut self.mean_admm_iters_cold,
-            &mut self.il_over_co_ratio,
             &mut self.kkt_factor_us_sparse,
             &mut self.kkt_nnz_ratio,
-            &mut self.frame_p50_us,
-            &mut self.frame_p95_us,
-            &mut self.frame_p99_us,
-            &mut self.solve_p50_us,
-            &mut self.solve_p95_us,
-            &mut self.solve_p99_us,
             &mut self.matmul_gflops_scalar,
             &mut self.matmul_gflops_simd,
         ] {
@@ -185,30 +126,86 @@ impl PerfReport {
     }
 }
 
+/// Checks that every key of `keys` is a finite number in `v`, naming
+/// `file` and the key in the error.
+fn check_numbers(file: &str, v: &serde_json::Value, keys: &[&str]) -> Result<(), String> {
+    for key in keys {
+        let value = v
+            .get(key)
+            .ok_or_else(|| format!("{file} is missing {key:?}"))?
+            .as_f64()
+            .ok_or_else(|| format!("{file} field {key:?} is not a number"))?;
+        if !value.is_finite() {
+            return Err(format!("{file} field {key:?} is non-finite"));
+        }
+    }
+    Ok(())
+}
+
+/// Checks that every key of `keys` is an integer in `v`.
+fn check_integers(file: &str, v: &serde_json::Value, keys: &[&str]) -> Result<(), String> {
+    for key in keys {
+        v.get(key)
+            .and_then(serde_json::Value::as_u64)
+            .ok_or_else(|| format!("{file} field {key:?} is not an integer"))?;
+    }
+    Ok(())
+}
+
+/// Checks that `had_nonfinite` is a bool in `v`.
+fn check_nonfinite_flag(file: &str, v: &serde_json::Value) -> Result<(), String> {
+    v.get("had_nonfinite")
+        .and_then(serde_json::Value::as_bool)
+        .map(|_| ())
+        .ok_or_else(|| format!("{file} field \"had_nonfinite\" is not a bool"))
+}
+
+/// Checks that `v[key]` is an array holding exactly one row per map
+/// family — each row's `"family"` a known [`icoil_world::MapFamilyKind`]
+/// name, none listed twice, none missing — and returns the rows with
+/// their family names, in file order.
+fn family_rows<'v>(
+    file: &str,
+    v: &'v serde_json::Value,
+    key: &str,
+) -> Result<Vec<(&'v str, &'v serde_json::Value)>, String> {
+    let rows = v
+        .get(key)
+        .and_then(serde_json::Value::as_seq)
+        .ok_or_else(|| format!("{file} field {key:?} is not an array"))?;
+    let mut named: Vec<(&str, &serde_json::Value)> = Vec::with_capacity(rows.len());
+    for row in rows {
+        let name = row
+            .get("family")
+            .and_then(serde_json::Value::as_str)
+            .ok_or_else(|| format!("{file} {key:?} row is missing \"family\""))?;
+        if icoil_world::MapFamilyKind::from_name(name).is_none() {
+            return Err(format!("{file} names unknown family {name:?}"));
+        }
+        if named.iter().any(|(seen, _)| *seen == name) {
+            return Err(format!("{file} lists family {name:?} twice"));
+        }
+        named.push((name, row));
+    }
+    for kind in icoil_world::MapFamilyKind::ALL {
+        if !named.iter().any(|(seen, _)| *seen == kind.name()) {
+            return Err(format!("{file} is missing family {:?}", kind.name()));
+        }
+    }
+    Ok(named)
+}
+
 /// Validates a parsed `BENCH_perf.json` against the [`PerfReport`]
-/// schema: every numeric field present and finite, the run-size fields
-/// integral.
+/// schema: every numeric field present and finite, `kernel_best_of`
+/// integral, `simd_dispatch` a nonempty string.
 ///
 /// # Errors
 ///
 /// Returns the first violation found, naming the offending field.
 pub fn validate_perf_json(v: &serde_json::Value) -> Result<(), String> {
-    for key in PerfReport::NUMERIC_FIELDS {
-        let field = v
-            .get(key)
-            .ok_or_else(|| format!("BENCH_perf.json is missing {key:?}"))?;
-        let value = field
-            .as_f64()
-            .ok_or_else(|| format!("BENCH_perf.json field {key:?} is not a number"))?;
-        if !value.is_finite() {
-            return Err(format!("BENCH_perf.json field {key:?} is non-finite"));
-        }
-    }
-    for key in ["parallelism", "episodes", "kernel_best_of"] {
-        v.get(key)
-            .and_then(serde_json::Value::as_u64)
-            .ok_or_else(|| format!("BENCH_perf.json field {key:?} is not an integer"))?;
-    }
+    const FILE: &str = "BENCH_perf.json";
+    check_numbers(FILE, v, PerfReport::NUMERIC_FIELDS)?;
+    check_integers(FILE, v, &["kernel_best_of"])?;
     let dispatch = v
         .get("simd_dispatch")
         .and_then(serde_json::Value::as_str)
@@ -216,196 +213,138 @@ pub fn validate_perf_json(v: &serde_json::Value) -> Result<(), String> {
     if dispatch.is_empty() {
         return Err("BENCH_perf.json field \"simd_dispatch\" is empty".to_string());
     }
-    v.get("had_nonfinite")
-        .and_then(serde_json::Value::as_bool)
-        .ok_or_else(|| "BENCH_perf.json field \"had_nonfinite\" is not a bool".to_string())?;
-    Ok(())
+    check_nonfinite_flag(FILE, v)
 }
 
-/// The serving-load record emitted by the `loadgen` bin as
-/// `BENCH_serve.json`.
+/// CO-lane replies one map family's sessions received: one
+/// `co_by_family` row of `BENCH_serve.json`. The bench client counts
+/// them from the `StepResponse`s it reads, so a new family needs no
+/// telemetry or engine edit.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct FamilyCoCounts {
+    /// Stable family name ([`icoil_world::MapFamilyKind::name`]).
+    pub family: String,
+    /// CO-lane replies that were solved (not shed).
+    pub co_solved: u64,
+    /// CO-lane replies shed by the deadline lane (degraded full brake).
+    pub co_shed: u64,
+}
+
+impl FamilyCoCounts {
+    /// Zeroed rows, one per map family in
+    /// [`icoil_world::MapFamilyKind::ALL`] order, so a family's row sits
+    /// at [`icoil_world::MapFamilyKind::index`].
+    pub fn zeroed() -> Vec<FamilyCoCounts> {
+        icoil_world::MapFamilyKind::ALL
+            .into_iter()
+            .map(|kind| FamilyCoCounts {
+                family: kind.name().to_string(),
+                co_solved: 0,
+                co_shed: 0,
+            })
+            .collect()
+    }
+
+    /// Tallies one served reply into `rows` (laid out as
+    /// [`FamilyCoCounts::zeroed`]): a CO-lane reply counts as solved or
+    /// shed under `family`, any other reply counts nowhere.
+    pub fn record(
+        rows: &mut [FamilyCoCounts],
+        family: icoil_world::MapFamilyKind,
+        resp: &icoil_serve::StepResponse,
+    ) {
+        if resp.mode == "CO" {
+            let row = &mut rows[family.index()];
+            if resp.shed {
+                row.co_shed += 1;
+            } else {
+                row.co_solved += 1;
+            }
+        }
+    }
+
+    /// Adds `other` into `rows`, row by row (both laid out as
+    /// [`FamilyCoCounts::zeroed`]).
+    pub fn merge(rows: &mut [FamilyCoCounts], other: &[FamilyCoCounts]) {
+        for (row, add) in rows.iter_mut().zip(other) {
+            row.co_solved += add.co_solved;
+            row.co_shed += add.co_shed;
+        }
+    }
+
+    /// Total shed replies across `rows`.
+    pub fn total_shed(rows: &[FamilyCoCounts]) -> u64 {
+        rows.iter().map(|row| row.co_shed).sum()
+    }
+}
+
+/// The serving record emitted by the `loadgen` bin as
+/// `BENCH_serve.json`: what the shedding policy and the adaptation
+/// flywheel did, which the repository benchmark does not measure.
 ///
-/// Lane latency percentiles come from the server's own telemetry
-/// histograms (`ServeIlLane` / `ServeCoLane`); the shed rates come from
-/// the `co_admitted` / `co_shed` counters of two separate phases — a
-/// comfortably-provisioned run that must not shed, and a deliberately
-/// overloaded run that must shed rather than block. All float fields
-/// are sanitized before serialization, as in [`PerfReport`].
+/// The shed rates come from the `co_admitted` / `co_shed` counters of two
+/// separate phases — a comfortably-provisioned run that must not shed,
+/// and a deliberately overloaded run that must shed rather than block.
+/// All float fields are sanitized before serialization, as in
+/// [`PerfReport`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ServeReport {
-    /// Complete sessions served per wall-clock second (all phases).
-    pub sessions_per_sec: f64,
-    /// Frames served per wall-clock second (all phases).
-    pub frames_per_sec: f64,
-    /// Median IL-lane frame latency (µs, request arrival → response).
-    pub il_p50_us: f64,
-    /// 95th-percentile IL-lane frame latency (µs).
-    pub il_p95_us: f64,
-    /// 99th-percentile IL-lane frame latency (µs).
-    pub il_p99_us: f64,
-    /// Median CO-lane frame latency (µs, request arrival → response).
-    pub co_p50_us: f64,
-    /// 95th-percentile CO-lane frame latency (µs).
-    pub co_p95_us: f64,
-    /// 99th-percentile CO-lane frame latency (µs).
-    pub co_p99_us: f64,
-    /// Mean IL micro-batch width across engine ticks.
-    pub batch_size_mean: f64,
-    /// Largest IL micro-batch width observed.
-    pub batch_size_max: f64,
     /// Shed fraction of CO requests in the provisioned phase (must be 0).
     pub shed_rate_low: f64,
     /// Shed fraction of CO requests in the overload phase (must be > 0 —
     /// the lane degraded instead of blocking).
     pub shed_rate_overload: f64,
-    /// Sessions/sec of the shard-scaling sweep at 1 engine shard: the
-    /// median over the fresh servers each sweep point is timed on (as
-    /// are the other sweep fields).
-    #[serde(default)]
-    pub sweep_sessions_per_sec_s1: f64,
-    /// Sessions/sec of the shard-scaling sweep at 2 engine shards.
-    #[serde(default)]
-    pub sweep_sessions_per_sec_s2: f64,
-    /// Sessions/sec of the shard-scaling sweep at 4 engine shards.
-    #[serde(default)]
-    pub sweep_sessions_per_sec_s4: f64,
-    /// Sessions/sec of the shard-scaling sweep at 8 engine shards.
-    #[serde(default)]
-    pub sweep_sessions_per_sec_s8: f64,
-    /// Mean per-shard IL micro-batch width in the sweep at 1 shard.
-    #[serde(default)]
-    pub sweep_batch_mean_s1: f64,
-    /// Mean per-shard IL micro-batch width in the sweep at 2 shards.
-    #[serde(default)]
-    pub sweep_batch_mean_s2: f64,
-    /// Mean per-shard IL micro-batch width in the sweep at 4 shards.
-    #[serde(default)]
-    pub sweep_batch_mean_s4: f64,
-    /// Mean per-shard IL micro-batch width in the sweep at 8 shards.
-    #[serde(default)]
-    pub sweep_batch_mean_s8: f64,
     /// IL mode share of adaptation generation 0 (the seed weights).
-    #[serde(default)]
     pub adapt_il_share_g0: f64,
     /// IL mode share of adaptation generation 1 (after one retraining
     /// round; must be strictly above generation 0).
-    #[serde(default)]
     pub adapt_il_share_g1: f64,
     /// IL mode share of adaptation generation 2 (after two retraining
     /// rounds; must be strictly above generation 1).
-    #[serde(default)]
     pub adapt_il_share_g2: f64,
     /// CO + shed share of adaptation generation 0 — the expert load the
     /// flywheel is meant to shrink.
-    #[serde(default)]
     pub adapt_co_shed_share_g0: f64,
     /// CO + shed share of adaptation generation 1 (strictly below
     /// generation 0).
-    #[serde(default)]
     pub adapt_co_shed_share_g1: f64,
     /// CO + shed share of adaptation generation 2 (strictly below
     /// generation 1).
-    #[serde(default)]
     pub adapt_co_shed_share_g2: f64,
     /// Collision episodes across every adaptation generation (must be 0
     /// — the safety-projection bar the mode-share trend is priced at).
-    #[serde(default)]
     pub adapt_collisions: f64,
     /// Frames in the reservoir dataset after the last harvest.
-    #[serde(default)]
     pub adapt_dataset_frames: f64,
     /// Safety-projection activations across the adaptation phase
     /// (IL-mode actions clipped by the per-frame constraint QP).
-    #[serde(default)]
     pub adapt_safety_projections: f64,
-    /// CO solves admitted for `reverse_in` sessions (adapt + overload
-    /// phases; seeded sessions carry no family and count nowhere).
-    #[serde(default)]
-    pub co_admitted_reverse_in: f64,
-    /// CO solves admitted for `parallel_curb` sessions.
-    #[serde(default)]
-    pub co_admitted_parallel_curb: f64,
-    /// CO solves admitted for `angled_echelon` sessions.
-    #[serde(default)]
-    pub co_admitted_angled_echelon: f64,
-    /// CO solves admitted for `pillared_garage` sessions.
-    #[serde(default)]
-    pub co_admitted_pillared_garage: f64,
-    /// CO solves admitted for `dead_end_stub` sessions.
-    #[serde(default)]
-    pub co_admitted_dead_end_stub: f64,
-    /// CO solves admitted for `crowded_lot` sessions.
-    #[serde(default)]
-    pub co_admitted_crowded_lot: f64,
-    /// CO requests shed for `reverse_in` sessions.
-    #[serde(default)]
-    pub co_shed_reverse_in: f64,
-    /// CO requests shed for `parallel_curb` sessions.
-    #[serde(default)]
-    pub co_shed_parallel_curb: f64,
-    /// CO requests shed for `angled_echelon` sessions.
-    #[serde(default)]
-    pub co_shed_angled_echelon: f64,
-    /// CO requests shed for `pillared_garage` sessions.
-    #[serde(default)]
-    pub co_shed_pillared_garage: f64,
-    /// CO requests shed for `dead_end_stub` sessions.
-    #[serde(default)]
-    pub co_shed_dead_end_stub: f64,
-    /// CO requests shed for `crowded_lot` sessions.
-    #[serde(default)]
-    pub co_shed_crowded_lot: f64,
+    /// CO-lane replies per map family over the overload and adapt
+    /// phases (the provisioned phase's seeded sessions carry no family),
+    /// one row per family in [`icoil_world::MapFamilyKind::ALL`] order.
+    pub co_by_family: Vec<FamilyCoCounts>,
     /// Whether any measured field was non-finite before sanitization.
-    #[serde(default)]
     pub had_nonfinite: bool,
-    /// Concurrent sessions in the provisioned phases.
+    /// Concurrent sessions in the provisioned phase.
     pub sessions: u64,
-    /// Frames stepped per session per phase.
+    /// Frames stepped per session in the provisioned phase.
     pub frames_per_session: u64,
-    /// CO lane workers in the provisioned phases.
+    /// CO lane workers in the provisioned phase.
     pub co_workers: u64,
-    /// Concurrent sessions in the shard-scaling sweep (IL-only lane, so
-    /// thousands are cheap).
-    #[serde(default)]
-    pub sweep_sessions: u64,
-    /// Frames stepped per session in the shard-scaling sweep.
-    #[serde(default)]
-    pub sweep_frames: u64,
     /// Episodes served per adaptation generation (all families).
-    #[serde(default)]
     pub adapt_sessions: u64,
     /// Frames stepped per episode in the adaptation phase.
-    #[serde(default)]
     pub adapt_frames_per_session: u64,
     /// Serving generations in the adaptation phase (generation 0 runs
     /// the seed weights; each later one follows a retraining round).
-    #[serde(default)]
     pub adapt_generations: u64,
 }
 
 impl ServeReport {
     /// The float fields every `BENCH_serve.json` must carry, by JSON key.
     pub const NUMERIC_FIELDS: &'static [&'static str] = &[
-        "sessions_per_sec",
-        "frames_per_sec",
-        "il_p50_us",
-        "il_p95_us",
-        "il_p99_us",
-        "co_p50_us",
-        "co_p95_us",
-        "co_p99_us",
-        "batch_size_mean",
-        "batch_size_max",
         "shed_rate_low",
         "shed_rate_overload",
-        "sweep_sessions_per_sec_s1",
-        "sweep_sessions_per_sec_s2",
-        "sweep_sessions_per_sec_s4",
-        "sweep_sessions_per_sec_s8",
-        "sweep_batch_mean_s1",
-        "sweep_batch_mean_s2",
-        "sweep_batch_mean_s4",
-        "sweep_batch_mean_s8",
         "adapt_il_share_g0",
         "adapt_il_share_g1",
         "adapt_il_share_g2",
@@ -415,18 +354,6 @@ impl ServeReport {
         "adapt_collisions",
         "adapt_dataset_frames",
         "adapt_safety_projections",
-        "co_admitted_reverse_in",
-        "co_admitted_parallel_curb",
-        "co_admitted_angled_echelon",
-        "co_admitted_pillared_garage",
-        "co_admitted_dead_end_stub",
-        "co_admitted_crowded_lot",
-        "co_shed_reverse_in",
-        "co_shed_parallel_curb",
-        "co_shed_angled_echelon",
-        "co_shed_pillared_garage",
-        "co_shed_dead_end_stub",
-        "co_shed_crowded_lot",
     ];
 
     /// Clamps every non-finite float field to a finite value and records
@@ -435,26 +362,8 @@ impl ServeReport {
     pub fn sanitize(&mut self) -> bool {
         let mut flagged = false;
         for v in [
-            &mut self.sessions_per_sec,
-            &mut self.frames_per_sec,
-            &mut self.il_p50_us,
-            &mut self.il_p95_us,
-            &mut self.il_p99_us,
-            &mut self.co_p50_us,
-            &mut self.co_p95_us,
-            &mut self.co_p99_us,
-            &mut self.batch_size_mean,
-            &mut self.batch_size_max,
             &mut self.shed_rate_low,
             &mut self.shed_rate_overload,
-            &mut self.sweep_sessions_per_sec_s1,
-            &mut self.sweep_sessions_per_sec_s2,
-            &mut self.sweep_sessions_per_sec_s4,
-            &mut self.sweep_sessions_per_sec_s8,
-            &mut self.sweep_batch_mean_s1,
-            &mut self.sweep_batch_mean_s2,
-            &mut self.sweep_batch_mean_s4,
-            &mut self.sweep_batch_mean_s8,
             &mut self.adapt_il_share_g0,
             &mut self.adapt_il_share_g1,
             &mut self.adapt_il_share_g2,
@@ -464,18 +373,6 @@ impl ServeReport {
             &mut self.adapt_collisions,
             &mut self.adapt_dataset_frames,
             &mut self.adapt_safety_projections,
-            &mut self.co_admitted_reverse_in,
-            &mut self.co_admitted_parallel_curb,
-            &mut self.co_admitted_angled_echelon,
-            &mut self.co_admitted_pillared_garage,
-            &mut self.co_admitted_dead_end_stub,
-            &mut self.co_admitted_crowded_lot,
-            &mut self.co_shed_reverse_in,
-            &mut self.co_shed_parallel_curb,
-            &mut self.co_shed_angled_echelon,
-            &mut self.co_shed_pillared_garage,
-            &mut self.co_shed_dead_end_stub,
-            &mut self.co_shed_crowded_lot,
         ] {
             icoil_telemetry::sanitize_field(v, &mut flagged);
         }
@@ -485,50 +382,48 @@ impl ServeReport {
 }
 
 /// Validates a parsed `BENCH_serve.json` against the [`ServeReport`]
-/// schema: every numeric field present and finite, the run-size fields
-/// integral, and the shed rates inside `[0, 1]`.
+/// schema: every numeric field present and finite, the shed rates and
+/// mode shares inside `[0, 1]`, one integral `co_by_family` row per map
+/// family, and the run-size fields integral.
 ///
 /// # Errors
 ///
 /// Returns the first violation found, naming the offending field.
 pub fn validate_serve_json(v: &serde_json::Value) -> Result<(), String> {
+    const FILE: &str = "BENCH_serve.json";
+    check_numbers(FILE, v, ServeReport::NUMERIC_FIELDS)?;
     for key in ServeReport::NUMERIC_FIELDS {
-        let field = v
-            .get(key)
-            .ok_or_else(|| format!("BENCH_serve.json is missing {key:?}"))?;
-        let value = field
-            .as_f64()
-            .ok_or_else(|| format!("BENCH_serve.json field {key:?} is not a number"))?;
-        if !value.is_finite() {
-            return Err(format!("BENCH_serve.json field {key:?} is non-finite"));
-        }
         let is_rate = key.starts_with("shed_rate")
             || key.starts_with("adapt_il_share")
             || key.starts_with("adapt_co_shed_share");
+        let value = v
+            .get(key)
+            .and_then(serde_json::Value::as_f64)
+            .unwrap_or(0.0);
         if is_rate && !(0.0..=1.0).contains(&value) {
-            return Err(format!(
-                "BENCH_serve.json field {key:?} is outside [0, 1]: {value}"
-            ));
+            return Err(format!("{FILE} field {key:?} is outside [0, 1]: {value}"));
         }
     }
-    for key in [
-        "sessions",
-        "frames_per_session",
-        "co_workers",
-        "sweep_sessions",
-        "sweep_frames",
-        "adapt_sessions",
-        "adapt_frames_per_session",
-        "adapt_generations",
-    ] {
-        v.get(key)
-            .and_then(serde_json::Value::as_u64)
-            .ok_or_else(|| format!("BENCH_serve.json field {key:?} is not an integer"))?;
+    for (name, row) in family_rows(FILE, v, "co_by_family")? {
+        check_integers(
+            &format!("{FILE} family {name:?}"),
+            row,
+            &["co_solved", "co_shed"],
+        )?;
     }
-    v.get("had_nonfinite")
-        .and_then(serde_json::Value::as_bool)
-        .ok_or_else(|| "BENCH_serve.json field \"had_nonfinite\" is not a bool".to_string())?;
-    Ok(())
+    check_integers(
+        FILE,
+        v,
+        &[
+            "sessions",
+            "frames_per_session",
+            "co_workers",
+            "adapt_sessions",
+            "adapt_frames_per_session",
+            "adapt_generations",
+        ],
+    )?;
+    check_nonfinite_flag(FILE, v)
 }
 
 /// Per-family row of the scenario-matrix record emitted by the
@@ -641,25 +536,8 @@ impl ScenariosReport {
 /// Returns the first violation found, naming the offending family and
 /// field.
 pub fn validate_scenarios_json(v: &serde_json::Value) -> Result<(), String> {
-    let families = v
-        .get("families")
-        .and_then(serde_json::Value::as_seq)
-        .ok_or_else(|| "BENCH_scenarios.json field \"families\" is not an array".to_string())?;
-    let mut seen: Vec<&str> = Vec::new();
-    for row in families {
-        let name = row
-            .get("family")
-            .and_then(serde_json::Value::as_str)
-            .ok_or_else(|| "BENCH_scenarios.json row is missing \"family\"".to_string())?;
-        if icoil_world::MapFamilyKind::from_name(name).is_none() {
-            return Err(format!(
-                "BENCH_scenarios.json names unknown family {name:?}"
-            ));
-        }
-        if seen.contains(&name) {
-            return Err(format!("BENCH_scenarios.json lists family {name:?} twice"));
-        }
-        seen.push(name);
+    const FILE: &str = "BENCH_scenarios.json";
+    for (name, row) in family_rows(FILE, v, "families")? {
         let episodes = row
             .get("episodes")
             .and_then(serde_json::Value::as_u64)
@@ -695,23 +573,8 @@ pub fn validate_scenarios_json(v: &serde_json::Value) -> Result<(), String> {
             ));
         }
     }
-    for kind in icoil_world::MapFamilyKind::ALL {
-        if !seen.contains(&kind.name()) {
-            return Err(format!(
-                "BENCH_scenarios.json is missing family {:?}",
-                kind.name()
-            ));
-        }
-    }
-    v.get("episodes_per_family")
-        .and_then(serde_json::Value::as_u64)
-        .ok_or_else(|| {
-            "BENCH_scenarios.json field \"episodes_per_family\" is not an integer".to_string()
-        })?;
-    v.get("had_nonfinite")
-        .and_then(serde_json::Value::as_bool)
-        .ok_or_else(|| "BENCH_scenarios.json field \"had_nonfinite\" is not a bool".to_string())?;
-    Ok(())
+    check_integers(FILE, v, &["episodes_per_family"])?;
+    check_nonfinite_flag(FILE, v)
 }
 
 /// Path of the cached trained IL model.
@@ -759,28 +622,15 @@ mod tests {
 
     fn sample_report() -> PerfReport {
         PerfReport {
-            episodes_per_sec: 1.5,
-            il_hz: 4000.0,
-            co_hz: 3000.0,
-            co_hz_cold: 2000.0,
             mean_admm_iters_warm: 40.0,
             mean_admm_iters_cold: 120.0,
-            il_over_co_ratio: 4000.0 / 3000.0,
             kkt_factor_us_sparse: 10.0,
             kkt_nnz_ratio: 0.05,
-            frame_p50_us: 300.0,
-            frame_p95_us: 450.0,
-            frame_p99_us: 600.0,
-            solve_p50_us: 250.0,
-            solve_p95_us: 400.0,
-            solve_p99_us: 550.0,
             matmul_gflops_scalar: 2.0,
             matmul_gflops_simd: 8.0,
             simd_dispatch: "avx2+fma".to_string(),
             kernel_best_of: 5,
             had_nonfinite: false,
-            parallelism: 4,
-            episodes: 20,
         }
     }
 
@@ -791,12 +641,12 @@ mod tests {
         assert!(!clean.had_nonfinite);
 
         let mut poisoned = sample_report();
-        poisoned.il_over_co_ratio = f64::NAN;
-        poisoned.frame_p99_us = f64::INFINITY;
+        poisoned.kkt_nnz_ratio = f64::NAN;
+        poisoned.matmul_gflops_simd = f64::INFINITY;
         assert!(poisoned.sanitize());
         assert!(poisoned.had_nonfinite);
-        assert!(poisoned.il_over_co_ratio.is_finite());
-        assert!(poisoned.frame_p99_us.is_finite());
+        assert!(poisoned.kkt_nnz_ratio.is_finite());
+        assert!(poisoned.matmul_gflops_simd.is_finite());
         // the flag is sticky across further (clean) sanitize passes
         assert!(!poisoned.sanitize());
         assert!(poisoned.had_nonfinite);
@@ -805,7 +655,7 @@ mod tests {
     #[test]
     fn sanitized_report_reparses_and_validates() {
         let mut report = sample_report();
-        report.solve_p50_us = f64::NEG_INFINITY;
+        report.kkt_factor_us_sparse = f64::NEG_INFINITY;
         report.sanitize();
         let json = serde_json::to_string(&report).expect("serializes");
         let v: serde_json::Value = serde_json::from_str(&json).expect("round-trips");
@@ -823,41 +673,34 @@ mod tests {
             serde_json::Value::Map(m) => m,
             other => panic!("report is an object, got {other:?}"),
         };
-        map.retain(|(k, _)| k != "co_hz");
+        map.retain(|(k, _)| k != "mean_admm_iters_cold");
         let err = validate_perf_json(&serde_json::Value::Map(map)).unwrap_err();
-        assert!(err.contains("co_hz"), "names the missing field: {err}");
+        assert!(
+            err.contains("mean_admm_iters_cold"),
+            "names the missing field: {err}"
+        );
 
         // an unsanitized non-finite float serializes as null → not a number
         let mut poisoned = sample_report();
-        poisoned.co_hz = f64::NAN;
+        poisoned.matmul_gflops_scalar = f64::NAN;
         let json = serde_json::to_string(&poisoned).unwrap();
         let v: serde_json::Value = serde_json::from_str(&json).unwrap();
         let err = validate_perf_json(&v).unwrap_err();
-        assert!(err.contains("co_hz"), "names the null field: {err}");
+        assert!(
+            err.contains("matmul_gflops_scalar"),
+            "names the null field: {err}"
+        );
     }
 
     fn sample_serve_report() -> ServeReport {
+        let mut co_by_family = FamilyCoCounts::zeroed();
+        for (i, row) in co_by_family.iter_mut().enumerate() {
+            row.co_solved = 10 * i as u64;
+            row.co_shed = i as u64 % 3;
+        }
         ServeReport {
-            sessions_per_sec: 2.0,
-            frames_per_sec: 120.0,
-            il_p50_us: 400.0,
-            il_p95_us: 900.0,
-            il_p99_us: 1500.0,
-            co_p50_us: 9000.0,
-            co_p95_us: 30000.0,
-            co_p99_us: 60000.0,
-            batch_size_mean: 5.5,
-            batch_size_max: 8.0,
             shed_rate_low: 0.0,
             shed_rate_overload: 0.6,
-            sweep_sessions_per_sec_s1: 150.0,
-            sweep_sessions_per_sec_s2: 280.0,
-            sweep_sessions_per_sec_s4: 500.0,
-            sweep_sessions_per_sec_s8: 700.0,
-            sweep_batch_mean_s1: 6.0,
-            sweep_batch_mean_s2: 4.5,
-            sweep_batch_mean_s4: 3.2,
-            sweep_batch_mean_s8: 2.1,
             adapt_il_share_g0: 0.0,
             adapt_il_share_g1: 0.1,
             adapt_il_share_g2: 0.25,
@@ -867,85 +710,121 @@ mod tests {
             adapt_collisions: 0.0,
             adapt_dataset_frames: 600.0,
             adapt_safety_projections: 3.0,
-            co_admitted_reverse_in: 10.0,
-            co_admitted_parallel_curb: 80.0,
-            co_admitted_angled_echelon: 10.0,
-            co_admitted_pillared_garage: 10.0,
-            co_admitted_dead_end_stub: 80.0,
-            co_admitted_crowded_lot: 80.0,
-            co_shed_reverse_in: 2.0,
-            co_shed_parallel_curb: 0.0,
-            co_shed_angled_echelon: 1.0,
-            co_shed_pillared_garage: 0.0,
-            co_shed_dead_end_stub: 0.0,
-            co_shed_crowded_lot: 3.0,
+            co_by_family,
             had_nonfinite: false,
             sessions: 8,
             frames_per_session: 50,
             co_workers: 2,
-            sweep_sessions: 2000,
-            sweep_frames: 8,
             adapt_sessions: 6,
             adapt_frames_per_session: 40,
             adapt_generations: 3,
         }
     }
 
+    /// Serializes `report` and re-parses it as a JSON value.
+    fn to_value<T: Serialize>(report: &T) -> serde_json::Value {
+        let json = serde_json::to_string(report).unwrap();
+        serde_json::from_str(&json).unwrap()
+    }
+
     #[test]
     fn serve_report_sanitizes_and_validates() {
         let mut clean = sample_serve_report();
         assert!(!clean.sanitize());
-        let json = serde_json::to_string(&clean).unwrap();
-        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
-        validate_serve_json(&v).expect("clean report validates");
+        validate_serve_json(&to_value(&clean)).expect("clean report validates");
 
         let mut poisoned = sample_serve_report();
-        poisoned.co_p99_us = f64::INFINITY;
+        poisoned.adapt_dataset_frames = f64::INFINITY;
         assert!(poisoned.sanitize());
         assert!(poisoned.had_nonfinite);
-        let json = serde_json::to_string(&poisoned).unwrap();
-        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
-        validate_serve_json(&v).expect("sanitized report validates");
+        validate_serve_json(&to_value(&poisoned)).expect("sanitized report validates");
+    }
+
+    #[test]
+    fn family_co_counts_tally_co_lane_replies_only() {
+        let resp = |mode: &str, shed: bool| icoil_serve::StepResponse {
+            session: 1,
+            frame: 1,
+            time: 0.1,
+            mode: mode.to_string(),
+            uncertainty: 0.0,
+            complexity: 0.0,
+            action: icoil_vehicle::Action::full_brake(),
+            x: 0.0,
+            y: 0.0,
+            heading: 0.0,
+            velocity: 0.0,
+            emergency: false,
+            degraded: shed,
+            shed,
+            outcome: None,
+            weight_version: 0,
+        };
+        let kind = icoil_world::MapFamilyKind::DeadEndStub;
+        let mut rows = FamilyCoCounts::zeroed();
+        for r in [resp("CO", false), resp("CO", true), resp("IL", false)] {
+            FamilyCoCounts::record(&mut rows, kind, &r);
+        }
+        FamilyCoCounts::record(&mut rows, kind, &resp("DONE", false));
+        let row = &rows[kind.index()];
+        assert_eq!(row.family, "dead_end_stub");
+        assert_eq!((row.co_solved, row.co_shed), (1, 1));
+        let mut merged = FamilyCoCounts::zeroed();
+        FamilyCoCounts::merge(&mut merged, &rows);
+        FamilyCoCounts::merge(&mut merged, &rows);
+        assert_eq!(FamilyCoCounts::total_shed(&merged), 2);
+        assert_eq!(merged[kind.index()].co_solved, 2);
     }
 
     #[test]
     fn validate_serve_rejects_bad_reports() {
-        let report = sample_serve_report();
-        let json = serde_json::to_string(&report).unwrap();
-        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
-        let mut map = match v {
+        let mut map = match to_value(&sample_serve_report()) {
             serde_json::Value::Map(m) => m,
             other => panic!("report is an object, got {other:?}"),
         };
-        map.retain(|(k, _)| k != "co_p50_us");
+        map.retain(|(k, _)| k != "shed_rate_low");
         let err = validate_serve_json(&serde_json::Value::Map(map)).unwrap_err();
-        assert!(err.contains("co_p50_us"), "names the missing field: {err}");
+        assert!(
+            err.contains("shed_rate_low"),
+            "names the missing field: {err}"
+        );
 
         let mut out_of_range = sample_serve_report();
         out_of_range.shed_rate_overload = 1.5;
-        let json = serde_json::to_string(&out_of_range).unwrap();
-        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
-        let err = validate_serve_json(&v).unwrap_err();
+        let err = validate_serve_json(&to_value(&out_of_range)).unwrap_err();
         assert!(err.contains("shed_rate_overload"), "names the field: {err}");
 
         // mode shares are rates too
         let mut bad_share = sample_serve_report();
         bad_share.adapt_il_share_g1 = 1.5;
-        let json = serde_json::to_string(&bad_share).unwrap();
-        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
-        let err = validate_serve_json(&v).unwrap_err();
+        let err = validate_serve_json(&to_value(&bad_share)).unwrap_err();
         assert!(err.contains("adapt_il_share_g1"), "names the field: {err}");
 
         // an unsanitized non-finite float serializes as null → not a number
         let mut poisoned = sample_serve_report();
-        poisoned.frames_per_sec = f64::NAN;
-        let json = serde_json::to_string(&poisoned).unwrap();
-        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
-        let err = validate_serve_json(&v).unwrap_err();
+        poisoned.adapt_safety_projections = f64::NAN;
+        let err = validate_serve_json(&to_value(&poisoned)).unwrap_err();
         assert!(
-            err.contains("frames_per_sec"),
+            err.contains("adapt_safety_projections"),
             "names the null field: {err}"
         );
+
+        // every family has exactly one co_by_family row, and no other
+        // family has one
+        let mut short = sample_serve_report();
+        short.co_by_family.pop();
+        let err = validate_serve_json(&to_value(&short)).unwrap_err();
+        assert!(err.contains("missing family \"crowded_lot\""), "{err}");
+
+        let mut doubled = sample_serve_report();
+        doubled.co_by_family[5] = doubled.co_by_family[0].clone();
+        let err = validate_serve_json(&to_value(&doubled)).unwrap_err();
+        assert!(err.contains("\"reverse_in\" twice"), "{err}");
+
+        let mut unknown = sample_serve_report();
+        unknown.co_by_family[2].family = "moon_base".to_string();
+        let err = validate_serve_json(&to_value(&unknown)).unwrap_err();
+        assert!(err.contains("unknown family \"moon_base\""), "{err}");
     }
 
     fn sample_scenarios_report() -> ScenariosReport {

@@ -262,30 +262,6 @@ impl CoController {
     /// (with velocity predictions) enters the MPC constraints — the path
     /// routes around the static scene, the MPC dodges whatever moves.
     pub fn control(&mut self, obs: &Observation, boxes: &[Obb]) -> CoOutput {
-        match self.prepare(obs, boxes) {
-            Prepared::Early(out) => out,
-            Prepared::Solve {
-                state,
-                reference,
-                tracked,
-            } => {
-                let mpc = solve_mpc_warm(
-                    &state,
-                    &reference,
-                    &tracked,
-                    &self.params,
-                    &self.config,
-                    &mut self.memory,
-                );
-                self.finish_solve(state, reference, tracked, mpc)
-            }
-        }
-    }
-
-    /// The pre-solve half of [`control`](CoController::control): tracking,
-    /// stall detection, (re)planning and reference building. Returns
-    /// either an early (no-solve) output or the assembled MPC inputs.
-    fn prepare(&mut self, obs: &Observation, boxes: &[Obb]) -> Prepared {
         let ego = obs.ego();
         self.frames_since_replan += 1;
 
@@ -345,23 +321,23 @@ impl CoController {
                 // No path even at the tightest margin — typically the
                 // ego is wedged against an obstacle. Creep away from the
                 // nearest box to restore clearance, then replan.
-                return Prepared::Early(CoOutput {
+                return CoOutput {
                     action: unstick_action(&ego, boxes),
                     mpc: None,
                     emergency: true,
                     degraded: false,
-                });
+                };
             }
         }
         let (path, walker) = match (&self.path, &self.walker) {
             (Some(p), Some(w)) => (p, w),
             _ => {
-                return Prepared::Early(CoOutput {
+                return CoOutput {
                     action: Action::full_brake(),
                     mpc: None,
                     emergency: true,
                     degraded: false,
-                })
+                }
             }
         };
 
@@ -375,22 +351,14 @@ impl CoController {
         self.progress = self.progress.max(s_now);
         let reference =
             build_reference_at(path, walker, self.progress, ego.pose.theta, &self.config);
-        Prepared::Solve {
-            state: ego,
-            reference,
-            tracked,
-        }
-    }
-
-    /// The post-solve half of [`control`](CoController::control): solve
-    /// logging, degradation handling and action conversion.
-    fn finish_solve(
-        &mut self,
-        ego: VehicleState,
-        reference: Vec<RefState>,
-        tracked: Vec<MovingObstacle>,
-        mpc: MpcSolution,
-    ) -> CoOutput {
+        let mpc = solve_mpc_warm(
+            &ego,
+            &reference,
+            &tracked,
+            &self.params,
+            &self.config,
+            &mut self.memory,
+        );
         if let Some(log) = self.solve_log.as_mut() {
             log.push(SolveRecord {
                 state: ego,
@@ -452,22 +420,6 @@ impl CoController {
             }
         }
     }
-}
-
-/// Outcome of [`CoController::prepare`]: either the frame resolved
-/// without an MPC solve, or the solve inputs are ready.
-enum Prepared {
-    /// No solve this frame (planner failure or missing path).
-    Early(CoOutput),
-    /// The assembled MPC inputs for this frame.
-    Solve {
-        /// Ego state at the frame.
-        state: VehicleState,
-        /// Reference horizon.
-        reference: Vec<RefState>,
-        /// Tracked obstacles with velocity estimates.
-        tracked: Vec<MovingObstacle>,
-    },
 }
 
 /// Recovery action when no path exists from the current pose: creep

@@ -639,9 +639,6 @@ impl Shard {
                 self.metrics.observe(Series::ServeCoLane, latency_s);
                 if shed {
                     self.metrics.add(Counter::CoShed, 1);
-                    if let Some(f) = session.family_index() {
-                        self.metrics.add(Counter::CO_SHED_BY_FAMILY[f], 1);
-                    }
                 }
                 self.land(*session);
             }
@@ -768,7 +765,6 @@ impl Shard {
             reply,
             t0,
         } = row;
-        let family = session.family_index();
         self.metrics
             .observe(Series::CoQueueDepth, self.lane.len() as f64);
         let job = Box::new(CoJob {
@@ -781,12 +777,7 @@ impl Shard {
             home: self.home.clone(),
         });
         match self.lane.submit(job) {
-            Ok(()) => {
-                self.metrics.add(Counter::CoAdmitted, 1);
-                if let Some(f) = family {
-                    self.metrics.add(Counter::CO_ADMITTED_BY_FAMILY[f], 1);
-                }
-            }
+            Ok(()) => self.metrics.add(Counter::CoAdmitted, 1),
             Err(job) => {
                 // admission control: the queue is full, shed now rather
                 // than block the shard
@@ -800,9 +791,6 @@ impl Shard {
                 let out = CoOutput::degraded_brake();
                 let resp = session.advance(out.action, &hsa, Some(&out), true);
                 self.metrics.add(Counter::CoShed, 1);
-                if let Some(f) = family {
-                    self.metrics.add(Counter::CO_SHED_BY_FAMILY[f], 1);
-                }
                 self.metrics
                     .observe(Series::ServeCoLane, t0.elapsed().as_secs_f64());
                 self.land(*session);

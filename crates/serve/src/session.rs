@@ -9,7 +9,7 @@ use icoil_il::InferResult;
 use icoil_perception::{BevImage, Perception, Sensing};
 use icoil_vehicle::Action;
 use icoil_world::episode::{Observation, Outcome};
-use icoil_world::{Difficulty, MapFamilyKind, Scenario, ScenarioConfig, World};
+use icoil_world::{Difficulty, Scenario, ScenarioConfig, World};
 use serde::{Deserialize, Serialize};
 
 /// What a client asks for when opening a session: deterministic
@@ -276,13 +276,6 @@ impl Session {
             weight_version,
             il_memo: None,
         }
-    }
-
-    /// Position of this session's map family in [`MapFamilyKind::ALL`]
-    /// — the index into the telemetry per-family counter arrays. `None`
-    /// for fixed (non-procedural) scenarios.
-    pub(crate) fn family_index(&self) -> Option<usize> {
-        self.world.scenario().family.map(MapFamilyKind::index)
     }
 
     /// The session's world (read-only — the safety projector needs the

@@ -66,30 +66,6 @@ pub enum Counter {
     /// Gear reversals executed (the served action flipping `reverse`
     /// relative to the previous frame) — the maneuver-taxonomy signal.
     GearReversals,
-    /// CO admissions for sessions on the `reverse_in` map family.
-    CoAdmittedReverseIn,
-    /// CO admissions for sessions on the `parallel_curb` map family.
-    CoAdmittedParallelCurb,
-    /// CO admissions for sessions on the `angled_echelon` map family.
-    CoAdmittedAngledEchelon,
-    /// CO admissions for sessions on the `pillared_garage` map family.
-    CoAdmittedPillaredGarage,
-    /// CO admissions for sessions on the `dead_end_stub` map family.
-    CoAdmittedDeadEndStub,
-    /// CO admissions for sessions on the `crowded_lot` map family.
-    CoAdmittedCrowdedLot,
-    /// CO sheds for sessions on the `reverse_in` map family.
-    CoShedReverseIn,
-    /// CO sheds for sessions on the `parallel_curb` map family.
-    CoShedParallelCurb,
-    /// CO sheds for sessions on the `angled_echelon` map family.
-    CoShedAngledEchelon,
-    /// CO sheds for sessions on the `pillared_garage` map family.
-    CoShedPillaredGarage,
-    /// CO sheds for sessions on the `dead_end_stub` map family.
-    CoShedDeadEndStub,
-    /// CO sheds for sessions on the `crowded_lot` map family.
-    CoShedCrowdedLot,
     /// Weight generations materialized by a serving shard from the
     /// versioned weight store (the hot-swap events of the adaptation
     /// loop: one per shard per generation it actually serves).
@@ -105,7 +81,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] variants (the fixed counter-array length).
-pub const NUM_COUNTERS: usize = 41;
+pub const NUM_COUNTERS: usize = 29;
 
 const COUNTER_NAMES: [&str; NUM_COUNTERS] = [
     "frames",
@@ -134,18 +110,6 @@ const COUNTER_NAMES: [&str; NUM_COUNTERS] = [
     "serve_restores",
     "serve_evictions",
     "gear_reversals",
-    "co_admitted_reverse_in",
-    "co_admitted_parallel_curb",
-    "co_admitted_angled_echelon",
-    "co_admitted_pillared_garage",
-    "co_admitted_dead_end_stub",
-    "co_admitted_crowded_lot",
-    "co_shed_reverse_in",
-    "co_shed_parallel_curb",
-    "co_shed_angled_echelon",
-    "co_shed_pillared_garage",
-    "co_shed_dead_end_stub",
-    "co_shed_crowded_lot",
     "weight_swaps",
     "safety_projections",
     "il_memo_hits",
@@ -156,32 +120,6 @@ impl Counter {
     pub fn name(self) -> &'static str {
         COUNTER_NAMES[self as usize]
     }
-
-    /// Per-family CO admission counters, indexed in the map-family
-    /// sampling order (`MapFamilyKind::ALL` in `icoil-world`:
-    /// reverse_in, parallel_curb, angled_echelon, pillared_garage,
-    /// dead_end_stub, crowded_lot). The telemetry crate does not depend
-    /// on the world crate, so the order is a documented contract,
-    /// asserted where the two meet (the serving engine's tests).
-    pub const CO_ADMITTED_BY_FAMILY: [Counter; 6] = [
-        Counter::CoAdmittedReverseIn,
-        Counter::CoAdmittedParallelCurb,
-        Counter::CoAdmittedAngledEchelon,
-        Counter::CoAdmittedPillaredGarage,
-        Counter::CoAdmittedDeadEndStub,
-        Counter::CoAdmittedCrowdedLot,
-    ];
-
-    /// Per-family CO shed counters, in the same family order as
-    /// [`Counter::CO_ADMITTED_BY_FAMILY`].
-    pub const CO_SHED_BY_FAMILY: [Counter; 6] = [
-        Counter::CoShedReverseIn,
-        Counter::CoShedParallelCurb,
-        Counter::CoShedAngledEchelon,
-        Counter::CoShedPillaredGarage,
-        Counter::CoShedDeadEndStub,
-        Counter::CoShedCrowdedLot,
-    ];
 }
 
 /// Histogram series recorded by the stack.
@@ -382,19 +320,6 @@ mod tests {
         assert_eq!(Counter::IlMemoHits.name(), "il_memo_hits");
         assert_eq!(Counter::SafetyProjections.name(), "safety_projections");
         assert_eq!(Counter::WeightSwaps.name(), "weight_swaps");
-        assert_eq!(
-            Counter::CoAdmittedReverseIn.name(),
-            "co_admitted_reverse_in"
-        );
-        assert_eq!(Counter::CoShedCrowdedLot.name(), "co_shed_crowded_lot");
-        for (admit, shed) in Counter::CO_ADMITTED_BY_FAMILY
-            .into_iter()
-            .zip(Counter::CO_SHED_BY_FAMILY)
-        {
-            let a = admit.name().strip_prefix("co_admitted_").unwrap();
-            let s = shed.name().strip_prefix("co_shed_").unwrap();
-            assert_eq!(a, s, "family arrays must stay aligned");
-        }
         assert_eq!(Counter::GearReversals.name(), "gear_reversals");
         assert_eq!(Counter::ServeEvictions.name(), "serve_evictions");
         assert_eq!(Counter::ServeSnapshots.name(), "serve_snapshots");

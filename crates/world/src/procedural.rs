@@ -106,8 +106,8 @@ impl MapFamilyKind {
     }
 
     /// The family's position in [`MapFamilyKind::ALL`] — the stable
-    /// index keying per-family telemetry counters and the adaptation
-    /// dataset's reservoirs.
+    /// index keying the adaptation dataset's reservoirs and the bench
+    /// client's per-family tallies.
     pub fn index(self) -> usize {
         MapFamilyKind::ALL
             .iter()

@@ -292,9 +292,8 @@ pub struct Scenario {
     pub dt: f64,
     /// The procedural map family this scenario came from, when it was
     /// built by [`ProcScenario::build`](crate::procedural::ProcScenario)
-    /// — `None` for the fixed `ScenarioConfig` lots. Serving engines
-    /// attribute per-family CO admission/shed telemetry with this, and
-    /// the adaptation loop keys its dataset reservoirs on it. Absent in
+    /// — `None` for the fixed `ScenarioConfig` lots. The adaptation
+    /// loop keys its dataset reservoirs on it. Absent in
     /// scenarios serialized before the field existed; those decode as
     /// `None`.
     #[serde(default)]

@@ -30,7 +30,7 @@ ICOIL_EPISODES=$EPISODES_SWEEP  run fig7 cargo run --release -q -p icoil-bench -
 ICOIL_EPISODES=$EPISODES_SWEEP  run fig8 cargo run --release -q -p icoil-bench --bin fig8
 ICOIL_EPISODES=$EPISODES_SWEEP  run fig9 cargo run --release -q -p icoil-bench --bin fig9
 run freq cargo run --release -q -p icoil-bench --bin freq
-ICOIL_EPISODES=$EPISODES_SWEEP  run perf cargo run --release -q -p icoil-bench --bin perf
+run perf cargo run --release -q -p icoil-bench --bin perf
 run fig3 cargo run --release -q -p icoil-bench --bin fig3
 
 # ablations (small training knobs: these train their own models)
